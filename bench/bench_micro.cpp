@@ -586,4 +586,14 @@ BENCHMARK(BM_RegistryLockedRead);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the GEMM kernel level every benchmark ran on, in the
+// JSON report's context block, where scripts/bench_snapshot.py records it.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("gemm_isa",
+                              tensor::gemm_isa_name(tensor::active_gemm_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

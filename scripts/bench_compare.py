@@ -19,7 +19,13 @@ are listed informationally — a renamed benchmark should ship with a refreshed
 baseline in the same PR.
 
 Both files must be schema-1 bench_snapshot.py output (all times already
-normalized to nanoseconds).
+normalized to nanoseconds). When both carry a machine "context" (CPU model,
+core count, GEMM kernel level, repetitions) and any of it differs, the drift
+table is printed for information only: the script warns that the snapshots
+come from different setups and reports no regression, --fail included. A
+snapshot without a context (written before contexts existed) still loads;
+the comparison then proceeds as before, with a note that the setup is
+unknown.
 
 Exit status: 0 (even with regressions, unless --fail), 1 regressions with
 --fail or schema mismatch, 2 bad usage.
@@ -54,6 +60,15 @@ def newest_baseline(repo_root: Path) -> Path:
             "bench_compare: no BENCH_*.json baseline in the repo root "
             "(commit one with scripts/bench_snapshot.py)")
     return candidates[-1]
+
+
+def context_mismatch(baseline: dict, current: dict) -> list[str]:
+    """Context keys both snapshots record with different values."""
+    base_ctx = baseline.get("context") or {}
+    cur_ctx = current.get("context") or {}
+    return [f"{key}: {base_ctx[key]!r} vs {cur_ctx[key]!r}"
+            for key in sorted(set(base_ctx) & set(cur_ctx))
+            if base_ctx[key] != cur_ctx[key]]
 
 
 def fmt_ns(ns: float) -> str:
@@ -105,18 +120,34 @@ def main() -> int:
     only_base = sorted(set(base_benches) - set(cur_benches))
     only_cur = sorted(set(cur_benches) - set(base_benches))
 
-    print(f"bench_compare: {baseline_path.name} (baseline, "
-          f"{baseline.get('date', '?')}) vs {args.current.name}: "
-          f"{len(steady)} steady, {len(improvements)} improved, "
-          f"{len(regressions)} regressed "
-          f"(threshold ±{args.threshold:.0%} on p50)")
-    for name, base_p50, cur_p50, ratio in regressions:
-        # ::warning makes GitHub surface the line as a job annotation.
-        print(f"::warning title=bench p50 regression::{name}: "
-              f"{fmt_ns(base_p50)} -> {fmt_ns(cur_p50)} ({ratio:+.0%})")
-    for name, base_p50, cur_p50, ratio in improvements:
-        print(f"  improved: {name}: {fmt_ns(base_p50)} -> {fmt_ns(cur_p50)} "
-              f"({ratio:+.0%})")
+    mismatch = context_mismatch(baseline, current)
+    header = (f"bench_compare: {baseline_path.name} (baseline, "
+              f"{baseline.get('date', '?')}) vs {args.current.name}: ")
+    if mismatch:
+        # Different hardware or settings: a drift says nothing about the
+        # code, so it is listed but never called a regression.
+        print(header + f"no verdict, {len(regressions) + len(improvements)} "
+              f"drifted beyond ±{args.threshold:.0%} on p50")
+        print("::warning title=bench setups differ::the snapshots come from "
+              "different setups (" + "; ".join(mismatch) + "); no verdict")
+        for name, base_p50, cur_p50, ratio in regressions + improvements:
+            print(f"  drifted: {name}: {fmt_ns(base_p50)} -> "
+                  f"{fmt_ns(cur_p50)} ({ratio:+.0%})")
+        regressions = []
+    else:
+        print(header + f"{len(steady)} steady, {len(improvements)} improved, "
+              f"{len(regressions)} regressed "
+              f"(threshold ±{args.threshold:.0%} on p50)")
+        if not (baseline.get("context") and current.get("context")):
+            print("  note: a snapshot records no machine context; the setups "
+                  "may differ")
+        for name, base_p50, cur_p50, ratio in regressions:
+            # ::warning makes GitHub surface the line as a job annotation.
+            print(f"::warning title=bench p50 regression::{name}: "
+                  f"{fmt_ns(base_p50)} -> {fmt_ns(cur_p50)} ({ratio:+.0%})")
+        for name, base_p50, cur_p50, ratio in improvements:
+            print(f"  improved: {name}: {fmt_ns(base_p50)} -> "
+                  f"{fmt_ns(cur_p50)} ({ratio:+.0%})")
     if only_cur:
         print(f"  new (no baseline, refresh BENCH_*.json): "
               f"{', '.join(only_cur)}")

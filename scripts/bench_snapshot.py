@@ -17,13 +17,18 @@ Output schema (version 1):
       "schema": 1,
       "date": "2026-08-08",
       "repetitions": 5,
+      "context": {"cpu_model": "...", "cores": 4, "gemm_isa": "avx2",
+                  "repetitions": 5},
       "benchmarks": {
         "<name>": {"p50_ns": float, "p99_ns": float, "mean_ns": float,
                    "time_unit_reported": "ns", "samples": int}
       }
     }
 All times are normalized to nanoseconds regardless of each benchmark's
-reported unit, so entries compare across the suite.
+reported unit, so entries compare across the suite. "context" names the
+machine the numbers came from; scripts/bench_compare.py gives no verdict
+between snapshots whose contexts differ. Snapshots written before it existed
+have no "context" and still load.
 
 stdlib-only on purpose: this must run in CI and in bare containers.
 """
@@ -34,6 +39,8 @@ import argparse
 import datetime
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 from collections import defaultdict
@@ -94,6 +101,33 @@ def distill(report: dict) -> dict:
     return out
 
 
+def cpu_model() -> str:
+    """The CPU's marketing name ("model name" in /proc/cpuinfo on Linux)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def machine_context(report: dict, repetitions: int) -> dict:
+    """What a comparison must hold equal: CPU, core count, GEMM kernel level
+    (bench_micro records the active one in its report context; an old binary
+    does not, so fall back to the EUGENE_GEMM_ISA override), repetitions."""
+    ctx = report.get("context", {})
+    return {
+        "cpu_model": cpu_model(),
+        "cores": ctx.get("num_cpus") or os.cpu_count(),
+        "gemm_isa": ctx.get("gemm_isa")
+        or os.environ.get("EUGENE_GEMM_ISA", "unknown"),
+        "repetitions": repetitions,
+    }
+
+
 def main() -> int:
     repo_root = Path(__file__).resolve().parent.parent
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -117,6 +151,7 @@ def main() -> int:
         "schema": 1,
         "date": date,
         "repetitions": args.repetitions,
+        "context": machine_context(report, args.repetitions),
         "benchmarks": distill(report),
     }
     out_path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n",

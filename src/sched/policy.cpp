@@ -1,6 +1,7 @@
 #include "sched/policy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace eugene::sched {
@@ -17,6 +18,7 @@ void GreedyUtilityPolicy::set_service_weights(std::vector<double> weights) {
   for (double w : weights)
     EUGENE_REQUIRE(w > 0.0, "set_service_weights: weights must be positive");
   service_weights_ = std::move(weights);
+  ++cache_epoch_;  // cached utilities carry the old weights
 }
 
 void GreedyUtilityPolicy::set_stage_cost_hint(double stage_ms) {
@@ -28,61 +30,90 @@ std::string GreedyUtilityPolicy::name() const {
   return "RTDeepIoT(" + estimator_.name() + ")-" + std::to_string(lookahead_);
 }
 
+GreedyUtilityPolicy::Estimate GreedyUtilityPolicy::estimate(std::span<const double> conf,
+                                                            std::size_t service) const {
+  const double predicted = estimator_.predict_confidence_after(conf, conf.size());
+  const double current = conf.empty() ? 0.0 : conf.back();
+  return {predicted, (predicted - current) * service_weight(service)};
+}
+
 void GreedyUtilityPolicy::plan(const std::vector<TaskView>& runnable, double now_ms) {
   timeline_.clear();
-
-  // Per-task hypothetical state: confidence history extended by predicted
-  // values as the plan commits stages to the timeline.
-  struct Hypothetical {
-    std::size_t task_id;
-    std::size_t service;
-    std::size_t total_stages;
-    double arrival_ms;
-    std::vector<double> conf;  ///< observed then predicted
+  // Twice the runnable count keeps dense ids (every engine numbers its
+  // tasks 0..n-1) collision-free; the cache only ever grows.
+  if (cache_.size() < 2 * runnable.size())
+    cache_.assign(std::bit_ceil(2 * runnable.size()), CacheSlot{});
+  // Members read into locals once: the scan below calls the estimator on a
+  // miss, after which the compiler would otherwise reload them every task.
+  CacheSlot* const slots = cache_.data();
+  const std::size_t mask = cache_.size() - 1;
+  const std::uint64_t epoch = cache_epoch_;
+  const double hint_ms = stage_cost_hint_ms_;
+  auto cached_estimate = [&](const TaskView& t) -> const Estimate& {
+    // The history only grows (TaskView contract), so its length identifies it.
+    const std::size_t done = t.observed_confidence.size();
+    CacheSlot& slot = slots[t.task_id & mask];
+    if (slot.epoch != epoch || slot.task_id != t.task_id || slot.stages_done != done)
+      slot = {t.task_id, done, epoch, estimate(t.observed_confidence, t.service)};
+    return slot.estimate;
   };
-  std::vector<Hypothetical> state;
-  state.reserve(runnable.size());
-  for (const auto& t : runnable) {
-    // Deadline feasibility: never plan a stage that cannot complete
-    // ("no utility is accrued for tasks that are not completed").
-    if (stage_cost_hint_ms_ > 0.0 && now_ms + stage_cost_hint_ms_ > t.deadline_ms)
-      continue;
-    Hypothetical h;
-    h.task_id = t.task_id;
-    h.service = t.service;
-    h.total_stages = t.total_stages;
-    h.arrival_ms = t.arrival_ms;
-    h.conf.assign(t.observed_confidence.begin(), t.observed_confidence.end());
-    state.push_back(std::move(h));
-  }
+
+  // Tasks this plan has committed stages of, with their confidence history
+  // extended by the predicted values. Every other task is read in place.
+  // Only a lookahead beyond 1 extends anything, so at most k-1 entries.
+  struct Hypothetical {
+    std::size_t index;          ///< position in `runnable`
+    std::vector<double> conf;   ///< observed then predicted
+    Estimate next;
+  };
+  std::vector<Hypothetical> committed;
 
   for (std::size_t step = 0; step < lookahead_; ++step) {
     // Utilities may be negative (the estimator can predict a confidence
     // drop); the greedy rule still picks the max, so the floor is -inf.
     double best_utility = -std::numeric_limits<double>::infinity();
-    Hypothetical* best = nullptr;
-    for (auto& h : state) {
-      if (h.conf.size() >= h.total_stages) continue;  // plan already completes it
-      const double predicted =
-          estimator_.predict_confidence_after(h.conf, h.conf.size());
-      const double current = h.conf.empty() ? 0.0 : h.conf.back();
-      const double utility = (predicted - current) * service_weight(h.service);
+    std::size_t best = runnable.size();
+    Hypothetical* best_hypothetical = nullptr;
+    for (std::size_t i = 0; i < runnable.size(); ++i) {
+      const TaskView& t = runnable[i];
+      // Deadline feasibility: never plan a stage that cannot complete
+      // ("no utility is accrued for tasks that are not completed").
+      if (hint_ms > 0.0 && now_ms + hint_ms > t.deadline_ms) continue;
+      Hypothetical* h = nullptr;
+      for (Hypothetical& c : committed)
+        if (c.index == i) h = &c;
+      const std::size_t planned = h != nullptr ? h->conf.size() : t.observed_confidence.size();
+      if (planned >= t.total_stages) continue;  // plan already completes it
+      const double utility = h != nullptr ? h->next.utility : cached_estimate(t).utility;
       // Utility ties are common (every cold task shares the same prior);
       // breaking them by iteration order would systematically starve
       // higher-numbered services, so ties go to the earliest arrival.
       constexpr double kTie = 1e-12;
-      const bool wins = best == nullptr || utility > best_utility + kTie ||
+      const bool wins = best == runnable.size() || utility > best_utility + kTie ||
                         (utility > best_utility - kTie &&
-                         h.arrival_ms < best->arrival_ms);
+                         t.arrival_ms < runnable[best].arrival_ms);
       if (wins) {
         best_utility = std::max(utility, best_utility);
-        best = &h;
+        best = i;
+        best_hypothetical = h;
       }
     }
-    if (best == nullptr) break;  // every runnable task fully planned
-    timeline_.push_back(best->task_id);
-    best->conf.push_back(
-        estimator_.predict_confidence_after(best->conf, best->conf.size()));
+    if (best == runnable.size()) break;  // every runnable task fully planned
+    const TaskView& chosen = runnable[best];
+    timeline_.push_back(chosen.task_id);
+    if (step + 1 == lookahead_) break;  // no later step reads the extension
+
+    // Commit the stage hypothetically: its predicted confidence joins the
+    // task's history as if observed, and the next step scores the stage after.
+    Hypothetical* h = best_hypothetical;
+    if (h == nullptr) {
+      h = &committed.emplace_back();
+      h->index = best;
+      h->conf.assign(chosen.observed_confidence.begin(), chosen.observed_confidence.end());
+      h->next = cached_estimate(chosen);
+    }
+    h->conf.push_back(h->next.predicted);
+    if (h->conf.size() < chosen.total_stages) h->next = estimate(h->conf, chosen.service);
   }
 }
 

@@ -11,6 +11,7 @@
 // task should execute its next stage.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <optional>
 
@@ -42,6 +43,13 @@ class SchedulingPolicy {
 /// RTDeepIoT-k. Plans a timeline of k stage selections by greedy
 /// differential utility, chaining the estimator over hypothetical
 /// executions; replans when the timeline is exhausted or invalidated.
+///
+/// A plan is one compare-scan over the runnable set per committed stage.
+/// Histories are read in place, and each task's next-stage utility is cached
+/// per (task_id, stages done) — sound under TaskView's append-only history
+/// contract (sched/task.hpp) — so a pick predicts only for tasks whose
+/// history grew since the last one. reset() and set_service_weights() clear
+/// the cache.
 class GreedyUtilityPolicy final : public SchedulingPolicy {
  public:
   /// `estimator` must outlive the policy. `lookahead` is the paper's k.
@@ -64,11 +72,30 @@ class GreedyUtilityPolicy final : public SchedulingPolicy {
                                   double now_ms) override;
   void on_stage_complete(std::size_t task_id, std::size_t stage,
                          double confidence) override;
-  void reset() override { timeline_.clear(); }
+  void reset() override {
+    timeline_.clear();
+    ++cache_epoch_;
+  }
   std::string name() const override;
 
  private:
+  /// A task's next-stage forecast: the confidence the stage is predicted to
+  /// reach, and its gain over the current confidence, service-weighted.
+  struct Estimate {
+    double predicted = 0.0;
+    double utility = 0.0;
+  };
+  /// Direct-mapped cache slot, indexed by task_id modulo the cache size. A
+  /// collision only costs a recomputation.
+  struct CacheSlot {
+    std::size_t task_id = 0;
+    std::size_t stages_done = 0;
+    std::uint64_t epoch = 0;  ///< valid iff equal to cache_epoch_ (never 0)
+    Estimate estimate;
+  };
+
   void plan(const std::vector<TaskView>& runnable, double now_ms);
+  Estimate estimate(std::span<const double> conf, std::size_t service) const;
 
   double service_weight(std::size_t service) const {
     return service < service_weights_.size() ? service_weights_[service] : 1.0;
@@ -79,6 +106,8 @@ class GreedyUtilityPolicy final : public SchedulingPolicy {
   std::vector<double> service_weights_;
   double stage_cost_hint_ms_ = 0.0;
   std::deque<std::size_t> timeline_;  ///< planned task ids, in execution order
+  std::vector<CacheSlot> cache_;      ///< power-of-two size, grown by plan()
+  std::uint64_t cache_epoch_ = 1;     ///< bumped to invalidate every slot
 };
 
 /// Stage-level round robin across services.

@@ -37,6 +37,15 @@ struct TaskSpec {
 /// Read-only task snapshot handed to scheduling policies. Exposes only what
 /// the paper's scheduler can observe: progress, timing, and the confidences
 /// of *executed* stages.
+///
+/// Append-only history contract: within one policy run (between two
+/// SchedulingPolicy::reset() calls), task ids are unique and a task's
+/// observed_confidence only grows — a stage's confidence is appended once,
+/// when the stage completes, and revealed entries never change. So
+/// (task_id, stages_done) identifies a task's history, and a policy may cache
+/// anything derived from it (GreedyUtilityPolicy caches each task's
+/// next-stage utility). All three engines keep the contract:
+/// serving::InferenceServer::process_batch, run_live and simulate.
 struct TaskView {
   std::size_t task_id = 0;
   std::size_t service = 0;

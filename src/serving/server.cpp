@@ -40,6 +40,9 @@ InferenceServer::InferenceServer(ModelEntry& entry, ServerConfig config)
 namespace {
 
 struct RequestState {
+  /// The request's one feature buffer: the trunk output of its last stage.
+  /// Stage 0 reads the request's input in place, so this is first allocated
+  /// by stage 0's output (the largest) and reused by every later stage.
   Tensor features;
   std::vector<double> observed;
   std::size_t stages_done = 0;
@@ -115,7 +118,7 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
   policy.set_service_weights(std::move(weights));
 
   std::vector<RequestState> state(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) state[i].features = requests[i].input;
+  for (RequestState& s : state) s.observed.reserve(num_stages);
 
   WallClock clock;
 
@@ -130,44 +133,18 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
           "serving.stage_latency_ms.stage" + std::to_string(s)));
   }
 
-  // Bookkeeping for one stage failure (injected or real) on request `i`:
-  // burns one retry; past the budget the request finishes degraded with its
-  // best result so far. Returns false when the request was finished here.
-  // Shared by the per-sample runner and the batched first stage so fault
-  // accounting (fires == retries) is identical on both paths.
-  auto note_stage_failure = [&](std::size_t i, const Error& e) -> bool {
-    RequestState& s = state[i];
-    ++s.retries;
-    if (s.span)
-      s.span.event(TraceEventKind::kStageError, clock.now_ms(),
-                   static_cast<std::uint32_t>(s.stages_done));
-    if (s.retries > config_.max_stage_retries) {
-      EUGENE_LOG(Warn) << "serving: request " << i
-                       << " exhausted stage retries; degrading: " << e.what();
-      s.done = true;
-      s.degraded = true;
-      s.finish_ms = clock.now_ms();
-      s.span.event(TraceEventKind::kDegrade, s.finish_ms);
-      end_span(s, s.finish_ms);
-      return false;
-    }
-    if (s.span)
-      s.span.event(TraceEventKind::kRetry, clock.now_ms(),
-                   static_cast<std::uint32_t>(s.stages_done));
-    return true;
-  };
-
   // Runs one stage for request `i`, absorbing injected or real stage
   // failures: a throwing stage is retried up to max_stage_retries times;
   // past the budget the request completes degraded with its best result so
   // far. Returns false when the request was finished by the failure path.
   auto run_stage_guarded = [&](std::size_t i) -> bool {
     RequestState& s = state[i];
+    const Tensor& input = s.stages_done == 0 ? requests[i].input : s.features;
     for (;;) {
       try {
         EUGENE_FAILPOINT("serving.stage.crash");
         Stopwatch stage_watch;
-        const nn::StageOutput out = entry_.model.run_stage(s.stages_done, s.features);
+        const nn::StageOutput out = entry_.model.run_stage(s.stages_done, input);
         if (s.stages_done < stage_hists.size())
           stage_hists[s.stages_done]->record(stage_watch.elapsed_ms());
         if (s.span)
@@ -177,10 +154,30 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
         ++s.stages_done;
         s.observed.push_back(out.confidence);
         s.label = out.predicted_label;
-        s.features = std::move(out.features);
+        // Copied into the request's own buffer, deliberately not moved in:
+        // moving each stage's fresh tensor in would free and reallocate
+        // 8/4/2 KB blocks interleaved across every live request of a large
+        // batch, which fragments the heap and grows the resident set.
+        s.features = out.features;
         return true;
       } catch (const Error& e) {
-        if (!note_stage_failure(i, e)) return false;
+        ++s.retries;
+        if (s.span)
+          s.span.event(TraceEventKind::kStageError, clock.now_ms(),
+                       static_cast<std::uint32_t>(s.stages_done));
+        if (s.retries > config_.max_stage_retries) {
+          EUGENE_LOG(Warn) << "serving: request " << i
+                           << " exhausted stage retries; degrading: " << e.what();
+          s.done = true;
+          s.degraded = true;
+          s.finish_ms = clock.now_ms();
+          s.span.event(TraceEventKind::kDegrade, s.finish_ms);
+          end_span(s, s.finish_ms);
+          return false;
+        }
+        if (s.span)
+          s.span.event(TraceEventKind::kRetry, clock.now_ms(),
+                       static_cast<std::uint32_t>(s.stages_done));
       }
     }
   };
@@ -264,160 +261,80 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
     }
   }
 
-  auto deadline_of = [&](std::size_t i) {
-    return config_.classes[requests[i].service_class].deadline_ms;
-  };
-
-  // Post-stage bookkeeping shared by the per-sample loop and the batched
-  // first stage: feed the policy, then finish the request on full
-  // completion or confident early exit.
-  auto post_stage_bookkeeping = [&](std::size_t i) {
-    RequestState& s = state[i];
-    policy.on_stage_complete(i, s.stages_done - 1, s.observed.back());
-    if (s.stages_done == num_stages ||
-        s.observed.back() >= config_.early_exit_confidence) {
-      s.done = true;
-      s.finish_ms = clock.now_ms();
-      --remaining;
-      end_span(s, s.finish_ms);
-    }
-  };
-
-  // Batched first stage (DESIGN.md §14): every admitted, still-live request
-  // at stage 0 whose deadline has not passed runs its first stage as one
-  // arena-backed batched forward per input shape — one wide GEMM per layer
-  // instead of one narrow GEMM per request. run_stage_batch is bitwise-
-  // identical to run_stage per member, so confidences, labels, early exits,
-  // and the policy's view of the world match the per-sample path exactly.
-  // Fault semantics are preserved member-by-member: the stage-crash chaos
-  // seam is consumed once per member (exactly the evaluation the per-sample
-  // first attempt would make); a member whose seam fires falls back to the
-  // guarded per-sample runner for its retries, and a real batched-kernel
-  // failure silently leaves members at stage 0 for the main loop.
-  auto run_first_stage_batched = [&](const std::vector<std::size_t>& group) {
-    std::vector<std::size_t> live;
-    live.reserve(group.size());
-    for (std::size_t i : group) {
-      try {
-        EUGENE_FAILPOINT("serving.stage.crash");
-        live.push_back(i);
-      } catch (const Error& e) {
-        if (!note_stage_failure(i, e)) {
-          --remaining;
-          continue;
-        }
-        state[i].first_stage_ms = clock.now_ms();
-        if (!run_stage_guarded(i)) {
-          --remaining;
-          continue;
-        }
-        post_stage_bookkeeping(i);
-      }
-    }
-    if (live.empty()) return;
-    std::vector<const Tensor*> inputs;
-    inputs.reserve(live.size());
-    for (std::size_t i : live) inputs.push_back(&state[i].features);
-    if (batch_items_.size() < live.size()) batch_items_.resize(live.size());
-    const double start_ms = clock.now_ms();
-    for (std::size_t i : live) state[i].first_stage_ms = start_ms;
-    try {
-      Stopwatch batch_watch;
-      arena_.reset();
-      entry_.model.run_stage_batch(
-          0, std::span<const Tensor* const>(inputs.data(), live.size()),
-          std::span<nn::StageBatchItem>(batch_items_.data(), live.size()),
-          arena_);
-      // The batch's cost is shared evenly across members in the per-stage
-      // latency histogram — the per-member amortized cost is what capacity
-      // planning reads off stage0's distribution.
-      const double member_ms =
-          batch_watch.elapsed_ms() / static_cast<double>(live.size());
-      for (std::size_t b = 0; b < live.size(); ++b) {
-        const std::size_t i = live[b];
-        RequestState& s = state[i];
-        nn::StageBatchItem& item = batch_items_[b];
-        if (!stage_hists.empty()) stage_hists[0]->record(member_ms);
-        if (s.span)
-          s.span.event(TraceEventKind::kStageDone, clock.now_ms(), 0, 0,
-                       item.confidence);
-        s.stages_done = 1;
-        s.observed.push_back(item.confidence);
-        s.label = item.predicted_label;
-        s.features = std::move(item.features);
-        post_stage_bookkeeping(i);
-      }
-    } catch (const Error& e) {
-      EUGENE_LOG(Warn) << "serving: batched first stage failed ("
-                       << e.what() << "); falling back to per-sample runs";
-      for (std::size_t i : live) state[i].first_stage_ms = -1.0;
-    }
-  };
-
-  if (config_.batch_first_stage && num_stages > 0 && remaining > 0) {
-    const double now = clock.now_ms();
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < state.size(); ++i)
-      if (!state[i].done && state[i].stages_done == 0 && now < deadline_of(i))
-        pending.push_back(i);
-    std::vector<std::size_t> group;
-    for (std::size_t gi = 0; gi < pending.size(); ++gi) {
-      const std::size_t rep = pending[gi];
-      // Skip members a previous group already ran (or finished).
-      if (state[rep].done || state[rep].stages_done != 0) continue;
-      group.clear();
-      for (std::size_t gj = gi; gj < pending.size(); ++gj) {
-        const std::size_t j = pending[gj];
-        if (!state[j].done && state[j].stages_done == 0 &&
-            state[j].features.same_shape(state[rep].features))
-          group.push_back(j);
-      }
-      if (group.size() < 2) continue;  // nothing to amortize
-      run_first_stage_batched(group);
-    }
+  // The runnable set, built once in request order and kept current: the
+  // picked entry is updated in place after its stage, a finished request is
+  // erased in place (the policy breaks exact ties by runnable order), and the
+  // deadline sweep runs only once the clock passes the earliest live
+  // deadline. The loop itself allocates nothing per pick.
+  std::vector<sched::TaskView> runnable;
+  runnable.reserve(remaining);
+  double next_deadline = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (state[i].done || state[i].stages_done >= num_stages) continue;
+    sched::TaskView v;
+    v.task_id = i;
+    v.service = requests[i].service_class;
+    v.total_stages = num_stages;
+    v.deadline_ms = config_.classes[requests[i].service_class].deadline_ms;
+    next_deadline = std::min(next_deadline, v.deadline_ms);
+    runnable.push_back(v);
   }
 
   while (remaining > 0) {
     const double now = clock.now_ms();
     // Latency daemon sweep: expire overdue requests.
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      if (state[i].done) continue;
-      if (now >= deadline_of(i)) {
-        state[i].done = true;
-        state[i].expired = true;
-        state[i].finish_ms = now;
+    if (now >= next_deadline) {
+      next_deadline = std::numeric_limits<double>::infinity();
+      std::size_t kept = 0;
+      for (const sched::TaskView& v : runnable) {
+        if (now < v.deadline_ms) {
+          next_deadline = std::min(next_deadline, v.deadline_ms);
+          runnable[kept++] = v;
+          continue;
+        }
+        RequestState& s = state[v.task_id];
+        s.done = true;
+        s.expired = true;
+        s.finish_ms = now;
         --remaining;
-        state[i].span.event(TraceEventKind::kExpire, now);
-        end_span(state[i], now);
+        s.span.event(TraceEventKind::kExpire, now);
+        end_span(s, now);
       }
+      runnable.resize(kept);
+      if (remaining == 0) break;
     }
-    if (remaining == 0) break;
 
-    std::vector<sched::TaskView> runnable;
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      if (state[i].done || state[i].stages_done >= num_stages) continue;
-      sched::TaskView v;
-      v.task_id = i;
-      v.service = requests[i].service_class;
-      v.stages_done = state[i].stages_done;
-      v.total_stages = num_stages;
-      v.arrival_ms = 0.0;
-      v.deadline_ms = deadline_of(i);
-      v.observed_confidence = state[i].observed;
-      runnable.push_back(v);
-    }
     EUGENE_CHECK(!runnable.empty())
         << "process_batch: " << remaining << " live requests but none runnable";
     const auto choice = policy.pick(runnable, now);
     EUGENE_CHECK(choice.has_value()) << "process_batch: policy returned no task";
+    // Task ids are request indices, so the runnable set is sorted by id.
+    const auto picked = std::lower_bound(
+        runnable.begin(), runnable.end(), *choice,
+        [](const sched::TaskView& v, std::size_t id) { return v.task_id < id; });
+    EUGENE_CHECK(picked != runnable.end() && picked->task_id == *choice)
+        << "process_batch: policy picked task " << *choice << ", which is not runnable";
 
     RequestState& s = state[*choice];
     if (s.first_stage_ms < 0.0) s.first_stage_ms = now;  // queue delay sample
     if (!run_stage_guarded(*choice)) {
       --remaining;
-      continue;
+    } else {
+      policy.on_stage_complete(*choice, s.stages_done - 1, s.observed.back());
+      if (s.stages_done == num_stages ||
+          s.observed.back() >= config_.early_exit_confidence) {
+        s.done = true;
+        s.finish_ms = clock.now_ms();
+        --remaining;
+        end_span(s, s.finish_ms);
+      }
     }
-    post_stage_bookkeeping(*choice);
+    if (s.done) {
+      runnable.erase(picked);
+    } else {
+      picked->stages_done = s.stages_done;
+      picked->observed_confidence = s.observed;
+    }
   }
 
   // Feed the measured queue delay back into the brown-out controller: the

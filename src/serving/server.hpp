@@ -94,13 +94,6 @@ struct ServerConfig {
   std::size_t shed_max_stages = 1;      ///< stage budget for a shed request
   std::size_t max_stage_retries = 2;    ///< re-runs of a throwing stage per request
 
-  /// Batched first stage (DESIGN.md §14): admitted same-shape requests run
-  /// stage 0 as one arena-backed batched forward — one wide GEMM per layer
-  /// instead of one narrow GEMM per request. Bitwise-identical outputs to
-  /// the per-sample path (the Layer::forward_batch contract), so scheduling
-  /// and fault semantics are unchanged.
-  bool batch_first_stage = true;
-
   // Adaptive admission (DESIGN.md §11 "Overload & health model").
   BrownoutConfig brownout;
 
@@ -148,10 +141,6 @@ class InferenceServer {
   ModelEntry& entry_;
   ServerConfig config_;
   std::size_t brownout_level_ = 0;
-  // Batched-first-stage scratch, reused across batches so a warmed server
-  // stays allocation-free in its compute path (DESIGN.md §14).
-  nn::ScratchArena arena_;
-  std::vector<nn::StageBatchItem> batch_items_;
 };
 
 }  // namespace eugene::serving

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "calib/ece.hpp"
 #include "common/rng.hpp"
@@ -169,10 +170,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistributionSweep, ::testing::Range(1, 9));
 
 struct SimCase {
   int policy;  ///< 0 greedy, 1 RR, 2 FIFO, 3 EDF
+  /// Not read by the test. gtest prints SimCase byte by byte, and those bytes
+  /// are the case's ctest name. These four bytes used to be padding, so four
+  /// names held leftover stack bytes that changed with every build. The field
+  /// fixes them to the bytes the names were first registered with.
+  std::uint32_t name_bytes;
   std::size_t workers;
   std::size_t tasks;
   double deadline_ms;
 };
+static_assert(sizeof(SimCase) == 32, "SimCase must have no padding bytes");
 
 class SimulatorSweep : public ::testing::TestWithParam<SimCase> {};
 
@@ -238,11 +245,11 @@ TEST_P(SimulatorSweep, ConservationInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     PolicyLoadGrid, SimulatorSweep,
-    ::testing::Values(SimCase{0, 1, 12, 40.0}, SimCase{0, 4, 40, 25.0},
-                      SimCase{0, 2, 25, 1e6}, SimCase{1, 1, 12, 40.0},
-                      SimCase{1, 4, 40, 25.0}, SimCase{2, 1, 12, 40.0},
-                      SimCase{2, 3, 30, 30.0}, SimCase{3, 2, 20, 50.0},
-                      SimCase{3, 4, 40, 15.0}, SimCase{0, 8, 60, 20.0}));
+    ::testing::Values(SimCase{0, 0x7FFE, 1, 12, 40.0}, SimCase{0, 0, 4, 40, 25.0},
+                      SimCase{0, 0x0F, 2, 25, 1e6}, SimCase{1, 0x55E5, 1, 12, 40.0},
+                      SimCase{1, 0x7FFE, 4, 40, 25.0}, SimCase{2, 0x55E5, 1, 12, 40.0},
+                      SimCase{2, 0, 3, 30, 30.0}, SimCase{3, 0, 2, 20, 50.0},
+                      SimCase{3, 0, 4, 40, 15.0}, SimCase{0, 0, 8, 60, 20.0}));
 
 // ------------------------------------------------------------------------
 // GP sanity across random monotone curve families.

@@ -2,7 +2,11 @@
 // the workload builder, and the live threaded scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
+#include <optional>
 
 #include "data/synthetic_images.hpp"
 #include "nn/train.hpp"
@@ -157,6 +161,175 @@ TEST(GreedyPolicy, ServiceWeightsBiasSelection) {
                                     make_view(1, 1, 0.0, 100, 1, 3, c1)};
   EXPECT_EQ(policy.pick(runnable, 0.0).value(), 1u);
   EXPECT_THROW(policy.set_service_weights({0.0}), InvalidArgument);
+}
+
+/// Oracle for GreedyUtilityPolicy: the direct greedy planner with no cache.
+/// Every plan copies every task's history into a hypothetical state and
+/// re-predicts every task at every step.
+class ReferenceGreedyPlanner {
+ public:
+  ReferenceGreedyPlanner(const UtilityEstimator& estimator, std::size_t lookahead)
+      : estimator_(estimator), lookahead_(lookahead) {}
+
+  void set_service_weights(std::vector<double> weights) { weights_ = std::move(weights); }
+  void set_stage_cost_hint(double stage_ms) { hint_ms_ = stage_ms; }
+  void reset() { timeline_.clear(); }
+
+  std::optional<std::size_t> pick(const std::vector<TaskView>& runnable, double now_ms) {
+    if (runnable.empty()) return std::nullopt;
+    for (auto it = timeline_.begin(); it != timeline_.end(); ++it) {
+      const std::size_t id = *it;
+      if (std::any_of(runnable.begin(), runnable.end(),
+                      [id](const TaskView& t) { return t.task_id == id; })) {
+        timeline_.erase(it);
+        return id;
+      }
+    }
+    plan(runnable, now_ms);
+    if (timeline_.empty()) return std::nullopt;
+    const std::size_t id = timeline_.front();
+    timeline_.pop_front();
+    return id;
+  }
+
+ private:
+  void plan(const std::vector<TaskView>& runnable, double now_ms) {
+    timeline_.clear();
+    struct Hypothetical {
+      std::size_t task_id;
+      std::size_t service;
+      std::size_t total_stages;
+      double arrival_ms;
+      std::vector<double> conf;
+    };
+    std::vector<Hypothetical> state;
+    for (const auto& t : runnable) {
+      if (hint_ms_ > 0.0 && now_ms + hint_ms_ > t.deadline_ms) continue;
+      state.push_back({t.task_id, t.service, t.total_stages, t.arrival_ms,
+                       {t.observed_confidence.begin(), t.observed_confidence.end()}});
+    }
+    for (std::size_t step = 0; step < lookahead_; ++step) {
+      double best_utility = -std::numeric_limits<double>::infinity();
+      Hypothetical* best = nullptr;
+      for (auto& h : state) {
+        if (h.conf.size() >= h.total_stages) continue;
+        const double predicted = estimator_.predict_confidence_after(h.conf, h.conf.size());
+        const double current = h.conf.empty() ? 0.0 : h.conf.back();
+        const double weight = h.service < weights_.size() ? weights_[h.service] : 1.0;
+        const double utility = (predicted - current) * weight;
+        constexpr double kTie = 1e-12;
+        const bool wins = best == nullptr || utility > best_utility + kTie ||
+                          (utility > best_utility - kTie && h.arrival_ms < best->arrival_ms);
+        if (wins) {
+          best_utility = std::max(utility, best_utility);
+          best = &h;
+        }
+      }
+      if (best == nullptr) break;
+      timeline_.push_back(best->task_id);
+      best->conf.push_back(estimator_.predict_confidence_after(best->conf, best->conf.size()));
+    }
+  }
+
+  const UtilityEstimator& estimator_;
+  std::size_t lookahead_;
+  std::vector<double> weights_;
+  double hint_ms_ = 0.0;
+  std::deque<std::size_t> timeline_;
+};
+
+TEST(GreedyPolicy, MatchesReferencePlanner) {
+  // Engine-style runs on seeded random task sets: tasks arrive over time,
+  // every pick runs the picked task's next stage (one confidence appended to
+  // its history, as every engine does), a stage may stay in flight for a few
+  // picks (the task leaves the runnable set meanwhile, as in run_live), and
+  // tasks leave on completion, early exit, or deadline. Both planners see the
+  // same runnable set at every pick and must make the same pick every time.
+  // Weight changes and reset() between runs must invalidate cached utilities.
+  const auto curves = linear_curve_model();
+  const GpUtilityEstimator gp_estimator(curves);
+  const ConstantSlopeEstimator slope_estimator({0.5, 0.7, 0.85}, 0.1);
+  struct SimTask {
+    std::size_t service = 0;
+    double arrival_ms = 0.0;
+    double deadline_ms = 0.0;
+    std::vector<double> conf;
+    std::size_t in_flight_until = 0;  ///< pick index its stage completes at
+    bool done = false;
+  };
+  std::size_t total_picks = 0;
+  for (std::size_t config = 0; config < 8; ++config) {
+    const UtilityEstimator& estimator =
+        config % 2 == 0 ? static_cast<const UtilityEstimator&>(gp_estimator)
+                        : static_cast<const UtilityEstimator&>(slope_estimator);
+    const std::size_t lookahead = config % 4 < 2 ? 1 : 3;
+    const bool prune = config >= 4;
+    GreedyUtilityPolicy policy(estimator, lookahead);
+    ReferenceGreedyPlanner reference(estimator, lookahead);
+    if (prune) {
+      policy.set_stage_cost_hint(2.0);
+      reference.set_stage_cost_hint(2.0);
+    }
+    Rng rng(500 + config);
+    // Several runs per policy object, separated by reset(): task ids restart
+    // at 0 with fresh histories, so a cache surviving reset() would diverge.
+    // Odd runs keep the previous weights, so only reset() invalidates there.
+    for (std::size_t run = 0; run < 5; ++run) {
+      policy.reset();
+      reference.reset();
+      if (run % 2 == 0) {
+        const std::vector<double> weights =
+            run == 2 ? std::vector<double>{1.0, 1.0} : std::vector<double>{4.0, 1.0};
+        policy.set_service_weights(weights);
+        reference.set_service_weights(weights);
+      }
+      const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+      std::vector<SimTask> tasks(n);
+      for (SimTask& t : tasks) {
+        t.service = static_cast<std::size_t>(rng.uniform_int(0, 1));
+        // Coarse arrivals and cold starts: many tasks tie on the prior and
+        // on arrival, so runnable order decides.
+        t.arrival_ms = std::floor(rng.uniform(0.0, 4.0));
+        t.deadline_ms = prune ? rng.uniform(3.0, 400.0) : 1e9;
+      }
+      for (std::size_t pick_index = 0;; ++pick_index) {
+        const double now = static_cast<double>(pick_index) * 0.5;
+        if (pick_index == 150) {
+          // Mid-run weight change: every cached utility is stale.
+          policy.set_service_weights({1.0, 6.0});
+          reference.set_service_weights({1.0, 6.0});
+        }
+        std::vector<TaskView> runnable;
+        bool any_left = false;
+        for (std::size_t i = 0; i < n; ++i) {
+          SimTask& t = tasks[i];
+          if (t.done) continue;
+          if (now >= t.deadline_ms) {
+            t.done = true;
+            continue;
+          }
+          any_left = true;
+          if (t.arrival_ms > now || t.in_flight_until > pick_index) continue;
+          runnable.push_back(make_view(i, t.service, t.arrival_ms, t.deadline_ms,
+                                       t.conf.size(), 3, t.conf));
+        }
+        if (!any_left) break;
+        const std::optional<std::size_t> got = policy.pick(runnable, now);
+        const std::optional<std::size_t> want = reference.pick(runnable, now);
+        ASSERT_EQ(got, want) << "config " << config << " run " << run << " pick "
+                             << pick_index << " of " << runnable.size() << " runnable";
+        ++total_picks;
+        if (!got.has_value()) continue;
+        SimTask& t = tasks[*got];
+        // Quantized confidences: warm tasks tie on identical histories too.
+        t.conf.push_back(std::round(rng.uniform(0.1, 1.0) * 20.0) / 20.0);
+        if (rng.bernoulli(0.2))
+          t.in_flight_until = pick_index + static_cast<std::size_t>(rng.uniform_int(1, 4));
+        if (t.conf.size() == 3 || t.conf.back() >= 0.95) t.done = true;
+      }
+    }
+  }
+  EXPECT_GT(total_picks, 2000u);
 }
 
 // ----------------------------------------------------------- simulator ----

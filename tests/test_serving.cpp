@@ -3,8 +3,13 @@
 // classes, and the end-to-end train → calibrate → profile → infer flow.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+
+#include "common/trace.hpp"
 #include "core/eugene_service.hpp"
 #include "data/synthetic_images.hpp"
+#include "sched/policy.hpp"
 
 namespace eugene {
 namespace {
@@ -147,29 +152,101 @@ TEST_F(ServiceIntegration, EarlyExitSavesStages) {
   EXPECT_LT(eager_stages, full_stages);
 }
 
-TEST_F(ServiceIntegration, BatchedFirstStageMatchesPerSamplePath) {
-  // The batched stage-0 fast path must be invisible in results: bitwise
-  // equal confidences, identical labels and stage counts (the
-  // Layer::forward_batch contract, DESIGN.md §14).
+TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
+  // A 64-request, two-class batch must answer exactly what a lone
+  // per-sample run_stage chain answers at the same depth: bitwise
+  // confidences and identical labels, exiting at the first stage that
+  // clears the early-exit bar.
+  constexpr double kExit = 0.7;
   std::vector<serving::InferenceRequest> requests;
-  for (std::size_t i = 0; i < 12; ++i) requests.push_back({test_->samples[i], 0});
+  for (std::size_t i = 0; i < 64; ++i)
+    requests.push_back({test_->samples[i % test_->size()], i % 2});
+  serving::ServerConfig cfg;
+  cfg.classes = {{"interactive", std::numeric_limits<double>::infinity(), 4.0},
+                 {"camera", std::numeric_limits<double>::infinity(), 1.0}};
+  cfg.early_exit_confidence = kExit;
 
-  serving::ServerConfig batched;
-  batched.early_exit_confidence = 0.7;
-  batched.batch_first_stage = true;
-  serving::ServerConfig per_sample = batched;
-  per_sample.batch_first_stage = false;
-
-  const auto got = service_->infer_batch(handle_, requests, batched);
-  const auto want = service_->infer_batch(handle_, requests, per_sample);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].label, want[i].label) << i;
-    EXPECT_EQ(got[i].confidence, want[i].confidence) << i;
-    EXPECT_EQ(got[i].stages_run, want[i].stages_run) << i;
-    EXPECT_FALSE(got[i].expired);
-    EXPECT_FALSE(got[i].degraded);
+  const auto responses = service_->infer_batch(handle_, requests, cfg);
+  ASSERT_EQ(responses.size(), requests.size());
+  nn::StagedModel& model = service_->registry().entry(handle_).model;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const serving::InferenceResponse& r = responses[i];
+    ASSERT_GE(r.stages_run, 1u) << i;
+    ASSERT_LE(r.stages_run, model.num_stages()) << i;
+    EXPECT_FALSE(r.expired) << i;
+    EXPECT_FALSE(r.degraded) << i;
+    tensor::Tensor x = requests[i].input;
+    for (std::size_t s = 0; s < r.stages_run; ++s) {
+      const nn::StageOutput out = model.run_stage(s, x);
+      const double confidence = out.confidence;
+      if (s + 1 < r.stages_run) {
+        EXPECT_LT(confidence, kExit) << "request " << i << " ran past an exit at stage " << s;
+      } else {
+        EXPECT_EQ(r.label, out.predicted_label) << i;
+        EXPECT_EQ(r.confidence, confidence) << i;
+        if (r.stages_run < model.num_stages()) {
+          EXPECT_GE(confidence, kExit) << i;
+        }
+      }
+      x = out.features;
+    }
   }
+}
+
+TEST_F(ServiceIntegration, PickSequenceMatchesRebuiltRunnableSet) {
+  // The server keeps its runnable set incrementally. Its decisions must be
+  // the ones a per-pick rebuild of the set (every live request, in request
+  // order) gives: the server's stage order, read back from its trace, is
+  // replayed pick by pick through a fresh policy over rebuilt sets.
+  constexpr double kExit = 0.7;
+  std::vector<serving::InferenceRequest> requests;
+  for (std::size_t i = 0; i < 64; ++i)
+    requests.push_back({test_->samples[i % test_->size()], i % 2});
+  telemetry::TraceRecorder trace(8192);
+  serving::ServerConfig cfg;
+  cfg.classes = {{"interactive", std::numeric_limits<double>::infinity(), 4.0},
+                 {"camera", std::numeric_limits<double>::infinity(), 1.0}};
+  cfg.early_exit_confidence = kExit;
+  cfg.trace = &trace;
+  const auto responses = service_->infer_batch(handle_, requests, cfg);
+
+  std::map<std::uint64_t, std::size_t> request_of_span;
+  std::size_t stages_run = 0;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    request_of_span[responses[i].span_id] = i;
+    stages_run += responses[i].stages_run;
+  }
+  const serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const std::size_t num_stages = entry.model.num_stages();
+  sched::GpUtilityEstimator estimator(entry.curves);
+  sched::GreedyUtilityPolicy policy(estimator, 1);
+  policy.set_service_weights({4.0, 1.0});
+  std::vector<std::vector<double>> observed(requests.size());
+  std::vector<bool> done(requests.size(), false);
+  std::size_t picks = 0;
+  for (const telemetry::TraceEvent& ev : trace.events()) {
+    if (ev.kind != telemetry::TraceEventKind::kStageDone) continue;
+    std::vector<sched::TaskView> runnable;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (done[i]) continue;
+      sched::TaskView v;
+      v.task_id = i;
+      v.service = requests[i].service_class;
+      v.stages_done = observed[i].size();
+      v.total_stages = num_stages;
+      v.deadline_ms = std::numeric_limits<double>::infinity();
+      v.observed_confidence = observed[i];
+      runnable.push_back(v);
+    }
+    const std::size_t served = request_of_span.at(ev.span);
+    ASSERT_EQ(policy.pick(runnable, 0.0), served) << "pick " << picks;
+    ASSERT_EQ(ev.stage, observed[served].size()) << "pick " << picks;
+    observed[served].push_back(ev.value);
+    done[served] = observed[served].size() == num_stages || ev.value >= kExit;
+    ++picks;
+  }
+  EXPECT_EQ(picks, stages_run);
+  EXPECT_EQ(trace.dropped(), 0u);
 }
 
 TEST_F(ServiceIntegration, ServiceClassDeadlineExpiresRequests) {
