@@ -5,7 +5,6 @@
 //   <out>/serialize/      EUG1 + EUG2 checkpoints, valid and damaged
 //   <out>/snapshot/       manifest payloads/blobs and artifacts payloads
 //   <out>/usage_journal/  journal images: valid, torn tail, mid-file damage
-//   <out>/fifo_frame/     CRC-framed byte streams, valid and hostile
 //
 // Valid seeds are produced by the production encoders (save_params,
 // save_snapshot) wherever one exists, so the corpus tracks format changes
@@ -284,55 +283,6 @@ void gen_usage_journal() {
   write_seed("usage_journal", "short_header", truncate_to(hdr, 5));
 }
 
-// ---------------------------------------------------------------------------
-// fifo_frame: CRC-framed streams for fuzz_fifo_frame
-// ---------------------------------------------------------------------------
-
-std::vector<std::uint8_t> fifo_frame(const std::vector<std::uint8_t>& payload) {
-  ByteWriter f;
-  f.u32(static_cast<std::uint32_t>(payload.size()));
-  f.u32(crc32(payload.data(), payload.size()));
-  f.raw(payload.data(), payload.size());
-  return f.take();
-}
-
-void gen_fifo_frame() {
-  // A StageReport payload: task_id, stage, predicted_label, confidence.
-  ByteWriter rep;
-  rep.u32(7);  // task_id
-  rep.u32(2);  // stage
-  rep.u32(1);  // predicted_label
-  const float confidence = 0.93f;
-  rep.raw(&confidence, sizeof(confidence));
-  const std::vector<std::uint8_t> report = rep.take();
-
-  const auto one = fifo_frame(report);
-  write_seed("fifo_frame", "one_report", one);
-
-  std::vector<std::uint8_t> three;
-  for (int i = 0; i < 3; ++i) three.insert(three.end(), one.begin(), one.end());
-  write_seed("fifo_frame", "three_reports", three);
-
-  write_seed("fifo_frame", "crc_mismatch", flip_byte(one, 8));
-  write_seed("fifo_frame", "torn_header", truncate_to(one, 3));
-  write_seed("fifo_frame", "torn_payload", truncate_to(one, one.size() - 2));
-  write_seed("fifo_frame", "empty_payload", fifo_frame({}));
-  {
-    ByteWriter w;
-    w.u32(0xFFFFFFF0);  // oversized length prefix
-    w.u32(0);
-    write_seed("fifo_frame", "oversized_len", w.take());
-  }
-  write_seed("fifo_frame", "empty", {});
-  // Valid frame followed by a torn one: partial-stream handling.
-  {
-    auto mix = one;
-    const auto torn = truncate_to(one, 6);
-    mix.insert(mix.end(), torn.begin(), torn.end());
-    write_seed("fifo_frame", "valid_then_torn", mix);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -344,7 +294,6 @@ int main(int argc, char** argv) {
   gen_serialize();
   gen_snapshot();
   gen_usage_journal();
-  gen_fifo_frame();
   std::printf("seed corpora written under %s\n", g_out_root.string().c_str());
   return 0;
 }

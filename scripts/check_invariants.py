@@ -225,8 +225,8 @@ def rule_unranked_mutex(files):
 
 THROW_RE = re.compile(r"(?<![\w_])throw\s+([A-Za-z_0-9][\w:]*)")
 ALLOWED_THROWN = re.compile(
-    r"^(::)?(eugene::)?(Error|InvalidArgument|InternalError|TransportError|"
-    r"FailpointError|CorruptionError|IoError|CancelledError)$")
+    r"^(::)?(eugene::)?(Error|InvalidArgument|InternalError|"
+    r"FailpointError|CorruptionError|IoError)$")
 
 
 def rule_throw_taxonomy(files):

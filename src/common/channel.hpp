@@ -1,10 +1,9 @@
 // In-memory multi-producer/multi-consumer channel.
 //
 // The paper's workers report end-of-stage confidence to the user-space
-// scheduler over Linux named pipes. Eugene abstracts that hop behind a
-// channel: this header provides the hermetic in-memory implementation used by
-// tests and the live threaded mode; fifo_channel.hpp provides the POSIX FIFO
-// implementation that mirrors the paper's transport byte-for-byte.
+// scheduler over Linux named pipes. Eugene's workers are threads, so that hop
+// is this in-memory channel: the live scheduler sends jobs to its workers and
+// receives their stage results through it, and nothing is wire-encoded.
 #pragma once
 
 #include <deque>

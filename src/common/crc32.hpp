@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), used to checksum
-// frames on the named-pipe transport so corrupted bytes surface as a typed
-// TransportError instead of garbage scheduler state.
+// durable state — model checkpoints, io blobs, and usage-journal records — so
+// corrupted bytes are caught on read instead of being loaded as garbage.
 #pragma once
 
 #include <array>

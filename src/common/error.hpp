@@ -30,14 +30,6 @@ class InternalError : public Error {
   explicit InternalError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when an inter-process transport (e.g. the named-pipe channel)
-/// detects corruption, truncation, or a bounded-wait timeout. Recoverable by
-/// the caller: reconnect, re-send, or fail over — never silently swallowed.
-class TransportError : public Error {
- public:
-  explicit TransportError(const std::string& what) : Error(what) {}
-};
-
 /// Thrown when durable state read back from disk fails validation: bad
 /// magic, unsupported format version, truncation, or a CRC mismatch
 /// (DESIGN.md §9 "Durability model"). Recoverable by the caller: fall back
@@ -53,15 +45,6 @@ class CorruptionError : public Error {
 class IoError : public Error {
  public:
   explicit IoError(const std::string& what) : Error(what) {}
-};
-
-/// Thrown when cooperative cancellation (a fired CancellationToken — e.g.
-/// a drain, a lost hedge race) aborts work before it could complete. The
-/// work was neither attempted nor failed on its own terms; callers that
-/// distinguish "gave up" from "was told to stop" catch this type.
-class CancelledError : public Error {
- public:
-  explicit CancelledError(const std::string& what) : Error(what) {}
 };
 
 namespace detail {

@@ -24,7 +24,7 @@
 // comma-separated list of `name=kind[:p=<prob>][:count=<n>][:ms=<delay>]
 // [:seed=<s>]` clauses, e.g.
 //
-//   EUGENE_FAILPOINTS='live.worker.crash=error:p=0.05:seed=11,fifo.write.corrupt=error:count=2'
+//   EUGENE_FAILPOINTS='live.worker.crash=error:p=0.05:seed=11,io.atomic.torn=error:count=2'
 //
 // The registry arms itself from the environment the first time instance() is
 // called, so any binary becomes a chaos harness without code changes.
@@ -109,8 +109,8 @@ class FailpointRegistry {
   /// says so. Called via EUGENE_FAILPOINT, never directly.
   void evaluate(const char* name) EUGENE_EXCLUDES(mutex_);
 
-  /// Boolean site evaluation for custom fault actions (e.g. the FIFO writer
-  /// corrupting its own frame). Counts as a fire when it returns true.
+  /// Boolean site evaluation for custom fault actions (e.g. atomic_write_file
+  /// committing a corrupted file). Counts as a fire when it returns true.
   bool should_fire(const char* name) EUGENE_EXCLUDES(mutex_);
 
  private:

@@ -15,8 +15,6 @@ namespace eugene::failpoint_names {
 
 inline constexpr const char* kAll[] = {
     "admit.brownout.force",     // InferenceServer: escalate the brownout level
-    "fifo.write.corrupt",       // FifoWriter: flip a frame byte post-CRC
-    "fifo.write.torn",          // FifoWriter: drop the second half of a frame
     "health.breaker.trip",      // CircuitBreaker: force a trip on record()
     "hedge.lose.race",          // live scheduler: primary dispatch forced to
                                 // lose the hedge race (loser-cancel path)

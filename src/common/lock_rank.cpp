@@ -12,9 +12,7 @@ const char* lock_rank_name(LockRank rank) {
     case LockRank::kModelRegistry: return "kModelRegistry";
     case LockRank::kLifecycle: return "kLifecycle";
     case LockRank::kUsageMeter: return "kUsageMeter";
-    case LockRank::kThreadPool: return "kThreadPool";
     case LockRank::kChannel: return "kChannel";
-    case LockRank::kFifo: return "kFifo";
     case LockRank::kHealth: return "kHealth";
     case LockRank::kTrace: return "kTrace";
     case LockRank::kMetrics: return "kMetrics";

@@ -21,9 +21,7 @@
 //                              sits between the registry writer lock and
 //                              the usage meter)
 //    200   kUsageMeter         nothing today; may nest under the registry
-//    300   kThreadPool         nothing (queue lock; tasks run unlocked)
 //    310   kChannel            nothing (in-memory MPMC queue)
-//    320   kFifo               nothing (per-end pipe framing lock)
 //    330   kHealth             nothing (breaker EWMA state; the
 //                              health.breaker.trip failpoint and EUGENE_LOG
 //                              both fire while it is held)
@@ -68,9 +66,7 @@ enum class LockRank : std::uint16_t {
   kLifecycle = 150,         ///< common/lifecycle.hpp — server state machine +
                             ///< in-flight count; nothing nests inside it
   kUsageMeter = 200,        ///< serving/usage.hpp — accumulators + journal fd
-  kThreadPool = 300,        ///< common/thread_pool.hpp — work queue
   kChannel = 310,           ///< common/channel.hpp — MPMC queue state
-  kFifo = 320,              ///< common/fifo_channel.hpp — frame serialization
   kHealth = 330,            ///< common/health.hpp — breaker EWMAs; failpoint +
                             ///< logging fire under it, nothing else nests in
   kTrace = 340,             ///< common/trace.hpp — span-event ring buffer;

@@ -1,14 +1,12 @@
-// Bounded retry with exponential backoff and jitter.
+// Exponential backoff with jitter.
 //
-// Shared by the live scheduler's worker supervision (re-dispatching a task
-// whose worker died) and the FIFO transport's reconnect path. Delays are
-// computed from an explicit Rng so retry schedules are reproducible.
+// Used by the live scheduler's worker supervision to space out the
+// re-dispatches of a task whose worker died. Delays are computed from an
+// explicit Rng so retry schedules are reproducible.
 #pragma once
 
 #include <algorithm>
-#include <thread>
 
-#include "common/cancellation.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -17,7 +15,6 @@ namespace eugene {
 /// Backoff shape: delay(attempt) = min(base * 2^(attempt-1), max), then
 /// jittered by a uniform draw in [1 - jitter, 1 + jitter].
 struct RetryPolicy {
-  std::size_t max_attempts = 3;  ///< total tries (first attempt included)
   double base_delay_ms = 1.0;
   double max_delay_ms = 100.0;
   double jitter = 0.5;           ///< fraction of the delay randomized away
@@ -43,52 +40,6 @@ inline double backoff_delay_ms(const RetryPolicy& policy, std::size_t attempt,
   if (policy.jitter > 0.0)
     delay *= rng.uniform(1.0 - policy.jitter, 1.0 + policy.jitter);
   return delay;
-}
-
-/// Calls `fn` until it succeeds or the attempt budget is exhausted, sleeping
-/// the backoff delay between tries. Retries on eugene::Error; the final
-/// attempt's exception propagates. Returns fn's result.
-///
-/// Cancellation-aware (DESIGN.md §13 drain path): a non-null `cancel` token
-/// is consulted between attempts and *during* backoff sleeps (the sleep is
-/// sliced so cancellation cuts it short within ~1 ms). The attempt already
-/// running is never interrupted — cancellation is cooperative, like
-/// everywhere else — but no further attempt starts once the token fires:
-/// the last failure's exception propagates immediately. A retry loop inside
-/// a draining server therefore stops burning backoff budget the moment the
-/// drain cancels its work.
-template <typename F>
-auto retry_with_backoff(const RetryPolicy& policy, Rng& rng, F&& fn,
-                        const CancellationToken* cancel = nullptr) {
-  EUGENE_REQUIRE(policy.max_attempts >= 1, "retry_with_backoff: zero attempts");
-  for (std::size_t attempt = 1;; ++attempt) {
-    try {
-      return fn();
-    } catch (const Error&) {
-      if (attempt >= policy.max_attempts) throw;
-      if (cancel != nullptr && cancel->cancelled()) throw;
-    }
-    const double delay_ms = backoff_delay_ms(policy, attempt, rng);
-    if (cancel == nullptr) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms));
-    } else {
-      // Sliced sleep: wake every millisecond to poll the token, so a drain
-      // is never stuck behind a capped-out backoff delay.
-      double remaining = delay_ms;
-      while (remaining > 0.0 && !cancel->cancelled()) {
-        const double slice = std::min(remaining, 1.0);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(slice));
-        remaining -= slice;
-      }
-      if (cancel->cancelled()) {
-        // Surface the abort as the in-flight failure would have: re-run the
-        // attempt bookkeeping by throwing the typed cancellation error.
-        throw CancelledError("retry_with_backoff: cancelled during backoff");
-      }
-    }
-  }
 }
 
 }  // namespace eugene

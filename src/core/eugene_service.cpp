@@ -67,6 +67,7 @@ reduce::CacheModel EugeneService::build_device_cache(
 
 StageProfile EugeneService::profile(std::size_t handle, const tensor::Shape& input_shape,
                                     const profile::TimingConfig& timing) {
+  EUGENE_REQUIRE(timing.repeats >= 1, "EugeneService::profile: need at least one repeat");
   Rng rng(timing.seed);
   const Tensor input = Tensor::randn(input_shape, rng);
 

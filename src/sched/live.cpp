@@ -11,7 +11,6 @@
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/failpoint.hpp"
-#include "common/fifo_channel.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
 
@@ -31,28 +30,23 @@ std::vector<std::unique_ptr<nn::StagedModel>> replicate_staged_model(
 
 namespace {
 
-/// Scheduler → worker: run stage `stage` of task group `task_ids` on
-/// `features` (one tensor per member; a singleton group is the classic
-/// per-task dispatch). The token carries the group's tightest absolute
-/// deadline and the scheduler's cancel handle; the worker checks it before
-/// starting the stage.
+/// Scheduler → worker: run stage `stage` of one task on `features`. The
+/// token carries the task's absolute deadline and the scheduler's cancel
+/// handle; the worker checks it before starting the stage.
 struct Job {
-  std::vector<std::size_t> task_ids;
   std::size_t stage = 0;
   std::uint64_t seq = 0;  ///< dispatch sequence; stale results are discarded
-  std::vector<Tensor> features;  ///< previous stage outputs, one per member
+  Tensor features;        ///< the previous stage's output
   CancellationToken token;
 };
 
-/// Worker → scheduler: the paper's end-of-stage reports (one per group
-/// member), plus the features the next stage needs (kept in-process; only
-/// the StageReports cross the paper's named pipe). ok=false with
+/// Worker → scheduler: the paper's end-of-stage report (stage, label,
+/// confidence) plus the features the next stage needs. ok=false with
 /// recoverable=false is a crash report: the stage threw and the worker
 /// thread is exiting, like a worker process dying. recoverable=true is a
 /// sick-replica stage error: the worker lives. cancelled=true means the
 /// worker skipped the stage cooperatively (token cancelled, or the
-/// propagated deadline had already passed). Failure reports apply to the
-/// whole group — it is one dispatch.
+/// propagated deadline had already passed).
 struct WorkerResult {
   std::size_t worker = 0;
   std::uint64_t seq = 0;
@@ -61,8 +55,10 @@ struct WorkerResult {
   bool cancelled = false;
   std::string error;   ///< what() of the failure, when !ok
   double stage_ms = 0.0;  ///< worker-measured stage execution time
-  std::vector<StageReport> reports;  ///< one per member, on success
-  std::vector<Tensor> features;      ///< one per member, on success
+  std::size_t stage = 0;  ///< the stage that ran, on success
+  std::size_t label = 0;
+  float confidence = 0.0f;
+  Tensor features;
 };
 
 /// One outstanding dispatch of a task's current stage. A task has one entry
@@ -93,12 +89,11 @@ struct LiveTaskState {
 
 /// Scheduler-side view of one worker. `seq` identifies the in-flight
 /// dispatch so a report from an abandoned worker is recognizably stale.
-/// `tasks` is the dispatched group (singleton outside grouped mode).
 struct WorkerSlot {
   bool busy = false;
   bool dead = false;
   std::uint64_t seq = 0;
-  std::vector<std::size_t> tasks;
+  std::size_t task = 0;  ///< the dispatched task, while busy
   double dispatched_ms = 0.0;
 };
 
@@ -127,12 +122,19 @@ std::vector<LiveTaskResult> run_live(
                    "run_live: mismatched input shapes within batch");
   }
   EUGENE_REQUIRE(config.lookahead >= 1, "run_live: lookahead must be >= 1");
-  EUGENE_REQUIRE(config.stage_batch >= 1, "run_live: stage_batch must be >= 1");
   EUGENE_REQUIRE(config.deadline_ms > 0.0, "run_live: deadline must be positive");
   EUGENE_REQUIRE(config.hedge_quantile > 0.0 && config.hedge_quantile <= 1.0,
                  "run_live: hedge_quantile outside (0, 1]");
   EUGENE_REQUIRE(config.hedge_min_samples >= 1,
                  "run_live: hedge_min_samples must be >= 1");
+  EUGENE_REQUIRE(config.retry.jitter >= 0.0 && config.retry.jitter <= 1.0,
+                 "run_live: retry.jitter outside [0, 1]");
+  // One breaker per replica, living as long as the pool: a respawned worker
+  // inherits its replica's history, so a persistently sick replica stays
+  // routed around even across respawns. Built here because the constructor
+  // validates config.health.
+  std::deque<CircuitBreaker> breakers;
+  for (std::size_t w = 0; w < num_workers; ++w) breakers.emplace_back(config.health);
 
   // Lifecycle gate (DESIGN.md §13): checked before any worker thread starts.
   // A draining server answers the whole batch with typed drained=true
@@ -171,17 +173,11 @@ std::vector<LiveTaskResult> run_live(
   WallClock clock;
 
   // Worker body: block on the job channel, run one stage on this worker's
-  // replica, report (task, stage, label, confidence) back. A throwing stage
-  // — real bug or armed failpoint — becomes a crash report and thread exit,
+  // replica, report (stage, label, confidence) back. A throwing stage — real
+  // bug or armed failpoint — becomes a crash report and thread exit,
   // mirroring a worker process dying; the supervisor handles the rest.
   auto worker_main = [&](std::size_t w) {
     nn::StagedModel& model = *worker_models[w];
-    // Grouped-dispatch scratch, owned by this worker thread: the arena and
-    // item slots are reused across jobs, so a warmed worker runs batched
-    // stages without heap allocations (DESIGN.md §14).
-    nn::ScratchArena arena;
-    std::vector<nn::StageBatchItem> items;
-    std::vector<const Tensor*> ptrs;
     while (auto job = job_channels[w].receive()) {
       WorkerResult res;
       res.worker = w;
@@ -218,43 +214,15 @@ std::vector<LiveTaskResult> run_live(
         EUGENE_FAILPOINT("live.worker.slow");
         EUGENE_FAILPOINT("live.worker.crash");
         Stopwatch stage_watch;
-        const std::size_t members = job->task_ids.size();
-        res.reports.resize(members);
-        res.features.resize(members);
-        if (members == 1) {
-          nn::StageOutput out = model.run_stage(job->stage, job->features.front());
-          res.stage_ms = stage_watch.elapsed_ms();
-          res.reports[0].predicted_label =
-              static_cast<std::uint32_t>(out.predicted_label);
-          res.reports[0].confidence = out.confidence;
-          res.features[0] = std::move(out.features);
-        } else {
-          // Grouped dispatch: one arena-backed batched stage over the whole
-          // group — bitwise identical per member to the per-task path.
-          ptrs.clear();
-          for (const Tensor& f : job->features) ptrs.push_back(&f);
-          if (items.size() < members) items.resize(members);
-          arena.reset();
-          model.run_stage_batch(
-              job->stage, std::span<const Tensor* const>(ptrs.data(), members),
-              std::span<nn::StageBatchItem>(items.data(), members), arena);
-          res.stage_ms = stage_watch.elapsed_ms();
-          for (std::size_t b = 0; b < members; ++b) {
-            res.reports[b].predicted_label =
-                static_cast<std::uint32_t>(items[b].predicted_label);
-            res.reports[b].confidence = items[b].confidence;
-            res.features[b] = std::move(items[b].features);
-          }
-        }
-        for (std::size_t b = 0; b < members; ++b) {
-          res.reports[b].task_id = static_cast<std::uint32_t>(job->task_ids[b]);
-          res.reports[b].stage = static_cast<std::uint32_t>(job->stage);
-        }
+        nn::StageOutput out = model.run_stage(job->stage, job->features);
+        res.stage_ms = stage_watch.elapsed_ms();
+        res.stage = job->stage;
+        res.label = out.predicted_label;
+        res.confidence = out.confidence;
+        res.features = std::move(out.features);
       } catch (const std::exception& e) {
         res.ok = false;
         res.error = e.what();
-        res.reports.clear();
-        res.features.clear();
       }
       const bool crashed = !res.ok;
       results.send(std::move(res));
@@ -296,11 +264,6 @@ std::vector<LiveTaskResult> run_live(
   };
 
   std::vector<WorkerSlot> slots(num_workers);
-  // One breaker per replica, living as long as the pool: a respawned worker
-  // inherits its replica's history, so a persistently sick replica stays
-  // routed around even across respawns.
-  std::deque<CircuitBreaker> breakers;
-  for (std::size_t w = 0; w < num_workers; ++w) breakers.emplace_back(config.health);
   std::size_t respawns_left = config.max_respawns;
   std::size_t unfinished = inputs.size();
 
@@ -343,39 +306,35 @@ std::vector<LiveTaskResult> run_live(
     WorkerSlot& slot = slots[w];
     if (!slot.busy) return;
     slot.busy = false;
-    // Every group member charges its own retry budget: the group failed as
-    // one dispatch, but supervision stays per task.
-    for (const std::size_t task_id : slot.tasks) {
-      LiveTaskState& t = tasks[task_id];
-      const auto entry = take_inflight(t, w, slot.seq);
-      if (!entry.has_value() || t.done) continue;
-      if (!t.inflight.empty()) continue;  // the hedge twin is still racing
-      const double now = clock.now_ms();
-      if (now - t.submit_ms >= config.deadline_ms) {
-        t.done = true;
-        t.expired = true;
-        t.finish_ms = now;
-        ++local_stats.expired;
-        --unfinished;
-        t.span.event(TraceEventKind::kExpire, now);
-        end_span(t, now);
-      } else if (t.retries < config.max_retries) {
-        ++t.retries;
-        ++local_stats.retries;
-        const double backoff = backoff_delay_ms(config.retry, t.retries, backoff_rng);
-        t.eligible_ms = now + backoff;
-        t.hedged_this_stage = false;  // the re-dispatch may hedge again
-        t.span.event(TraceEventKind::kRetry, now,
-                     static_cast<std::uint32_t>(t.stages_done), 0, backoff);
-      } else {
-        t.done = true;
-        t.degraded = true;
-        t.finish_ms = now;
-        ++local_stats.degraded;
-        --unfinished;
-        t.span.event(TraceEventKind::kDegrade, now);
-        end_span(t, now);
-      }
+    LiveTaskState& t = tasks[slot.task];
+    const auto entry = take_inflight(t, w, slot.seq);
+    if (!entry.has_value() || t.done) return;
+    if (!t.inflight.empty()) return;  // the hedge twin is still racing
+    const double now = clock.now_ms();
+    if (now - t.submit_ms >= config.deadline_ms) {
+      t.done = true;
+      t.expired = true;
+      t.finish_ms = now;
+      ++local_stats.expired;
+      --unfinished;
+      t.span.event(TraceEventKind::kExpire, now);
+      end_span(t, now);
+    } else if (t.retries < config.max_retries) {
+      ++t.retries;
+      ++local_stats.retries;
+      const double backoff = backoff_delay_ms(config.retry, t.retries, backoff_rng);
+      t.eligible_ms = now + backoff;
+      t.hedged_this_stage = false;  // the re-dispatch may hedge again
+      t.span.event(TraceEventKind::kRetry, now,
+                   static_cast<std::uint32_t>(t.stages_done), 0, backoff);
+    } else {
+      t.done = true;
+      t.degraded = true;
+      t.finish_ms = now;
+      ++local_stats.degraded;
+      --unfinished;
+      t.span.event(TraceEventKind::kDegrade, now);
+      end_span(t, now);
     }
   };
 
@@ -391,33 +350,24 @@ std::vector<LiveTaskResult> run_live(
   };
 
   std::uint64_t next_seq = 1;
-  auto dispatch_to = [&](std::size_t w, std::vector<std::size_t> group,
-                         bool hedge) {
+  auto dispatch_to = [&](std::size_t w, std::size_t task, bool hedge) {
+    LiveTaskState& t = tasks[task];
     Job job;
-    job.stage = tasks[group.front()].stages_done;
+    job.stage = t.stages_done;
     job.seq = next_seq++;
-    // Deadline propagation: the worker sees the group's tightest absolute
-    // deadline and the scheduler keeps a cancel handle for the hedge race.
-    double abs_deadline = std::numeric_limits<double>::infinity();
-    for (const std::size_t task_id : group) {
-      LiveTaskState& t = tasks[task_id];
-      job.features.push_back(t.features);
-      abs_deadline = std::min(abs_deadline, t.submit_ms + config.deadline_ms);
-    }
-    job.token = CancellationToken(abs_deadline);
+    job.features = t.features;
+    // Deadline propagation: the worker sees the task's absolute deadline and
+    // the scheduler keeps a cancel handle for the hedge race.
+    job.token = CancellationToken(t.submit_ms + config.deadline_ms);
     WorkerSlot& slot = slots[w];
     slot.busy = true;
     slot.seq = job.seq;
+    slot.task = task;
     slot.dispatched_ms = clock.now_ms();
-    for (const std::size_t task_id : group) {
-      LiveTaskState& t = tasks[task_id];
-      t.inflight.push_back({w, job.seq, hedge, job.token});
-      t.span.event(hedge ? TraceEventKind::kHedge : TraceEventKind::kDispatch,
-                   slot.dispatched_ms, static_cast<std::uint32_t>(job.stage),
-                   static_cast<std::uint32_t>(w));
-    }
-    job.task_ids = group;
-    slot.tasks = std::move(group);
+    t.inflight.push_back({w, job.seq, hedge, job.token});
+    t.span.event(hedge ? TraceEventKind::kHedge : TraceEventKind::kDispatch,
+                 slot.dispatched_ms, static_cast<std::uint32_t>(job.stage),
+                 static_cast<std::uint32_t>(w));
     job_channels[w].send(std::move(job));
   };
 
@@ -465,22 +415,7 @@ std::vector<LiveTaskResult> run_live(
       if (runnable.empty()) return;
       const auto choice = policy.pick(runnable, now);
       if (!choice.has_value()) return;
-      // Grouped dispatch: ride other runnable tasks at the same stage (and
-      // feature shape) along with the policy's pick, up to stage_batch. The
-      // pick stays the policy's; the riders only amortize the stage's GEMMs.
-      std::vector<std::size_t> group = {*choice};
-      if (config.stage_batch > 1) {
-        const LiveTaskState& lead = tasks[*choice];
-        for (const TaskView& v : runnable) {
-          if (group.size() >= config.stage_batch) break;
-          if (v.task_id == *choice) continue;
-          const LiveTaskState& t = tasks[v.task_id];
-          if (t.stages_done == lead.stages_done &&
-              t.features.same_shape(lead.features))
-            group.push_back(v.task_id);
-        }
-      }
-      dispatch_to(ready.front(), std::move(group), /*hedge=*/false);
+      dispatch_to(ready.front(), *choice, /*hedge=*/false);
     }
   };
 
@@ -519,8 +454,8 @@ std::vector<LiveTaskResult> run_live(
       WorkerSlot& slot = slots[w];
       if (!slot.busy || slot.dead) continue;
       if (now - slot.dispatched_ms < threshold) continue;
-      if (slot.tasks.size() != 1) continue;  // grouped dispatches never hedge
-      LiveTaskState& t = tasks[slot.tasks.front()];
+      const std::size_t task = slot.task;
+      LiveTaskState& t = tasks[task];
       if (t.done || t.hedged_this_stage || t.inflight.size() != 1) continue;
       if (t.inflight.front().worker != w || t.inflight.front().seq != slot.seq)
         continue;
@@ -528,8 +463,7 @@ std::vector<LiveTaskResult> run_live(
       if (ready.empty()) continue;  // no spare healthy replica: no hedge
       t.hedged_this_stage = true;
       ++local_stats.hedges_issued;
-      const std::size_t task = slot.tasks.front();
-      dispatch_to(ready.front(), {task}, /*hedge=*/true);
+      dispatch_to(ready.front(), task, /*hedge=*/true);
       EUGENE_LOG(Debug) << "live: hedging task " << task << " stage "
                         << t.stages_done << " (worker " << w << " out "
                         << (now - slot.dispatched_ms) << " ms, threshold "
@@ -537,7 +471,7 @@ std::vector<LiveTaskResult> run_live(
       if (EUGENE_FAILPOINT_FIRED("hedge.lose.race")) {
         // Chaos seam: force the primary to lose so the loser-cancellation
         // path runs deterministically.
-        for (auto& d : tasks[task].inflight)
+        for (auto& d : t.inflight)
           if (d.worker == w) d.token.cancel();
       }
     }
@@ -559,15 +493,14 @@ std::vector<LiveTaskResult> run_live(
           ++local_stats.worker_timeouts;
           EUGENE_LOG(Warn) << "live: worker " << w << " silent for "
                            << (now - slots[w].dispatched_ms)
-                           << " ms; abandoning it and re-queueing "
-                           << slots[w].tasks.size() << " task(s)";
+                           << " ms; abandoning it and re-queueing task "
+                           << slots[w].task;
           slots[w].dead = true;
           breakers[w].record_failure(now);
-          for (const std::size_t task_id : slots[w].tasks)
-            tasks[task_id].span.event(
-                TraceEventKind::kStageError, now,
-                static_cast<std::uint32_t>(tasks[task_id].stages_done),
-                static_cast<std::uint32_t>(w));
+          LiveTaskState& t = tasks[slots[w].task];
+          t.span.event(TraceEventKind::kStageError, now,
+                       static_cast<std::uint32_t>(t.stages_done),
+                       static_cast<std::uint32_t>(w));
           fail_dispatch(w);
         }
       }
@@ -619,8 +552,7 @@ std::vector<LiveTaskResult> run_live(
         for (std::size_t w = 0; w < num_workers; ++w) {
           const WorkerSlot& s = slots[w];
           if (!s.busy || s.dead) continue;
-          if (s.tasks.size() != 1) continue;  // grouped dispatches never hedge
-          const LiveTaskState& t = tasks[s.tasks.front()];
+          const LiveTaskState& t = tasks[s.task];
           if (t.done || t.hedged_this_stage) continue;
           const double until = s.dispatched_ms + *threshold - now;
           wait_ms = std::min(wait_ms, std::max(until, 0.1));
@@ -643,126 +575,101 @@ std::vector<LiveTaskResult> run_live(
       // set counts as newly cancelled — a decided hedge race already
       // counted its loser when the winner was processed.
       slot.busy = false;
-      for (const std::size_t task_id : slot.tasks) {
-        LiveTaskState& t = tasks[task_id];
-        if (take_inflight(t, res->worker, res->seq).has_value()) {
-          ++local_stats.cancelled;
-          t.span.event(TraceEventKind::kCancel, now,
-                       static_cast<std::uint32_t>(t.stages_done),
-                       static_cast<std::uint32_t>(res->worker));
-        }
+      LiveTaskState& t = tasks[slot.task];
+      if (take_inflight(t, res->worker, res->seq).has_value()) {
+        ++local_stats.cancelled;
+        t.span.event(TraceEventKind::kCancel, now,
+                     static_cast<std::uint32_t>(t.stages_done),
+                     static_cast<std::uint32_t>(res->worker));
       }
-      dispatch();
-      continue;
-    }
-
-    if (!res->ok && res->recoverable) {
-      // Sick-replica stage error: the worker lives, the dispatch failed.
-      ++local_stats.worker_errors;
-      breakers[res->worker].record_failure(now);
-      EUGENE_LOG(Warn) << "live: worker " << res->worker << " failed a stage of "
-                       << slot.tasks.size() << " task(s) (recoverable): "
-                       << res->error;
-      for (const std::size_t task_id : slot.tasks)
-        tasks[task_id].span.event(
-            TraceEventKind::kStageError, now,
-            static_cast<std::uint32_t>(tasks[task_id].stages_done),
-            static_cast<std::uint32_t>(res->worker));
-      fail_dispatch(res->worker);
       dispatch();
       continue;
     }
 
     if (!res->ok) {
-      ++local_stats.worker_crashes;
+      // A recoverable failure is a sick-replica stage error and the worker
+      // lives; any other failure is a crash and the worker thread has exited.
       breakers[res->worker].record_failure(now);
-      EUGENE_LOG(Warn) << "live: worker " << res->worker
-                       << " crashed running " << slot.tasks.size()
-                       << " task(s): " << res->error;
-      slot.dead = true;
-      for (const std::size_t task_id : slot.tasks)
-        tasks[task_id].span.event(
-            TraceEventKind::kStageError, now,
-            static_cast<std::uint32_t>(tasks[task_id].stages_done),
-            static_cast<std::uint32_t>(res->worker));
+      if (res->recoverable) {
+        ++local_stats.worker_errors;
+        EUGENE_LOG(Warn) << "live: worker " << res->worker
+                         << " failed a stage of task " << slot.task
+                         << " (recoverable): " << res->error;
+      } else {
+        ++local_stats.worker_crashes;
+        EUGENE_LOG(Warn) << "live: worker " << res->worker
+                         << " crashed running task " << slot.task << ": "
+                         << res->error;
+        slot.dead = true;
+      }
+      const LiveTaskState& t = tasks[slot.task];
+      t.span.event(TraceEventKind::kStageError, now,
+                   static_cast<std::uint32_t>(t.stages_done),
+                   static_cast<std::uint32_t>(res->worker));
       fail_dispatch(res->worker);
-      maybe_respawn(res->worker);
+      if (!res->recoverable) maybe_respawn(res->worker);
       dispatch();
       continue;
     }
 
     // Successful stage execution: good for the replica's health either way,
-    // and a fresh latency observation for the hedge threshold. The reports
-    // cross a (possibly named-pipe) channel boundary: validate the envelope
-    // before indexing scheduler state with its contents.
-    EUGENE_CHECK_EQ(res->reports.size(), slot.tasks.size())
-        << "stage report count disagrees with the dispatched group";
-    EUGENE_CHECK_EQ(res->features.size(), slot.tasks.size())
-        << "stage feature count disagrees with the dispatched group";
+    // and a fresh latency observation for the hedge threshold.
     breakers[res->worker].record_success(res->stage_ms, now);
-    note_latency(now - slot.dispatched_ms,
-                 static_cast<std::size_t>(res->reports.front().stage));
+    note_latency(now - slot.dispatched_ms, res->stage);
     slot.busy = false;
-    for (std::size_t b = 0; b < slot.tasks.size(); ++b) {
-      const std::size_t task_id = slot.tasks[b];
-      LiveTaskState& t = tasks[task_id];
-      const auto won = take_inflight(t, res->worker, res->seq);
-      if (!won.has_value()) {
-        // Hedge-race loser: its twin already advanced the task. The result
-        // is valid but redundant; the sequence bookkeeping keeps it out of
-        // task state (no result races).
-        continue;
-      }
-      if (won->hedge) ++local_stats.hedges_won;
-      // Decide the race: cancel any still-outstanding twin cooperatively
-      // (counted now, when the race is decided — the loser's acknowledgment
-      // may arrive after the batch completes). Its eventual report (success,
-      // cancelled, or crash) is handled above as a non-in-flight event.
-      local_stats.cancelled += t.inflight.size();
-      for (auto& d : t.inflight) {
-        d.token.cancel();
-        t.span.event(TraceEventKind::kCancel, now,
-                     static_cast<std::uint32_t>(t.stages_done),
-                     static_cast<std::uint32_t>(d.worker));
-      }
-      t.inflight.clear();
-      t.hedged_this_stage = false;
+    const std::size_t task_id = slot.task;
+    LiveTaskState& t = tasks[task_id];
+    const auto won = take_inflight(t, res->worker, res->seq);
+    if (!won.has_value()) {
+      // Hedge-race loser: its twin already advanced the task. The result is
+      // valid but redundant; the sequence bookkeeping keeps it out of task
+      // state (no result races).
+      dispatch();
+      continue;
+    }
+    if (won->hedge) ++local_stats.hedges_won;
+    // Decide the race: cancel any still-outstanding twin cooperatively
+    // (counted now, when the race is decided — the loser's acknowledgment
+    // may arrive after the batch completes). Its eventual report (success,
+    // cancelled, or crash) is handled above as a non-in-flight event.
+    local_stats.cancelled += t.inflight.size();
+    for (auto& d : t.inflight) {
+      d.token.cancel();
+      t.span.event(TraceEventKind::kCancel, now,
+                   static_cast<std::uint32_t>(t.stages_done),
+                   static_cast<std::uint32_t>(d.worker));
+    }
+    t.inflight.clear();
+    t.hedged_this_stage = false;
 
-      const StageReport& report = res->reports[b];
-      EUGENE_CHECK_EQ(report.task_id, task_id)
-          << "stage report names a task other than its dispatch";
-      EUGENE_CHECK_EQ(report.stage, t.stages_done)
-          << "out-of-order stage report for task " << task_id;
-      const bool late = now - t.submit_ms >= config.deadline_ms;
-      if (t.done) continue;
-      if (!late) {
-        // In-deadline result: accept it.
-        t.span.event(TraceEventKind::kStageDone, now, report.stage,
-                     static_cast<std::uint32_t>(res->worker),
-                     report.confidence);
-        ++t.stages_done;
-        t.observed_confidence.push_back(report.confidence);
-        t.last_label = report.predicted_label;
-        t.features = std::move(res->features[b]);
-        policy.on_stage_complete(report.task_id, report.stage,
-                                 report.confidence);
-        if (t.stages_done == num_stages ||
-            report.confidence >= config.early_exit_confidence) {
-          t.done = true;
-          t.finish_ms = now;
-          --unfinished;
-          end_span(t, now);
-        }
-      } else {
-        // The daemon's stage-granularity kill: discard the late result.
+    EUGENE_CHECK_EQ(res->stage, t.stages_done)
+        << "out-of-order stage report for task " << task_id;
+    if (!t.done && now - t.submit_ms < config.deadline_ms) {
+      // In-deadline result: accept it.
+      t.span.event(TraceEventKind::kStageDone, now,
+                   static_cast<std::uint32_t>(res->stage),
+                   static_cast<std::uint32_t>(res->worker), res->confidence);
+      ++t.stages_done;
+      t.observed_confidence.push_back(res->confidence);
+      t.last_label = res->label;
+      t.features = std::move(res->features);
+      policy.on_stage_complete(task_id, res->stage, res->confidence);
+      if (t.stages_done == num_stages ||
+          res->confidence >= config.early_exit_confidence) {
         t.done = true;
-        t.expired = true;
         t.finish_ms = now;
-        ++local_stats.expired;
         --unfinished;
-        t.span.event(TraceEventKind::kExpire, now);
         end_span(t, now);
       }
+    } else if (!t.done) {
+      // The daemon's stage-granularity kill: discard the late result.
+      t.done = true;
+      t.expired = true;
+      t.finish_ms = now;
+      ++local_stats.expired;
+      --unfinished;
+      t.span.event(TraceEventKind::kExpire, now);
+      end_span(t, now);
     }
     dispatch();
   }

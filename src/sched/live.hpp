@@ -1,10 +1,12 @@
 // Live scheduling mode: real staged-model inference on a worker pool, with
-// end-of-stage confidence reports flowing to the user-space scheduler over a
-// channel — the in-process mirror of the paper's process pool + Linux named
-// pipes + latency daemon (Section III).
+// end-of-stage confidence reports flowing to the user-space scheduler over an
+// in-memory channel — the in-process mirror of the paper's process pool +
+// Linux named pipes + latency daemon (Section III). Each dispatch runs one
+// stage of one task.
 //
 // Differences from the paper's deployment, by design (DESIGN.md §2):
-//   * workers are threads with per-worker model replicas, not processes;
+//   * workers are threads with per-worker model replicas, not processes, and
+//     their reports are in-memory values, not bytes on a named pipe;
 //   * a running stage cannot be interrupted mid-kernel, so the latency
 //     daemon expires tasks at stage granularity: late results are discarded
 //     and the task emits the last in-deadline result.
@@ -56,16 +58,6 @@ struct LiveConfig {
   double deadline_ms = std::numeric_limits<double>::infinity();  ///< per task
   double early_exit_confidence = 2.0;  ///< >1 disables early exit
   std::size_t lookahead = 1;           ///< RTDeepIoT k
-
-  /// Grouped dispatch (DESIGN.md §14): one worker dispatch may carry up to
-  /// stage_batch same-stage, same-shape tasks, and the worker runs them as
-  /// one arena-backed batched stage (one wide GEMM per layer, bitwise
-  /// identical per-task results). 1 = per-task dispatch, the exact legacy
-  /// behavior. Grouped dispatches never hedge: a hedge would duplicate the
-  /// whole group's work to chase one straggler. The group fails, retries,
-  /// and cancels as a unit (it is one dispatch), but every member keeps its
-  /// own retry budget, deadline, and span.
-  std::size_t stage_batch = 1;
 
   // Worker supervision (DESIGN.md §8 "Failure model").
   std::size_t max_retries = 2;   ///< per-task re-dispatches after worker failure

@@ -1,8 +1,7 @@
-// Tests for the common substrate: errors, rng, stats, clocks, thread pool,
-// channels (in-memory and POSIX FIFO), and the stage-report wire format.
+// Tests for the common substrate: errors, rng, stats, clocks, channels,
+// durable-state io, lock ranks, backoff, circuit breakers, and cancellation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -18,11 +17,9 @@
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/error.hpp"
-#include "common/fifo_channel.hpp"
 #include "common/io.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace eugene {
 namespace {
@@ -281,35 +278,6 @@ TEST(Clock, StopwatchMeasuresElapsedTime) {
   EXPECT_GE(watch.elapsed_ms(), 8.0);
 }
 
-TEST(ThreadPool, ExecutesAllSubmittedWork) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i)
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i)
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        counter.fetch_add(1);
-      });
-  }
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(Channel, FifoOrderSingleThread) {
   Channel<int> ch;
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(ch.send(i));
@@ -350,24 +318,6 @@ TEST(Channel, ManyProducersOneConsumer) {
   for (auto& t : producers) t.join();
   EXPECT_EQ(received, 400u);
   EXPECT_EQ(ch.pending(), 0u);
-}
-
-TEST(StageReport, EncodeDecodeRoundTrip) {
-  StageReport report;
-  report.task_id = 12345;
-  report.stage = 2;
-  report.predicted_label = 7;
-  report.confidence = 0.8125f;
-  const auto bytes = report.encode();
-  EXPECT_EQ(bytes.size(), 16u);
-  const auto decoded = StageReport::decode(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, report);
-}
-
-TEST(StageReport, DecodeRejectsWrongSize) {
-  EXPECT_FALSE(StageReport::decode(std::vector<std::uint8_t>(15)).has_value());
-  EXPECT_FALSE(StageReport::decode({}).has_value());
 }
 
 // ---- durable-state primitives (common/io, DESIGN.md §9) -------------------
@@ -452,29 +402,6 @@ TEST(Io, BlobRoundTripAndValidation) {
     flipped[i] ^= 0x01;
     EXPECT_THROW(io::decode_blob(flipped, 0xAABBCCDD, 1, "t"), CorruptionError) << i;
   }
-}
-
-TEST(FifoChannel, FramesCrossARealNamedPipe) {
-  // Mirrors the paper's worker→scheduler named-pipe hop with real mkfifo.
-  const std::string path = "/tmp/eugene_test_fifo_" + std::to_string(::getpid());
-  std::thread writer([&path] {
-    FifoWriter w(path);  // blocks until the reader opens
-    StageReport r1{1, 0, 3, 0.5f};
-    StageReport r2{1, 1, 4, 0.75f};
-    EXPECT_TRUE(w.write_frame(r1.encode()));
-    EXPECT_TRUE(w.write_frame(r2.encode()));
-  });
-  FifoReader reader(path);
-  const auto f1 = reader.read_frame();
-  const auto f2 = reader.read_frame();
-  writer.join();
-  const auto f3 = reader.read_frame();  // EOF after writer closed
-
-  ASSERT_TRUE(f1.has_value());
-  ASSERT_TRUE(f2.has_value());
-  EXPECT_FALSE(f3.has_value());
-  EXPECT_EQ(StageReport::decode(*f1)->predicted_label, 3u);
-  EXPECT_NEAR(StageReport::decode(*f2)->confidence, 0.75f, 1e-6);
 }
 
 // ---------------------------------------------------------------------------
@@ -650,14 +577,6 @@ TEST(LockRank, CheckerCompiledOutMutexStillLocks) {
 // Retry backoff edge cases (the overflow family: parameters that used to
 // spin the doubling loop for up to SIZE_MAX iterations).
 // ---------------------------------------------------------------------------
-
-TEST(Retry, ZeroMaxAttemptsIsInvalidArgument) {
-  RetryPolicy policy;
-  policy.max_attempts = 0;
-  Rng rng(1);
-  EXPECT_THROW(
-      retry_with_backoff(policy, rng, [] { return 0; }), InvalidArgument);
-}
 
 TEST(Retry, ZeroBaseDelayTerminatesAndStaysZero) {
   // 0 * 2 == 0 never reaches max_delay_ms; without the doubling cap this

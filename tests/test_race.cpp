@@ -1,22 +1,18 @@
-// TSan-targeted stress tests for the concurrent core: thread pool shutdown,
-// MPMC channels, the shared FIFO transport, the model registry, the usage
-// meter, and the live scheduler. These pass under the plain build too, but
-// their real job is to give ThreadSanitizer (the `tsan` CMake preset)
-// schedules in which a data race would be visible.
+// TSan-targeted stress tests for the concurrent core: MPMC channels, the
+// model registry, the usage meter, logging, and the live scheduler. These
+// pass under the plain build too, but their real job is to give
+// ThreadSanitizer (the `tsan` CMake preset) schedules in which a data race
+// would be visible.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "calib/evaluation.hpp"
 #include "common/channel.hpp"
-#include "common/fifo_channel.hpp"
 #include "common/logging.hpp"
-#include "common/thread_pool.hpp"
 #include "data/synthetic_images.hpp"
 #include "gp/confidence_curve.hpp"
 #include "sched/live.hpp"
@@ -25,39 +21,6 @@
 
 namespace eugene {
 namespace {
-
-TEST(Race, ThreadPoolSubmitDuringDestruction) {
-  // Tasks re-submit follow-up work while the destructor is already draining;
-  // every job (parent and child) must still execute exactly once.
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&pool, &ran] {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      });
-    }
-    // Destruction races the re-submissions from worker threads.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(Race, ThreadPoolManyProducers) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  std::vector<std::thread> producers;
-  producers.reserve(4);
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&pool, &ran] {
-      for (int i = 0; i < 200; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); })
-            .wait();
-    });
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(ran.load(), 800);
-}
 
 TEST(Race, ChannelMpmcConservesItems) {
   Channel<int> ch;
@@ -120,44 +83,6 @@ TEST(Race, ChannelCloseWhileSendingAndDraining) {
 
   EXPECT_EQ(received.load(), accepted.load());
   EXPECT_EQ(ch.pending(), 0u);
-}
-
-TEST(Race, FifoSharedWriterKeepsFramesIntact) {
-  // Multiple threads share one FifoWriter. Frames are larger than PIPE_BUF
-  // (4096 on Linux), so without internal locking the pipe would interleave
-  // bytes from different frames.
-  const std::string path =
-      "/tmp/eugene_race_fifo_" + std::to_string(::getpid());
-  constexpr int kWriters = 3, kFramesPerWriter = 20;
-  constexpr std::size_t kFrameSize = 16 * 1024;
-
-  std::atomic<int> intact{0};
-  std::thread reader_thread([&] {
-    FifoReader reader(path);
-    while (auto frame = reader.read_frame()) {
-      ASSERT_EQ(frame->size(), kFrameSize);
-      bool uniform = true;
-      for (std::uint8_t b : *frame) uniform &= (b == frame->front());
-      ASSERT_TRUE(uniform) << "frame interleaved bytes from another writer";
-      intact.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  {
-    FifoWriter writer(path);
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w) {
-      writers.emplace_back([&writer, w] {
-        const std::vector<std::uint8_t> payload(
-            kFrameSize, static_cast<std::uint8_t>('A' + w));
-        for (int i = 0; i < kFramesPerWriter; ++i)
-          ASSERT_TRUE(writer.write_frame(payload));
-      });
-    }
-    for (auto& t : writers) t.join();
-  }  // writer closes -> reader sees EOF
-  reader_thread.join();
-  EXPECT_EQ(intact.load(), kWriters * kFramesPerWriter);
 }
 
 nn::StagedResNetConfig tiny_model_config() {

@@ -111,6 +111,18 @@ TEST_F(ServiceIntegration, ProfileMeasuresIncreasingStageCosts) {
   EXPECT_EQ(service_->registry().entry(handle_).costs.stage_ms, profile.stage_ms);
 }
 
+TEST_F(ServiceIntegration, ProfileRejectsZeroRepeatsAndPublishesNothing) {
+  // No timed run means no median to take: the call must fail before the
+  // registry update, leaving the epoch and the installed costs untouched.
+  const std::uint64_t epoch = service_->registry().epoch();
+  const std::vector<double> costs = service_->registry().entry(handle_).costs.stage_ms;
+  profile::TimingConfig timing;
+  timing.repeats = 0;
+  EXPECT_THROW(service_->profile(handle_, {2, 8, 8}, timing), InvalidArgument);
+  EXPECT_EQ(service_->registry().epoch(), epoch);
+  EXPECT_EQ(service_->registry().entry(handle_).costs.stage_ms, costs);
+}
+
 TEST_F(ServiceIntegration, SingleInferenceReturnsSaneResult) {
   const auto response = service_->infer(handle_, test_->samples[0]);
   EXPECT_LT(response.label, 4u);
