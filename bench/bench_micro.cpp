@@ -273,7 +273,7 @@ sched::LiveConfig hedge_bench_config(bool hedging) {
   return cfg;
 }
 
-// Tail rescue under a straggler replica: replica 0 stalls 3 ms on ~40% of
+// Tail rescue under a straggler worker: worker 0 stalls 3 ms on ~40% of
 // its stages (live.worker.sick kind=delay). Per-iteration time is batch
 // makespan, but the headline numbers are the task-latency percentile
 // counters: with hedging on, the backup dispatch overlaps the stall, so
@@ -286,8 +286,7 @@ void BM_HedgedDispatch(benchmark::State& state) {
   cfg.num_classes = 4;
   cfg.stage_channels = {3, 4};
   cfg.head_hidden = 8;
-  nn::StagedModel source = nn::build_staged_resnet(cfg);
-  auto replicas = sched::replicate_staged_model(source, 3);
+  const nn::StagedModel model = nn::build_staged_resnet(cfg);
   const auto curves = make_curves();
   Rng rng(7);
   std::vector<tensor::Tensor> inputs;
@@ -305,7 +304,7 @@ void BM_HedgedDispatch(benchmark::State& state) {
   for (auto _ : state) {
     FailpointRegistry::instance().arm("live.worker.sick", sick);
     sched::LiveStats stats;
-    const auto results = sched::run_live(replicas, curves, inputs, live, &stats);
+    const auto results = sched::run_live(model, 3, curves, inputs, live, &stats);
     benchmark::DoNotOptimize(results.data());
     hedges += stats.hedges_issued;
     for (const auto& r : results) task_ms.push_back(r.latency_ms);

@@ -66,11 +66,11 @@ int main() {
   std::printf("%-8s %10s %12s %12s\n", "alpha", "ECE", "accuracy", "confidence");
   const auto features = calib::stage_features(bundle.model, bundle.calib_set);
   std::stringstream snapshot;
-  nn::save_params(bundle.model.head_params(2), snapshot);
+  nn::save_params(bundle.model.head(2).params(), snapshot);
   for (double alpha : {-1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0}) {
     snapshot.clear();
     snapshot.seekg(0);
-    nn::load_params(bundle.model.head_params(2), snapshot);
+    nn::load_params(bundle.model.head(2).params(), snapshot);
     calib::finetune_head(bundle.model, 2, features[2], bundle.calib_set.labels, alpha);
     const auto eval = calib::evaluate_staged(bundle.model, bundle.test_set);
     std::printf("%+8.2f %10.3f %12.3f %12.3f\n", alpha,

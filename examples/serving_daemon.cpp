@@ -3,9 +3,10 @@
 //
 //   1. warm restart — restore() the last committed snapshot (or register a
 //      fresh model when the directory is empty);
-//   2. serve — client threads push inference batches while a background
-//      operator thread takes *live* snapshots and hot-swaps retrained
-//      weights, all without pausing traffic (epoch-pinned registry);
+//   2. serve — client threads push inference batches to one shared model
+//      while a background operator thread takes *live* snapshots and
+//      hot-swaps retrained weights, all without pausing traffic
+//      (epoch-pinned registry);
 //   3. graceful shutdown — SIGTERM flips a flag; the main loop calls
 //      begin_drain(), which rejects new work with typed drain responses,
 //      waits for in-flight requests, flushes the usage journal, and writes
@@ -19,6 +20,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,15 +100,16 @@ int main(int argc, char** argv) {
   if (restored > 0)
     std::printf("[daemon] warm restart: %zu model(s) from %s\n", restored,
                 state_dir.c_str());
-  // One model per client thread: a published entry's inference scratch is
-  // thread-owned (DESIGN.md §13), so concurrent clients each serve their
-  // own handle. Fill in whatever the snapshot did not provide.
-  for (std::size_t c = 0; c < kClients; ++c) {
-    const std::string name = "doorbell" + std::to_string(c);
-    if (!service.registry().find(name).has_value()) {
-      register_fresh_model(service, name);
-      std::printf("[daemon] registered fresh model '%s'\n", name.c_str());
-    }
+  // Every client thread serves this one handle: published entries are
+  // immutable and inference is const, so any number of threads may serve
+  // them (DESIGN.md §13). Register it if the snapshot did not provide it.
+  const std::string name = "doorbell";
+  std::size_t handle = 0;
+  if (const std::optional<std::size_t> found = service.registry().find(name)) {
+    handle = *found;
+  } else {
+    handle = register_fresh_model(service, name);
+    std::printf("[daemon] registered fresh model '%s'\n", name.c_str());
   }
   service.lifecycle().set_serving();
 
@@ -118,9 +121,7 @@ int main(int argc, char** argv) {
   std::atomic<std::size_t> answered{0}, drain_rejected{0};
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&service, &meter, &answered, &drain_rejected, c] {
-      const std::size_t handle =
-          service.registry().find("doorbell" + std::to_string(c)).value();
+    clients.emplace_back([&service, &meter, &answered, &drain_rejected, handle, c] {
       Rng rng(100 + static_cast<std::uint64_t>(c));
       serving::ServerConfig cfg;
       cfg.early_exit_confidence = 0.8;
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  std::thread operator_thread([&service, &state_dir] {
+  std::thread operator_thread([&service, &state_dir, handle] {
     // Live operations under full traffic: snapshot cadence + a hot swap of
     // "retrained" weights. Neither pauses a single request.
     for (int round = 0; !g_terminate.load(); ++round) {
@@ -148,8 +149,7 @@ int main(int argc, char** argv) {
       const std::uint64_t epoch = service.snapshot(state_dir);
       nn::StagedResNetConfig retrained = daemon_model_config();
       retrained.seed = static_cast<std::uint64_t>(round + 2);
-      service.swap_model(static_cast<std::size_t>(round) % kClients,
-                         nn::build_staged_resnet(retrained));
+      service.swap_model(handle, nn::build_staged_resnet(retrained));
       std::printf("[operator] live snapshot epoch %llu + hot swap, traffic uninterrupted\n",
                   static_cast<unsigned long long>(epoch));
     }

@@ -1,4 +1,4 @@
-// Fuzz harness: nn/serialize checkpoint decoding (EUG1 legacy + EUG2).
+// Fuzz harness: nn/serialize checkpoint decoding (EUG2).
 //
 // Typed-error contract (DESIGN.md §10): feeding load_params arbitrary bytes
 // yields either a successful load or a typed eugene error —

@@ -2,7 +2,7 @@
 //
 // Emits one directory per harness under the output root:
 //
-//   <out>/serialize/      EUG1 + EUG2 checkpoints, valid and damaged
+//   <out>/serialize/      EUG2 checkpoints, valid and damaged
 //   <out>/snapshot/       manifest payloads/blobs and artifacts payloads
 //   <out>/usage_journal/  journal images: valid, torn tail, mid-file damage
 //
@@ -37,7 +37,6 @@ using eugene::io::ByteWriter;
 // Wire magics mirrored from the decoders (serialize.cpp, snapshot.cpp,
 // usage.cpp). gen_seeds only *writes* corpus files; the replay tests prove
 // the real decoders still accept/reject these bytes as intended.
-constexpr std::uint32_t kCkptMagicV1 = 0x45554731;      // "EUG1"
 constexpr std::uint32_t kCkptMagicV2 = 0x45554732;      // "EUG2"
 constexpr std::uint32_t kManifestMagic = 0x4D475545;    // "EUGM"
 constexpr std::uint32_t kJournalMagic = 0x4A475545;     // "EUGJ"
@@ -82,7 +81,7 @@ eugene::nn::StagedModel tiny_model() {
 }
 
 // ---------------------------------------------------------------------------
-// serialize: EUG1/EUG2 checkpoints for fuzz_serialize
+// serialize: EUG2 checkpoints for fuzz_serialize
 // ---------------------------------------------------------------------------
 void gen_serialize() {
   eugene::nn::StagedModel model = tiny_model();
@@ -112,23 +111,6 @@ void gen_serialize() {
     w.u64(std::uint64_t{1} << 40);
     w.u32(0xABCD);
     write_seed("serialize", "v2_hostile_body_len", w.take());
-  }
-
-  // Legacy v1: magic + count, then per tensor rank + dims + raw floats.
-  {
-    ByteWriter w;
-    w.u32(kCkptMagicV1);
-    w.u32(static_cast<std::uint32_t>(params.size()));
-    for (const auto& p : params) {
-      const auto& shape = p.value->shape();
-      w.u32(static_cast<std::uint32_t>(shape.size()));
-      for (std::size_t d : shape) w.u32(static_cast<std::uint32_t>(d));
-      w.raw(p.value->raw(), p.value->numel() * sizeof(float));
-    }
-    const std::vector<std::uint8_t> v1 = w.take();
-    write_seed("serialize", "v1_valid", v1);
-    write_seed("serialize", "v1_truncated_tensor", truncate_to(v1, v1.size() - 7));
-    write_seed("serialize", "v1_count_mismatch", flip_byte(v1, 4));
   }
 
   write_seed("serialize", "empty", {});

@@ -40,6 +40,13 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       final snapshot; only deliberate die-fast sites (e.g. the
                       lock-rank checker, whose whole point is to refuse to run
                       with a corrupted lock order) are allowlisted.
+  inference-const     no const_cast and no `mutable` data member in src/nn/
+                      or src/tensor/: those are the two ways a const
+                      inference method (Layer::forward_batch,
+                      StagedModel::run_stage) could still write state, and
+                      inference must stay write-free for threads to share one
+                      published model (DESIGN.md §13). The B = 1 helper's
+                      in-place input view is the allowlisted exception.
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -391,6 +398,31 @@ def rule_direct_exit(files):
                     "deliberate die-fast sites with a reason")
 
 
+CONST_CAST_RE = re.compile(r"\bconst_cast\s*<")
+# `mutable` followed by a type: a data member. A lambda's `mutable` is
+# followed by `{`, `->`, or `noexcept` and does not match.
+MUTABLE_MEMBER_RE = re.compile(r"\bmutable\s+(?!noexcept\b)[A-Za-z_:]")
+
+
+def rule_inference_const(files):
+    for f in files:
+        if not f.rel.startswith(("src/nn/", "src/tensor/")):
+            continue
+        for ln, line in enumerate(f.masked_lines, 1):
+            if CONST_CAST_RE.search(line):
+                yield Violation(
+                    "inference-const", f.rel, ln,
+                    "const_cast in src/nn or src/tensor — a const inference "
+                    "path could write through it (allowlist a proven "
+                    "read-only view with its reason)")
+            if MUTABLE_MEMBER_RE.search(line):
+                yield Violation(
+                    "inference-const", f.rel, ln,
+                    "mutable data member in src/nn or src/tensor — const "
+                    "inference could write it, and threads sharing one "
+                    "published model would race on it")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -415,6 +447,7 @@ RULES = {
     "using-namespace": rule_using_namespace,
     "stdout": rule_stdout,
     "no-direct-exit": rule_direct_exit,
+    "inference-const": rule_inference_const,
 }
 
 

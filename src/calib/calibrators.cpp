@@ -15,7 +15,7 @@ namespace eugene::calib {
 
 using tensor::Tensor;
 
-std::vector<std::vector<Tensor>> stage_features(nn::StagedModel& model,
+std::vector<std::vector<Tensor>> stage_features(const nn::StagedModel& model,
                                                 const data::Dataset& dataset) {
   EUGENE_REQUIRE(!dataset.empty(), "stage_features: empty dataset");
   std::vector<std::vector<Tensor>> features(model.num_stages());
@@ -23,7 +23,7 @@ std::vector<std::vector<Tensor>> stage_features(nn::StagedModel& model,
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const Tensor* current = &dataset.samples[i];
     for (std::size_t s = 0; s < model.num_stages(); ++s) {
-      features[s].push_back(model.trunk_forward(s, *current, /*training=*/false));
+      features[s].push_back(nn::infer(model.trunk(s), *current));
       current = &features[s].back();
     }
   }
@@ -31,7 +31,7 @@ std::vector<std::vector<Tensor>> stage_features(nn::StagedModel& model,
 }
 
 void finetune_head(nn::StagedModel& model, std::size_t stage,
-                   const std::vector<Tensor>& features,
+                   std::span<const Tensor> features,
                    std::span<const std::size_t> labels, double alpha,
                    std::size_t epochs, double learning_rate, std::size_t batch_size) {
   EUGENE_REQUIRE(batch_size > 0, "finetune_head: batch size must be positive");
@@ -41,7 +41,8 @@ void finetune_head(nn::StagedModel& model, std::size_t stage,
   sgd.learning_rate = learning_rate;
   sgd.momentum = 0.9;
   sgd.weight_decay = 0.0;  // calibration should not shrink the head
-  nn::SgdOptimizer optimizer(model.head_params(stage), sgd);
+  nn::Sequential& head = model.head(stage);
+  nn::SgdOptimizer optimizer(head.params(), sgd);
   Rng shuffle_rng(13 + stage);
   std::vector<std::size_t> order(features.size());
   for (std::size_t e = 0; e < epochs; ++e) {
@@ -50,10 +51,10 @@ void finetune_head(nn::StagedModel& model, std::size_t stage,
     std::size_t in_batch = 0;
     optimizer.zero_grads();
     for (std::size_t idx : order) {
-      const Tensor logits = model.head_forward(stage, features[idx], /*training=*/true);
+      const Tensor logits = head.forward(features[idx]);
       const nn::LossResult loss =
           nn::cross_entropy_with_entropy_reg(logits, labels[idx], alpha);
-      model.head_backward(stage, loss.grad_logits);
+      head.backward(loss.grad_logits);
       if (++in_batch == batch_size) {
         optimizer.step(1.0 / static_cast<double>(in_batch));
         optimizer.zero_grads();
@@ -78,14 +79,14 @@ void finetune_heads(nn::StagedModel& model, const data::Dataset& calib_set, doub
 namespace {
 
 /// ECE of one stage's head evaluated on cached features.
-double head_ece(nn::StagedModel& model, std::size_t stage,
-                const std::vector<Tensor>& features,
+double head_ece(const nn::StagedModel& model, std::size_t stage,
+                std::span<const Tensor> features,
                 std::span<const std::size_t> labels, std::size_t bins) {
   std::vector<std::size_t> predicted(features.size());
   std::vector<std::size_t> truth(labels.begin(), labels.end());
   std::vector<float> confidence(features.size());
   for (std::size_t i = 0; i < features.size(); ++i) {
-    const Tensor logits = model.head_forward(stage, features[i], /*training=*/false);
+    const Tensor logits = nn::infer(model.head(stage), features[i]);
     const std::vector<float> probs = softmax(logits.data());
     predicted[i] = argmax(probs);
     confidence[i] = probs[predicted[i]];
@@ -100,7 +101,10 @@ std::vector<double> calibrate_heads_entropy(nn::StagedModel& model,
                                             const EntropyCalibConfig& config) {
   EUGENE_REQUIRE(!config.alpha_grid.empty(), "calibrate_heads_entropy: empty alpha grid");
   EUGENE_REQUIRE(calib_set.size() >= 10, "calibrate_heads_entropy: calibration set too small");
-  const auto features = stage_features(model, calib_set);
+  // One stage's head inputs at a time, each computed from the previous
+  // stage's in place (fine-tuning a head leaves every trunk unchanged): the
+  // calibration set's features are never all alive at once.
+  std::vector<Tensor> features = calib_set.samples;
 
   // Hold out part of the calibration set for α selection: the heads
   // fine-tune hard enough on the fit split that in-sample ECE stops
@@ -113,11 +117,11 @@ std::vector<double> calibrate_heads_entropy(nn::StagedModel& model,
 
   std::vector<double> chosen(model.num_stages(), 0.0);
   for (std::size_t s = 0; s < model.num_stages(); ++s) {
-    const std::vector<Tensor> fit_features(features[s].begin(),
-                                           features[s].begin() + fit_count);
-    const std::vector<Tensor> val_features(features[s].begin() + fit_count,
-                                           features[s].end());
-    const auto head = model.head_params(s);
+    for (Tensor& f : features) f = nn::infer(model.trunk(s), f);
+    const std::span<const Tensor> fit_features(features.data(), fit_count);
+    const std::span<const Tensor> val_features =
+        std::span<const Tensor>(features).subspan(fit_count);
+    const auto head = model.head(s).params();
     // Snapshot the pre-calibration weights so every α starts equal; the
     // untouched head is itself a candidate (fine-tuning must earn its keep).
     std::stringstream initial;
@@ -170,7 +174,7 @@ double nll_at_temperature(const std::vector<Tensor>& logits,
 
 }  // namespace
 
-std::vector<double> fit_temperatures(nn::StagedModel& model,
+std::vector<double> fit_temperatures(const nn::StagedModel& model,
                                      const data::Dataset& calib_set) {
   const auto features = stage_features(model, calib_set);
   std::vector<double> temps(model.num_stages(), 1.0);
@@ -178,7 +182,7 @@ std::vector<double> fit_temperatures(nn::StagedModel& model,
     std::vector<Tensor> logits;
     logits.reserve(calib_set.size());
     for (std::size_t i = 0; i < calib_set.size(); ++i)
-      logits.push_back(model.head_forward(s, features[s][i], /*training=*/false));
+      logits.push_back(nn::infer(model.head(s), features[s][i]));
 
     // Golden-section search on log-temperature.
     const double phi = (std::sqrt(5.0) - 1.0) / 2.0;
@@ -206,7 +210,7 @@ std::vector<double> fit_temperatures(nn::StagedModel& model,
   return temps;
 }
 
-StagedEvaluation evaluate_with_temperature(nn::StagedModel& model,
+StagedEvaluation evaluate_with_temperature(const nn::StagedModel& model,
                                            const data::Dataset& dataset,
                                            const std::vector<double>& temperatures) {
   EUGENE_REQUIRE(temperatures.size() == model.num_stages(),
@@ -216,7 +220,7 @@ StagedEvaluation evaluate_with_temperature(nn::StagedModel& model,
   eval.records.resize(model.num_stages());
   for (std::size_t s = 0; s < model.num_stages(); ++s) {
     for (std::size_t i = 0; i < dataset.size(); ++i) {
-      Tensor logits = model.head_forward(s, features[s][i], /*training=*/false);
+      Tensor logits = nn::infer(model.head(s), features[s][i]);
       logits *= static_cast<float>(1.0 / temperatures[s]);
       StageRecord r;
       r.probs = softmax(logits.data());

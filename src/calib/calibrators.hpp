@@ -8,6 +8,7 @@
 // ablation extra: per-stage temperature fitted by NLL minimization.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "calib/evaluation.hpp"
@@ -17,7 +18,7 @@ namespace eugene::calib {
 /// Fine-tunes one stage head on cached features with the Eq. 4 loss.
 /// Trunk weights are frozen.
 void finetune_head(nn::StagedModel& model, std::size_t stage,
-                   const std::vector<tensor::Tensor>& features,
+                   std::span<const tensor::Tensor> features,
                    std::span<const std::size_t> labels, double alpha,
                    std::size_t epochs = 200, double learning_rate = 0.1,
                    std::size_t batch_size = 32);
@@ -59,16 +60,17 @@ std::vector<double> calibrate_heads_entropy(nn::StagedModel& model,
 
 /// Fits one temperature per stage by minimizing NLL on the calibration set
 /// (golden-section search over T ∈ [0.05, 10]).
-std::vector<double> fit_temperatures(nn::StagedModel& model, const data::Dataset& calib_set);
+std::vector<double> fit_temperatures(const nn::StagedModel& model,
+                                     const data::Dataset& calib_set);
 
 /// Evaluates the model with per-stage temperature-scaled probabilities.
-StagedEvaluation evaluate_with_temperature(nn::StagedModel& model,
+StagedEvaluation evaluate_with_temperature(const nn::StagedModel& model,
                                            const data::Dataset& dataset,
                                            const std::vector<double>& temperatures);
 
 /// Trunk outputs per stage for every sample: features[stage][sample] is the
 /// input that stage's head sees. Shared by the fine-tuners above.
-std::vector<std::vector<tensor::Tensor>> stage_features(nn::StagedModel& model,
+std::vector<std::vector<tensor::Tensor>> stage_features(const nn::StagedModel& model,
                                                         const data::Dataset& dataset);
 
 }  // namespace eugene::calib

@@ -30,12 +30,13 @@ std::vector<float> StagedEvaluation::confidence(std::size_t stage) const {
   return out;
 }
 
-StagedEvaluation evaluate_staged(nn::StagedModel& model, const data::Dataset& dataset) {
+StagedEvaluation evaluate_staged(const nn::StagedModel& model,
+                                 const data::Dataset& dataset) {
   EUGENE_REQUIRE(!dataset.empty(), "evaluate_staged: empty dataset");
   StagedEvaluation eval;
   eval.records.resize(model.num_stages());
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const auto outputs = model.forward_all(dataset.samples[i], /*training=*/false);
+    const auto outputs = model.forward_all(dataset.samples[i]);
     for (std::size_t s = 0; s < outputs.size(); ++s) {
       StageRecord r;
       r.predicted = outputs[s].predicted_label;

@@ -38,7 +38,8 @@ struct StagedEvaluation {
 };
 
 /// Runs every sample through all stages deterministically.
-StagedEvaluation evaluate_staged(nn::StagedModel& model, const data::Dataset& dataset);
+StagedEvaluation evaluate_staged(const nn::StagedModel& model,
+                                 const data::Dataset& dataset);
 
 /// Same but with RDeepSense-style MC-dropout heads (`mc_samples` forward
 /// passes per head, probabilities averaged). The model must have been built

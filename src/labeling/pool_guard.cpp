@@ -29,7 +29,7 @@ std::vector<ContributorReport> screen_pool(
     const data::Dataset& mine = contributions[held_out].data;
     std::size_t disagreements = 0;
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      const auto probs = nn::softmax_probs(model.forward(mine.samples[i], false));
+      const auto probs = nn::softmax_probs(nn::infer(model, mine.samples[i]));
       if (argmax(probs) != mine.labels[i]) ++disagreements;
     }
     reports[held_out].device_id = contributions[held_out].device_id;

@@ -39,12 +39,12 @@ data::Dataset SelfTrainingLabeler::run(const data::Dataset& labeled,
     for (std::size_t i = 0; i < unlabeled.size(); ++i) {
       if (adopted[i]) continue;
       const std::vector<float> probs =
-          nn::softmax_probs(proposer.forward(unlabeled.samples[i], false));
+          nn::softmax_probs(nn::infer(proposer, unlabeled.samples[i]));
       const std::size_t label = argmax(probs);
       if (probs[label] < config_.adopt_confidence) continue;
       if (config_.require_agreement) {
         const std::vector<float> verify_probs =
-            nn::softmax_probs(verifier.forward(unlabeled.samples[i], false));
+            nn::softmax_probs(nn::infer(verifier, unlabeled.samples[i]));
         if (argmax(verify_probs) != label) continue;  // falsified
       }
       adopted[i] = true;

@@ -1,15 +1,16 @@
 // Zero-allocation inference scratch: a bump-allocator arena plus the
-// feature-major batched activation view that batched stage inference
-// (StagedModel::run_stage_batch) threads through Layer::forward_batch.
+// feature-major batched activation view that inference threads through
+// Layer::forward_batch — a packed batch in StagedModel::run_stage_batch, one
+// sample viewed in place in nn::infer.
 //
 // Ownership rules (DESIGN.md §14): an arena belongs to exactly one inference
-// thread — the serving front door owns one per InferenceServer, each live-
-// mode worker thread owns one, and the legacy per-sample wrappers use a
-// thread-local. The *owner* resets it, once per request batch, before
-// packing inputs; layers only allocate. Allocations are 64-byte aligned and
-// live until that reset — nothing is freed piecemeal, which is what makes
-// steady-state inference allocation-free once the arena has grown to the
-// model's high-water mark (Arena.SecondBatchedRunAllocatesNothing pins it).
+// thread — nn::infer (and so StagedModel::run_stage) uses a thread-local
+// one, and a caller of run_stage_batch owns its own. The *owner* resets it,
+// once per inference call, before the first layer runs; layers only
+// allocate. Allocations are 64-byte aligned and live until that reset —
+// nothing is freed piecemeal, which is what makes steady-state inference
+// allocation-free once the arena has grown to the model's high-water mark
+// (Arena.SecondBatchedRunAllocatesNothing pins it).
 #pragma once
 
 #include <cstddef>
@@ -228,22 +229,6 @@ inline BatchedView pack_batch(std::span<const tensor::Tensor* const> samples,
     }
   }
   return v;
-}
-
-/// Writes tensor `sample` into slot `b` of `view` (shape must match the
-/// view's sample dims).
-inline void scatter_sample(BatchedView& view, std::size_t b,
-                           const tensor::Tensor& sample) {
-  EUGENE_REQUIRE(b < view.batch, "scatter_sample: batch index out of range");
-  EUGENE_REQUIRE(sample.numel() == view.sample_numel(),
-                 "scatter_sample: sample size mismatch");
-  const std::size_t rest = view.rest_numel();
-  const float* src = sample.raw();
-  for (std::size_t i0 = 0; i0 < view.dims[0]; ++i0) {
-    float* dst = view.data + (i0 * view.batch + b) * rest;
-    const float* s = src + i0 * rest;
-    for (std::size_t r = 0; r < rest; ++r) dst[r] = s[r];
-  }
 }
 
 /// Extracts sample `b` of a batched view into a standalone tensor

@@ -1,14 +1,15 @@
 // Layer abstraction for the Eugene neural-network stack.
 //
-// Training processes one sample at a time; minibatch SGD accumulates
-// parameter gradients across samples before each optimizer step. Each layer
-// caches what it needs from the last forward(training=true) so backward()
-// can run without re-deriving activations. Inference additionally has a
-// batched path — forward_batch over a feature-major BatchedView with arena-
-// backed scratch — that amortizes one wide GEMM across a request batch and
-// allocates nothing once warmed up (DESIGN.md §14).
+// Each layer has two routes. Training runs forward()/backward() one sample at
+// a time; minibatch SGD accumulates parameter gradients across samples before
+// each optimizer step, and forward() caches what backward() needs. Inference
+// runs the const forward_batch() over a feature-major BatchedView with arena-
+// backed scratch; it writes nothing but its arena, so any number of threads
+// may run it on one layer at once. A single sample takes the same route at
+// B = 1 through nn::infer (DESIGN.md §14).
 #pragma once
 
+#include <experimental/propagate_const>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,11 @@
 #include "tensor/tensor.hpp"
 
 namespace eugene::nn {
+
+/// Owning child pointer whose pointee is const inside const methods, so a
+/// const inference path cannot reach a child's training forward().
+template <typename T>
+using ChildPtr = std::experimental::propagate_const<std::unique_ptr<T>>;
 
 /// A learnable parameter and its gradient accumulator, exposed by layers so
 /// optimizers and serializers can walk a model without knowing layer types.
@@ -30,43 +36,23 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for one sample. `training` enables behaviours
-  /// that differ between fit and inference time (dropout masks).
-  virtual tensor::Tensor forward(const tensor::Tensor& input, bool training) = 0;
+  /// Training forward for one sample: computes the output and caches what
+  /// backward() needs (dropout samples a fresh mask here).
+  virtual tensor::Tensor forward(const tensor::Tensor& input) = 0;
 
   /// Propagates the loss gradient from output to input, accumulating
-  /// parameter gradients. Must follow a forward(training=true) on the same
-  /// sample — inference-mode forwards skip writing the activation caches
-  /// this reads.
+  /// parameter gradients. Must follow a forward() on the same sample.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
-  /// Inference-only forward over a feature-major batch (see BatchedView).
-  /// Output storage comes from `arena`; the input view stays valid (layers
-  /// never write through their input). Compute layers override this with a
-  /// batched kernel (one wide GEMM instead of B narrow ones); the default
-  /// falls back to per-sample forward(), which allocates — correct for any
-  /// layer, but excluded from the zero-allocation steady-state guarantee.
-  /// Numerics contract: overrides must make column b of the output bitwise
-  /// equal to forward() of sample b (the GEMM core's accumulation order
-  /// depends only on k, which makes this achievable — DESIGN.md §14).
+  /// Inference forward over a feature-major batch (see BatchedView). Output
+  /// storage comes from `arena`; the input view stays valid (layers never
+  /// write through their input). Numerics contract: column b of the output
+  /// is bitwise equal to forward() of sample b — except Dropout, whose
+  /// inference is the identity — and so to nn::infer of it (the GEMM core's
+  /// accumulation order depends only on k, which makes this achievable —
+  /// DESIGN.md §14).
   virtual BatchedView forward_batch(const BatchedView& input,
-                                    ScratchArena& arena) {
-    EUGENE_REQUIRE(input.batch >= 1, "forward_batch: empty batch");
-    tensor::Tensor first = forward(unpack_sample(input, 0), /*training=*/false);
-    EUGENE_REQUIRE(first.rank() >= 1 && first.rank() <= BatchedView::kMaxRank,
-                   "forward_batch: output rank outside [1, 4]");
-    BatchedView out = BatchedView::make(
-        std::span<const std::size_t>(first.shape().data(), first.rank()),
-        input.batch, arena);
-    scatter_sample(out, 0, first);
-    for (std::size_t b = 1; b < input.batch; ++b) {
-      tensor::Tensor y = forward(unpack_sample(input, b), /*training=*/false);
-      EUGENE_REQUIRE(y.same_shape(first),
-                     "forward_batch: output shapes diverge across the batch");
-      scatter_sample(out, b, y);
-    }
-    return out;
-  }
+                                    ScratchArena& arena) const = 0;
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }
@@ -79,15 +65,29 @@ class Layer {
   virtual std::string name() const = 0;
 
   /// Deep copy of the layer's *persistent* state: configuration and learned
-  /// parameters, never the forward/backward scratch (cached activations,
-  /// masks, gradient accumulators). Two guarantees follow: (a) a clone is
-  /// independent — training or serving it never touches the original — and
-  /// (b) cloning only *reads* memory that inference never writes, so it is
-  /// safe to clone a model that another thread is concurrently running
-  /// inference on (the copy-on-write model registry and the live scheduler's
-  /// replica builder both rely on this).
+  /// parameters, never the training scratch (cached activations, masks,
+  /// gradient accumulators). A clone is independent: training it never
+  /// touches the original.
   virtual std::unique_ptr<Layer> clone() const = 0;
 };
+
+/// Per-sample inference: `layer`'s forward_batch at B = 1 on this thread's
+/// scratch arena. The input is viewed in place — feature-major at B = 1 is
+/// the sample's own layout, and forward_batch never writes its input view.
+/// Throws InvalidArgument before any layer runs when the input's rank is
+/// outside [1, 4].
+inline tensor::Tensor infer(const Layer& layer, const tensor::Tensor& input) {
+  EUGENE_REQUIRE(input.rank() >= 1 && input.rank() <= BatchedView::kMaxRank,
+                 "infer: input rank outside [1, 4]");
+  BatchedView in;
+  in.rank = input.rank();
+  for (std::size_t d = 0; d < in.rank; ++d) in.dims[d] = input.dim(d);
+  in.batch = 1;
+  in.data = const_cast<float*>(input.raw());
+  thread_local ScratchArena arena;
+  arena.reset();
+  return unpack_sample(layer.forward_batch(in, arena), 0);
+}
 
 /// Downcasting clone helper for callers that hold a concrete layer type
 /// (every concrete layer is `final`, so clone() returns exactly that type).
@@ -105,13 +105,13 @@ class Sequential final : public Layer {
   /// Appends a layer; returns *this for fluent building.
   Sequential& add(std::unique_ptr<Layer> layer) {
     EUGENE_REQUIRE(layer != nullptr, "Sequential::add: null layer");
-    layers_.push_back(std::move(layer));
+    layers_.emplace_back(std::move(layer));
     return *this;
   }
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override {
+  tensor::Tensor forward(const tensor::Tensor& input) override {
     tensor::Tensor x = input;
-    for (auto& layer : layers_) x = layer->forward(x, training);
+    for (auto& layer : layers_) x = layer->forward(x);
     return x;
   }
 
@@ -122,9 +122,9 @@ class Sequential final : public Layer {
   }
 
   BatchedView forward_batch(const BatchedView& input,
-                            ScratchArena& arena) override {
+                            ScratchArena& arena) const override {
     BatchedView x = input;
-    for (auto& layer : layers_) x = layer->forward_batch(x, arena);
+    for (const auto& layer : layers_) x = layer->forward_batch(x, arena);
     return x;
   }
 
@@ -161,7 +161,7 @@ class Sequential final : public Layer {
   }
 
  private:
-  std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<ChildPtr<Layer>> layers_;
 };
 
 /// Zeroes the gradient accumulators of every parameter in `params`.

@@ -12,14 +12,6 @@ using tensor::Tensor;
 
 namespace {
 
-// Packing scratch for the legacy per-sample wrappers (the batched path
-// takes its scratch from the caller's arena instead).
-float* tl_scratch(std::size_t floats) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < floats) buf.resize(floats);
-  return buf.data();
-}
-
 BatchedView same_dims_view(const BatchedView& input, ScratchArena& arena) {
   return BatchedView::make(
       std::span<const std::size_t>(input.dims, input.rank), input.batch, arena);
@@ -43,29 +35,16 @@ Conv2d::Conv2d(tensor::Conv2dGeometry geometry, Rng& rng)
   weights_ = Tensor::randn(weights_.shape(), rng, stddev);
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool training) {
+Tensor Conv2d::forward(const Tensor& input) {
   const std::size_t ohw = geometry_.out_height() * geometry_.out_width();
   const std::size_t patch =
       geometry_.in_channels * geometry_.kernel * geometry_.kernel;
-  // Backward needs the unrolled columns; inference-only forwards skip the
-  // persistent cache and unroll into reusable thread-local scratch instead.
-  const float* cols = nullptr;
-  float* ws = nullptr;
-  if (training) {
-    cached_cols_ = tensor::im2col(input, geometry_);
-    cols = cached_cols_.raw();
-  } else {
-    const std::size_t ws_floats =
-        tensor::gemm_workspace_floats(geometry_.out_channels, ohw, patch);
-    float* scratch = tl_scratch(patch * ohw + ws_floats);
-    tensor::im2col_into(input, geometry_, scratch);
-    cols = scratch;
-    ws = scratch + patch * ohw;
-  }
+  // Backward needs the unrolled columns, so they are the persistent cache.
+  cached_cols_ = tensor::im2col(input, geometry_);
   Tensor out({geometry_.out_channels, geometry_.out_height(), geometry_.out_width()});
   tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
-               /*trans_a=*/false, cols, ohw, /*trans_b=*/false, /*beta=*/0.0f,
-               out.raw(), ohw, ws);
+               /*trans_a=*/false, cached_cols_.raw(), ohw, /*trans_b=*/false,
+               /*beta=*/0.0f, out.raw(), ohw);
   float* op = out.raw();
   const float* bb = bias_.raw();
   for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
@@ -75,7 +54,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   return out;
 }
 
-BatchedView Conv2d::forward_batch(const BatchedView& input, ScratchArena& arena) {
+BatchedView Conv2d::forward_batch(const BatchedView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == geometry_.in_channels &&
                      input.dims[1] == geometry_.in_height &&
                      input.dims[2] == geometry_.in_width,
@@ -214,25 +193,23 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
   weights_ = Tensor::randn(weights_.shape(), rng, stddev);
 }
 
-Tensor Dense::forward(const Tensor& input, bool training) {
+Tensor Dense::forward(const Tensor& input) {
   EUGENE_REQUIRE(input.numel() == in_features_, "Dense::forward: input size mismatch");
-  if (training) cached_input_ = input.reshaped({in_features_});
+  cached_input_ = input.reshaped({in_features_});
   Tensor out({out_features_});
   // Routed through the GEMM core (n = 1) with the bias added after the sum,
   // so a per-sample forward is bitwise-identical to the corresponding column
   // of forward_batch (see Layer::forward_batch's numerics contract).
   tensor::gemm(out_features_, 1, in_features_, weights_.raw(), in_features_,
                /*trans_a=*/false, input.raw(), 1, /*trans_b=*/false,
-               /*beta=*/0.0f, out.raw(), 1,
-               tl_scratch(tensor::gemm_workspace_floats(out_features_, 1,
-                                                        in_features_)));
+               /*beta=*/0.0f, out.raw(), 1);
   float* o = out.raw();
   const float* bb = bias_.raw();
   for (std::size_t i = 0; i < out_features_; ++i) o[i] += bb[i];
   return out;
 }
 
-BatchedView Dense::forward_batch(const BatchedView& input, ScratchArena& arena) {
+BatchedView Dense::forward_batch(const BatchedView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 1 && input.dims[0] == in_features_,
                  "Dense::forward_batch: input size mismatch");
   const std::size_t batch = input.batch;
@@ -281,26 +258,21 @@ std::string Dense::name() const {
 
 // ------------------------------------------------------------------ ReLU
 
-Tensor ReLU::forward(const Tensor& input, bool training) {
+Tensor ReLU::forward(const Tensor& input) {
   Tensor out(input.shape());
+  mask_ = Tensor(input.shape());
   const float* x = input.raw();
   float* o = out.raw();
-  if (training) {
-    mask_ = Tensor(input.shape());
-    float* m = mask_.raw();
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      const bool positive = x[i] > 0.0f;
-      m[i] = positive ? 1.0f : 0.0f;
-      o[i] = positive ? x[i] : 0.0f;
-    }
-  } else {
-    for (std::size_t i = 0; i < input.numel(); ++i)
-      o[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  float* m = mask_.raw();
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    const bool positive = x[i] > 0.0f;
+    m[i] = positive ? 1.0f : 0.0f;
+    o[i] = positive ? x[i] : 0.0f;
   }
   return out;
 }
 
-BatchedView ReLU::forward_batch(const BatchedView& input, ScratchArena& arena) {
+BatchedView ReLU::forward_batch(const BatchedView& input, ScratchArena& arena) const {
   BatchedView out = same_dims_view(input, arena);
   const float* x = input.data;
   float* o = out.data;
@@ -333,16 +305,16 @@ ChannelNorm::ChannelNorm(std::size_t channels, float epsilon)
 
 namespace {
 
-// Shared per-plane normalization core: both the per-sample and the batched
-// path must round identically (double mean/var, float xhat) for batched
-// inference to stay bitwise-equal to per-sample inference.
+// Shared per-plane normalization core: the training forward and the batched
+// path must round identically (double mean/var, float xhat) for inference to
+// stay bitwise-equal to the training forward.
 void channel_norm_plane(const float* xc, std::size_t hw, float epsilon, float g,
                         float b, float* out, float* xhat_out, float* inv_std_out) {
   // Eight fixed-order accumulator lanes: a single running double sum is a
   // serial 4-cycle add chain (≈ hw·4 cycles per pass); lanes overlap the
   // adds and vectorize. The lane count and combine order are fixed, so the
-  // result is deterministic and shared verbatim by the per-sample and
-  // batched paths (their bitwise equality only needs this function to be
+  // result is deterministic and shared verbatim by the training forward and
+  // the batched path (their bitwise equality only needs this function to be
   // one function).
   double lane[8] = {};
   std::size_t i = 0;
@@ -377,29 +349,25 @@ void channel_norm_plane(const float* xc, std::size_t hw, float epsilon, float g,
 
 }  // namespace
 
-Tensor ChannelNorm::forward(const Tensor& input, bool training) {
+Tensor ChannelNorm::forward(const Tensor& input) {
   EUGENE_REQUIRE(input.rank() == 3 && input.dim(0) == channels_,
                  "ChannelNorm::forward: expected CHW with matching channels");
   const std::size_t hw = input.dim(1) * input.dim(2);
   Tensor out(input.shape());
+  cached_xhat_ = Tensor(input.shape());
+  cached_inv_std_.assign(channels_, 0.0f);
   const float* x = input.raw();
   float* o = out.raw();
-  float* xh = nullptr;
-  if (training) {
-    cached_xhat_ = Tensor(input.shape());
-    cached_inv_std_.assign(channels_, 0.0f);
-    xh = cached_xhat_.raw();
-  }
+  float* xh = cached_xhat_.raw();
   for (std::size_t c = 0; c < channels_; ++c) {
     channel_norm_plane(x + c * hw, hw, epsilon_, gain_.at(c), bias_.at(c),
-                       o + c * hw, xh != nullptr ? xh + c * hw : nullptr,
-                       training ? &cached_inv_std_[c] : nullptr);
+                       o + c * hw, xh + c * hw, &cached_inv_std_[c]);
   }
   return out;
 }
 
 BatchedView ChannelNorm::forward_batch(const BatchedView& input,
-                                       ScratchArena& arena) {
+                                       ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == channels_,
                  "ChannelNorm::forward_batch: expected CHW with matching channels");
   const std::size_t hw = input.dims[1] * input.dims[2];
@@ -454,9 +422,8 @@ Dropout::Dropout(float drop_probability, std::uint64_t seed)
   EUGENE_REQUIRE(p_ >= 0.0f && p_ < 1.0f, "Dropout: probability must be in [0, 1)");
 }
 
-Tensor Dropout::forward(const Tensor& input, bool training) {
-  last_training_ = training;
-  if (!training || p_ == 0.0f) return input;
+Tensor Dropout::forward(const Tensor& input) {
+  if (p_ == 0.0f) return input;
   mask_ = Tensor(input.shape());
   Tensor out(input.shape());
   const float keep = 1.0f - p_;
@@ -473,7 +440,7 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_training_ || p_ == 0.0f) return grad_output;
+  if (p_ == 0.0f) return grad_output;
   EUGENE_REQUIRE(grad_output.numel() == mask_.numel(), "Dropout::backward: shape mismatch");
   Tensor grad_in(mask_.shape());
   const float* g = grad_output.raw();
@@ -489,12 +456,12 @@ std::string Dropout::name() const {
 
 // --------------------------------------------------------------- Flatten
 
-Tensor Flatten::forward(const Tensor& input, bool training) {
-  if (training) cached_shape_ = input.shape();
+Tensor Flatten::forward(const Tensor& input) {
+  cached_shape_ = input.shape();
   return input.reshaped({input.numel()});
 }
 
-BatchedView Flatten::forward_batch(const BatchedView& input, ScratchArena& arena) {
+BatchedView Flatten::forward_batch(const BatchedView& input, ScratchArena& arena) const {
   if (input.rank == 1) return input;  // already flat; identical layout
   // Feature-major flattening is a real transpose: element (i0, r) of sample b
   // moves from (i0·B + b)·rest + r to (i0·rest + r)·B + b.
@@ -518,13 +485,13 @@ Tensor Flatten::backward(const Tensor& grad_output) {
 
 // --------------------------------------------------------- GlobalAvgPool
 
-Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
-  if (training) cached_shape_ = input.shape();
+Tensor GlobalAvgPool::forward(const Tensor& input) {
+  cached_shape_ = input.shape();
   return tensor::global_avg_pool(input);
 }
 
 BatchedView GlobalAvgPool::forward_batch(const BatchedView& input,
-                                         ScratchArena& arena) {
+                                         ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3, "GlobalAvgPool::forward_batch: expected CHW");
   const std::size_t c = input.dims[0];
   const std::size_t hw = input.dims[1] * input.dims[2];
@@ -559,16 +526,14 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
 
 // -------------------------------------------------------------- MaxPool2
 
-Tensor MaxPool2::forward(const Tensor& input, bool training) {
+Tensor MaxPool2::forward(const Tensor& input) {
   EUGENE_REQUIRE(input.rank() == 3, "MaxPool2: expected CHW image");
   const std::size_t c = input.dim(0);
   const std::size_t oh = input.dim(1) / 2, ow = input.dim(2) / 2;
   EUGENE_REQUIRE(oh > 0 && ow > 0, "MaxPool2: image too small");
   Tensor out({c, oh, ow});
-  if (training) {
-    cached_in_shape_ = input.shape();
-    argmax_.assign(c * oh * ow, 0);
-  }
+  cached_in_shape_ = input.shape();
+  argmax_.assign(c * oh * ow, 0);
   const std::size_t ih = input.dim(1), iw = input.dim(2);
   const float* x = input.raw();
   for (std::size_t ch = 0; ch < c; ++ch) {
@@ -581,14 +546,14 @@ Tensor MaxPool2::forward(const Tensor& input, bool training) {
             if (x[idx] > x[best]) best = idx;
           }
         out.at(ch, y, xo) = x[best];
-        if (training) argmax_[(ch * oh + y) * ow + xo] = best;
+        argmax_[(ch * oh + y) * ow + xo] = best;
       }
     }
   }
   return out;
 }
 
-BatchedView MaxPool2::forward_batch(const BatchedView& input, ScratchArena& arena) {
+BatchedView MaxPool2::forward_batch(const BatchedView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3, "MaxPool2::forward_batch: expected CHW image");
   const std::size_t c = input.dims[0];
   const std::size_t ih = input.dims[1], iw = input.dims[2];
@@ -628,12 +593,10 @@ Tensor MaxPool2::backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------------- clone
 //
-// Each clone() copies configuration + learned parameters only. Forward /
-// backward scratch (cached activations, masks, argmax tables, gradient
-// accumulators) stays at its freshly-constructed state: it is meaningless
-// outside a forward/backward pair, and it is the only layer state written
-// by concurrent inference — skipping it is what makes cloning a published,
-// actively-served model race-free (see Layer::clone).
+// Each clone() copies configuration + learned parameters only. Training
+// scratch (cached activations, masks, argmax tables, gradient accumulators)
+// stays at its freshly-constructed state: it is meaningless outside a
+// forward/backward pair.
 
 std::unique_ptr<Layer> Conv2d::clone() const {
   Rng init_rng(0);  // initializer weights are replaced by the copy below
@@ -662,8 +625,7 @@ std::unique_ptr<Layer> ChannelNorm::clone() const {
 
 std::unique_ptr<Layer> Dropout::clone() const {
   // Restart the sampler from the construction seed rather than copying the
-  // advancing rng_ state: the latter is mutated by MC-dropout forwards, which
-  // would break the clone-never-reads-inference-written-memory guarantee.
+  // advancing rng_ state, which is training scratch like the mask.
   return std::make_unique<Dropout>(p_, seed_);
 }
 

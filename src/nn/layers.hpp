@@ -14,9 +14,9 @@ class Conv2d final : public Layer {
  public:
   Conv2d(tensor::Conv2dGeometry geometry, Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override { return geometry_.flops(); }
   std::string name() const override;
@@ -40,9 +40,9 @@ class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override {
     return 2.0 * static_cast<double>(in_features_) * static_cast<double>(out_features_);
@@ -68,9 +68,9 @@ class Dense final : public Layer {
 /// Rectified linear unit, any rank.
 class ReLU final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::string name() const override { return "relu"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -87,9 +87,9 @@ class ChannelNorm final : public Layer {
  public:
   explicit ChannelNorm(std::size_t channels, float epsilon = 1e-5f);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   std::string name() const override { return "channel_norm(" + std::to_string(channels_) + ")"; }
   std::unique_ptr<Layer> clone() const override;
@@ -105,17 +105,18 @@ class ChannelNorm final : public Layer {
   std::vector<float> cached_inv_std_;
 };
 
-/// Inverted dropout. Active only when training=true; RDeepSense-style
-/// MC-dropout calibration calls forward(…, /*training=*/true) at inference
+/// Inverted dropout. The training forward samples a mask; RDeepSense-style
+/// MC-dropout calibration (StagedModel::run_stage_mc) calls it at inference
 /// time to sample the predictive distribution.
 class Dropout final : public Layer {
  public:
   Dropout(float drop_probability, std::uint64_t seed);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  /// Batched inference is always training=false, so dropout is the identity.
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& /*arena*/) override {
+  /// Inference never drops: the identity.
+  BatchedView forward_batch(const BatchedView& input,
+                            ScratchArena& /*arena*/) const override {
     return input;
   }
   std::string name() const override;
@@ -125,19 +126,17 @@ class Dropout final : public Layer {
 
  private:
   float p_;
-  std::uint64_t seed_;  ///< construction seed; clone() restarts from it so
-                        ///< cloning never reads the advancing sampler state
+  std::uint64_t seed_;  ///< construction seed; clone() restarts from it
   Rng rng_;
   tensor::Tensor mask_;
-  bool last_training_ = false;
 };
 
 /// CHW → flat vector.
 class Flatten final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::string name() const override { return "flatten"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -148,9 +147,9 @@ class Flatten final : public Layer {
 /// CHW → [C] by spatial averaging.
 class GlobalAvgPool final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::string name() const override { return "global_avg_pool"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -161,9 +160,9 @@ class GlobalAvgPool final : public Layer {
 /// 2×2 max pooling, stride 2.
 class MaxPool2 final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::string name() const override { return "max_pool2"; }
   std::unique_ptr<Layer> clone() const override;
 

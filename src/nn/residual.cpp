@@ -22,12 +22,12 @@ ResidualBlock::ResidualBlock(std::size_t channels, std::size_t height, std::size
   norm2_ = std::make_unique<ChannelNorm>(channels);
 }
 
-Tensor ResidualBlock::forward(const Tensor& input, bool training) {
-  Tensor f = norm1_->forward(conv1_->forward(input, training), training);
-  f = relu1_->forward(f, training);
-  f = norm2_->forward(conv2_->forward(f, training), training);
+Tensor ResidualBlock::forward(const Tensor& input) {
+  Tensor f = norm1_->forward(conv1_->forward(input));
+  f = relu1_->forward(f);
+  f = norm2_->forward(conv2_->forward(f));
   f += input;  // identity shortcut
-  if (training) pre_activation_ = f;
+  pre_activation_ = f;
   // Final ReLU applied in place: `f` is this block's own intermediate.
   float* p = f.raw();
   for (std::size_t i = 0; i < f.numel(); ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
@@ -35,7 +35,7 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
 }
 
 BatchedView ResidualBlock::forward_batch(const BatchedView& input,
-                                         ScratchArena& arena) {
+                                         ScratchArena& arena) const {
   BatchedView f = conv1_->forward_batch(input, arena);
   f = norm1_->forward_batch(f, arena);
   f = relu1_->forward_batch(f, arena);

@@ -15,9 +15,9 @@ class ResidualBlock final : public Layer {
  public:
   ResidualBlock(std::size_t channels, std::size_t height, std::size_t width, Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
+  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) override;
+  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override;
   std::string name() const override;
@@ -29,11 +29,11 @@ class ResidualBlock final : public Layer {
   ResidualBlock() = default;
 
   std::size_t channels_ = 0;
-  std::unique_ptr<Conv2d> conv1_;
-  std::unique_ptr<ChannelNorm> norm1_;
-  std::unique_ptr<ReLU> relu1_;
-  std::unique_ptr<Conv2d> conv2_;
-  std::unique_ptr<ChannelNorm> norm2_;
+  ChildPtr<Conv2d> conv1_;
+  ChildPtr<ChannelNorm> norm1_;
+  ChildPtr<ReLU> relu1_;
+  ChildPtr<Conv2d> conv2_;
+  ChildPtr<ChannelNorm> norm2_;
   tensor::Tensor pre_activation_;  ///< x + f(x), cached for the final ReLU grad
 };
 

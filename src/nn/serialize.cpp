@@ -15,7 +15,6 @@
 namespace eugene::nn {
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x45554731;  // "EUG1": count + tensors, no checksum
 constexpr std::uint32_t kMagicV2 = 0x45554732;  // "EUG2": versioned, CRC-checked
 constexpr std::uint32_t kFormatVersion = 2;
 
@@ -48,8 +47,8 @@ std::size_t body_size_bytes(const std::vector<ParamRef>& params) {
   return bytes;
 }
 
-/// Serializes the v1/v2 body: tensor count, then per tensor rank + shape +
-/// raw floats.
+/// Serializes the checkpoint body: tensor count, then per tensor rank +
+/// shape + raw floats.
 std::vector<std::uint8_t> encode_body(const std::vector<ParamRef>& params) {
   io::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(params.size()));
@@ -60,22 +59,6 @@ std::vector<std::uint8_t> encode_body(const std::vector<ParamRef>& params) {
     w.raw(p.value->raw(), p.value->numel() * sizeof(float));
   }
   return w.take();
-}
-
-/// Legacy v1 reader: the original streaming format (magic already consumed).
-void load_params_v1(const std::vector<ParamRef>& params, std::istream& in) {
-  const std::uint32_t count = read_u32(in);
-  EUGENE_REQUIRE(count == params.size(),
-                 "load_params: parameter count mismatch (architecture differs)");
-  for (const auto& p : params) {
-    const std::uint32_t rank = read_u32(in);
-    EUGENE_REQUIRE(rank == p.value->rank(), "load_params: tensor rank mismatch");
-    for (std::size_t d = 0; d < rank; ++d)
-      EUGENE_REQUIRE(read_u32(in) == p.value->dim(d), "load_params: tensor shape mismatch");
-    in.read(reinterpret_cast<char*>(p.value->raw()),
-            static_cast<std::streamsize>(p.value->numel() * sizeof(float)));
-    if (!in.good()) throw CorruptionError("load_params: truncated tensor data");
-  }
 }
 
 }  // namespace
@@ -93,10 +76,6 @@ void save_params(const std::vector<ParamRef>& params, std::ostream& out) {
 
 void load_params(const std::vector<ParamRef>& params, std::istream& in) {
   const std::uint32_t magic = read_u32(in);
-  if (magic == kMagicV1) {
-    load_params_v1(params, in);
-    return;
-  }
   if (magic != kMagicV2)
     throw CorruptionError("load_params: bad magic (not a Eugene checkpoint)");
 

@@ -9,12 +9,11 @@
 //
 //   [magic "EUG2" u32][version u32][body length u64][body][crc32(body) u32]
 //
-// where body = tensor count + per tensor rank, shape, raw floats (the v1
-// layout). The CRC footer turns bit flips and torn writes into typed
-// eugene::CorruptionError; the version field lets future formats fail with
-// a typed error instead of misparsing. load_params also reads legacy v1
-// streams (magic "EUG1", no checksum) so checkpoints written before v2
-// keep loading.
+// where body = tensor count + per tensor rank, shape, raw floats. The CRC
+// footer turns bit flips and torn writes into typed eugene::CorruptionError;
+// the version field lets future formats fail with a typed error instead of
+// misparsing. Only v2 is read: a legacy v1 stream (magic "EUG1") fails as a
+// bad magic.
 #pragma once
 
 #include <iosfwd>
@@ -28,7 +27,7 @@ namespace eugene::nn {
 /// Writes all parameters to a stream in checkpoint format v2.
 void save_params(const std::vector<ParamRef>& params, std::ostream& out);
 
-/// Reads parameters saved by save_params (v2 or legacy v1) into an
+/// Reads parameters saved by save_params (v2) into an
 /// architecture with exactly matching shapes. Throws eugene::CorruptionError
 /// on a damaged stream (bad magic, future version, truncation, CRC mismatch)
 /// and eugene::InvalidArgument when the stream is intact but the

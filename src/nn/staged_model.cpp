@@ -27,39 +27,17 @@ StageOutput StagedModel::make_output(Tensor features, const Tensor& logits) cons
   return out;
 }
 
-StageOutput StagedModel::run_stage(std::size_t s, const Tensor& input, bool training) {
+StageOutput StagedModel::run_stage(std::size_t s, const Tensor& input) const {
   EUGENE_REQUIRE(s < stages_.size(), "run_stage: stage index out of range");
-  if (!training && input.rank() >= 1 && input.rank() <= BatchedView::kMaxRank) {
-    // Inference is the batched path at B = 1 (bitwise-identical by the
-    // Layer::forward_batch contract): layer scratch comes from a warmed
-    // thread-local arena instead of a fresh heap Tensor per layer. A batch
-    // of one needs no packing — feature-major at B = 1 is exactly the
-    // sample's own layout — so the input is viewed in place; forward_batch
-    // implementations never write their input view.
-    thread_local ScratchArena arena;
-    arena.reset();
-    BatchedView in;
-    in.rank = input.rank();
-    for (std::size_t d = 0; d < in.rank; ++d) in.dims[d] = input.dim(d);
-    in.batch = 1;
-    in.data = const_cast<float*>(input.raw());
-    BatchedView feat = stages_[s].trunk->forward_batch(in, arena);
-    const BatchedView logits = stages_[s].head->forward_batch(feat, arena);
-    EUGENE_CHECK_EQ(logits.sample_numel(), num_classes_)
-        << "head produced wrong logit count";
-    Tensor logit_t(tensor::Shape{num_classes_});
-    for (std::size_t c = 0; c < num_classes_; ++c) logit_t.raw()[c] = logits.data[c];
-    return make_output(unpack_sample(feat, 0), logit_t);
-  }
-  Tensor features = stages_[s].trunk->forward(input, training);
-  const Tensor logits = stages_[s].head->forward(features, training);
+  Tensor features = infer(*stages_[s].trunk, input);
+  const Tensor logits = infer(*stages_[s].head, features);
   return make_output(std::move(features), logits);
 }
 
 void StagedModel::run_stage_batch(std::size_t s,
                                   std::span<const Tensor* const> inputs,
                                   std::span<StageBatchItem> items,
-                                  ScratchArena& arena) {
+                                  ScratchArena& arena) const {
   EUGENE_REQUIRE(s < stages_.size(), "run_stage_batch: stage index out of range");
   EUGENE_REQUIRE(!inputs.empty() && inputs.size() == items.size(),
                  "run_stage_batch: inputs/items size mismatch");
@@ -107,12 +85,12 @@ void StagedModel::run_stage_batch(std::size_t s,
   }
 }
 
-std::vector<StageOutput> StagedModel::forward_all(const Tensor& input, bool training) {
+std::vector<StageOutput> StagedModel::forward_all(const Tensor& input) const {
   std::vector<StageOutput> outputs;
   outputs.reserve(stages_.size());
   const Tensor* current = &input;
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    outputs.push_back(run_stage(s, *current, training));
+    outputs.push_back(run_stage(s, *current));
     current = &outputs.back().features;
   }
   return outputs;
@@ -122,11 +100,11 @@ StageOutput StagedModel::run_stage_mc(std::size_t s, const Tensor& input,
                                       std::size_t samples) {
   EUGENE_REQUIRE(s < stages_.size(), "run_stage_mc: stage index out of range");
   EUGENE_REQUIRE(samples > 0, "run_stage_mc: need at least one sample");
-  Tensor features = stages_[s].trunk->forward(input, /*training=*/false);
+  Tensor features = infer(*stages_[s].trunk, input);
   std::vector<double> mean_probs(num_classes_, 0.0);
   for (std::size_t i = 0; i < samples; ++i) {
-    // training=true keeps dropout masks active, sampling the posterior.
-    const Tensor logits = stages_[s].head->forward(features, /*training=*/true);
+    // The training forward keeps dropout masks active, sampling the posterior.
+    const Tensor logits = stages_[s].head->forward(features);
     const std::vector<float> p = softmax(logits.data());
     for (std::size_t c = 0; c < num_classes_; ++c) mean_probs[c] += p[c];
   }
@@ -140,24 +118,24 @@ StageOutput StagedModel::run_stage_mc(std::size_t s, const Tensor& input,
   return out;
 }
 
-Tensor StagedModel::trunk_forward(std::size_t s, const Tensor& input, bool training) {
-  EUGENE_REQUIRE(s < stages_.size(), "trunk_forward: stage index out of range");
-  return stages_[s].trunk->forward(input, training);
+Sequential& StagedModel::trunk(std::size_t s) {
+  EUGENE_REQUIRE(s < stages_.size(), "trunk: stage index out of range");
+  return *stages_[s].trunk;
 }
 
-Tensor StagedModel::head_forward(std::size_t s, const Tensor& features, bool training) {
-  EUGENE_REQUIRE(s < stages_.size(), "head_forward: stage index out of range");
-  return stages_[s].head->forward(features, training);
+const Sequential& StagedModel::trunk(std::size_t s) const {
+  EUGENE_REQUIRE(s < stages_.size(), "trunk: stage index out of range");
+  return *stages_[s].trunk;
 }
 
-Tensor StagedModel::head_backward(std::size_t s, const Tensor& grad_logits) {
-  EUGENE_REQUIRE(s < stages_.size(), "head_backward: stage index out of range");
-  return stages_[s].head->backward(grad_logits);
+Sequential& StagedModel::head(std::size_t s) {
+  EUGENE_REQUIRE(s < stages_.size(), "head: stage index out of range");
+  return *stages_[s].head;
 }
 
-Tensor StagedModel::trunk_backward(std::size_t s, const Tensor& grad_features) {
-  EUGENE_REQUIRE(s < stages_.size(), "trunk_backward: stage index out of range");
-  return stages_[s].trunk->backward(grad_features);
+const Sequential& StagedModel::head(std::size_t s) const {
+  EUGENE_REQUIRE(s < stages_.size(), "head: stage index out of range");
+  return *stages_[s].head;
 }
 
 std::vector<ParamRef> StagedModel::params() {
@@ -169,11 +147,6 @@ std::vector<ParamRef> StagedModel::params() {
     out.insert(out.end(), h.begin(), h.end());
   }
   return out;
-}
-
-std::vector<ParamRef> StagedModel::head_params(std::size_t s) {
-  EUGENE_REQUIRE(s < stages_.size(), "head_params: stage index out of range");
-  return stages_[s].head->params();
 }
 
 double StagedModel::stage_flops(std::size_t s) const {

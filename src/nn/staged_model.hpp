@@ -51,38 +51,39 @@ class StagedModel {
   std::size_t num_classes() const { return num_classes_; }
 
   /// Runs trunk `s` then its head on `input` (the previous stage's features,
-  /// or the raw sample for stage 0).
-  StageOutput run_stage(std::size_t s, const tensor::Tensor& input, bool training = false);
+  /// or the raw sample for stage 0): each through nn::infer, the batched
+  /// route at B = 1. Const and write-free, so any number of threads may run
+  /// stages of one model at once. Throws InvalidArgument when the input's
+  /// rank is outside [1, 4].
+  StageOutput run_stage(std::size_t s, const tensor::Tensor& input) const;
 
-  /// Batched (inference-only) run_stage: packs `inputs` into one feature-
-  /// major batch, runs trunk `s` and its head once over the whole batch (one
-  /// wide GEMM per compute layer), and fills `items` — items[b] corresponds
-  /// to inputs[b] and is bitwise-identical to run_stage(s, *inputs[b]).
-  /// Scratch comes from `arena`; the caller owns the arena's reset cadence
-  /// (typically once per request batch). Sizes must match; all inputs must
-  /// share one shape.
+  /// Batched run_stage: packs `inputs` into one feature-major batch, runs
+  /// trunk `s` and its head once over the whole batch (one wide GEMM per
+  /// compute layer), and fills `items` — items[b] corresponds to inputs[b]
+  /// and is bitwise-identical to run_stage(s, *inputs[b]). Scratch comes
+  /// from `arena`; the caller owns the arena's reset cadence (typically once
+  /// per request batch). Sizes must match; all inputs must share one shape.
   void run_stage_batch(std::size_t s, std::span<const tensor::Tensor* const> inputs,
-                       std::span<StageBatchItem> items, ScratchArena& arena);
+                       std::span<StageBatchItem> items, ScratchArena& arena) const;
 
   /// Runs every stage in order, returning all per-stage outputs.
-  std::vector<StageOutput> forward_all(const tensor::Tensor& input, bool training = false);
+  std::vector<StageOutput> forward_all(const tensor::Tensor& input) const;
 
-  /// RDeepSense-style Monte-Carlo head sampling: evaluates the head
-  /// `samples` times with dropout active and averages the probability
-  /// vectors. The trunk runs once (deterministically).
+  /// RDeepSense-style Monte-Carlo head sampling: evaluates the head's
+  /// training forward (dropout active) `samples` times and averages the
+  /// probability vectors. The trunk runs once, through nn::infer. Advances
+  /// the dropout samplers, so it is not const.
   StageOutput run_stage_mc(std::size_t s, const tensor::Tensor& input, std::size_t samples);
 
-  // -- raw pieces used by the trainer ------------------------------------
-  tensor::Tensor trunk_forward(std::size_t s, const tensor::Tensor& input, bool training);
-  tensor::Tensor head_forward(std::size_t s, const tensor::Tensor& features, bool training);
-  tensor::Tensor head_backward(std::size_t s, const tensor::Tensor& grad_logits);
-  tensor::Tensor trunk_backward(std::size_t s, const tensor::Tensor& grad_features);
+  /// Stage `s`'s trunk and head: the trainer and calibration run their
+  /// training forward/backward and read their parameters through these.
+  Sequential& trunk(std::size_t s);
+  const Sequential& trunk(std::size_t s) const;
+  Sequential& head(std::size_t s);
+  const Sequential& head(std::size_t s) const;
 
   /// All learnable parameters, trunk-then-head per stage, in stage order.
   std::vector<ParamRef> params();
-
-  /// Parameters of stage `s`'s head only (used by calibration fine-tuning).
-  std::vector<ParamRef> head_params(std::size_t s);
 
   /// Forward FLOPs of stage `s` (trunk + head), for the profiler and the
   /// scheduler's stage cost model.
@@ -92,16 +93,16 @@ class StagedModel {
   /// a stage on a device costs in download/storage (paper §II-B, §IV-A).
   std::size_t stage_param_bytes(std::size_t s);
 
-  /// Deep copy of configuration + learned parameters (never forward/backward
-  /// scratch — see Layer::clone for the concurrency contract this obeys).
-  /// Used by the copy-on-write model registry and the live scheduler's
-  /// replica builder; both may clone a model that is concurrently serving.
+  /// Deep copy of configuration + learned parameters, never training
+  /// scratch (see Layer::clone). The copy-on-write model registry clones
+  /// models that are concurrently serving; inference writes nothing, so
+  /// that is race-free.
   StagedModel clone() const;
 
  private:
   struct Stage {
-    std::unique_ptr<Sequential> trunk;
-    std::unique_ptr<Sequential> head;
+    ChildPtr<Sequential> trunk;
+    ChildPtr<Sequential> head;
   };
 
   StageOutput make_output(tensor::Tensor features, const tensor::Tensor& logits) const;

@@ -32,8 +32,8 @@ double StagedTrainer::train_sample(const Tensor& image, std::size_t label) {
   const Tensor* current = &image;
   double total_loss = 0.0;
   for (std::size_t s = 0; s < num_stages; ++s) {
-    features.push_back(model_.trunk_forward(s, *current, /*training=*/true));
-    const Tensor logits = model_.head_forward(s, features.back(), /*training=*/true);
+    features.push_back(model_.trunk(s).forward(*current));
+    const Tensor logits = model_.head(s).forward(features.back());
     losses.push_back(
         cross_entropy_with_entropy_reg(logits, label, config_.entropy_alpha));
     total_loss += config_.head_loss_weights[s] * losses.back().value;
@@ -47,9 +47,9 @@ double StagedTrainer::train_sample(const Tensor& image, std::size_t label) {
   for (std::size_t s = num_stages; s-- > 0;) {
     Tensor grad_logits = losses[s].grad_logits;
     grad_logits *= static_cast<float>(config_.head_loss_weights[s]);
-    Tensor grad_features = model_.head_backward(s, grad_logits);
+    Tensor grad_features = model_.head(s).backward(grad_logits);
     if (grad_from_next.numel() > 0) grad_features += grad_from_next;
-    grad_from_next = model_.trunk_backward(s, grad_features);
+    grad_from_next = model_.trunk(s).backward(grad_features);
   }
   return total_loss;
 }
@@ -93,7 +93,7 @@ void StagedTrainer::fit(std::span<const Tensor> images,
   }
 }
 
-double StagedTrainer::evaluate_accuracy(StagedModel& model,
+double StagedTrainer::evaluate_accuracy(const StagedModel& model,
                                         std::span<const Tensor> images,
                                         std::span<const std::size_t> labels,
                                         std::size_t stage) {
@@ -105,7 +105,7 @@ double StagedTrainer::evaluate_accuracy(StagedModel& model,
     const Tensor* current = &images[i];
     StageOutput out;
     for (std::size_t s = 0; s <= stage; ++s) {
-      out = model.run_stage(s, *current, /*training=*/false);
+      out = model.run_stage(s, *current);
       current = &out.features;
     }
     if (out.predicted_label == labels[i]) ++correct;
@@ -127,7 +127,7 @@ void train_classifier(Sequential& model, std::span<const Tensor> inputs,
     std::size_t in_batch = 0;
     optimizer.zero_grads();
     for (std::size_t idx : order) {
-      const Tensor logits = model.forward(inputs[idx], /*training=*/true);
+      const Tensor logits = model.forward(inputs[idx]);
       const LossResult loss =
           cross_entropy_with_entropy_reg(logits, labels[idx], config.entropy_alpha);
       model.backward(loss.grad_logits);
@@ -144,13 +144,13 @@ void train_classifier(Sequential& model, std::span<const Tensor> inputs,
   }
 }
 
-double classifier_accuracy(Sequential& model, std::span<const Tensor> inputs,
+double classifier_accuracy(const Sequential& model, std::span<const Tensor> inputs,
                            std::span<const std::size_t> labels) {
   EUGENE_REQUIRE(inputs.size() == labels.size(), "inputs/labels size mismatch");
   EUGENE_REQUIRE(!inputs.empty(), "classifier_accuracy: empty dataset");
   std::size_t correct = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor logits = model.forward(inputs[i], /*training=*/false);
+    const Tensor logits = infer(model, inputs[i]);
     const std::vector<float> p = softmax_probs(logits);
     if (argmax(p) == labels[i]) ++correct;
   }

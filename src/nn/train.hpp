@@ -48,7 +48,7 @@ class StagedTrainer {
            const std::function<void(const EpochStats&)>& on_epoch = nullptr);
 
   /// Fraction of samples whose stage-`stage` prediction equals the label.
-  static double evaluate_accuracy(StagedModel& model,
+  static double evaluate_accuracy(const StagedModel& model,
                                   std::span<const tensor::Tensor> images,
                                   std::span<const std::size_t> labels, std::size_t stage);
 
@@ -77,7 +77,8 @@ void train_classifier(Sequential& model, std::span<const tensor::Tensor> inputs,
                       const ClassifierTrainConfig& config);
 
 /// Accuracy of a Sequential classifier.
-double classifier_accuracy(Sequential& model, std::span<const tensor::Tensor> inputs,
+double classifier_accuracy(const Sequential& model,
+                           std::span<const tensor::Tensor> inputs,
                            std::span<const std::size_t> labels);
 
 }  // namespace eugene::nn

@@ -47,7 +47,7 @@ double measure_conv_ms(const tensor::Conv2dGeometry& geometry, const TimingConfi
   return median(std::move(times));
 }
 
-double measure_layer_ms(nn::Layer& layer, const tensor::Shape& input_shape,
+double measure_layer_ms(const nn::Layer& layer, const tensor::Shape& input_shape,
                         const TimingConfig& config) {
   EUGENE_REQUIRE(config.repeats >= 1, "measure_layer_ms: need at least one repeat");
   Rng rng(config.seed);
@@ -55,13 +55,13 @@ double measure_layer_ms(nn::Layer& layer, const tensor::Shape& input_shape,
 
   volatile float sink = 0.0f;
   for (std::size_t i = 0; i < config.warmup; ++i)
-    sink = sink + layer.forward(input, /*training=*/false).data()[0];
+    sink = sink + nn::infer(layer, input).data()[0];
 
   std::vector<double> times;
   times.reserve(config.repeats);
   for (std::size_t i = 0; i < config.repeats; ++i) {
     Stopwatch watch;
-    const Tensor out = layer.forward(input, /*training=*/false);
+    const Tensor out = nn::infer(layer, input);
     times.push_back(watch.elapsed_ms());
     sink = sink + out.data()[0];
   }

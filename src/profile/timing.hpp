@@ -21,9 +21,9 @@ struct TimingConfig {
 double measure_conv_ms(const tensor::Conv2dGeometry& geometry,
                        const TimingConfig& config = {});
 
-/// Median forward time of an arbitrary layer on a random input of the given
-/// shape.
-double measure_layer_ms(nn::Layer& layer, const tensor::Shape& input_shape,
+/// Median inference time (nn::infer) of an arbitrary layer on a random input
+/// of the given shape.
+double measure_layer_ms(const nn::Layer& layer, const tensor::Shape& input_shape,
                         const TimingConfig& config = {});
 
 }  // namespace eugene::profile

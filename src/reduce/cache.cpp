@@ -96,7 +96,7 @@ CacheModel build_cache_model(const data::Dataset& train_set,
 // ------------------------------------------------------ CachedInferenceService
 
 CachedInferenceService::CachedInferenceService(CacheModel cache,
-                                               nn::StagedModel& server_model,
+                                               const nn::StagedModel& server_model,
                                                double miss_confidence_threshold,
                                                CacheCostModel costs)
     : cache_(std::move(cache)),

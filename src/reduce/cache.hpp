@@ -89,7 +89,7 @@ struct CachedResult {
 class CachedInferenceService {
  public:
   /// `server_model` must outlive the service.
-  CachedInferenceService(CacheModel cache, nn::StagedModel& server_model,
+  CachedInferenceService(CacheModel cache, const nn::StagedModel& server_model,
                          double miss_confidence_threshold, CacheCostModel costs = {});
 
   /// Runs the cache model; OTHER predictions or confidence below the
@@ -102,7 +102,7 @@ class CachedInferenceService {
 
  private:
   CacheModel cache_;
-  nn::StagedModel& server_;
+  const nn::StagedModel& server_;
   double threshold_;
   CacheCostModel costs_;
   std::size_t hits_ = 0;

@@ -36,8 +36,8 @@ SimpleCnn::SimpleCnn(const SimpleCnnConfig& config) : config_(config) {
   net_.add(std::move(dense));
 }
 
-tensor::Tensor SimpleCnn::forward(const tensor::Tensor& input, bool training) {
-  return net_.forward(input, training);
+tensor::Tensor SimpleCnn::forward(const tensor::Tensor& input) const {
+  return nn::infer(net_, input);
 }
 
 nn::Conv2d& SimpleCnn::conv(std::size_t i) {

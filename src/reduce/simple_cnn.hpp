@@ -27,7 +27,9 @@ class SimpleCnn {
  public:
   explicit SimpleCnn(const SimpleCnnConfig& config);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool training = false);
+  /// Inference logits for one sample (nn::infer); training goes through
+  /// net() and nn::train_classifier.
+  tensor::Tensor forward(const tensor::Tensor& input) const;
 
   /// Underlying container (for the generic trainer).
   nn::Sequential& net() { return net_; }

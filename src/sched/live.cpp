@@ -18,16 +18,6 @@ namespace eugene::sched {
 
 using tensor::Tensor;
 
-std::vector<std::unique_ptr<nn::StagedModel>> replicate_staged_model(
-    const nn::StagedModel& source, std::size_t count) {
-  EUGENE_REQUIRE(count > 0, "replicate_staged_model: count must be positive");
-  std::vector<std::unique_ptr<nn::StagedModel>> replicas;
-  replicas.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    replicas.push_back(std::make_unique<nn::StagedModel>(source.clone()));
-  return replicas;
-}
-
 namespace {
 
 /// Scheduler → worker: run stage `stage` of one task on `features`. The
@@ -44,7 +34,7 @@ struct Job {
 /// confidence) plus the features the next stage needs. ok=false with
 /// recoverable=false is a crash report: the stage threw and the worker
 /// thread is exiting, like a worker process dying. recoverable=true is a
-/// sick-replica stage error: the worker lives. cancelled=true means the
+/// sick-worker stage error: the worker lives. cancelled=true means the
 /// worker skipped the stage cooperatively (token cancelled, or the
 /// propagated deadline had already passed).
 struct WorkerResult {
@@ -99,23 +89,17 @@ struct WorkerSlot {
 
 }  // namespace
 
-std::vector<LiveTaskResult> run_live(
-    std::vector<std::unique_ptr<nn::StagedModel>>& worker_models,
-    const gp::ConfidenceCurveModel& curves, const std::vector<Tensor>& inputs,
-    const LiveConfig& config, LiveStats* stats) {
+std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
+                                     const gp::ConfidenceCurveModel& curves,
+                                     const std::vector<Tensor>& inputs,
+                                     const LiveConfig& config, LiveStats* stats) {
   // Validate everything a caller can get wrong *before* any thread starts,
   // so bad input surfaces as InvalidArgument here rather than an
   // InternalError deep inside a worker.
-  EUGENE_REQUIRE(!worker_models.empty(), "run_live: need at least one worker model");
+  EUGENE_REQUIRE(workers > 0, "run_live: need at least one worker");
   EUGENE_REQUIRE(!inputs.empty(), "run_live: empty input batch");
-  for (const auto& m : worker_models)
-    EUGENE_REQUIRE(m != nullptr, "run_live: null worker model replica");
-  const std::size_t num_workers = worker_models.size();
-  const std::size_t num_stages = worker_models.front()->num_stages();
+  const std::size_t num_stages = model.num_stages();
   EUGENE_REQUIRE(num_stages > 0, "run_live: model has no stages");
-  for (const auto& m : worker_models)
-    EUGENE_REQUIRE(m->num_stages() == num_stages,
-                   "run_live: worker replicas disagree on stage count");
   for (const Tensor& input : inputs) {
     EUGENE_REQUIRE(input.numel() > 0, "run_live: empty input tensor in batch");
     EUGENE_REQUIRE(input.same_shape(inputs.front()),
@@ -129,12 +113,12 @@ std::vector<LiveTaskResult> run_live(
                  "run_live: hedge_min_samples must be >= 1");
   EUGENE_REQUIRE(config.retry.jitter >= 0.0 && config.retry.jitter <= 1.0,
                  "run_live: retry.jitter outside [0, 1]");
-  // One breaker per replica, living as long as the pool: a respawned worker
-  // inherits its replica's history, so a persistently sick replica stays
-  // routed around even across respawns. Built here because the constructor
+  // One breaker per worker, living as long as the pool: a respawned worker
+  // inherits its slot's history, so a persistently sick worker stays routed
+  // around even across respawns. Built here because the constructor
   // validates config.health.
   std::deque<CircuitBreaker> breakers;
-  for (std::size_t w = 0; w < num_workers; ++w) breakers.emplace_back(config.health);
+  for (std::size_t w = 0; w < workers; ++w) breakers.emplace_back(config.health);
 
   // Lifecycle gate (DESIGN.md §13): checked before any worker thread starts.
   // A draining server answers the whole batch with typed drained=true
@@ -168,24 +152,23 @@ std::vector<LiveTaskResult> run_live(
   GpUtilityEstimator estimator(curves);
   GreedyUtilityPolicy policy(estimator, config.lookahead);
 
-  std::vector<Channel<Job>> job_channels(num_workers);
+  std::vector<Channel<Job>> job_channels(workers);
   Channel<WorkerResult> results;
   WallClock clock;
 
-  // Worker body: block on the job channel, run one stage on this worker's
-  // replica, report (stage, label, confidence) back. A throwing stage — real
+  // Worker body: block on the job channel, run one stage of the shared
+  // model, report (stage, label, confidence) back. A throwing stage — real
   // bug or armed failpoint — becomes a crash report and thread exit,
   // mirroring a worker process dying; the supervisor handles the rest.
   auto worker_main = [&](std::size_t w) {
-    nn::StagedModel& model = *worker_models[w];
     while (auto job = job_channels[w].receive()) {
       WorkerResult res;
       res.worker = w;
       res.seq = job->seq;
-      // Designated-replica chaos seam: replica 0 is "the sick replica".
+      // Designated-worker chaos seam: worker 0 is "the sick worker".
       // kind=error injects a *recoverable* stage failure (the worker
       // reports it and keeps serving, unlike a crash); kind=delay makes
-      // this replica a straggler.
+      // this worker a straggler.
       if (w == 0) {
         bool sick = false;
         try {
@@ -230,9 +213,9 @@ std::vector<LiveTaskResult> run_live(
     }
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (std::size_t w = 0; w < num_workers; ++w) workers.emplace_back(worker_main, w);
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker_main, w);
 
   Rng backoff_rng(0xbacc0ff);
   LiveStats local_stats;
@@ -263,7 +246,7 @@ std::vector<LiveTaskResult> run_live(
                                                : t.observed_confidence.back());
   };
 
-  std::vector<WorkerSlot> slots(num_workers);
+  std::vector<WorkerSlot> slots(workers);
   std::size_t respawns_left = config.max_respawns;
   std::size_t unfinished = inputs.size();
 
@@ -338,15 +321,16 @@ std::vector<LiveTaskResult> run_live(
     }
   };
 
-  // Replaces a *crashed* worker with a fresh thread on the same (now idle)
-  // replica. Workers abandoned for silence are never respawned: their thread
-  // may still be touching the replica.
+  // Replaces a *crashed* worker with a fresh thread on its job channel.
+  // Workers abandoned for silence are never respawned: the silent thread
+  // is still alive and still drains that worker's job channel, so a
+  // replacement would compete with it for jobs.
   auto maybe_respawn = [&](std::size_t w) {
     if (respawns_left == 0) return;
     --respawns_left;
     ++local_stats.respawns;
     slots[w] = WorkerSlot{};
-    workers.emplace_back(worker_main, w);
+    threads.emplace_back(worker_main, w);
   };
 
   std::uint64_t next_seq = 1;
@@ -373,10 +357,10 @@ std::vector<LiveTaskResult> run_live(
 
   // Free workers whose breakers admit traffic, healthiest first (error-rate
   // EWMA dominates, latency EWMA breaks ties). Routing around an open
-  // breaker is what spares the retry budget on a sick replica.
+  // breaker is what spares the retry budget on a sick worker.
   auto ready_workers_ranked = [&](double now) {
     std::vector<std::size_t> ready;
-    for (std::size_t w = 0; w < num_workers; ++w) {
+    for (std::size_t w = 0; w < workers; ++w) {
       if (slots[w].busy || slots[w].dead) continue;
       if (config.health.enabled && !breakers[w].allow(now)) {
         ++local_stats.breaker_skips;
@@ -444,13 +428,13 @@ std::vector<LiveTaskResult> run_live(
 
   // Hedge sweep: a dispatch out longer than the observed latency quantile
   // gets one backup dispatch of the same stage on the healthiest free
-  // replica. First result wins; the loser is cancelled through its token
+  // worker. First result wins; the loser is cancelled through its token
   // and its eventual report is recognized by sequence number and dropped.
   auto maybe_hedge = [&](std::optional<double> threshold_opt) {
     if (!threshold_opt.has_value()) return;
     const double threshold = *threshold_opt;
     const double now = clock.now_ms();
-    for (std::size_t w = 0; w < num_workers; ++w) {
+    for (std::size_t w = 0; w < workers; ++w) {
       WorkerSlot& slot = slots[w];
       if (!slot.busy || slot.dead) continue;
       if (now - slot.dispatched_ms < threshold) continue;
@@ -460,7 +444,7 @@ std::vector<LiveTaskResult> run_live(
       if (t.inflight.front().worker != w || t.inflight.front().seq != slot.seq)
         continue;
       const auto ready = ready_workers_ranked(now);
-      if (ready.empty()) continue;  // no spare healthy replica: no hedge
+      if (ready.empty()) continue;  // no spare healthy worker: no hedge
       t.hedged_this_stage = true;
       ++local_stats.hedges_issued;
       dispatch_to(ready.front(), task, /*hedge=*/true);
@@ -487,7 +471,7 @@ std::vector<LiveTaskResult> run_live(
     // stale (sequence mismatch) and dropped.
     if (std::isfinite(config.worker_timeout_ms)) {
       const double now = clock.now_ms();
-      for (std::size_t w = 0; w < num_workers; ++w) {
+      for (std::size_t w = 0; w < workers; ++w) {
         if (slots[w].busy && !slots[w].dead &&
             now - slots[w].dispatched_ms >= config.worker_timeout_ms) {
           ++local_stats.worker_timeouts;
@@ -541,15 +525,15 @@ std::vector<LiveTaskResult> run_live(
     // channel keeps this cancellation-aware — a result or close() wakes it
     // immediately, unlike the raw sleep this replaces.
     double wait_ms = any_running ? 5.0 : 1.0;
-    // Hedge-aware wake: when a spare healthy replica exists, wake exactly
+    // Hedge-aware wake: when a spare healthy worker exists, wake exactly
     // when the oldest hedgeable dispatch crosses the hedge threshold —
     // otherwise a quiet pool (every task pending on one straggler) would
-    // snooze the full fallback and hedge late. With no spare replica there
+    // snooze the full fallback and hedge late. With no spare worker there
     // is nothing to hedge onto, and the result that frees one wakes us.
     if (threshold.has_value()) {
       const double now = clock.now_ms();
       if (!ready_workers_ranked(now).empty()) {
-        for (std::size_t w = 0; w < num_workers; ++w) {
+        for (std::size_t w = 0; w < workers; ++w) {
           const WorkerSlot& s = slots[w];
           if (!s.busy || s.dead) continue;
           const LiveTaskState& t = tasks[s.task];
@@ -561,7 +545,7 @@ std::vector<LiveTaskResult> run_live(
     }
     auto res = results.receive_for(wait_ms);
     if (!res.has_value()) continue;
-    EUGENE_CHECK_LT(res->worker, num_workers) << "stage report from unknown worker";
+    EUGENE_CHECK_LT(res->worker, workers) << "stage report from unknown worker";
     WorkerSlot& slot = slots[res->worker];
     const bool current = slot.busy && !slot.dead && res->seq == slot.seq;
     if (!current) continue;  // stale report from an abandoned worker
@@ -571,7 +555,7 @@ std::vector<LiveTaskResult> run_live(
     if (res->cancelled) {
       // The worker honored a cancellation (hedge race decided against it,
       // or the propagated deadline had passed). No breaker penalty: the
-      // replica did nothing wrong. Only a dispatch still in the in-flight
+      // worker did nothing wrong. Only a dispatch still in the in-flight
       // set counts as newly cancelled — a decided hedge race already
       // counted its loser when the winner was processed.
       slot.busy = false;
@@ -587,7 +571,7 @@ std::vector<LiveTaskResult> run_live(
     }
 
     if (!res->ok) {
-      // A recoverable failure is a sick-replica stage error and the worker
+      // A recoverable failure is a sick-worker stage error and the worker
       // lives; any other failure is a crash and the worker thread has exited.
       breakers[res->worker].record_failure(now);
       if (res->recoverable) {
@@ -612,7 +596,7 @@ std::vector<LiveTaskResult> run_live(
       continue;
     }
 
-    // Successful stage execution: good for the replica's health either way,
+    // Successful stage execution: good for the worker's health either way,
     // and a fresh latency observation for the hedge threshold.
     breakers[res->worker].record_success(res->stage_ms, now);
     note_latency(now - slot.dispatched_ms, res->stage);
@@ -675,7 +659,7 @@ std::vector<LiveTaskResult> run_live(
   }
 
   for (auto& ch : job_channels) ch.close();
-  for (auto& th : workers) th.join();
+  for (auto& th : threads) th.join();
   results.close();
 
   for (const auto& b : breakers) local_stats.breaker_trips += b.trips();

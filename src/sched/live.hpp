@@ -5,7 +5,8 @@
 // stage of one task.
 //
 // Differences from the paper's deployment, by design (DESIGN.md §2):
-//   * workers are threads with per-worker model replicas, not processes, and
+//   * workers are threads that share one const model (inference writes
+//     nothing but each thread's own scratch arena), not processes, and
 //     their reports are in-memory values, not bytes on a named pipe;
 //   * a running stage cannot be interrupted mid-kernel, so the latency
 //     daemon expires tasks at stage granularity: late results are discarded
@@ -16,31 +17,30 @@
 // process); a worker silent past worker_timeout_ms is abandoned. In both
 // cases the in-flight task is re-queued to a healthy worker with bounded
 // retries and exponential backoff + jitter, and — for crashes — the pool can
-// respawn a replacement on the idle replica. A task whose retry budget runs
-// out completes *degraded*: it answers with its best in-deadline result
-// rather than failing.
+// respawn a replacement thread for the dead worker. A task whose retry
+// budget runs out completes *degraded*: it answers with its best in-deadline
+// result rather than failing.
 //
-// Overload control (DESIGN.md §11): every replica carries a CircuitBreaker
+// Overload control (DESIGN.md §11): every worker carries a CircuitBreaker
 // scoring its error-rate and stage-latency EWMAs. Dispatch routes around
-// open breakers (a sick replica stops eating retry budget) and prefers the
-// healthiest free replica. With hedging enabled, a dispatch that outlives
+// open breakers (a sick worker stops eating retry budget) and prefers the
+// healthiest free worker. With hedging enabled, a dispatch that outlives
 // the observed stage-latency quantile gets a backup dispatch of the same
-// stage on a second healthy replica; the first result wins (seq-stamped, so
+// stage on a second healthy worker; the first result wins (seq-stamped, so
 // there is no result race) and the loser is cancelled cooperatively through
 // the CancellationToken every dispatch carries — which also propagates the
 // task's absolute deadline to the worker, so a worker never starts a stage
 // whose result could not arrive in time.
 //
 // Chaos seams: `live.worker.crash` / `live.worker.slow` fire inside every
-// worker loop; `live.worker.sick` fires only on replica 0 (the designated
-// sick replica: arm kind=error for recoverable stage failures, kind=delay
+// worker loop; `live.worker.sick` fires only on worker 0 (the designated
+// sick worker: arm kind=error for recoverable stage failures, kind=delay
 // for a straggler); `hedge.lose.race` forces the primary dispatch to lose a
 // hedge race; `health.breaker.trip` force-trips a breaker from record().
 #pragma once
 
 #include <functional>
 #include <limits>
-#include <memory>
 
 #include "common/health.hpp"
 #include "common/lifecycle.hpp"
@@ -66,14 +66,14 @@ struct LiveConfig {
   std::size_t max_respawns = 0;  ///< replacement workers spawned after crashes
   RetryPolicy retry;             ///< backoff shape between re-dispatches
 
-  // Health-scored routing (DESIGN.md §11): per-replica circuit breakers.
+  // Health-scored routing (DESIGN.md §11): per-worker circuit breakers.
   // health.enabled=false falls back to PR2's route-anywhere behavior.
   HealthConfig health;
 
   // Hedged dispatch: when a dispatch has been out longer than the
   // hedge_quantile of recent dispatch latencies (never less than
   // hedge_min_ms), issue one backup dispatch of the same stage to a second
-  // healthy replica. Needs hedge_min_samples observations before any hedge.
+  // healthy worker. Needs hedge_min_samples observations before any hedge.
   bool hedging = false;
   double hedge_quantile = 0.95;
   double hedge_min_ms = 1.0;
@@ -123,7 +123,7 @@ struct LiveStats {
   std::size_t expired = 0;          ///< tasks finished by the latency daemon
 
   // Overload-control counters (DESIGN.md §11).
-  std::size_t worker_errors = 0;    ///< recoverable stage errors (sick replica)
+  std::size_t worker_errors = 0;    ///< recoverable stage errors (sick worker)
   std::size_t breaker_trips = 0;    ///< breaker transitions to open
   std::size_t breaker_skips = 0;    ///< dispatch scans routed around an open breaker
   std::size_t hedges_issued = 0;    ///< backup dispatches sent
@@ -132,26 +132,20 @@ struct LiveStats {
                                     ///< (hedge losers + deadline skips)
 };
 
-/// Runs a batch of inputs through per-worker replicas of a staged model,
+/// Runs a batch of inputs through `model` on a pool of `workers` threads,
 /// scheduling stage executions with RTDeepIoT's greedy utility policy.
 ///
-/// `worker_models` — one replica per worker, identical weights (use
-/// replicate_staged_model). `curves` drives the utility estimates. Fills
-/// `*stats` with supervision counters when non-null.
+/// Every worker runs stages of the one shared `model`; it must outlive the
+/// call. `curves` drives the utility estimates. Fills `*stats` with
+/// supervision counters when non-null.
 ///
 /// Robustness contract: every input receives a well-formed LiveTaskResult
 /// (complete, expired, or degraded) and no worker exception escapes, for any
 /// combination of worker crashes, stalls, and deadlines.
-std::vector<LiveTaskResult> run_live(
-    std::vector<std::unique_ptr<nn::StagedModel>>& worker_models,
-    const gp::ConfidenceCurveModel& curves,
-    const std::vector<tensor::Tensor>& inputs, const LiveConfig& config,
-    LiveStats* stats = nullptr);
-
-/// Builds `count` identical replicas of `source` via StagedModel::clone —
-/// persistent state only, so replicating a model that is concurrently
-/// serving (e.g. a published registry entry) is race-free.
-std::vector<std::unique_ptr<nn::StagedModel>> replicate_staged_model(
-    const nn::StagedModel& source, std::size_t count);
+std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
+                                     const gp::ConfidenceCurveModel& curves,
+                                     const std::vector<tensor::Tensor>& inputs,
+                                     const LiveConfig& config,
+                                     LiveStats* stats = nullptr);
 
 }  // namespace eugene::sched

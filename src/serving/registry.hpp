@@ -13,17 +13,12 @@
 // (copy-on-write: untouched entries are shared between epochs, mutated
 // entries are deep-cloned first), and publish with a single atomic store.
 //
-// The concurrency contract has two halves:
-//   * persistent state (weights, curves, costs, α) reached through a view is
-//     immutable — mutating it after publication is a bug; update()/replace()
-//     exist so writers never need to;
-//   * the model's inference *scratch* (layer activation caches) is mutable
-//     and thread-owned: at most one thread may run stages on a given
-//     published entry at a time (the live scheduler gives each worker its
-//     own replica; the in-process server runs batches sequentially).
-// Cloning an entry only reads persistent state (nn::Layer::clone skips
-// scratch), which is why writers may clone entries that are concurrently
-// serving.
+// The concurrency contract: everything reached through a view — weights,
+// curves, costs, α — is immutable once published; mutating it is a bug, and
+// update()/replace() exist so writers never need to. Inference is const
+// (StagedModel::run_stage writes nothing but the calling thread's scratch
+// arena), so any number of threads may serve one published entry at once,
+// and writers may clone an entry while it serves.
 #pragma once
 
 #include <atomic>
@@ -56,9 +51,10 @@ struct ModelEntry {
 
   ModelEntry(std::string n, nn::StagedModel m) : name(std::move(n)), model(std::move(m)) {}
 
-  /// Deep copy: clones the model's persistent state (nn::Layer::clone — no
-  /// scratch, so safe against a concurrently-serving original) and copies
-  /// the serving artifacts. The basis of every copy-on-write mutation.
+  /// Deep copy: clones the model's weights and config (nn::Layer::clone;
+  /// inference writes neither, so the original may be serving meanwhile)
+  /// and copies the serving artifacts. The basis of every copy-on-write
+  /// mutation.
   std::shared_ptr<ModelEntry> clone() const;
 };
 
@@ -71,9 +67,9 @@ class ModelRegistry {
    public:
     std::size_t size() const { return entries_.size(); }
 
-    /// Entry lookup. The returned reference is non-const only because
-    /// running inference mutates the model's scratch caches; the entry's
-    /// persistent state is frozen (see the header comment).
+    /// Entry lookup. The entry is frozen (see the header comment); the
+    /// reference is non-const only because save_snapshot reads the weights
+    /// through StagedModel::params(), which returns mutable pointers.
     ModelEntry& entry(std::size_t handle) const {
       EUGENE_REQUIRE(handle < entries_.size(), "ModelRegistry: bad handle");
       return *entries_[handle];

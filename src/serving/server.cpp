@@ -13,7 +13,7 @@ namespace eugene::serving {
 
 using tensor::Tensor;
 
-InferenceServer::InferenceServer(ModelEntry& entry, ServerConfig config)
+InferenceServer::InferenceServer(const ModelEntry& entry, ServerConfig config)
     : entry_(entry), config_(std::move(config)) {
   EUGENE_REQUIRE(entry_.curves.fitted(),
                  "InferenceServer: model has no fitted confidence curves; "

@@ -121,7 +121,7 @@ struct ServerConfig {
 class InferenceServer {
  public:
   /// `entry` must be calibrated (curves fitted) and must outlive the server.
-  InferenceServer(ModelEntry& entry, ServerConfig config);
+  InferenceServer(const ModelEntry& entry, ServerConfig config);
 
   /// Processes all requests as one concurrent batch. Requests admitted past
   /// the effective capacity (the static admission_capacity lowered by the
@@ -138,7 +138,7 @@ class InferenceServer {
   std::size_t brownout_level() const { return brownout_level_; }
 
  private:
-  ModelEntry& entry_;
+  const ModelEntry& entry_;
   ServerConfig config_;
   std::size_t brownout_level_ = 0;
 };

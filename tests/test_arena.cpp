@@ -1,7 +1,8 @@
 // Scratch-arena and batched-inference tests (DESIGN.md §14): bump-allocator
-// mechanics, feature-major pack/unpack round trips, batched-vs-per-sample
-// bitwise equivalence for every layer and for whole staged models, and the
-// zero-heap-allocation steady state of run_stage_batch.
+// mechanics, feature-major pack/unpack round trips, bitwise equivalence of
+// every layer's forward_batch with its per-sample training forward and of
+// run_stage_batch with run_stage, and the zero-heap-allocation steady state
+// of run_stage_batch.
 //
 // This binary overrides global operator new/delete with counting versions,
 // which is why it lives in its own test executable: the counters must see
@@ -114,21 +115,33 @@ TEST(Arena, PackBatchRejectsMismatchedShapes) {
   ScratchArena arena;
   const Tensor* samples[] = {&a, &b};
   EXPECT_THROW(pack_batch(samples, arena), InvalidArgument);
+  // The B = 1 route views its input in place, so it checks the rank a
+  // BatchedView can hold before any layer runs.
+  const Tensor rank5 = Tensor::randn({1, 2, 1, 2, 2}, rng);
+  EXPECT_THROW(infer(ReLU(), rank5), InvalidArgument);
+  StagedMlpConfig cfg;
+  cfg.input_dim = rank5.numel();
+  EXPECT_THROW(build_staged_mlp(cfg).run_stage(0, rank5), InvalidArgument);
 }
 
 // ---------------------------------------------------- batched equivalence
 
-/// Asserts layer.forward_batch output column b is bitwise-equal to
-/// layer.forward of sample b (the Layer::forward_batch contract).
+/// Runs `layer.forward_batch` over `samples` packed into one batch.
+BatchedView batch_forward(const Layer& layer, const std::vector<Tensor>& samples,
+                          ScratchArena& arena) {
+  std::vector<const Tensor*> ptrs;
+  for (const Tensor& s : samples) ptrs.push_back(&s);
+  return layer.forward_batch(pack_batch(ptrs, arena), arena);
+}
+
+/// Asserts layer.forward_batch output column b is bitwise-equal to the
+/// training forward of sample b (the Layer::forward_batch contract).
 void expect_batch_matches_sequential(Layer& layer,
                                      const std::vector<Tensor>& samples) {
   ScratchArena arena;
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& s : samples) ptrs.push_back(&s);
-  BatchedView in = pack_batch(ptrs, arena);
-  BatchedView out = layer.forward_batch(in, arena);
+  const BatchedView out = batch_forward(layer, samples, arena);
   for (std::size_t b = 0; b < samples.size(); ++b) {
-    const Tensor want = layer.forward(samples[b], /*training=*/false);
+    const Tensor want = layer.forward(samples[b]);
     const Tensor got = unpack_sample(out, b);
     ASSERT_EQ(got.numel(), want.numel()) << layer.name();
     for (std::size_t i = 0; i < want.numel(); ++i)
@@ -146,6 +159,7 @@ std::vector<Tensor> random_batch(const tensor::Shape& shape, std::size_t n,
 
 TEST(BatchedForward, Conv2dMatchesPerSample) {
   Rng rng(11);
+  // out_width 7 < 8: the explicit im2col + GEMM branch.
   tensor::Conv2dGeometry g;
   g.in_channels = 3;
   g.out_channels = 5;
@@ -153,6 +167,15 @@ TEST(BatchedForward, Conv2dMatchesPerSample) {
   g.in_width = 7;
   Conv2d conv(g, rng);
   expect_batch_matches_sequential(conv, random_batch({3, 9, 7}, 4, rng));
+  // Stride 1 and out_width >= 8: the implicit-im2col branch every served
+  // stage-0 and stage-1 conv takes.
+  tensor::Conv2dGeometry wide;
+  wide.in_channels = 3;
+  wide.out_channels = 8;
+  wide.in_height = 10;
+  wide.in_width = 10;
+  Conv2d wide_conv(wide, rng);
+  expect_batch_matches_sequential(wide_conv, random_batch({3, 10, 10}, 4, rng));
 }
 
 TEST(BatchedForward, DenseMatchesPerSample) {
@@ -173,35 +196,23 @@ TEST(BatchedForward, ActivationAndNormLayersMatchPerSample) {
   expect_batch_matches_sequential(gap, random_batch({3, 4, 4}, 3, rng));
   Flatten flatten;
   expect_batch_matches_sequential(flatten, random_batch({2, 3, 4}, 3, rng));
-  Dropout dropout(0.5f, 99);  // inference identity
-  expect_batch_matches_sequential(dropout, random_batch({2, 3, 3}, 3, rng));
+  // Dropout's training forward drops units; its inference is the identity.
+  const Dropout dropout(0.5f, 99);
+  const std::vector<Tensor> samples = random_batch({2, 3, 3}, 3, rng);
+  ScratchArena arena;
+  const BatchedView out = batch_forward(dropout, samples, arena);
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    const Tensor got = unpack_sample(out, b);
+    for (std::size_t i = 0; i < samples[b].numel(); ++i)
+      EXPECT_EQ(got.data()[i], samples[b].data()[i])
+          << "sample " << b << " element " << i;
+  }
 }
 
 TEST(BatchedForward, ResidualBlockMatchesPerSample) {
   Rng rng(14);
   ResidualBlock block(4, 6, 6, rng);
   expect_batch_matches_sequential(block, random_batch({4, 6, 6}, 3, rng));
-}
-
-TEST(BatchedForward, DefaultFallbackMatchesPerSample) {
-  // A layer with no forward_batch override must still satisfy the contract
-  // through the gather/forward/scatter default.
-  class Doubler final : public Layer {
-   public:
-    Tensor forward(const Tensor& input, bool /*training*/) override {
-      Tensor out = input;
-      out *= 2.0f;
-      return out;
-    }
-    Tensor backward(const Tensor& grad) override { return grad; }
-    std::string name() const override { return "doubler"; }
-    std::unique_ptr<Layer> clone() const override {
-      return std::make_unique<Doubler>();
-    }
-  };
-  Rng rng(15);
-  Doubler layer;
-  expect_batch_matches_sequential(layer, random_batch({3, 2, 2}, 4, rng));
 }
 
 TEST(BatchedForward, RunStageBatchMatchesRunStageResnet) {

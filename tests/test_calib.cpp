@@ -182,7 +182,7 @@ TEST_F(CalibrationIntegration, StageFeaturesMatchDirectForward) {
   ASSERT_EQ(features[0].size(), test_set_->size());
   // Head applied to cached features must equal the direct pipeline.
   const auto outputs = model_->forward_all(test_set_->samples[0]);
-  const tensor::Tensor logits = model_->head_forward(1, features[1][0], false);
+  const tensor::Tensor logits = nn::infer(model_->head(1), features[1][0]);
   const auto probs = nn::softmax_probs(logits);
   for (std::size_t c = 0; c < probs.size(); ++c)
     EXPECT_NEAR(probs[c], outputs[1].probs[c], 1e-5);

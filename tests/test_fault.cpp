@@ -1,5 +1,5 @@
 // Chaos suite (DESIGN.md §8 "Failure model"): arms failpoints at every seam
-// — worker crash mid-stage, sick replicas, slow workers, overload bursts —
+// — worker crash mid-stage, sick workers, slow workers, overload bursts —
 // and asserts the robustness contract: every submitted request receives a
 // well-formed response (complete, expired, or degraded), no exception
 // escapes run_live/process_batch, and the fault counters reconcile with the
@@ -80,10 +80,7 @@ std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
   return inputs;
 }
 
-std::vector<std::unique_ptr<nn::StagedModel>> make_replicas(std::size_t workers) {
-  nn::StagedModel model = nn::build_staged_resnet(tiny_model_config());
-  return sched::replicate_staged_model(model, workers);
-}
+nn::StagedModel make_model() { return nn::build_staged_resnet(tiny_model_config()); }
 
 /// A registered + curve-fitted model entry for server tests.
 struct ServerHarness {
@@ -218,13 +215,13 @@ TEST(Fault, LiveWorkerCrashIsRetriedOnHealthyWorker) {
   spec.max_fires = 1;
   FailpointRegistry::instance().arm("live.worker.crash", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(6);
   sched::LiveConfig cfg;
   cfg.retry.base_delay_ms = 0.1;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   std::size_t total_retries = 0;
@@ -249,7 +246,7 @@ TEST(Fault, LiveWorkerCrashWithRespawnCompletesAll) {
   spec.max_fires = 2;
   FailpointRegistry::instance().arm("live.worker.crash", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   sched::LiveConfig cfg;
@@ -257,7 +254,7 @@ TEST(Fault, LiveWorkerCrashWithRespawnCompletesAll) {
   cfg.max_respawns = 2;
   cfg.retry.base_delay_ms = 0.1;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
@@ -278,14 +275,14 @@ TEST(Fault, LiveSlowWorkerIsAbandonedAndTaskRecovers) {
   spec.max_fires = 1;
   FailpointRegistry::instance().arm("live.worker.slow", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(4);
   sched::LiveConfig cfg;
   cfg.worker_timeout_ms = 150.0;  // far above a healthy stage, far below the stall
   cfg.retry.base_delay_ms = 0.1;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
@@ -301,7 +298,7 @@ TEST(Fault, LivePersistentCrashesDegradeInsteadOfHanging) {
   FailpointGuard guard;
   FailpointRegistry::instance().arm("live.worker.crash", FailpointSpec{});  // p=1, ∞
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(5);
   sched::LiveConfig cfg;
@@ -311,7 +308,7 @@ TEST(Fault, LivePersistentCrashesDegradeInsteadOfHanging) {
   sched::LiveStats stats;
   // The robustness contract under total loss: no hang, no escaping
   // exception, every task answered (degraded, with zero stages).
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
@@ -333,7 +330,7 @@ TEST(Fault, LiveExpiredTasksStayExpiredUnderCrashes) {
   spec.seed = 13;
   FailpointRegistry::instance().arm("live.worker.crash", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   sched::LiveConfig cfg;
@@ -342,7 +339,7 @@ TEST(Fault, LiveExpiredTasksStayExpiredUnderCrashes) {
   cfg.max_respawns = 8;
   cfg.retry.base_delay_ms = 0.1;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) expect_well_formed(r, kStages);
@@ -356,42 +353,40 @@ TEST(Fault, LiveExpiredTasksStayExpiredUnderCrashes) {
 
 TEST(Fault, LiveRejectsInvalidInputsUpFront) {
   const auto curves = make_curves();
-  auto replicas = make_replicas(1);
+  const nn::StagedModel model = make_model();
   const auto inputs = make_inputs(2);
   sched::LiveConfig cfg;
 
-  std::vector<std::unique_ptr<nn::StagedModel>> no_workers;
-  EXPECT_THROW(sched::run_live(no_workers, curves, inputs, cfg), InvalidArgument);
+  EXPECT_THROW(sched::run_live(model, 0, curves, inputs, cfg), InvalidArgument);
 
   const std::vector<tensor::Tensor> empty_batch;
-  EXPECT_THROW(sched::run_live(replicas, curves, empty_batch, cfg), InvalidArgument);
+  EXPECT_THROW(sched::run_live(model, 1, curves, empty_batch, cfg), InvalidArgument);
 
   Rng rng(9);
   std::vector<tensor::Tensor> mismatched = make_inputs(2);
   mismatched.push_back(tensor::Tensor::randn({2, 4, 4}, rng));
-  EXPECT_THROW(sched::run_live(replicas, curves, mismatched, cfg), InvalidArgument);
+  EXPECT_THROW(sched::run_live(model, 1, curves, mismatched, cfg), InvalidArgument);
 
-  std::vector<std::unique_ptr<nn::StagedModel>> with_null;
-  with_null.push_back(nullptr);
-  EXPECT_THROW(sched::run_live(with_null, curves, inputs, cfg), InvalidArgument);
+  const nn::StagedModel no_stages(4);
+  EXPECT_THROW(sched::run_live(no_stages, 1, curves, inputs, cfg), InvalidArgument);
 
   sched::LiveConfig bad_deadline;
   bad_deadline.deadline_ms = 0.0;
-  EXPECT_THROW(sched::run_live(replicas, curves, inputs, bad_deadline),
+  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_deadline),
                InvalidArgument);
 
   // A bad breaker config must throw before any worker thread exists: a throw
   // with joinable threads alive would terminate the process instead.
   sched::LiveConfig bad_health;
   bad_health.health.ewma_alpha = 0.0;
-  EXPECT_THROW(sched::run_live(replicas, curves, inputs, bad_health),
+  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_health),
                InvalidArgument);
 
   // Jitter outside [0, 1] is rejected up front, not at the first backoff
   // deep inside the scheduler loop.
   sched::LiveConfig bad_jitter;
   bad_jitter.retry.jitter = 1.5;
-  EXPECT_THROW(sched::run_live(replicas, curves, inputs, bad_jitter),
+  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_jitter),
                InvalidArgument);
 }
 
@@ -401,11 +396,11 @@ TEST(Fault, LiveRejectsInvalidInputsUpFront) {
 
 TEST(Fault, LiveSickReplicaBreakerOpensAndRoutesAround) {
   FailpointGuard guard;
-  // Replica 0 is the designated sick replica: every stage it runs fails
+  // Worker 0 is the designated sick worker: every stage it runs fails
   // recoverably (the worker lives, unlike a crash).
   FailpointRegistry::instance().arm("live.worker.sick", FailpointSpec{});  // p=1, ∞
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   sched::LiveConfig cfg;
@@ -416,12 +411,12 @@ TEST(Fault, LiveSickReplicaBreakerOpensAndRoutesAround) {
   cfg.health.error_threshold = 0.5;
   cfg.health.open_cooldown_ms = 60000.0;  // stays open for the whole test
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
     expect_well_formed(r, kStages);
-    // The healthy replica carries every task to completion.
+    // The healthy worker carries every task to completion.
     EXPECT_FALSE(r.expired);
     EXPECT_FALSE(r.degraded);
     EXPECT_EQ(r.stages_run, kStages);
@@ -429,7 +424,7 @@ TEST(Fault, LiveSickReplicaBreakerOpensAndRoutesAround) {
   EXPECT_EQ(stats.worker_crashes, 0u);  // sick ≠ dead: no thread ever exited
   EXPECT_EQ(stats.respawns, 0u);
   // Two failures at alpha=0.5 breach the 0.5 error threshold: exactly one
-  // trip, and the breaker keeps later dispatch off the sick replica.
+  // trip, and the breaker keeps later dispatch off the sick worker.
   EXPECT_EQ(stats.breaker_trips, 1u);
   EXPECT_EQ(stats.worker_errors, 2u);
   EXPECT_GE(stats.breaker_skips, 1u);
@@ -447,14 +442,14 @@ TEST(Fault, LiveBreakerTripSeamForcesOpenWithoutRealErrors) {
   spec.max_fires = 1;
   FailpointRegistry::instance().arm("health.breaker.trip", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(6);
   sched::LiveConfig cfg;
   cfg.retry.base_delay_ms = 0.1;
   cfg.health.open_cooldown_ms = 60000.0;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
@@ -463,7 +458,7 @@ TEST(Fault, LiveBreakerTripSeamForcesOpenWithoutRealErrors) {
     EXPECT_EQ(r.stages_run, kStages);
   }
   // The forced trip opened one breaker with zero real failures, and the
-  // other replica finished the batch.
+  // other worker finished the batch.
   EXPECT_EQ(stats.breaker_trips, 1u);
   EXPECT_EQ(stats.worker_errors, 0u);
   EXPECT_EQ(stats.worker_crashes, 0u);
@@ -472,13 +467,13 @@ TEST(Fault, LiveBreakerTripSeamForcesOpenWithoutRealErrors) {
 
 TEST(Fault, LiveHedgedDispatchRescuesStraggler) {
   FailpointGuard guard;
-  // Replica 0 straggles: every stage it starts stalls 200 ms.
+  // Worker 0 straggles: every stage it starts stalls 200 ms.
   FailpointSpec spec;
   spec.kind = FailpointKind::kDelay;
   spec.delay_ms = 200.0;
   FailpointRegistry::instance().arm("live.worker.sick", spec);
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(10);
   sched::LiveConfig cfg;
@@ -489,12 +484,12 @@ TEST(Fault, LiveHedgedDispatchRescuesStraggler) {
   cfg.retry.base_delay_ms = 0.1;
   cfg.health.enabled = false;  // isolate hedging from breaker routing
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
     expect_well_formed(r, kStages);
-    // No deadline and a healthy second replica: hedging must rescue every
+    // No deadline and a healthy second worker: hedging must rescue every
     // straggling dispatch; nothing degrades and nothing expires.
     EXPECT_FALSE(r.expired);
     EXPECT_FALSE(r.degraded);
@@ -528,7 +523,7 @@ TEST(Fault, LiveHedgeRaceLoserIsCancelledCooperatively) {
   // win every race and the loser-cancellation path runs deterministically.
   FailpointRegistry::instance().arm("hedge.lose.race", FailpointSpec{});
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   sched::LiveConfig cfg;
@@ -539,7 +534,7 @@ TEST(Fault, LiveHedgeRaceLoserIsCancelledCooperatively) {
   cfg.retry.base_delay_ms = 0.1;
   cfg.health.enabled = false;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) {
@@ -802,7 +797,7 @@ TEST(FaultEnv, LiveSurvivesEnvironmentArmedChaos) {
   // without the variable this runs as a plain live-mode smoke test.
   const std::size_t armed = FailpointRegistry::instance().arm_from_env();
 
-  auto replicas = make_replicas(3);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(10);
   sched::LiveConfig cfg;
@@ -811,7 +806,7 @@ TEST(FaultEnv, LiveSurvivesEnvironmentArmedChaos) {
   cfg.worker_timeout_ms = 2000.0;
   cfg.retry.base_delay_ms = 0.1;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 3, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) expect_well_formed(r, kStages);
@@ -829,7 +824,7 @@ TEST(FaultEnv, LiveOverloadControlSurvivesEnvironmentArmedChaos) {
   // Without the variable this is a hedging+breaker smoke test.
   const std::size_t armed = FailpointRegistry::instance().arm_from_env();
 
-  auto replicas = make_replicas(3);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(12);
   sched::LiveConfig cfg;
@@ -843,7 +838,7 @@ TEST(FaultEnv, LiveOverloadControlSurvivesEnvironmentArmedChaos) {
   cfg.hedge_quantile = 0.9;
   cfg.hedge_min_samples = 4;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 3, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   for (const auto& r : results) expect_well_formed(r, kStages);

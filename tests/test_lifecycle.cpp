@@ -372,7 +372,7 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   add_calibrated_model(service, "m", 1);
   const serving::ModelRegistry::ViewPtr view = service.registry().pin();
 
-  // A live run whose replica breakers are all force-tripped: every record()
+  // A live run whose worker breakers are all force-tripped: every record()
   // opens a breaker, routing degrades, but tasks still complete — and the
   // in-flight accounting they hold must still reach zero so the drain
   // finishes. A hung drain here would time out and fail the test.
@@ -384,14 +384,13 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   config.early_exit_confidence = 0.8;
   config.health.enabled = true;
   config.lifecycle = &service.lifecycle();
-  auto replicas = sched::replicate_staged_model(view->entry(0).model, 2);
 
   std::vector<tensor::Tensor> inputs;
   Rng rng(11);
   for (int i = 0; i < 6; ++i) inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
 
   std::thread traffic([&] {
-    const auto results = sched::run_live(replicas, view->entry(0).curves,
+    const auto results = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
                                          inputs, config);
     for (const auto& r : results) EXPECT_FALSE(r.drained);
   });
@@ -402,7 +401,7 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   EXPECT_TRUE(outcome.report.completed);
 
   // Post-drain, run_live answers with typed drained results, zero stages.
-  const auto rejected = sched::run_live(replicas, view->entry(0).curves,
+  const auto rejected = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
                                         inputs, config);
   for (const auto& r : rejected) {
     EXPECT_TRUE(r.drained);

@@ -35,17 +35,17 @@ double probe_loss(const Tensor& out, const Tensor& coeffs) {
   return acc;
 }
 
-/// Checks layer input and parameter gradients against central differences.
+/// Checks layer input and parameter gradients against central differences
+/// of the layer's inference output.
 void check_gradients(Layer& layer, const tensor::Shape& input_shape, Rng& rng,
                      double tolerance = 2e-2) {
   Tensor input = Tensor::randn(input_shape, rng);
-  Tensor probe_out = layer.forward(input, /*training=*/false);
+  Tensor probe_out = infer(layer, input);
   const Tensor coeffs = Tensor::randn(probe_out.shape(), rng);
 
   zero_grads(layer.params());
-  // backward() requires a preceding forward(training=true): inference-mode
-  // forwards skip writing the activation caches backward reads.
-  layer.forward(input, true);
+  // backward() reads the activation caches of the preceding training forward.
+  layer.forward(input);
   const Tensor grad_in = layer.backward(coeffs);
 
   const float eps = 1e-3f;
@@ -54,27 +54,24 @@ void check_gradients(Layer& layer, const tensor::Shape& input_shape, Rng& rng,
     Tensor plus = input, minus = input;
     plus.data()[i] += eps;
     minus.data()[i] -= eps;
-    const double lp = probe_loss(layer.forward(plus, false), coeffs);
-    const double lm = probe_loss(layer.forward(minus, false), coeffs);
+    const double lp = probe_loss(infer(layer, plus), coeffs);
+    const double lm = probe_loss(infer(layer, minus), coeffs);
     const double numeric = (lp - lm) / (2.0 * eps);
     EXPECT_NEAR(grad_in.data()[i], numeric, tolerance)
         << layer.name() << " input grad at " << i;
   }
   // Parameter gradients (spot-check a handful per tensor to keep tests fast).
-  // Must recompute the analytic grads last, since the loop above overwrote
-  // the layer's forward cache.
-  zero_grads(layer.params());
-  layer.forward(input, true);
-  layer.backward(coeffs);
+  // The probes above ran inference, which leaves the accumulated gradients
+  // of the backward pass untouched.
   for (auto& p : layer.params()) {
     const std::size_t n = p.value->numel();
     const std::size_t step = std::max<std::size_t>(1, n / 7);
     for (std::size_t i = 0; i < n; i += step) {
       const float original = p.value->data()[i];
       p.value->data()[i] = original + eps;
-      const double lp = probe_loss(layer.forward(input, false), coeffs);
+      const double lp = probe_loss(infer(layer, input), coeffs);
       p.value->data()[i] = original - eps;
-      const double lm = probe_loss(layer.forward(input, false), coeffs);
+      const double lm = probe_loss(infer(layer, input), coeffs);
       p.value->data()[i] = original;
       const double numeric = (lp - lm) / (2.0 * eps);
       EXPECT_NEAR(p.grad->data()[i], numeric, tolerance)
@@ -205,16 +202,16 @@ TEST(Loss, MseGradient) {
 
 TEST(Dropout, InferenceIsIdentity) {
   Rng rng(13);
-  Dropout layer(0.5f, 77);
+  const Dropout layer(0.5f, 77);
   const Tensor x = Tensor::randn({20}, rng);
-  const Tensor y = layer.forward(x, /*training=*/false);
+  const Tensor y = infer(layer, x);  // forward_batch at B = 1
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(x.data()[i], y.data()[i]);
 }
 
 TEST(Dropout, TrainingDropsAndRescales) {
   Dropout layer(0.5f, 78);
   Tensor x({1000}, 1.0f);
-  const Tensor y = layer.forward(x, /*training=*/true);
+  const Tensor y = layer.forward(x);
   std::size_t zeros = 0;
   double sum = 0.0;
   for (float v : y.data()) {
@@ -377,38 +374,6 @@ TEST(Serialize, SizeAccountsForAllTensors) {
   EXPECT_EQ(buffer.str().size(), serialized_size_bytes(a.params()));
 }
 
-TEST(Serialize, ReadsLegacyV1Checkpoints) {
-  // Hand-write the v1 format (magic "EUG1", no version, no CRC): old
-  // checkpoints on disk must keep loading after the v2 switch.
-  StagedModel a = build_staged_resnet(tiny_config());
-  std::stringstream buffer;
-  auto put_u32 = [&buffer](std::uint32_t v) {
-    buffer.write(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  const auto params = a.params();
-  put_u32(0x45554731);
-  put_u32(static_cast<std::uint32_t>(params.size()));
-  for (const auto& p : params) {
-    put_u32(static_cast<std::uint32_t>(p.value->rank()));
-    for (std::size_t d : p.value->shape()) put_u32(static_cast<std::uint32_t>(d));
-    buffer.write(reinterpret_cast<const char*>(p.value->raw()),
-                 static_cast<std::streamsize>(p.value->numel() * sizeof(float)));
-  }
-
-  StagedModel b = build_staged_resnet([] {
-    StagedResNetConfig c = tiny_config();
-    c.seed = 77;
-    return c;
-  }());
-  load_params(b.params(), buffer);
-  Rng rng(12);
-  const Tensor input = Tensor::randn({2, 8, 8}, rng);
-  const auto outs_a = a.forward_all(input);
-  const auto outs_b = b.forward_all(input);
-  for (std::size_t s = 0; s < outs_a.size(); ++s)
-    EXPECT_NEAR(outs_a[s].confidence, outs_b[s].confidence, 1e-6);
-}
-
 // Adversarial checkpoint loads (DESIGN.md §9): whatever bytes arrive —
 // truncated, empty, flipped, foreign, from the future — load_params must
 // answer with a typed eugene::Error, never UB, a crash, or silent garbage.
@@ -463,6 +428,14 @@ TEST(Serialize, EmptyWrongMagicAndFutureVersionThrowTyped) {
 
   std::istringstream garbage("this is not a checkpoint at all");
   EXPECT_THROW(load_params(b.params(), garbage), CorruptionError);
+
+  // A legacy EUG1 header is just a wrong magic now: v1 checkpoints are not
+  // read.
+  std::stringstream legacy;
+  const std::uint32_t v1_magic = 0x45554731, v1_count = 0;
+  legacy.write(reinterpret_cast<const char*>(&v1_magic), 4);
+  legacy.write(reinterpret_cast<const char*>(&v1_count), 4);
+  EXPECT_THROW(load_params(b.params(), legacy), CorruptionError);
 
   // A well-formed v2 header claiming a future version must be refused
   // before any payload is interpreted.

@@ -1,5 +1,6 @@
 // TSan-targeted stress tests for the concurrent core: MPMC channels, the
-// model registry, the usage meter, logging, and the live scheduler. These
+// model registry, the usage meter, logging, the live scheduler, and threads
+// serving one published model. These
 // pass under the plain build too, but their real job is to give
 // ThreadSanitizer (the `tsan` CMake preset) schedules in which a data race
 // would be visible.
@@ -13,6 +14,7 @@
 #include "calib/evaluation.hpp"
 #include "common/channel.hpp"
 #include "common/logging.hpp"
+#include "core/eugene_service.hpp"
 #include "data/synthetic_images.hpp"
 #include "gp/confidence_curve.hpp"
 #include "sched/live.hpp"
@@ -194,8 +196,8 @@ TEST(Race, ConcurrentLoggingDoesNotRace) {
 }
 
 TEST(Race, LiveSchedulerAdmitWhileDraining) {
-  // Two live-scheduler instances run concurrently, each with its own worker
-  // replicas; one runs with a deadline tight enough that tasks keep expiring
+  // Two live-scheduler instances run concurrently, their workers all sharing
+  // one model; one runs with a deadline tight enough that tasks keep expiring
   // (draining) while the dispatcher is still admitting stages. Exercises the
   // worker threads, both channel directions, and the policy under TSan.
   data::SyntheticImageConfig data_cfg;
@@ -213,11 +215,9 @@ TEST(Race, LiveSchedulerAdmitWhileDraining) {
   curves.fit(eval);
 
   auto run_one = [&](double deadline_ms, std::size_t workers) {
-    auto replicas = sched::replicate_staged_model(model, workers);
     sched::LiveConfig cfg;
     cfg.deadline_ms = deadline_ms;
-    const auto results =
-        sched::run_live(replicas, curves, batch.samples, cfg);
+    const auto results = sched::run_live(model, workers, curves, batch.samples, cfg);
     ASSERT_EQ(results.size(), batch.size());
     for (const auto& r : results) ASSERT_LE(r.stages_run, 2u);
   };
@@ -228,6 +228,49 @@ TEST(Race, LiveSchedulerAdmitWhileDraining) {
   });
   relaxed.join();
   strained.join();
+}
+
+TEST(Race, SharedHandleInferBatchMatchesSerial) {
+  // Published entries are immutable and inference is const, so threads that
+  // serve one handle share one model — and must answer exactly as a serial
+  // run does.
+  data::SyntheticImageConfig data_cfg;
+  data_cfg.num_classes = 4;
+  data_cfg.channels = 2;
+  data_cfg.height = 8;
+  data_cfg.width = 8;
+  Rng rng(23);
+  const data::Dataset calib_set = data::generate_images(data_cfg, 60, rng);
+  const data::Dataset batch = data::generate_images(data_cfg, 6, rng);
+
+  core::EugeneService service;
+  auto entry = std::make_shared<serving::ModelEntry>(
+      "shared", nn::build_staged_resnet(tiny_model_config()));
+  entry->curves.fit(calib::evaluate_staged(entry->model, calib_set));
+  entry->calibrated = true;
+  const std::size_t handle = service.registry().add_entry(std::move(entry));
+
+  std::vector<serving::InferenceRequest> requests;
+  for (const tensor::Tensor& x : batch.samples) requests.push_back({x, 0});
+  serving::ServerConfig cfg;  // one class, no deadline
+  cfg.early_exit_confidence = 0.5;
+  const auto serial = service.infer_batch(handle, requests, cfg);
+
+  std::vector<std::thread> servers;
+  for (int t = 0; t < 4; ++t) {
+    servers.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        const auto got = service.infer_batch(handle, requests, cfg);
+        ASSERT_EQ(got.size(), serial.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].label, serial[i].label) << i;
+          EXPECT_EQ(got[i].confidence, serial[i].confidence) << i;
+          EXPECT_EQ(got[i].stages_run, serial[i].stages_run) << i;
+        }
+      }
+    });
+  }
+  for (auto& t : servers) t.join();
 }
 
 }  // namespace

@@ -576,9 +576,8 @@ TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
   gp::ConfidenceCurveModel curves;
   curves.fit(eval);
 
-  auto replicas = replicate_staged_model(model, 2);
   LiveConfig live_cfg;  // no deadline, no early exit
-  const auto results = run_live(replicas, curves, batch.samples, live_cfg);
+  const auto results = run_live(model, 2, curves, batch.samples, live_cfg);
 
   ASSERT_EQ(results.size(), batch.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -586,7 +585,7 @@ TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
     EXPECT_FALSE(results[i].expired);
     const auto direct = model.forward_all(batch.samples[i]);
     EXPECT_EQ(results[i].label, direct.back().predicted_label);
-    // Bitwise: a worker runs the same run_stage on a weight-exact clone.
+    // Bitwise: both workers run the same run_stage on the same model.
     EXPECT_EQ(results[i].confidence, direct.back().confidence);
   }
 }
@@ -618,10 +617,9 @@ TEST(LiveScheduler, EarlyExitReducesExecutedStages) {
   gp::ConfidenceCurveModel curves;
   curves.fit(eval);
 
-  auto replicas = replicate_staged_model(model, 1);
   LiveConfig live_cfg;
   live_cfg.early_exit_confidence = 0.4;  // 4 classes: chance level is 0.25
-  const auto results = run_live(replicas, curves, batch.samples, live_cfg);
+  const auto results = run_live(model, 1, curves, batch.samples, live_cfg);
   std::size_t total_stages = 0;
   for (const auto& r : results) total_stages += r.stages_run;
   EXPECT_LT(total_stages, 3 * results.size())
@@ -636,13 +634,13 @@ TEST(LiveScheduler, ReplicasShareWeights) {
   cfg.num_classes = 4;
   cfg.stage_channels = {4, 6, 8};
   cfg.seed = 77;
-  nn::StagedModel source = nn::build_staged_resnet(cfg);
-  auto replicas = replicate_staged_model(source, 3);
+  const nn::StagedModel source = nn::build_staged_resnet(cfg);
+  const nn::StagedModel clones[] = {source.clone(), source.clone(), source.clone()};
   Rng rng(10);
   const tensor::Tensor input = tensor::Tensor::randn({2, 8, 8}, rng);
   const auto expected = source.forward_all(input);
-  for (auto& replica : replicas) {
-    const auto got = replica->forward_all(input);
+  for (const nn::StagedModel& clone : clones) {
+    const auto got = clone.forward_all(input);
     EXPECT_EQ(got.back().predicted_label, expected.back().predicted_label);
     EXPECT_EQ(got.back().confidence, expected.back().confidence);
   }

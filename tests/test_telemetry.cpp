@@ -3,7 +3,7 @@
 // metrics registry's round-trippable text snapshot, the trace recorder's
 // ring discipline, and — through the chaos seams — that the spans recorded
 // for faulted requests tell the story the injected faults wrote: a sick
-// replica shows up as stage_error on worker 0, a forced-lost hedge race
+// worker shows up as stage_error on worker 0, a forced-lost hedge race
 // shows hedge + cancel, a forced brown-out stamps the admission record.
 #include <gtest/gtest.h>
 
@@ -82,10 +82,7 @@ std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
   return inputs;
 }
 
-std::vector<std::unique_ptr<nn::StagedModel>> make_replicas(std::size_t workers) {
-  nn::StagedModel model = nn::build_staged_resnet(tiny_model_config());
-  return sched::replicate_staged_model(model, workers);
-}
+nn::StagedModel make_model() { return nn::build_staged_resnet(tiny_model_config()); }
 
 struct ServerHarness {
   serving::ModelRegistry registry;
@@ -429,7 +426,7 @@ TEST(TraceChaos, SickReplicaSpansShowStageErrorsOnWorkerZero) {
   FailpointGuard guard;
   FailpointRegistry::instance().arm("live.worker.sick", FailpointSpec{});
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   TraceRecorder rec(4096);
@@ -444,7 +441,7 @@ TEST(TraceChaos, SickReplicaSpansShowStageErrorsOnWorkerZero) {
   cfg.trace = &rec;
   cfg.metrics = &metrics;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   std::size_t stage_errors = 0;
@@ -468,7 +465,7 @@ TEST(TraceChaos, SickReplicaSpansShowStageErrorsOnWorkerZero) {
     for (const auto& ev : span) {
       if (ev.kind == TraceEventKind::kStageError) {
         ++stage_errors;
-        // Only replica 0 is sick, and no worker timed out or crashed.
+        // Only worker 0 is sick, and no worker timed out or crashed.
         EXPECT_EQ(ev.worker, 0u);
       }
     }
@@ -491,7 +488,7 @@ TEST(TraceChaos, ForcedLostHedgeRaceSpansShowHedgeAndCancel) {
   FailpointRegistry::instance().arm("live.worker.sick", stall);
   FailpointRegistry::instance().arm("hedge.lose.race", FailpointSpec{});
 
-  auto replicas = make_replicas(2);
+  const nn::StagedModel model = make_model();
   const auto curves = make_curves();
   const auto inputs = make_inputs(8);
   TraceRecorder rec(4096);
@@ -505,7 +502,7 @@ TEST(TraceChaos, ForcedLostHedgeRaceSpansShowHedgeAndCancel) {
   cfg.trace = &rec;
   cfg.metrics = nullptr;
   sched::LiveStats stats;
-  const auto results = sched::run_live(replicas, curves, inputs, cfg, &stats);
+  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
 
   ASSERT_EQ(results.size(), inputs.size());
   ASSERT_GE(stats.hedges_issued, 1u);
