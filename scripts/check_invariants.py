@@ -47,6 +47,11 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       inference must stay write-free for threads to share one
                       published model (DESIGN.md §13). The B = 1 helper's
                       in-place input view is the allowlisted exception.
+  single-scheduler    only src/sched/engine.cpp calls a policy's pick( in
+                      src/: the request state machine exists once
+                      (sched::Engine), and the server, the worker pool and
+                      the simulator drive it instead of running their own
+                      policy loop (DESIGN.md §15).
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -423,6 +428,25 @@ def rule_inference_const(files):
                     "published model would race on it")
 
 
+# A member call of pick( on an object or pointer (`policy.pick(`,
+# `policy_->pick(`); declarations and `Class::pick(` definitions do not match.
+POLICY_PICK_RE = re.compile(r"(?:\.|->)\s*pick\s*\(")
+ENGINE_REL = "src/sched/engine.cpp"
+
+
+def rule_single_scheduler(files):
+    for f in files:
+        if not f.rel.startswith("src/") or f.rel == ENGINE_REL:
+            continue
+        for ln, line in enumerate(f.masked_lines, 1):
+            if POLICY_PICK_RE.search(line):
+                yield Violation(
+                    "single-scheduler", f.rel, ln,
+                    "policy pick( outside " + ENGINE_REL + " — drive "
+                    "sched::Engine instead of writing another policy loop "
+                    "(DESIGN.md §15)")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -448,6 +472,7 @@ RULES = {
     "stdout": rule_stdout,
     "no-direct-exit": rule_direct_exit,
     "inference-const": rule_inference_const,
+    "single-scheduler": rule_single_scheduler,
 }
 
 

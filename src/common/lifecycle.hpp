@@ -7,9 +7,9 @@
 //                                    └────────set_stopped()──────┴──▶ Stopped
 //
 // The machine is the *single* authority on whether new work may enter the
-// process: every admission path (serving::InferenceServer::process_batch,
-// sched::LiveScheduler::submit) calls try_admit() before accepting a task and
-// finish() when the task's response has been emitted. Draining therefore
+// process: every admission path (serving::InferenceServer::process_batch and
+// sched::run_live, both through sched::Engine::admit) calls try_admit() before
+// accepting a batch and finish() once the batch's responses have been emitted. Draining therefore
 // means "reject new admissions with a typed drain response, let the in-flight
 // count fall to zero" — nothing in flight is ever dropped by the drain
 // itself; the bounded wait in begin_drain() only limits how long we wait for

@@ -13,6 +13,7 @@
 #include "common/failpoint.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
+#include "sched/engine.hpp"
 
 namespace eugene::sched {
 
@@ -31,19 +32,24 @@ struct Job {
 };
 
 /// Worker → scheduler: the paper's end-of-stage report (stage, label,
-/// confidence) plus the features the next stage needs. ok=false with
-/// recoverable=false is a crash report: the stage threw and the worker
-/// thread is exiting, like a worker process dying. recoverable=true is a
-/// sick-worker stage error: the worker lives. cancelled=true means the
-/// worker skipped the stage cooperatively (token cancelled, or the
-/// propagated deadline had already passed).
+/// confidence) plus the features the next stage needs, or how the dispatch
+/// ended without them.
+enum class Report : std::uint8_t {
+  kDone,       ///< the stage ran; label, confidence and features are set
+  kCancelled,  ///< skipped cooperatively: token cancelled, or the propagated
+               ///< deadline had already passed
+  kRejected,   ///< the stage threw InvalidArgument: the input cannot run; the
+               ///< worker lives
+  kSick,       ///< recoverable stage error on the sick worker; the worker lives
+  kCrashed,    ///< the stage threw; the worker thread exits, like a worker
+               ///< process dying
+};
+
 struct WorkerResult {
   std::size_t worker = 0;
   std::uint64_t seq = 0;
-  bool ok = true;
-  bool recoverable = false;
-  bool cancelled = false;
-  std::string error;   ///< what() of the failure, when !ok
+  Report report = Report::kDone;
+  std::string error;   ///< what() of the failure, for the failure reports
   double stage_ms = 0.0;  ///< worker-measured stage execution time
   std::size_t stage = 0;  ///< the stage that ran, on success
   std::size_t label = 0;
@@ -60,21 +66,12 @@ struct InFlightDispatch {
   CancellationToken token;
 };
 
-struct LiveTaskState {
+/// The pool's side of one task: the features its next stage reads and the
+/// dispatches of that stage still out. Its progress lives in the engine.
+struct TaskDispatch {
   Tensor features;
-  std::vector<double> observed_confidence;
   std::vector<InFlightDispatch> inflight;  ///< current-stage dispatches (≤ 2)
-  std::size_t stages_done = 0;
-  std::size_t last_label = 0;
-  std::size_t retries = 0;
-  double eligible_ms = 0.0;  ///< backoff gate: no dispatch before this time
-  bool hedged_this_stage = false;
-  bool done = false;
-  bool expired = false;
-  bool degraded = false;
-  double submit_ms = 0.0;
-  double finish_ms = 0.0;
-  telemetry::SpanHandle span;  ///< per-request timeline (null when untraced)
+  bool hedged = false;  ///< the current stage has had its backup dispatch
 };
 
 /// Scheduler-side view of one worker. `seq` identifies the in-flight
@@ -89,10 +86,10 @@ struct WorkerSlot {
 
 }  // namespace
 
-std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
-                                     const gp::ConfidenceCurveModel& curves,
-                                     const std::vector<Tensor>& inputs,
-                                     const LiveConfig& config, LiveStats* stats) {
+std::vector<TaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
+                                 const gp::ConfidenceCurveModel& curves,
+                                 const std::vector<Tensor>& inputs,
+                                 const LiveConfig& config, LiveStats* stats) {
   // Validate everything a caller can get wrong *before* any thread starts,
   // so bad input surfaces as InvalidArgument here rather than an
   // InternalError deep inside a worker.
@@ -120,46 +117,34 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
   std::deque<CircuitBreaker> breakers;
   for (std::size_t w = 0; w < workers; ++w) breakers.emplace_back(config.health);
 
-  // Lifecycle gate (DESIGN.md §13): checked before any worker thread starts.
-  // A draining server answers the whole batch with typed drained=true
-  // results; an admitted batch holds `inputs.size()` in-flight units for the
-  // duration of this call, so begin_drain() waits for it.
-  if (config.lifecycle != nullptr && !config.lifecycle->try_admit(inputs.size())) {
-    WallClock reject_clock;
-    const double now = reject_clock.now_ms();
-    std::vector<LiveTaskResult> rejected(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      rejected[i].task_id = i;
-      rejected[i].drained = true;
-      if (config.trace != nullptr) {
-        telemetry::SpanHandle span = config.trace->begin_span(now);
-        span.event(telemetry::TraceEventKind::kDrain, now);
-        rejected[i].span_id = span.id();
-      }
-    }
-    if (config.metrics != nullptr)
-      config.metrics->counter("sched.live.drain.rejections").inc(inputs.size());
-    return rejected;
-  }
-  struct LifecycleFinisher {
-    eugene::ServerLifecycle* lifecycle;
-    std::size_t units;
-    ~LifecycleFinisher() {
-      if (lifecycle != nullptr) lifecycle->finish(units);
-    }
-  } lifecycle_finisher{config.lifecycle, inputs.size()};
-
   GpUtilityEstimator estimator(curves);
   GreedyUtilityPolicy policy(estimator, config.lookahead);
+  Engine engine(policy, inputs.size(), num_stages, config.max_retries,
+                config.early_exit_confidence, config.trace);
+  WallClock clock;
+  const double submit_ms = clock.now_ms();
+  const double deadline_ms = submit_ms + config.deadline_ms;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    engine.add(0, submit_ms, deadline_ms, num_stages);
+
+  // Lifecycle gate (DESIGN.md §13): checked before any worker thread starts.
+  // An admitted batch holds `inputs.size()` in-flight units for the whole
+  // call, so begin_drain() waits for it.
+  if (!engine.admit(config.lifecycle, submit_ms)) {
+    if (config.metrics != nullptr)
+      config.metrics->counter("sched.live.drain.rejections").inc(inputs.size());
+    return engine.take_results();
+  }
 
   std::vector<Channel<Job>> job_channels(workers);
   Channel<WorkerResult> results;
-  WallClock clock;
 
   // Worker body: block on the job channel, run one stage of the shared
   // model, report (stage, label, confidence) back. A throwing stage — real
   // bug or armed failpoint — becomes a crash report and thread exit,
-  // mirroring a worker process dying; the supervisor handles the rest.
+  // mirroring a worker process dying; the supervisor handles the rest. A
+  // rejected input is the input's fault, not the worker's: it reports and
+  // keeps serving.
   auto worker_main = [&](std::size_t w) {
     while (auto job = job_channels[w].receive()) {
       WorkerResult res;
@@ -170,16 +155,11 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
       // reports it and keeps serving, unlike a crash); kind=delay makes
       // this worker a straggler.
       if (w == 0) {
-        bool sick = false;
         try {
           EUGENE_FAILPOINT("live.worker.sick");
         } catch (const FailpointError& e) {
-          res.ok = false;
-          res.recoverable = true;
+          res.report = Report::kSick;
           res.error = e.what();
-          sick = true;
-        }
-        if (sick) {
           results.send(std::move(res));
           continue;  // sick, not dead: keep draining the job channel
         }
@@ -189,7 +169,7 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
       // arrive in time (deadline passed). Stages cannot be interrupted
       // mid-kernel, so this pre-stage check is the cancellation point.
       if (job->token.should_stop(clock.now_ms())) {
-        res.cancelled = true;
+        res.report = Report::kCancelled;
         results.send(std::move(res));
         continue;
       }
@@ -204,10 +184,12 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
         res.confidence = out.confidence;
         res.features = std::move(out.features);
       } catch (const std::exception& e) {
-        res.ok = false;
+        res.report = classify_stage_error(e) == StageFailure::kRejected
+                         ? Report::kRejected
+                         : Report::kCrashed;
         res.error = e.what();
       }
-      const bool crashed = !res.ok;
+      const bool crashed = res.report == Report::kCrashed;
       results.send(std::move(res));
       if (crashed) return;  // the "process" is gone; supervisor may respawn
     }
@@ -219,12 +201,10 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
 
   Rng backoff_rng(0xbacc0ff);
   LiveStats local_stats;
-  std::vector<LiveTaskState> tasks(inputs.size());
+  std::vector<TaskDispatch> tasks(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     tasks[i].features = inputs[i];
-    tasks[i].submit_ms = clock.now_ms();
-    if (config.trace != nullptr)
-      tasks[i].span = config.trace->begin_span(tasks[i].submit_ms);
+    engine.enqueue(i);
   }
 
   using telemetry::TraceEventKind;
@@ -238,87 +218,43 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
           "sched.stage_latency_ms.stage" + std::to_string(s)));
   }
 
-  // Closes a task's span: stage = stages completed, value = last confidence.
-  auto end_span = [](LiveTaskState& t, double now) {
-    t.span.event(TraceEventKind::kExit, now,
-                 static_cast<std::uint32_t>(t.stages_done), 0,
-                 t.observed_confidence.empty() ? 0.0
-                                               : t.observed_confidence.back());
-  };
-
   std::vector<WorkerSlot> slots(workers);
   std::size_t respawns_left = config.max_respawns;
-  std::size_t unfinished = inputs.size();
 
-  auto expire_if_due = [&](std::size_t i) {
-    LiveTaskState& t = tasks[i];
-    if (t.done || !t.inflight.empty()) return;
-    if (clock.now_ms() - t.submit_ms >= config.deadline_ms) {
-      // Latency daemon: the task leaves the system with its current result.
-      t.done = true;
-      t.expired = true;
-      t.finish_ms = clock.now_ms();
-      ++local_stats.expired;
-      --unfinished;
-      t.span.event(TraceEventKind::kExpire, t.finish_ms);
-      end_span(t, t.finish_ms);
-    }
+  // The stage a task's next (or in-flight) dispatch runs.
+  auto stage_of = [&](std::size_t task) {
+    return static_cast<std::uint32_t>(engine.result(task).stages_run);
   };
 
   // Removes the (worker, seq) dispatch from the task's in-flight set;
   // returns it if it was still there (i.e. the race was not yet decided).
-  auto take_inflight = [&](LiveTaskState& t, std::size_t w,
+  auto take_inflight = [&](TaskDispatch& t, std::size_t w,
                            std::uint64_t seq) -> std::optional<InFlightDispatch> {
-    for (auto it = t.inflight.begin(); it != t.inflight.end(); ++it) {
-      if (it->worker == w && it->seq == seq) {
-        InFlightDispatch d = *it;
-        t.inflight.erase(it);
-        return d;
-      }
-    }
-    return std::nullopt;
+    const auto it =
+        std::find_if(t.inflight.begin(), t.inflight.end(),
+                     [&](const auto& d) { return d.worker == w && d.seq == seq; });
+    if (it == t.inflight.end()) return std::nullopt;
+    const InFlightDispatch d = *it;
+    t.inflight.erase(it);
+    return d;
   };
 
-  // Worker `w`'s in-flight dispatch failed (crash, silence, or recoverable
-  // stage error). Frees the slot; if this was the task's last outstanding
-  // dispatch, re-queue it after a jittered backoff while the retry budget
-  // lasts — past the budget it completes degraded with its best result so
-  // far. A still-racing hedge twin keeps the task alive without charging
-  // the budget. The caller decides deadness and breaker bookkeeping.
-  auto fail_dispatch = [&](std::size_t w) {
+  // Worker `w`'s in-flight dispatch failed (crash, silence, sick-worker
+  // error, or rejected input). Frees the slot; once no hedge twin of the
+  // dispatch is still racing, the engine's failure rule decides: re-queue
+  // the task after a jittered backoff, expire it, or degrade it. The caller
+  // decides deadness and breaker bookkeeping.
+  auto fail_dispatch = [&](std::size_t w, StageFailure failure) {
     WorkerSlot& slot = slots[w];
     if (!slot.busy) return;
     slot.busy = false;
-    LiveTaskState& t = tasks[slot.task];
-    const auto entry = take_inflight(t, w, slot.seq);
-    if (!entry.has_value() || t.done) return;
+    TaskDispatch& t = tasks[slot.task];
+    if (!take_inflight(t, w, slot.seq).has_value()) return;  // a decided race's loser
     if (!t.inflight.empty()) return;  // the hedge twin is still racing
-    const double now = clock.now_ms();
-    if (now - t.submit_ms >= config.deadline_ms) {
-      t.done = true;
-      t.expired = true;
-      t.finish_ms = now;
-      ++local_stats.expired;
-      --unfinished;
-      t.span.event(TraceEventKind::kExpire, now);
-      end_span(t, now);
-    } else if (t.retries < config.max_retries) {
-      ++t.retries;
-      ++local_stats.retries;
-      const double backoff = backoff_delay_ms(config.retry, t.retries, backoff_rng);
-      t.eligible_ms = now + backoff;
-      t.hedged_this_stage = false;  // the re-dispatch may hedge again
-      t.span.event(TraceEventKind::kRetry, now,
-                   static_cast<std::uint32_t>(t.stages_done), 0, backoff);
-    } else {
-      t.done = true;
-      t.degraded = true;
-      t.finish_ms = now;
-      ++local_stats.degraded;
-      --unfinished;
-      t.span.event(TraceEventKind::kDegrade, now);
-      end_span(t, now);
-    }
+    t.hedged = false;  // the re-dispatch may hedge again
+    const double backoff =
+        backoff_delay_ms(config.retry, engine.result(slot.task).retries + 1, backoff_rng);
+    engine.fail(slot.task, clock.now_ms(), failure, backoff);
   };
 
   // Replaces a *crashed* worker with a fresh thread on its job channel.
@@ -335,23 +271,23 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
 
   std::uint64_t next_seq = 1;
   auto dispatch_to = [&](std::size_t w, std::size_t task, bool hedge) {
-    LiveTaskState& t = tasks[task];
+    TaskDispatch& t = tasks[task];
     Job job;
-    job.stage = t.stages_done;
+    job.stage = stage_of(task);
     job.seq = next_seq++;
     job.features = t.features;
     // Deadline propagation: the worker sees the task's absolute deadline and
     // the scheduler keeps a cancel handle for the hedge race.
-    job.token = CancellationToken(t.submit_ms + config.deadline_ms);
+    job.token = CancellationToken(deadline_ms);
     WorkerSlot& slot = slots[w];
     slot.busy = true;
     slot.seq = job.seq;
     slot.task = task;
     slot.dispatched_ms = clock.now_ms();
     t.inflight.push_back({w, job.seq, hedge, job.token});
-    t.span.event(hedge ? TraceEventKind::kHedge : TraceEventKind::kDispatch,
-                 slot.dispatched_ms, static_cast<std::uint32_t>(job.stage),
-                 static_cast<std::uint32_t>(w));
+    engine.span(task).event(hedge ? TraceEventKind::kHedge : TraceEventKind::kDispatch,
+                            slot.dispatched_ms, static_cast<std::uint32_t>(job.stage),
+                            static_cast<std::uint32_t>(w));
     job_channels[w].send(std::move(job));
   };
 
@@ -380,45 +316,26 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
       const double now = clock.now_ms();
       const auto ready = ready_workers_ranked(now);
       if (ready.empty()) return;
-      std::vector<TaskView> runnable;
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        expire_if_due(i);
-        const LiveTaskState& t = tasks[i];
-        if (t.done || !t.inflight.empty() || t.stages_done >= num_stages) continue;
-        if (now < t.eligible_ms) continue;  // still backing off
-        TaskView v;
-        v.task_id = i;
-        v.service = 0;
-        v.stages_done = t.stages_done;
-        v.total_stages = num_stages;
-        v.arrival_ms = t.submit_ms;
-        v.deadline_ms = t.submit_ms + config.deadline_ms;
-        v.observed_confidence = t.observed_confidence;
-        runnable.push_back(v);
-      }
-      if (runnable.empty()) return;
-      const auto choice = policy.pick(runnable, now);
-      if (!choice.has_value()) return;
-      dispatch_to(ready.front(), *choice, /*hedge=*/false);
+      engine.expire_overdue(now);
+      const std::optional<std::size_t> task = engine.next(now);
+      if (!task.has_value()) return;
+      engine.hold(*task);
+      dispatch_to(ready.front(), *task, /*hedge=*/false);
     }
   };
 
-  // Dispatch-to-result latencies feeding the hedge threshold. A lock-free
-  // log-bucketed histogram replaces the old 64-sample window: record is two
-  // relaxed atomic adds and quantile() walks 98 fixed buckets — no
-  // copy-and-nth_element per sweep (BM_HedgeQuantileLegacyWindow in
-  // bench_micro.cpp keeps the before/after comparison honest). Nearest-rank
-  // (ceil) semantics also fix the old floor-rank bias that under-read the
-  // quantile (q=0.5 of two samples returned the max, not the median).
+  // Dispatch-to-result latencies feeding the hedge threshold, in a lock-free
+  // log-bucketed histogram: record is two relaxed atomic adds, and
+  // quantile() walks 98 fixed buckets with nearest-rank (ceil) semantics
+  // (BM_HedgeQuantileLegacyWindow in bench_micro.cpp compares it with a
+  // copied sample window).
   telemetry::LatencyHistogram lat_hist;
   auto note_latency = [&](double ms, std::size_t stage) {
     lat_hist.record(ms);
     if (stage < stage_hists.size()) stage_hists[stage]->record(ms);
   };
-  // One threshold per wake (satellite fix: the sweep used to recompute the
-  // quantile in maybe_hedge *and* in the hedge-aware wake computation — two
-  // full window copies per loop iteration, and the two could disagree when
-  // a result landed between them). nullopt = hedging off or warming up.
+  // Computed once per wake and shared by the hedge sweep and the hedge-aware
+  // wake, so the two never disagree. nullopt = hedging off or warming up.
   auto hedge_threshold = [&]() -> std::optional<double> {
     if (!config.hedging || lat_hist.count() < config.hedge_min_samples)
       return std::nullopt;
@@ -439,17 +356,17 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
       if (!slot.busy || slot.dead) continue;
       if (now - slot.dispatched_ms < threshold) continue;
       const std::size_t task = slot.task;
-      LiveTaskState& t = tasks[task];
-      if (t.done || t.hedged_this_stage || t.inflight.size() != 1) continue;
+      TaskDispatch& t = tasks[task];
+      if (engine.finished(task) || t.hedged || t.inflight.size() != 1) continue;
       if (t.inflight.front().worker != w || t.inflight.front().seq != slot.seq)
         continue;
       const auto ready = ready_workers_ranked(now);
       if (ready.empty()) continue;  // no spare healthy worker: no hedge
-      t.hedged_this_stage = true;
+      t.hedged = true;
       ++local_stats.hedges_issued;
       dispatch_to(ready.front(), task, /*hedge=*/true);
       EUGENE_LOG(Debug) << "live: hedging task " << task << " stage "
-                        << t.stages_done << " (worker " << w << " out "
+                        << stage_of(task) << " (worker " << w << " out "
                         << (now - slot.dispatched_ms) << " ms, threshold "
                         << threshold << " ms) on worker " << ready.front();
       if (EUGENE_FAILPOINT_FIRED("hedge.lose.race")) {
@@ -462,9 +379,9 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
   };
 
   dispatch();
-  while (unfinished > 0) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) expire_if_due(i);
-    if (unfinished == 0) break;
+  while (engine.unfinished() > 0) {
+    engine.expire_overdue(clock.now_ms());
+    if (engine.unfinished() == 0) break;
 
     // Heartbeat supervision: a busy worker silent past the timeout is
     // abandoned — its task is re-queued and any later report from it is
@@ -481,11 +398,10 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
                            << slots[w].task;
           slots[w].dead = true;
           breakers[w].record_failure(now);
-          LiveTaskState& t = tasks[slots[w].task];
-          t.span.event(TraceEventKind::kStageError, now,
-                       static_cast<std::uint32_t>(t.stages_done),
-                       static_cast<std::uint32_t>(w));
-          fail_dispatch(w);
+          engine.span(slots[w].task)
+              .event(TraceEventKind::kStageError, now, stage_of(slots[w].task),
+                     static_cast<std::uint32_t>(w));
+          fail_dispatch(w, StageFailure::kFault);
         }
       }
     }
@@ -496,16 +412,8 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     for (const WorkerSlot& s : slots) any_alive |= !s.dead;
     if (!any_alive) {
       const double now = clock.now_ms();
-      for (LiveTaskState& t : tasks) {
-        if (t.done) continue;
-        t.done = true;
-        t.degraded = true;
-        t.finish_ms = now;
-        ++local_stats.degraded;
-        --unfinished;
-        t.span.event(TraceEventKind::kDegrade, now);
-        end_span(t, now);
-      }
+      for (std::size_t i = 0; i < tasks.size(); ++i)
+        if (!engine.finished(i)) engine.degrade(i, now);
       break;
     }
 
@@ -523,7 +431,7 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     // With nothing in flight (everything waits on a deadline, a backoff
     // window, or a breaker cooldown) poll faster; the CondVar inside the
     // channel keeps this cancellation-aware — a result or close() wakes it
-    // immediately, unlike the raw sleep this replaces.
+    // immediately.
     double wait_ms = any_running ? 5.0 : 1.0;
     // Hedge-aware wake: when a spare healthy worker exists, wake exactly
     // when the oldest hedgeable dispatch crosses the hedge threshold —
@@ -536,8 +444,7 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
         for (std::size_t w = 0; w < workers; ++w) {
           const WorkerSlot& s = slots[w];
           if (!s.busy || s.dead) continue;
-          const LiveTaskState& t = tasks[s.task];
-          if (t.done || t.hedged_this_stage) continue;
+          if (engine.finished(s.task) || tasks[s.task].hedged) continue;
           const double until = s.dispatched_ms + *threshold - now;
           wait_ms = std::min(wait_ms, std::max(until, 0.1));
         }
@@ -551,47 +458,55 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     if (!current) continue;  // stale report from an abandoned worker
 
     const double now = clock.now_ms();
+    const std::size_t task = slot.task;
+    TaskDispatch& t = tasks[task];
 
-    if (res->cancelled) {
+    if (res->report == Report::kCancelled) {
       // The worker honored a cancellation (hedge race decided against it,
       // or the propagated deadline had passed). No breaker penalty: the
       // worker did nothing wrong. Only a dispatch still in the in-flight
       // set counts as newly cancelled — a decided hedge race already
-      // counted its loser when the winner was processed.
+      // counted its loser when the winner was processed. With no dispatch
+      // of the stage left, the task goes back to the runnable set, where
+      // the latency daemon expires it if its deadline has passed.
       slot.busy = false;
-      LiveTaskState& t = tasks[slot.task];
       if (take_inflight(t, res->worker, res->seq).has_value()) {
         ++local_stats.cancelled;
-        t.span.event(TraceEventKind::kCancel, now,
-                     static_cast<std::uint32_t>(t.stages_done),
-                     static_cast<std::uint32_t>(res->worker));
+        engine.span(task).event(TraceEventKind::kCancel, now, stage_of(task),
+                                static_cast<std::uint32_t>(res->worker));
+        if (t.inflight.empty()) engine.enqueue(task);
       }
       dispatch();
       continue;
     }
 
-    if (!res->ok) {
-      // A recoverable failure is a sick-worker stage error and the worker
-      // lives; any other failure is a crash and the worker thread has exited.
-      breakers[res->worker].record_failure(now);
-      if (res->recoverable) {
+    if (res->report != Report::kDone) {
+      // A rejected input is not the worker's fault: no breaker failure and
+      // no fault count. A sick-worker error leaves the worker alive; a
+      // crash means the worker thread has exited.
+      if (res->report == Report::kRejected) {
+        EUGENE_LOG(Warn) << "live: task " << task << " rejected by stage "
+                         << stage_of(task) << ": " << res->error;
+      } else {
+        breakers[res->worker].record_failure(now);
+      }
+      if (res->report == Report::kSick) {
         ++local_stats.worker_errors;
         EUGENE_LOG(Warn) << "live: worker " << res->worker
-                         << " failed a stage of task " << slot.task
+                         << " failed a stage of task " << task
                          << " (recoverable): " << res->error;
-      } else {
+      } else if (res->report == Report::kCrashed) {
         ++local_stats.worker_crashes;
         EUGENE_LOG(Warn) << "live: worker " << res->worker
-                         << " crashed running task " << slot.task << ": "
-                         << res->error;
+                         << " crashed running task " << task << ": " << res->error;
         slot.dead = true;
       }
-      const LiveTaskState& t = tasks[slot.task];
-      t.span.event(TraceEventKind::kStageError, now,
-                   static_cast<std::uint32_t>(t.stages_done),
-                   static_cast<std::uint32_t>(res->worker));
-      fail_dispatch(res->worker);
-      if (!res->recoverable) maybe_respawn(res->worker);
+      engine.span(task).event(TraceEventKind::kStageError, now, stage_of(task),
+                              static_cast<std::uint32_t>(res->worker));
+      fail_dispatch(res->worker, res->report == Report::kRejected
+                                     ? StageFailure::kRejected
+                                     : StageFailure::kFault);
+      if (res->report == Report::kCrashed) maybe_respawn(res->worker);
       dispatch();
       continue;
     }
@@ -601,8 +516,6 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     breakers[res->worker].record_success(res->stage_ms, now);
     note_latency(now - slot.dispatched_ms, res->stage);
     slot.busy = false;
-    const std::size_t task_id = slot.task;
-    LiveTaskState& t = tasks[task_id];
     const auto won = take_inflight(t, res->worker, res->seq);
     if (!won.has_value()) {
       // Hedge-race loser: its twin already advanced the task. The result is
@@ -619,41 +532,21 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     local_stats.cancelled += t.inflight.size();
     for (auto& d : t.inflight) {
       d.token.cancel();
-      t.span.event(TraceEventKind::kCancel, now,
-                   static_cast<std::uint32_t>(t.stages_done),
-                   static_cast<std::uint32_t>(d.worker));
+      engine.span(task).event(TraceEventKind::kCancel, now, stage_of(task),
+                              static_cast<std::uint32_t>(d.worker));
     }
     t.inflight.clear();
-    t.hedged_this_stage = false;
+    t.hedged = false;
 
-    EUGENE_CHECK_EQ(res->stage, t.stages_done)
-        << "out-of-order stage report for task " << task_id;
-    if (!t.done && now - t.submit_ms < config.deadline_ms) {
-      // In-deadline result: accept it.
-      t.span.event(TraceEventKind::kStageDone, now,
-                   static_cast<std::uint32_t>(res->stage),
-                   static_cast<std::uint32_t>(res->worker), res->confidence);
-      ++t.stages_done;
-      t.observed_confidence.push_back(res->confidence);
-      t.last_label = res->label;
+    EUGENE_CHECK_EQ(res->stage, stage_of(task))
+        << "out-of-order stage report for task " << task;
+    if (now < deadline_ms) {
+      engine.complete(task, res->label, res->confidence, now,
+                      static_cast<std::uint32_t>(res->worker));
       t.features = std::move(res->features);
-      policy.on_stage_complete(task_id, res->stage, res->confidence);
-      if (t.stages_done == num_stages ||
-          res->confidence >= config.early_exit_confidence) {
-        t.done = true;
-        t.finish_ms = now;
-        --unfinished;
-        end_span(t, now);
-      }
-    } else if (!t.done) {
+    } else {
       // The daemon's stage-granularity kill: discard the late result.
-      t.done = true;
-      t.expired = true;
-      t.finish_ms = now;
-      ++local_stats.expired;
-      --unfinished;
-      t.span.event(TraceEventKind::kExpire, now);
-      end_span(t, now);
+      engine.expire(task, now);
     }
     dispatch();
   }
@@ -662,6 +555,12 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
   for (auto& th : threads) th.join();
   results.close();
 
+  std::vector<TaskResult> out = engine.take_results();
+  for (const TaskResult& r : out) {
+    local_stats.retries += r.retries;
+    local_stats.degraded += r.degraded ? 1 : 0;
+    local_stats.expired += r.expired ? 1 : 0;
+  }
   for (const auto& b : breakers) local_stats.breaker_trips += b.trips();
   if (stats != nullptr) *stats = local_stats;
 
@@ -669,7 +568,7 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     // inc(0) still registers the instrument, so metrics_text() lists every
     // counter even on an uneventful run (the parse test relies on that).
     telemetry::MetricsRegistry& m = *config.metrics;
-    m.counter("sched.live.tasks").inc(tasks.size());
+    m.counter("sched.live.tasks").inc(out.size());
     m.counter("sched.live.worker_crashes").inc(local_stats.worker_crashes);
     m.counter("sched.live.worker_timeouts").inc(local_stats.worker_timeouts);
     m.counter("sched.live.worker_errors").inc(local_stats.worker_errors);
@@ -682,21 +581,6 @@ std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t w
     m.counter("sched.live.hedges_issued").inc(local_stats.hedges_issued);
     m.counter("sched.live.hedges_won").inc(local_stats.hedges_won);
     m.counter("sched.live.cancelled").inc(local_stats.cancelled);
-  }
-
-  std::vector<LiveTaskResult> out(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    out[i].task_id = i;
-    out[i].label = tasks[i].last_label;
-    out[i].confidence = tasks[i].observed_confidence.empty()
-                            ? 0.0
-                            : tasks[i].observed_confidence.back();
-    out[i].stages_run = tasks[i].stages_done;
-    out[i].expired = tasks[i].expired;
-    out[i].degraded = tasks[i].degraded;
-    out[i].retries = tasks[i].retries;
-    out[i].latency_ms = tasks[i].finish_ms - tasks[i].submit_ms;
-    out[i].span_id = tasks[i].span.id();
   }
   return out;
 }

@@ -2,7 +2,9 @@
 // end-of-stage confidence reports flowing to the user-space scheduler over an
 // in-memory channel — the in-process mirror of the paper's process pool +
 // Linux named pipes + latency daemon (Section III). Each dispatch runs one
-// stage of one task.
+// stage of one task. run_live runs sched::Engine (sched/engine.hpp) on the
+// pool: it owns the threads, channels, dispatches and worker health, and the
+// engine owns the tasks, the policy loop and the failure rule.
 //
 // Differences from the paper's deployment, by design (DESIGN.md §2):
 //   * workers are threads that share one const model (inference writes
@@ -19,7 +21,8 @@
 // retries and exponential backoff + jitter, and — for crashes — the pool can
 // respawn a replacement thread for the dead worker. A task whose retry
 // budget runs out completes *degraded*: it answers with its best in-deadline
-// result rather than failing.
+// result rather than failing. A stage that throws InvalidArgument rejects its
+// input: the task degrades at once, and the worker lives and keeps serving.
 //
 // Overload control (DESIGN.md §11): every worker carries a CircuitBreaker
 // scoring its error-rate and stage-latency EWMAs. Dispatch routes around
@@ -39,7 +42,6 @@
 // hedge race; `health.breaker.trip` force-trips a breaker from record().
 #pragma once
 
-#include <functional>
 #include <limits>
 
 #include "common/health.hpp"
@@ -90,26 +92,11 @@ struct LiveConfig {
 
   // Lifecycle gate (DESIGN.md §13). When set, the batch is admitted through
   // ServerLifecycle::try_admit before any worker starts: a draining server
-  // answers every task with drained=true (typed rejection, zero stages run)
+  // answers every task with draining=true (typed rejection, zero stages run)
   // and the in-flight count covers the whole run_live call, so
   // begin_drain() waits for in-flight batches to finish. Null = always
   // admit.
   eugene::ServerLifecycle* lifecycle = nullptr;
-};
-
-/// Final outcome of one live task.
-struct LiveTaskResult {
-  std::size_t task_id = 0;
-  std::size_t label = 0;          ///< last emitted prediction
-  double confidence = 0.0;
-  std::size_t stages_run = 0;
-  bool expired = false;           ///< deadline reached before all stages
-  bool degraded = false;          ///< retry budget exhausted; best-effort answer
-  bool drained = false;           ///< rejected: server draining/stopped; no
-                                  ///< stage ran, resubmit elsewhere
-  std::size_t retries = 0;        ///< re-dispatches this task consumed
-  double latency_ms = 0.0;        ///< submission to final result
-  std::uint64_t span_id = 0;      ///< trace span (0 when the run was untraced)
 };
 
 /// Fault-handling counters for one run_live call. Chaos tests reconcile
@@ -118,8 +105,13 @@ struct LiveStats {
   std::size_t worker_crashes = 0;   ///< stages that threw inside a worker
   std::size_t worker_timeouts = 0;  ///< workers abandoned for silence
   std::size_t respawns = 0;         ///< replacement workers started
-  std::size_t retries = 0;          ///< task re-dispatches
-  std::size_t degraded = 0;         ///< tasks finished on an exhausted budget
+  /// Failed stage attempts charged to the tasks' retry budgets: the sum of
+  /// TaskResult::retries. Every failure counts, the one that degrades a task
+  /// included, except a failure past the task's deadline (it expires the
+  /// task), a rejected input, and a failure while a hedge twin still races.
+  std::size_t retries = 0;
+  std::size_t degraded = 0;         ///< tasks finished degraded (budget spent,
+                                    ///< input rejected, or every worker dead)
   std::size_t expired = 0;          ///< tasks finished by the latency daemon
 
   // Overload-control counters (DESIGN.md §11).
@@ -139,13 +131,12 @@ struct LiveStats {
 /// call. `curves` drives the utility estimates. Fills `*stats` with
 /// supervision counters when non-null.
 ///
-/// Robustness contract: every input receives a well-formed LiveTaskResult
-/// (complete, expired, or degraded) and no worker exception escapes, for any
-/// combination of worker crashes, stalls, and deadlines.
-std::vector<LiveTaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
-                                     const gp::ConfidenceCurveModel& curves,
-                                     const std::vector<tensor::Tensor>& inputs,
-                                     const LiveConfig& config,
-                                     LiveStats* stats = nullptr);
+/// Robustness contract: every input receives a well-formed TaskResult
+/// (complete, expired, or degraded), in input order, and no worker exception
+/// escapes, for any combination of worker crashes, stalls, and deadlines.
+std::vector<TaskResult> run_live(const nn::StagedModel& model, std::size_t workers,
+                                 const gp::ConfidenceCurveModel& curves,
+                                 const std::vector<tensor::Tensor>& inputs,
+                                 const LiveConfig& config, LiveStats* stats = nullptr);
 
 }  // namespace eugene::sched

@@ -26,10 +26,6 @@ void GreedyUtilityPolicy::set_stage_cost_hint(double stage_ms) {
   stage_cost_hint_ms_ = stage_ms;
 }
 
-std::string GreedyUtilityPolicy::name() const {
-  return "RTDeepIoT(" + estimator_.name() + ")-" + std::to_string(lookahead_);
-}
-
 GreedyUtilityPolicy::Estimate GreedyUtilityPolicy::estimate(std::span<const double> conf,
                                                             std::size_t service) const {
   const double predicted = estimator_.predict_confidence_after(conf, conf.size());
@@ -39,7 +35,7 @@ GreedyUtilityPolicy::Estimate GreedyUtilityPolicy::estimate(std::span<const doub
 
 void GreedyUtilityPolicy::plan(const std::vector<TaskView>& runnable, double now_ms) {
   timeline_.clear();
-  // Twice the runnable count keeps dense ids (every engine numbers its
+  // Twice the runnable count keeps dense ids (sched::Engine numbers its
   // tasks 0..n-1) collision-free; the cache only ever grows.
   if (cache_.size() < 2 * runnable.size())
     cache_.assign(std::bit_ceil(2 * runnable.size()), CacheSlot{});
@@ -142,16 +138,8 @@ std::optional<std::size_t> GreedyUtilityPolicy::pick(
   plan(runnable, now_ms);
   if (timeline_.empty()) return std::nullopt;
   const std::size_t id = timeline_.front();
-  timeline_.pop_front();
+  timeline_.erase(timeline_.begin());
   return id;
-}
-
-void GreedyUtilityPolicy::on_stage_complete(std::size_t /*task_id*/, std::size_t /*stage*/,
-                                            double /*confidence*/) {
-  // Lookahead semantics (paper §III): the planned timeline runs to
-  // exhaustion before replanning, so fresh observations are deliberately
-  // not folded in mid-plan — that staleness is exactly what the k sweep
-  // in Fig. 4a measures.
 }
 
 // --------------------------------------------------------- RoundRobinPolicy

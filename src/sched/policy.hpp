@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "sched/utility.hpp"
@@ -30,19 +29,17 @@ class SchedulingPolicy {
   virtual std::optional<std::size_t> pick(const std::vector<TaskView>& runnable,
                                           double now_ms) = 0;
 
-  /// Invoked by the engine when a stage finishes and reveals its confidence.
-  virtual void on_stage_complete(std::size_t /*task_id*/, std::size_t /*stage*/,
-                                 double /*confidence*/) {}
-
-  /// Clears internal state between simulation runs.
+  /// Clears internal state between runs (sched::Engine calls it).
   virtual void reset() {}
-
-  virtual std::string name() const = 0;
 };
 
 /// RTDeepIoT-k. Plans a timeline of k stage selections by greedy
 /// differential utility, chaining the estimator over hypothetical
 /// executions; replans when the timeline is exhausted or invalidated.
+///
+/// Lookahead semantics (paper §III): the planned timeline runs to exhaustion
+/// before replanning, so observations revealed mid-plan are deliberately
+/// not folded in. That staleness is what the k sweep in Fig. 4a measures.
 ///
 /// A plan is one compare-scan over the runnable set per committed stage.
 /// Histories are read in place, and each task's next-stage utility is cached
@@ -70,13 +67,10 @@ class GreedyUtilityPolicy final : public SchedulingPolicy {
 
   std::optional<std::size_t> pick(const std::vector<TaskView>& runnable,
                                   double now_ms) override;
-  void on_stage_complete(std::size_t task_id, std::size_t stage,
-                         double confidence) override;
   void reset() override {
     timeline_.clear();
     ++cache_epoch_;
   }
-  std::string name() const override;
 
  private:
   /// A task's next-stage forecast: the confidence the stage is predicted to
@@ -105,7 +99,7 @@ class GreedyUtilityPolicy final : public SchedulingPolicy {
   std::size_t lookahead_;
   std::vector<double> service_weights_;
   double stage_cost_hint_ms_ = 0.0;
-  std::deque<std::size_t> timeline_;  ///< planned task ids, in execution order
+  std::vector<std::size_t> timeline_;  ///< planned task ids (at most k), in order
   std::vector<CacheSlot> cache_;      ///< power-of-two size, grown by plan()
   std::uint64_t cache_epoch_ = 1;     ///< bumped to invalidate every slot
 };
@@ -116,7 +110,6 @@ class RoundRobinPolicy final : public SchedulingPolicy {
   std::optional<std::size_t> pick(const std::vector<TaskView>& runnable,
                                   double now_ms) override;
   void reset() override { next_service_ = 0; }
-  std::string name() const override { return "RR"; }
 
  private:
   std::size_t next_service_ = 0;
@@ -127,7 +120,6 @@ class FifoPolicy final : public SchedulingPolicy {
  public:
   std::optional<std::size_t> pick(const std::vector<TaskView>& runnable,
                                   double now_ms) override;
-  std::string name() const override { return "FIFO"; }
 };
 
 /// Earliest absolute deadline first (ablation extension).
@@ -135,7 +127,6 @@ class EarliestDeadlinePolicy final : public SchedulingPolicy {
  public:
   std::optional<std::size_t> pick(const std::vector<TaskView>& runnable,
                                   double now_ms) override;
-  std::string name() const override { return "EDF"; }
 };
 
 }  // namespace eugene::sched

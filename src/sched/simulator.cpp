@@ -4,8 +4,8 @@
 #include <cmath>
 #include <queue>
 
-#include "common/check.hpp"
 #include "common/stats.hpp"
+#include "sched/engine.hpp"
 
 namespace eugene::sched {
 
@@ -41,8 +41,7 @@ struct Event {
   double time_ms = 0.0;
   std::uint64_t seq = 0;  ///< FIFO tie-break for determinism
   EventKind kind = EventKind::Arrival;
-  std::size_t task_index = 0;
-  std::uint64_t epoch = 0;  ///< StageDone validity check (abort support)
+  std::size_t task = 0;
 
   bool operator>(const Event& other) const {
     if (time_ms != other.time_ms) return time_ms > other.time_ms;
@@ -50,112 +49,47 @@ struct Event {
   }
 };
 
-struct TaskRuntime {
-  const TaskSpec* spec = nullptr;
-  std::size_t stages_done = 0;
-  bool arrived = false;
-  bool running = false;
-  bool finished = false;
-  bool deadline_passed = false;  ///< used when kill_at_deadline is off
-  std::uint64_t epoch = 0;  ///< incremented on abort to invalidate StageDone
-  std::vector<double> observed_confidence;
-};
-
 }  // namespace
 
-SimulationResult simulate(std::vector<TaskSpec> tasks, SchedulingPolicy& policy,
+SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& policy,
                           const StageCostModel& costs, const SimulationConfig& config) {
   EUGENE_REQUIRE(!tasks.empty(), "simulate: empty task set");
   EUGENE_REQUIRE(config.num_workers >= 1, "simulate: need at least one worker");
-  policy.reset();
-  Rng rng(config.rng_seed);
-
-  std::vector<TaskRuntime> runtime(tasks.size());
   std::size_t num_services = 0;
   std::size_t max_stages = 0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    EUGENE_REQUIRE(!tasks[i].stages.empty(), "simulate: task with no stages");
-    runtime[i].spec = &tasks[i];
-    num_services = std::max(num_services, tasks[i].service + 1);
-    max_stages = std::max(max_stages, tasks[i].stages.size());
+  for (const TaskSpec& t : tasks) {
+    EUGENE_REQUIRE(!t.stages.empty(), "simulate: task with no stages");
+    num_services = std::max(num_services, t.service + 1);
+    max_stages = std::max(max_stages, t.stages.size());
   }
   EUGENE_REQUIRE(costs.num_stages() >= max_stages,
                  "simulate: cost model covers fewer stages than tasks have");
 
+  Engine engine(policy, tasks.size(), max_stages, /*max_retries=*/0,
+                config.early_exit_confidence, /*trace=*/nullptr);
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    events.push({tasks[i].arrival_ms, seq++, EventKind::Arrival, i, 0});
+    engine.add(tasks[i].service, tasks[i].arrival_ms, tasks[i].deadline_ms,
+               tasks[i].stages.size());
+    events.push({tasks[i].arrival_ms, seq++, EventKind::Arrival, i});
     if (std::isfinite(tasks[i].deadline_ms))
-      events.push({tasks[i].deadline_ms, seq++, EventKind::Deadline, i, 0});
+      events.push({tasks[i].deadline_ms, seq++, EventKind::Deadline, i});
   }
 
   SimulationResult result;
-  result.services.resize(num_services);
-  result.exit_stage_histogram.assign(max_stages + 1, 0);
+  Rng rng(config.rng_seed);
   std::size_t free_workers = config.num_workers;
   double now = 0.0;
 
-  auto finish_task = [&](std::size_t i) {
-    TaskRuntime& t = runtime[i];
-    EUGENE_CHECK(!t.finished) << "finish_task: task " << t.spec->id
-                              << " already finished";
-    t.finished = true;
-    ServiceMetrics& svc = result.services[t.spec->service];
-    ++svc.tasks;
-    if (t.stages_done == 0) {
-      ++svc.expired_without_result;
-      ++result.exit_stage_histogram[0];
-      return;
-    }
-    const StageOutcome& last = t.spec->stages[t.stages_done - 1];
-    if (last.correct) ++svc.correct;
-    ++result.exit_stage_histogram[t.stages_done];
-    if (t.stages_done == t.spec->stages.size())
-      ++svc.completed_all_stages;
-    else if (t.observed_confidence.back() >= config.early_exit_confidence)
-      ++svc.early_exits;
-    else
-      ++svc.expired_with_result;
-  };
-
   auto dispatch = [&]() {
     while (free_workers > 0) {
-      std::vector<TaskView> runnable;
-      for (std::size_t i = 0; i < runtime.size(); ++i) {
-        const TaskRuntime& t = runtime[i];
-        if (!t.arrived || t.finished || t.running) continue;
-        if (t.stages_done >= t.spec->stages.size()) continue;
-        TaskView v;
-        v.task_id = t.spec->id;
-        v.service = t.spec->service;
-        v.stages_done = t.stages_done;
-        v.total_stages = t.spec->stages.size();
-        v.arrival_ms = t.spec->arrival_ms;
-        v.deadline_ms = t.spec->deadline_ms;
-        v.observed_confidence = t.observed_confidence;
-        runnable.push_back(v);
-      }
-      if (runnable.empty()) return;
-      const std::optional<std::size_t> choice = policy.pick(runnable, now);
-      if (!choice.has_value()) return;
-      // Map task_id back to the runtime index.
-      std::size_t idx = runtime.size();
-      for (std::size_t i = 0; i < runtime.size(); ++i)
-        if (runtime[i].spec->id == *choice) {
-          idx = i;
-          break;
-        }
-      EUGENE_CHECK_LT(idx, runtime.size())
-          << "policy picked unknown task id " << *choice;
-      TaskRuntime& t = runtime[idx];
-      EUGENE_CHECK(t.arrived && !t.finished && !t.running &&
-                   t.stages_done < t.spec->stages.size())
-          << "policy picked non-runnable task " << *choice;
-      t.running = true;
+      const std::optional<std::size_t> task = engine.next(now);
+      if (!task.has_value()) return;
+      engine.hold(*task);
       --free_workers;
-      const double dt = costs.duration_ms(t.stages_done, rng);
-      events.push({now + dt, seq++, EventKind::StageDone, idx, t.epoch});
+      const double dt = costs.duration_ms(engine.result(*task).stages_run, rng);
+      events.push({now + dt, seq++, EventKind::StageDone, *task});
     }
   };
 
@@ -163,61 +97,60 @@ SimulationResult simulate(std::vector<TaskSpec> tasks, SchedulingPolicy& policy,
     const Event ev = events.top();
     events.pop();
     now = std::max(now, ev.time_ms);
-    TaskRuntime& t = runtime[ev.task_index];
-
     switch (ev.kind) {
       case EventKind::Arrival:
-        t.arrived = true;
+        engine.enqueue(ev.task);
         break;
 
       case EventKind::StageDone: {
-        if (ev.epoch != t.epoch || !t.running) break;  // aborted stage
-        t.running = false;
+        if (engine.finished(ev.task)) break;  // aborted at its deadline
         ++free_workers;
-        const StageOutcome& outcome = t.spec->stages[t.stages_done];
-        ++t.stages_done;
-        t.observed_confidence.push_back(outcome.confidence);
-        result.services[t.spec->service].stages_executed += 1;
-        policy.on_stage_complete(t.spec->id, t.stages_done - 1, outcome.confidence);
+        const std::size_t stage = engine.result(ev.task).stages_run;
+        const StageOutcome& outcome = tasks[ev.task].stages[stage];
+        engine.complete(ev.task, outcome.predicted, outcome.confidence, now);
         result.makespan_ms = std::max(result.makespan_ms, now);
-        if (t.stages_done == t.spec->stages.size() ||
-            outcome.confidence >= config.early_exit_confidence ||
-            t.deadline_passed) {
-          finish_task(ev.task_index);
-        }
         break;
       }
 
       case EventKind::Deadline: {
-        if (t.finished) break;
-        if (t.running && !config.kill_at_deadline) {
-          // Grace mode: the in-flight stage may finish and its result is
-          // accepted, but no further stages are scheduled.
-          t.deadline_passed = true;
-          break;
-        }
-        if (t.running) {
+        if (engine.finished(ev.task)) break;
+        if (engine.held(ev.task)) {
           // The daemon "sends a signal to stop the current computation";
           // the partially executed stage accrues no result.
-          ++t.epoch;
-          t.running = false;
           ++free_workers;
           ++result.aborted_stage_executions;
         }
         result.makespan_ms = std::max(result.makespan_ms, now);
-        finish_task(ev.task_index);
+        engine.expire(ev.task, now);
         break;
       }
     }
     dispatch();
   }
 
-  // Tasks with no deadline that ran out of scheduling interest: if the event
-  // queue drained and they are unfinished, close them with their current
-  // result (the service answers with the best label it has).
-  for (std::size_t i = 0; i < runtime.size(); ++i)
-    if (!runtime[i].finished) finish_task(i);
-
+  // Per-service metrics from each task's final answer. A task the policy
+  // never finished (no deadline, no further interest) counts with the result
+  // it holds: the service answers with the best label it has.
+  result.services.resize(num_services);
+  result.exit_stage_histogram.assign(max_stages + 1, 0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const TaskResult& r = engine.result(i);
+    ServiceMetrics& svc = result.services[tasks[i].service];
+    ++svc.tasks;
+    svc.stages_executed += r.stages_run;
+    ++result.exit_stage_histogram[r.stages_run];
+    if (r.stages_run == 0) {
+      ++svc.expired_without_result;
+      continue;
+    }
+    if (tasks[i].stages[r.stages_run - 1].correct) ++svc.correct;
+    if (r.stages_run == tasks[i].stages.size())
+      ++svc.completed_all_stages;
+    else if (r.confidence >= config.early_exit_confidence)
+      ++svc.early_exits;
+    else
+      ++svc.expired_with_result;
+  }
   return result;
 }
 

@@ -1,27 +1,25 @@
-// Discrete-event simulation engine for the scheduling experiments (Fig. 4).
+// Discrete-event simulator for the scheduling experiments (Fig. 4): the
+// sched::Engine state machine the server runs, driven on virtual time.
 //
-// The engine owns a pool of homogeneous workers, a virtual clock, and the
-// task set; the policy owns only the pick-next decision. Per the paper's
-// architecture: stages run to completion once dispatched (stage-granularity
-// preemption), and a latency daemon kills tasks whose deadline expires —
-// including aborting a stage mid-execution, wasting that worker time.
+// The simulator owns a pool of homogeneous workers, the event queue, the
+// stage cost model and the outcome playback; the engine owns the tasks and
+// the policy loop. Per the paper's architecture: stages run to completion
+// once dispatched (stage-granularity preemption), and a latency daemon kills
+// tasks whose deadline expires — including aborting a stage mid-execution,
+// wasting that worker time.
 #pragma once
-
-#include <memory>
 
 #include "sched/policy.hpp"
 
 namespace eugene::sched {
 
-/// Engine knobs.
+/// Simulator knobs.
 struct SimulationConfig {
   std::size_t num_workers = 4;
   /// Tasks whose revealed confidence reaches this value complete early
   /// ("once a high-enough confidence is reported, skip remaining stages",
   /// paper §II-D). Values > 1 disable early exit.
   double early_exit_confidence = 2.0;
-  /// If true, the latency daemon aborts running stages at the deadline.
-  bool kill_at_deadline = true;
   std::uint64_t rng_seed = 99;
 };
 
@@ -57,9 +55,9 @@ struct SimulationResult {
 };
 
 /// Runs `policy` over `tasks` and returns the metrics. The policy is reset()
-/// before the run. Task ids must be unique; stage costs must cover the
+/// before the run. A task's id is its position; stage costs must cover the
 /// maximum stage count in the task set.
-SimulationResult simulate(std::vector<TaskSpec> tasks, SchedulingPolicy& policy,
+SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& policy,
                           const StageCostModel& costs, const SimulationConfig& config);
 
 }  // namespace eugene::sched

@@ -4,10 +4,11 @@
 // An inference task is one input (e.g. an image) owned by a *service* (one
 // client stream). Its neural network is split into stages; executing stage s
 // reveals that stage's (label, confidence). The scheduler sees only revealed
-// confidences — the ground-truth playback in TaskSpec is engine-private.
+// confidences — the ground-truth playback in TaskSpec is simulator-private.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -25,9 +26,9 @@ struct StageOutcome {
   double confidence = 0.0;    ///< head's calibrated confidence
 };
 
-/// Immutable description of one inference task.
+/// Immutable description of one inference task. Its id is its position in
+/// the task set.
 struct TaskSpec {
-  std::size_t id = 0;
   std::size_t service = 0;    ///< owning client stream
   double arrival_ms = 0.0;    ///< absolute arrival time
   double deadline_ms = std::numeric_limits<double>::infinity();  ///< absolute
@@ -44,8 +45,9 @@ struct TaskSpec {
 /// when the stage completes, and revealed entries never change. So
 /// (task_id, stages_done) identifies a task's history, and a policy may cache
 /// anything derived from it (GreedyUtilityPolicy caches each task's
-/// next-stage utility). All three engines keep the contract:
-/// serving::InferenceServer::process_batch, run_live and simulate.
+/// next-stage utility). sched::Engine keeps the contract for all its callers:
+/// it resets the policy, numbers its tasks 0..n-1 and appends each
+/// confidence once.
 struct TaskView {
   std::size_t task_id = 0;
   std::size_t service = 0;
@@ -58,6 +60,26 @@ struct TaskView {
   double current_confidence() const {
     return observed_confidence.empty() ? 0.0 : observed_confidence.back();
   }
+};
+
+/// Final answer for one task: what the engine reports when the task leaves
+/// the system, and what the server returns per request
+/// (serving::InferenceResponse is this type).
+struct TaskResult {
+  std::size_t label = 0;   ///< label of the last completed stage
+  double confidence = 0.0; ///< that stage's confidence (0 with no stage run)
+  std::size_t stages_run = 0;
+  bool expired = false;    ///< deadline hit before full/confident completion
+  bool degraded = false;   ///< shed under overload, retry budget spent, or the
+                           ///< input rejected by the model
+  bool browned_out = false;  ///< shed by the adaptive admission controller
+                             ///< (would have been admitted at level 0)
+  bool draining = false;   ///< rejected: the server is draining/stopped — the
+                           ///< typed drain response; no stage ran, resubmit
+                           ///< elsewhere (never combined with degraded/shed)
+  std::size_t retries = 0; ///< failed stage attempts charged to the retry budget
+  double latency_ms = 0.0; ///< arrival to final answer
+  std::uint64_t span_id = 0;  ///< trace span (0 when the run was untraced)
 };
 
 /// Per-stage execution-time model. The default derives nothing; callers set

@@ -6,9 +6,7 @@
 // predicted confidences back in as if observed.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
 
 #include "gp/confidence_curve.hpp"
 #include "sched/task.hpp"
@@ -28,8 +26,6 @@ class UtilityEstimator {
   /// supported: the estimator projects from the last available stage.
   virtual double predict_confidence_after(std::span<const double> conf_so_far,
                                           std::size_t next_stage) const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// RTDeepIoT's estimator: piecewise-linear-approximated Gaussian-process
@@ -42,7 +38,6 @@ class GpUtilityEstimator final : public UtilityEstimator {
 
   double predict_confidence_after(std::span<const double> conf_so_far,
                                   std::size_t next_stage) const override;
-  std::string name() const override { return "gp"; }
 
  private:
   const gp::ConfidenceCurveModel& curves_;
@@ -58,7 +53,6 @@ class ConstantSlopeEstimator final : public UtilityEstimator {
 
   double predict_confidence_after(std::span<const double> conf_so_far,
                                   std::size_t next_stage) const override;
-  std::string name() const override { return "constant-slope"; }
 
  private:
   std::vector<double> stage_priors_;

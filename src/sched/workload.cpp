@@ -12,7 +12,6 @@ std::vector<TaskSpec> build_workload(const calib::StagedEvaluation& eval,
 
   std::vector<TaskSpec> tasks;
   tasks.reserve(config.num_services * config.tasks_per_service);
-  std::size_t next_id = 0;
   for (std::size_t svc = 0; svc < config.num_services; ++svc) {
     double t = 0.0;
     for (std::size_t j = 0; j < config.tasks_per_service; ++j) {
@@ -22,7 +21,6 @@ std::vector<TaskSpec> build_workload(const calib::StagedEvaluation& eval,
       const std::size_t row = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(eval.num_samples()) - 1));
       TaskSpec spec;
-      spec.id = next_id++;
       spec.service = svc;
       spec.arrival_ms = t;
       spec.deadline_ms = t + config.deadline_ms;

@@ -19,7 +19,7 @@ struct WorkloadConfig {
 };
 
 /// Builds the task set by sampling rows of `eval` (with replacement) for
-/// every service. Task ids are unique and dense from 0.
+/// every service, service by service.
 std::vector<TaskSpec> build_workload(const calib::StagedEvaluation& eval,
                                      const WorkloadConfig& config, Rng& rng);
 

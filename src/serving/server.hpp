@@ -13,7 +13,12 @@
 // admission controller that sheds excess requests to the earliest confident
 // exit (the imprecise-computation answer: a degraded-but-valid result beats
 // a rejection); a stage that throws is retried a bounded number of times
-// before the request degrades.
+// before the request degrades, and a stage that rejects the input
+// (InvalidArgument) degrades the request at once.
+//
+// process_batch runs sched::Engine (sched/engine.hpp) inline: it runs each
+// picked stage on the calling thread and owns admission, shedding and the
+// brown-out controller; the engine owns the per-request state.
 #pragma once
 
 #include <limits>
@@ -21,6 +26,7 @@
 #include "common/lifecycle.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sched/task.hpp"
 #include "serving/registry.hpp"
 
 namespace eugene::serving {
@@ -38,22 +44,8 @@ struct InferenceRequest {
   std::size_t service_class = 0;
 };
 
-/// One inference response.
-struct InferenceResponse {
-  std::size_t label = 0;
-  double confidence = 0.0;
-  std::size_t stages_run = 0;
-  bool expired = false;    ///< deadline hit before full/confident completion
-  bool degraded = false;   ///< shed under overload or stage-failure budget spent
-  bool browned_out = false;  ///< shed by the adaptive admission controller
-                             ///< (would have been admitted at level 0)
-  bool draining = false;   ///< rejected: the server is draining/stopped — the
-                           ///< typed drain response; no stage ran, resubmit
-                           ///< elsewhere (never combined with degraded/shed)
-  std::size_t retries = 0; ///< stage re-executions consumed by faults
-  double latency_ms = 0.0;
-  std::uint64_t span_id = 0;  ///< trace span (0 when the run was untraced)
-};
+/// One inference response: the scheduler's per-task answer.
+using InferenceResponse = sched::TaskResult;
 
 /// Adaptive admission (brown-out) knobs, DESIGN.md §11.
 ///

@@ -98,7 +98,7 @@ struct ServerHarness {
 
 /// The chaos suite's core invariant: a response is well-formed iff it is
 /// complete, expired, or degraded — and internally consistent.
-void expect_well_formed(const sched::LiveTaskResult& r, std::size_t num_stages) {
+void expect_well_formed(const sched::TaskResult& r, std::size_t num_stages) {
   EXPECT_LE(r.stages_run, num_stages);
   EXPECT_FALSE(r.expired && r.degraded);
   if (!r.expired && !r.degraded) {
@@ -346,7 +346,7 @@ TEST(Fault, LiveExpiredTasksStayExpiredUnderCrashes) {
   EXPECT_EQ(stats.expired,
             static_cast<std::size_t>(std::count_if(
                 results.begin(), results.end(),
-                [](const sched::LiveTaskResult& r) { return r.expired; })));
+                [](const sched::TaskResult& r) { return r.expired; })));
   EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.crash"),
             stats.worker_crashes);
 }
@@ -785,6 +785,59 @@ TEST(Fault, ServerRejectsInvalidInputsUpFront) {
   serving::ServerConfig bad;
   bad.shed_max_stages = 0;
   EXPECT_THROW(serving::InferenceServer(harness.entry(), bad), InvalidArgument);
+}
+
+TEST(Fault, RejectedInputDegradesAtOnce) {
+  FailpointGuard guard;
+  // An input the model cannot take makes the first stage throw
+  // InvalidArgument. A stage is deterministic, so retrying can never
+  // succeed: the request degrades at once, charging no retry, no worker
+  // crash, and no breaker failure.
+  Rng rng(21);
+  const tensor::Tensor wrong = tensor::Tensor::randn({2, 4, 4}, rng);
+
+  // Inline: one wrong-shaped request among good ones.
+  ServerHarness harness;
+  std::vector<serving::InferenceRequest> good;
+  for (const auto& input : make_inputs(4)) good.push_back({input, 0});
+  std::vector<serving::InferenceRequest> mixed = good;
+  mixed.insert(mixed.begin() + 2, {wrong, 0});
+  serving::InferenceServer reference(harness.entry(), serving::ServerConfig{});
+  serving::InferenceServer server(harness.entry(), serving::ServerConfig{});
+  const auto expected = reference.process_batch(good);
+  const auto responses = server.process_batch(mixed);
+  ASSERT_EQ(responses.size(), mixed.size());
+  EXPECT_TRUE(responses[2].degraded);
+  EXPECT_FALSE(responses[2].expired);
+  EXPECT_EQ(responses[2].stages_run, 0u);
+  EXPECT_EQ(responses[2].retries, 0u);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    const serving::InferenceResponse& r = responses[i < 2 ? i : i + 1];
+    EXPECT_FALSE(r.degraded) << i;
+    EXPECT_EQ(r.label, expected[i].label) << i;
+    EXPECT_EQ(r.confidence, expected[i].confidence) << i;
+    EXPECT_EQ(r.stages_run, expected[i].stages_run) << i;
+    EXPECT_EQ(r.retries, 0u) << i;
+  }
+
+  // Worker pool: a batch of wrong-shaped inputs. The workers reject every
+  // task and keep serving.
+  const nn::StagedModel model = make_model();
+  const auto curves = make_curves();
+  const std::vector<tensor::Tensor> inputs(4, wrong);
+  sched::LiveStats stats;
+  const auto results =
+      sched::run_live(model, 2, curves, inputs, sched::LiveConfig{}, &stats);
+  ASSERT_EQ(results.size(), inputs.size());
+  for (const auto& r : results) {
+    expect_well_formed(r, kStages);
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(r.stages_run, 0u);
+    EXPECT_EQ(r.retries, 0u);
+  }
+  EXPECT_EQ(stats.worker_crashes, 0u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.degraded, inputs.size());
 }
 
 // ---------------------------------------------------------------------------

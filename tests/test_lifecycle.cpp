@@ -392,7 +392,7 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   std::thread traffic([&] {
     const auto results = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
                                          inputs, config);
-    for (const auto& r : results) EXPECT_FALSE(r.drained);
+    for (const auto& r : results) EXPECT_FALSE(r.draining);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const core::DrainOutcome outcome =
@@ -404,7 +404,7 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   const auto rejected = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
                                         inputs, config);
   for (const auto& r : rejected) {
-    EXPECT_TRUE(r.drained);
+    EXPECT_TRUE(r.draining);
     EXPECT_EQ(r.stages_run, 0u);
   }
 }

@@ -189,7 +189,6 @@ TEST_P(SimulatorSweep, ConservationInvariantsHold) {
   std::vector<sched::TaskSpec> tasks;
   for (std::size_t i = 0; i < c.tasks; ++i) {
     sched::TaskSpec t;
-    t.id = i;
     t.service = i % 3;
     t.arrival_ms = rng.uniform(0.0, 100.0);
     t.deadline_ms = t.arrival_ms + c.deadline_ms;

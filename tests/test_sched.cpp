@@ -334,10 +334,9 @@ TEST(GreedyPolicy, MatchesReferencePlanner) {
 
 // ----------------------------------------------------------- simulator ----
 
-TaskSpec make_task(std::size_t id, std::size_t service, double arrival, double deadline,
+TaskSpec make_task(std::size_t service, double arrival, double deadline,
                    std::initializer_list<std::pair<bool, double>> stages) {
   TaskSpec t;
-  t.id = id;
   t.service = service;
   t.arrival_ms = arrival;
   t.deadline_ms = deadline;
@@ -356,7 +355,7 @@ StageCostModel unit_costs() { return StageCostModel{{10.0, 10.0, 10.0}, 0.0}; }
 TEST(Simulator, CompletesEverythingWithGenerousDeadlines) {
   std::vector<TaskSpec> tasks;
   for (std::size_t i = 0; i < 6; ++i)
-    tasks.push_back(make_task(i, i % 2, 0.0, 1e9,
+    tasks.push_back(make_task(i % 2, 0.0, 1e9,
                               {{false, 0.4}, {false, 0.6}, {true, 0.9}}));
   FifoPolicy policy;
   SimulationConfig cfg;
@@ -377,7 +376,7 @@ TEST(Simulator, CompletesEverythingWithGenerousDeadlines) {
 TEST(Simulator, DeadlineKillsRunningStageAndWastesWork) {
   // One worker, one task whose first stage (10 ms) outlives a 5 ms deadline.
   std::vector<TaskSpec> tasks = {
-      make_task(0, 0, 0.0, 5.0, {{true, 0.9}, {true, 0.95}, {true, 0.99}})};
+      make_task(0, 0.0, 5.0, {{true, 0.9}, {true, 0.95}, {true, 0.99}})};
   FifoPolicy policy;
   SimulationConfig cfg;
   cfg.num_workers = 1;
@@ -388,23 +387,9 @@ TEST(Simulator, DeadlineKillsRunningStageAndWastesWork) {
   EXPECT_EQ(result.exit_stage_histogram[0], 1u);
 }
 
-TEST(Simulator, KillDisabledLetsStageFinish) {
-  std::vector<TaskSpec> tasks = {
-      make_task(0, 0, 0.0, 5.0, {{true, 0.9}, {true, 0.95}, {true, 0.99}})};
-  FifoPolicy policy;
-  SimulationConfig cfg;
-  cfg.num_workers = 1;
-  cfg.kill_at_deadline = false;
-  const SimulationResult result = simulate(tasks, policy, unit_costs(), cfg);
-  EXPECT_EQ(result.aborted_stage_executions, 0u);
-  // The stage completed after the deadline; the task answers with it.
-  EXPECT_EQ(result.services[0].correct, 1u);
-  EXPECT_EQ(result.services[0].stages_executed, 1u);
-}
-
 TEST(Simulator, EarlyExitSkipsRemainingStages) {
   std::vector<TaskSpec> tasks = {
-      make_task(0, 0, 0.0, 1e9, {{true, 0.95}, {true, 0.97}, {true, 0.99}})};
+      make_task(0, 0.0, 1e9, {{true, 0.95}, {true, 0.97}, {true, 0.99}})};
   FifoPolicy policy;
   SimulationConfig cfg;
   cfg.num_workers = 1;
@@ -419,7 +404,7 @@ TEST(Simulator, PartialResultCountsAtDeadline) {
   // Stage 1 (correct, 0.6) finishes at t=10; deadline at 15 kills the task
   // during stage 2: final answer is stage 1's label.
   std::vector<TaskSpec> tasks = {
-      make_task(0, 0, 0.0, 15.0, {{true, 0.6}, {false, 0.8}, {false, 0.9}})};
+      make_task(0, 0.0, 15.0, {{true, 0.6}, {false, 0.8}, {false, 0.9}})};
   FifoPolicy policy;
   SimulationConfig cfg;
   cfg.num_workers = 1;
@@ -437,7 +422,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
   std::vector<TaskSpec> tasks;
   for (std::size_t i = 0; i < 30; ++i) {
     const double c1 = rng.uniform(0.2, 0.8);
-    tasks.push_back(make_task(i, i % 5, rng.uniform(0.0, 50.0), 1e9,
+    tasks.push_back(make_task(i % 5, rng.uniform(0.0, 50.0), 1e9,
                               {{rng.bernoulli(c1), c1},
                                {rng.bernoulli(0.7), 0.7},
                                {rng.bernoulli(0.9), 0.9}}));
@@ -461,7 +446,7 @@ TEST(Simulator, UtilitySchedulingBeatsFifoUnderOverload) {
   Rng rng(4);
   for (std::size_t i = 0; i < 10; ++i) {
     // Stage 1 already gives a mostly right answer; later stages refine.
-    tasks.push_back(make_task(i, i, 0.0, 60.0,
+    tasks.push_back(make_task(i, 0.0, 60.0,
                               {{rng.bernoulli(0.8), 0.75},
                                {rng.bernoulli(0.85), 0.85},
                                {rng.bernoulli(0.95), 0.95}}));
@@ -481,10 +466,10 @@ TEST(Simulator, ValidatesInputs) {
   FifoPolicy policy;
   SimulationConfig cfg;
   EXPECT_THROW(simulate({}, policy, unit_costs(), cfg), InvalidArgument);
-  std::vector<TaskSpec> tasks = {make_task(0, 0, 0.0, 1e9, {})};
+  std::vector<TaskSpec> tasks = {make_task(0, 0.0, 1e9, {})};
   EXPECT_THROW(simulate(tasks, policy, unit_costs(), cfg), InvalidArgument);
   std::vector<TaskSpec> four_stages = {
-      make_task(0, 0, 0.0, 1e9,
+      make_task(0, 0.0, 1e9,
                 {{true, 0.5}, {true, 0.6}, {true, 0.7}, {true, 0.8}})};
   EXPECT_THROW(simulate(four_stages, policy, unit_costs(), cfg), InvalidArgument);
 }
@@ -517,16 +502,13 @@ TEST(Workload, BuildsRequestedStreams) {
   const auto tasks = build_workload(eval, cfg, rng);
   ASSERT_EQ(tasks.size(), 40u);
   std::vector<double> last_arrival(4, -1.0);
-  std::set<std::size_t> ids;
   for (const auto& t : tasks) {
     EXPECT_LT(t.service, 4u);
     EXPECT_EQ(t.stages.size(), 3u);
     EXPECT_GT(t.arrival_ms, last_arrival[t.service]);
     last_arrival[t.service] = t.arrival_ms;
     EXPECT_DOUBLE_EQ(t.deadline_ms, t.arrival_ms + 50.0);
-    ids.insert(t.id);
   }
-  EXPECT_EQ(ids.size(), 40u);
 }
 
 TEST(Workload, CostModelFromFlops) {

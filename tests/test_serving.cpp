@@ -5,11 +5,13 @@
 
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "common/trace.hpp"
 #include "core/eugene_service.hpp"
 #include "data/synthetic_images.hpp"
 #include "sched/policy.hpp"
+#include "sched/simulator.hpp"
 
 namespace eugene {
 namespace {
@@ -235,6 +237,7 @@ TEST_F(ServiceIntegration, PickSequenceMatchesRebuiltRunnableSet) {
   policy.set_service_weights({4.0, 1.0});
   std::vector<std::vector<double>> observed(requests.size());
   std::vector<bool> done(requests.size(), false);
+  std::vector<std::size_t> server_order;
   std::size_t picks = 0;
   for (const telemetry::TraceEvent& ev : trace.events()) {
     if (ev.kind != telemetry::TraceEventKind::kStageDone) continue;
@@ -255,10 +258,61 @@ TEST_F(ServiceIntegration, PickSequenceMatchesRebuiltRunnableSet) {
     ASSERT_EQ(ev.stage, observed[served].size()) << "pick " << picks;
     observed[served].push_back(ev.value);
     done[served] = observed[served].size() == num_stages || ev.value >= kExit;
+    server_order.push_back(served);
     ++picks;
   }
   EXPECT_EQ(picks, stages_run);
   EXPECT_EQ(trace.dropped(), 0u);
+
+  // Second replay: Fig. 4's simulator runs the server's engine, so on the
+  // same inputs it must make the same picks. Each request becomes a task
+  // played back from its per-sample run_stage chain, with the confidence
+  // exactly as the server saw it; one worker, arrival 0, no deadline, and
+  // the same early-exit bar. The simulator dispatches at each Arrival
+  // event, so its first pick sees task 0 alone. Task 0 is also the
+  // server's first pick: every task starts with the same predicted gain,
+  // the weight-4 class wins, and ties within it go to task order.
+  class RecordingPolicy final : public sched::SchedulingPolicy {
+   public:
+    explicit RecordingPolicy(sched::SchedulingPolicy& inner) : inner_(inner) {}
+    std::optional<std::size_t> pick(const std::vector<sched::TaskView>& runnable,
+                                    double now_ms) override {
+      const std::optional<std::size_t> id = inner_.pick(runnable, now_ms);
+      if (id.has_value()) picks.push_back(*id);
+      return id;
+    }
+    void reset() override {
+      inner_.reset();
+      picks.clear();
+    }
+    std::vector<std::size_t> picks;
+
+   private:
+    sched::SchedulingPolicy& inner_;
+  };
+  std::vector<sched::TaskSpec> tasks(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    tasks[i].service = requests[i].service_class;
+    tensor::Tensor x = requests[i].input;
+    for (std::size_t s = 0; s < num_stages; ++s) {
+      const nn::StageOutput out = entry.model.run_stage(s, x);
+      sched::StageOutcome outcome;
+      outcome.predicted = out.predicted_label;
+      outcome.correct = out.predicted_label == test_->labels[i % test_->size()];
+      outcome.confidence = out.confidence;
+      tasks[i].stages.push_back(outcome);
+      x = out.features;
+    }
+  }
+  sched::GreedyUtilityPolicy greedy(estimator, 1);
+  greedy.set_service_weights({4.0, 1.0});
+  RecordingPolicy recorder(greedy);
+  sched::SimulationConfig sim;
+  sim.num_workers = 1;
+  sim.early_exit_confidence = kExit;
+  const sched::StageCostModel costs{std::vector<double>(num_stages, 1.0)};
+  sched::simulate(tasks, recorder, costs, sim);
+  EXPECT_EQ(recorder.picks, server_order);
 }
 
 TEST_F(ServiceIntegration, ServiceClassDeadlineExpiresRequests) {
