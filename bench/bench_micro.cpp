@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for Eugene's hot paths: tensor kernels,
 // staged-model inference, GP vs piecewise-linear confidence queries,
-// scheduler pick overhead, channel throughput, and checkpoint durability
-// (CRC32 throughput, v2 save/load, the atomic-write tax).
+// scheduler pick overhead, process_batch on a pool of peer workers, and
+// checkpoint durability (CRC32 throughput, v2 save/load, the atomic-write
+// tax).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -13,10 +14,8 @@
 #include <sstream>
 #include <vector>
 
-#include "common/channel.hpp"
 #include "common/crc32.hpp"
 #include "common/failpoint.hpp"
-#include "common/health.hpp"
 #include "common/histogram.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
@@ -24,7 +23,6 @@
 #include "nn/arena.hpp"
 #include "nn/serialize.hpp"
 #include "nn/staged_model.hpp"
-#include "sched/live.hpp"
 #include "sched/policy.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
@@ -242,93 +240,13 @@ void BM_FailpointArmedOther(benchmark::State& state) {
 }
 BENCHMARK(BM_FailpointArmedOther);
 
-// ---- overload control (DESIGN.md §11) --------------------------------------
-
-// Baseline for the breaker's closed-path claim: one relaxed atomic load.
+// Baseline for the disarmed failpoint's claim: one relaxed atomic load.
 void BM_AtomicLoadBaseline(benchmark::State& state) {
   std::atomic<std::uint8_t> flag{0};
   for (auto _ : state)
     benchmark::DoNotOptimize(flag.load(std::memory_order_relaxed));
 }
 BENCHMARK(BM_AtomicLoadBaseline);
-
-// A closed breaker guards every live dispatch, so allow() must cost what the
-// header promises: one relaxed atomic load, within noise of the baseline
-// above. Warm the breaker with successes first so it is genuinely closed.
-void BM_BreakerClosedPath(benchmark::State& state) {
-  CircuitBreaker breaker;
-  for (int i = 0; i < 8; ++i) breaker.record_success(1.0, i * 10.0);
-  for (auto _ : state) benchmark::DoNotOptimize(breaker.allow(1000.0));
-}
-BENCHMARK(BM_BreakerClosedPath);
-
-sched::LiveConfig hedge_bench_config(bool hedging) {
-  sched::LiveConfig cfg;
-  cfg.max_retries = 0;
-  cfg.health.enabled = false;  // isolate hedging from breaker routing
-  cfg.hedging = hedging;
-  cfg.hedge_quantile = 0.5;
-  cfg.hedge_min_ms = 0.5;
-  cfg.hedge_min_samples = 4;
-  return cfg;
-}
-
-// Tail rescue under a straggler worker: worker 0 stalls 3 ms on ~40% of
-// its stages (live.worker.sick kind=delay). Per-iteration time is batch
-// makespan, but the headline numbers are the task-latency percentile
-// counters: with hedging on, the backup dispatch overlaps the stall, so
-// p99_task_ms sits well below the hedging-off row while p50 stays put.
-void BM_HedgedDispatch(benchmark::State& state) {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  const nn::StagedModel model = nn::build_staged_resnet(cfg);
-  const auto curves = make_curves();
-  Rng rng(7);
-  std::vector<tensor::Tensor> inputs;
-  for (int i = 0; i < 8; ++i)
-    inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
-  const sched::LiveConfig live = hedge_bench_config(state.range(0) != 0);
-
-  FailpointSpec sick;
-  sick.kind = FailpointKind::kDelay;
-  sick.delay_ms = 3.0;
-  sick.probability = 0.4;
-  sick.seed = 11;
-  std::size_t hedges = 0;
-  std::vector<double> task_ms;
-  for (auto _ : state) {
-    FailpointRegistry::instance().arm("live.worker.sick", sick);
-    sched::LiveStats stats;
-    const auto results = sched::run_live(model, 3, curves, inputs, live, &stats);
-    benchmark::DoNotOptimize(results.data());
-    hedges += stats.hedges_issued;
-    for (const auto& r : results) task_ms.push_back(r.latency_ms);
-  }
-  FailpointRegistry::instance().disarm_all();
-  auto pct = [&](double q) {
-    std::vector<double> sorted = task_ms;
-    const auto k = static_cast<std::size_t>(q * (sorted.size() - 1));
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<std::ptrdiff_t>(k), sorted.end());
-    return sorted[k];
-  };
-  state.counters["hedges/iter"] =
-      benchmark::Counter(static_cast<double>(hedges),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["p50_task_ms"] = pct(0.50);
-  state.counters["p99_task_ms"] = pct(0.99);
-}
-BENCHMARK(BM_HedgedDispatch)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("hedging")
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // ---- telemetry (DESIGN.md §12) --------------------------------------------
 
@@ -340,9 +258,9 @@ void BM_AtomicAddBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_AtomicAddBaseline);
 
-// record() sits on every dispatch-latency observation (scheduler hot path),
-// so it must cost about two relaxed fetch_adds plus the bit_cast slot math —
-// the issue's acceptance bar is ≤ ~2x BM_AtomicAddBaseline.
+// record() sits on every stage-latency observation (the serving hot path),
+// so it must cost about two relaxed fetch_adds plus the bit_cast slot math:
+// at most ~2x BM_AtomicAddBaseline.
 void BM_HistogramRecord(benchmark::State& state) {
   telemetry::LatencyHistogram h;
   double ms = 0.25;
@@ -355,7 +273,7 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord);
 
 // Quantile queries walk at most kSlots bucket counters — O(1) in the sample
-// count, unlike the copy + nth_element they replaced (next benchmark).
+// count.
 void BM_HistogramQuantile(benchmark::State& state) {
   telemetry::LatencyHistogram h;
   Rng rng(8);
@@ -364,28 +282,6 @@ void BM_HistogramQuantile(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(h.quantile(0.95));
 }
 BENCHMARK(BM_HistogramQuantile)->Arg(64)->Arg(4096)->ArgName("samples");
-
-// The replaced hedge-threshold path: the sweep copied the latency window and
-// ran nth_element per call (and the old sweep called it twice per wake).
-// Scales with the window size where the histogram row above is flat — the
-// regression delta the satellite fix banks.
-void BM_HedgeQuantileLegacyWindow(benchmark::State& state) {
-  Rng rng(9);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> window;
-  for (std::size_t i = 0; i < n; ++i) window.push_back(rng.uniform(0.5, 50.0));
-  for (auto _ : state) {
-    std::vector<double> sorted = window;  // the per-call copy
-    const auto k = static_cast<std::size_t>(
-        std::min(sorted.size() - 1,
-                 static_cast<std::size_t>(0.95 * static_cast<double>(sorted.size()))));
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<std::ptrdiff_t>(k),
-                     sorted.end());
-    benchmark::DoNotOptimize(sorted[k]);
-  }
-}
-BENCHMARK(BM_HedgeQuantileLegacyWindow)->Arg(64)->Arg(4096)->ArgName("samples");
 
 // End-to-end tracing tax: a full process_batch with spans recorded for every
 // request (arg=1) vs the null-handle fast path (arg=0). The issue's bar:
@@ -439,14 +335,37 @@ BENCHMARK(BM_TracedRequest)
     ->ArgName("traced")
     ->Unit(benchmark::kMillisecond);
 
-void BM_ChannelSendReceive(benchmark::State& state) {
-  Channel<int> ch;
-  for (auto _ : state) {
-    ch.send(1);
-    benchmark::DoNotOptimize(ch.try_receive());
-  }
+// The worker pool on the service path: one process_batch of 256 requests at
+// full depth on the quickstart resnet, run by `workers` peer workers (the
+// calling thread plus workers - 1 helpers). items/s is requests per second;
+// workers=1 is the inline loop, so the ratio of rows is what the pool buys.
+void BM_InferBatchWorkers(benchmark::State& state) {
+  serving::ModelRegistry registry;
+  const std::size_t handle =
+      registry.add("bench", nn::build_staged_resnet(nn::StagedResNetConfig{}));
+  serving::ModelEntry& entry = registry.entry(handle);
+  entry.curves = make_curves();
+  serving::ServerConfig cfg;
+  cfg.early_exit_confidence = 2.0;  // full depth
+  cfg.metrics = nullptr;
+  cfg.workers = static_cast<std::size_t>(state.range(0));
+  serving::InferenceServer server(entry, cfg);
+  Rng rng(15);
+  std::vector<serving::InferenceRequest> requests;
+  for (int i = 0; i < 256; ++i)
+    requests.push_back({tensor::Tensor::randn({3, 16, 16}, rng), 0});
+
+  for (auto _ : state) benchmark::DoNotOptimize(server.process_batch(requests));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * requests.size()));
 }
-BENCHMARK(BM_ChannelSendReceive);
+BENCHMARK(BM_InferBatchWorkers)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->ArgName("workers")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- lock-rank checker (DESIGN.md §10) ------------------------------------
 
@@ -456,7 +375,7 @@ BENCHMARK(BM_ChannelSendReceive);
 // In checked builds the delta is the per-thread held-stack bookkeeping, which
 // is the price every non-Release preset pays for inversion detection.
 void BM_MutexRankedLock(benchmark::State& state) {
-  Mutex mu(LockRank::kChannel, "bench_mutex");
+  Mutex mu(LockRank::kEngine, "bench_mutex");
   for (auto _ : state) {
     mu.lock();
     mu.unlock();

@@ -17,14 +17,15 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       commit primitive; DESIGN.md §9).
   failpoint-registry  the set of EUGENE_FAILPOINT / EUGENE_FAILPOINT_FIRED
                       string literals in src/ equals the registry in
-                      common/failpoint_names.hpp, both directions, so chaos
-                      jobs can never silently arm a renamed site.
+                      common/failpoint_names.hpp, both directions, and every
+                      EUGENE_FAILPOINTS spec in .github/workflows/ci.yml arms
+                      only registered names, so a chaos job can never
+                      silently arm a renamed or deleted site.
   raw-sleep           no bare std::this_thread::sleep_for / sleep_until in
-                      src/ — polling loops must wait on a CondVar (or a
-                      channel) so cancellation, shutdown, and new work wake
-                      them immediately. The few legitimate sleeps (injected
-                      failpoint delays, backoff between retries) are
-                      allowlisted with reasons.
+                      src/ — polling loops must wait on a CondVar so
+                      cancellation, shutdown, and new work wake them
+                      immediately. The few legitimate sleeps (injected
+                      failpoint delays) are allowlisted with reasons.
   raw-timing          no ad-hoc std::chrono::{steady,system,high_resolution}_
                       clock::now() in src/ — time flows through common/clock
                       (Stopwatch/WallClock) and telemetry stamps events from
@@ -49,7 +50,7 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       in-place input view is the allowlisted exception.
   single-scheduler    only src/sched/engine.cpp calls a policy's pick( in
                       src/: the request state machine exists once
-                      (sched::Engine), and the server, the worker pool and
+                      (sched::Engine), and the server's peer workers and
                       the simulator drive it instead of running their own
                       policy loop (DESIGN.md §15).
 
@@ -284,6 +285,9 @@ def rule_file_write(files):
 
 FAILPOINT_USE_RE = re.compile(r'EUGENE_FAILPOINT(?:_FIRED)?\s*\(\s*"([^"]+)"')
 REGISTRY_NAME_RE = re.compile(r'"([^"]+)"')
+# An environment spec in CI: EUGENE_FAILPOINTS: 'name=kind:...,name=kind'
+CI_SPEC_RE = re.compile(r"""EUGENE_FAILPOINTS\s*[:=]\s*['"]([^'"]*)['"]""")
+CI_WORKFLOW_REL = ".github/workflows/ci.yml"
 
 
 def rule_failpoint_registry(files, repo_root: Path):
@@ -316,6 +320,22 @@ def rule_failpoint_registry(files, repo_root: Path):
             f'failpoint "{name}" declared but no EUGENE_FAILPOINT site in '
             "src/ uses it (delete it here and from any CI spec arming it)")
 
+    # A CI spec naming an unknown failpoint arms nothing, and its chaos job
+    # passes as a plain rerun.
+    workflow = repo_root / CI_WORKFLOW_REL
+    if not workflow.exists():
+        return
+    lines = workflow.read_text(encoding="utf-8", errors="replace").splitlines()
+    for line_no, text in enumerate(lines, 1):
+        for m in CI_SPEC_RE.finditer(text):
+            for clause in m.group(1).split(","):
+                name = clause.split("=", 1)[0].strip()
+                if name and name not in declared:
+                    yield Violation(
+                        "failpoint-registry", CI_WORKFLOW_REL, line_no,
+                        f'EUGENE_FAILPOINTS arms "{name}", which is not '
+                        f"declared in {registry_rel}")
+
 
 RAW_SLEEP_RE = re.compile(r"std::this_thread::sleep_(for|until)\b")
 
@@ -328,7 +348,7 @@ def rule_raw_sleep(files):
             if RAW_SLEEP_RE.search(line):
                 yield Violation(
                     "raw-sleep", f.rel, ln,
-                    "raw sleep in src/ — wait on a CondVar/channel with a "
+                    "raw sleep in src/ — wait on a CondVar with a "
                     "timeout instead, so cancellation and new work wake the "
                     "loop immediately (allowlist genuinely timed sleeps)")
 

@@ -5,7 +5,7 @@
 // that simulates a crash, or a delay that simulates a stall. Sites are
 // declared inline on the code path they perturb:
 //
-//   EUGENE_FAILPOINT("live.worker.crash");   // may throw FailpointError
+//   EUGENE_FAILPOINT("serving.stage.crash");  // may throw FailpointError
 //
 // and armed from a test:
 //
@@ -13,7 +13,7 @@
 //   spec.kind = FailpointKind::kError;
 //   spec.probability = 0.25;                 // seeded, deterministic draws
 //   spec.max_fires = 3;                      // auto-disarm budget
-//   FailpointRegistry::instance().arm("live.worker.crash", spec);
+//   FailpointRegistry::instance().arm("serving.stage.crash", spec);
 //
 // Cost model: when *no* failpoint is armed anywhere in the process, a site is
 // one relaxed atomic load and a predicted-not-taken branch (< 1 ns; see
@@ -24,7 +24,7 @@
 // comma-separated list of `name=kind[:p=<prob>][:count=<n>][:ms=<delay>]
 // [:seed=<s>]` clauses, e.g.
 //
-//   EUGENE_FAILPOINTS='live.worker.crash=error:p=0.05:seed=11,io.atomic.torn=error:count=2'
+//   EUGENE_FAILPOINTS='serving.stage.crash=error:p=0.05:seed=11,io.atomic.torn=error:count=2'
 //
 // The registry arms itself from the environment the first time instance() is
 // called, so any binary becomes a chaos harness without code changes.

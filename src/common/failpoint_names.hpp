@@ -15,24 +15,16 @@ namespace eugene::failpoint_names {
 
 inline constexpr const char* kAll[] = {
     "admit.brownout.force",     // InferenceServer: escalate the brownout level
-    "health.breaker.trip",      // CircuitBreaker: force a trip on record()
-    "hedge.lose.race",          // live scheduler: primary dispatch forced to
-                                // lose the hedge race (loser-cancel path)
     "io.atomic.corrupt",        // atomic_write_file: commit with one bit flipped
     "io.atomic.short",          // atomic_write_file: commit missing tail bytes
     "io.atomic.torn",           // atomic_write_file: crash before the rename
     "lifecycle.drain.hang",     // ServerLifecycle::begin_drain: stall (delay)
                                 // or die (error) before the in-flight wait
-    "live.worker.crash",        // live scheduler: worker stage throws
-    "live.worker.sick",         // live scheduler: replica 0 is the designated
-                                // sick replica (error: recoverable stage
-                                // failures; delay: a straggler)
-    "live.worker.slow",         // live scheduler: worker stage stalls
     "registry.swap.stall",      // ModelRegistry: stall (delay) or abort
                                 // (error) between building a new epoch and
                                 // publishing it — the old epoch must stay
                                 // intact either way
-    "serving.stage.crash",      // serving front door: stage execution throws
+    "serving.stage.crash",      // process_batch: a worker's stage throws
     "snapshot.live.race",       // snapshot: widen the pin-to-write window so
                                 // concurrent mutations overlap the file walk
     "snapshot.manifest.crash",  // snapshot: die between artifacts and commit

@@ -1,11 +1,10 @@
 // Lock-free fixed-bucket latency histogram (DESIGN.md §12 "Observability
 // model").
 //
-// The scheduler's hedge threshold and the metrics registry's per-stage
-// latency quantiles both need "what is the p95 of recent latencies?" answered
-// on a hot path. The previous implementation copied a 64-sample window and
-// ran nth_element per query (O(n log n) allocations per sweep); this replaces
-// it with a fixed array of atomic counters over log-spaced buckets:
+// The metrics registry's per-stage latency quantiles need "what is the p95
+// of recent latencies?" answered next to a hot path, so a histogram is a
+// fixed array of atomic counters over log-spaced buckets instead of a sample
+// window:
 //
 //   * record() is O(1): extract the value's binary exponent and the top two
 //     mantissa bits straight from the double's bit pattern (no log() call),
@@ -16,8 +15,7 @@
 //     underflow and an overflow bucket. 98 counters, 784 bytes.
 //   * Counts are exact; only the reported *value* is quantized to its
 //     bucket. quantile() returns the upper edge of the bucket holding the
-//     nearest-rank sample — a ≤19% conservative over-estimate, which for
-//     hedge thresholds errs toward fewer spurious hedges.
+//     nearest-rank sample — a ≤19% conservative over-estimate.
 //   * Histograms merge bucket-wise (merge()), so per-worker or per-run
 //     histograms can be aggregated without losing quantile fidelity.
 //

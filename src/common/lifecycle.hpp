@@ -7,9 +7,9 @@
 //                                    └────────set_stopped()──────┴──▶ Stopped
 //
 // The machine is the *single* authority on whether new work may enter the
-// process: every admission path (serving::InferenceServer::process_batch and
-// sched::run_live, both through sched::Engine::admit) calls try_admit() before
-// accepting a batch and finish() once the batch's responses have been emitted. Draining therefore
+// process: the admission path (serving::InferenceServer::process_batch,
+// through sched::Engine::admit) calls try_admit() before accepting a batch
+// and finish() once the batch's responses have been emitted. Draining therefore
 // means "reject new admissions with a typed drain response, let the in-flight
 // count fall to zero" — nothing in flight is ever dropped by the drain
 // itself; the bounded wait in begin_drain() only limits how long we wait for
@@ -49,8 +49,7 @@ struct DrainReport {
 };
 
 /// The state machine. One instance per serving process, shared by pointer
-/// with every admission path (ServerConfig::lifecycle,
-/// LiveConfig::lifecycle); a null pointer in those configs means "always
+/// through ServerConfig::lifecycle; a null pointer there means "always
 /// admit", preserving standalone construction in tests and benches.
 class ServerLifecycle {
  public:

@@ -12,8 +12,7 @@ const char* lock_rank_name(LockRank rank) {
     case LockRank::kModelRegistry: return "kModelRegistry";
     case LockRank::kLifecycle: return "kLifecycle";
     case LockRank::kUsageMeter: return "kUsageMeter";
-    case LockRank::kChannel: return "kChannel";
-    case LockRank::kHealth: return "kHealth";
+    case LockRank::kEngine: return "kEngine";
     case LockRank::kTrace: return "kTrace";
     case LockRank::kMetrics: return "kMetrics";
     case LockRank::kFailpointRegistry: return "kFailpointRegistry";

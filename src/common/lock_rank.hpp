@@ -21,10 +21,9 @@
 //                              sits between the registry writer lock and
 //                              the usage meter)
 //    200   kUsageMeter         nothing today; may nest under the registry
-//    310   kChannel            nothing (in-memory MPMC queue)
-//    330   kHealth             nothing (breaker EWMA state; the
-//                              health.breaker.trip failpoint and EUGENE_LOG
-//                              both fire while it is held)
+//    300   kEngine             nothing (one process_batch call's
+//                              sched::Engine, shared by its peer workers;
+//                              span events and EUGENE_LOG fire under it)
 //    340   kTrace              nothing (telemetry ring buffer; recording a
 //                              span event is legal under any subsystem lock
 //                              ranked below)
@@ -66,9 +65,8 @@ enum class LockRank : std::uint16_t {
   kLifecycle = 150,         ///< common/lifecycle.hpp — server state machine +
                             ///< in-flight count; nothing nests inside it
   kUsageMeter = 200,        ///< serving/usage.hpp — accumulators + journal fd
-  kChannel = 310,           ///< common/channel.hpp — MPMC queue state
-  kHealth = 330,            ///< common/health.hpp — breaker EWMAs; failpoint +
-                            ///< logging fire under it, nothing else nests in
+  kEngine = 300,            ///< serving/server.cpp — a call's sched::Engine;
+                            ///< trace + logging fire under it
   kTrace = 340,             ///< common/trace.hpp — span-event ring buffer;
                             ///< nothing nests inside it
   kMetrics = 350,           ///< common/metrics.hpp — instrument table; updates
@@ -77,7 +75,7 @@ enum class LockRank : std::uint16_t {
   kLogging = 1000,          ///< common/logging.cpp — the leaf: legal anywhere
 };
 
-/// Human-readable name of a registered rank ("kChannel"), or "?" for a value
+/// Human-readable name of a registered rank ("kEngine"), or "?" for a value
 /// outside the registry (tests may mint ad-hoc ranks).
 const char* lock_rank_name(LockRank rank);
 

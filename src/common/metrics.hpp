@@ -6,9 +6,9 @@
 // and update them with relaxed atomics, so the hot path never touches the
 // registry mutex:
 //
-//   auto& hedges = telemetry::MetricsRegistry::global().counter(
-//       "sched.live.hedges_issued");
-//   hedges.inc();
+//   auto& retries = telemetry::MetricsRegistry::global().counter(
+//       "serving.retries");
+//   retries.inc();
 //
 // Registration and snapshotting serialize on one ranked mutex
 // (LockRank::kMetrics); nothing nests inside it, and it may be acquired
@@ -17,9 +17,9 @@
 // snapshot_text() emits a line-oriented, machine-parseable dump:
 //
 //   # eugene-metrics v1
-//   counter sched.live.hedges_issued 3
+//   counter serving.retries 3
 //   gauge serving.brownout.level 1
-//   histogram sched.stage_latency_ms.stage0 count 42 p50 1.25 p99 4
+//   histogram serving.stage_latency_ms.stage0 count 42 p50 1.25 p99 4
 //       buckets 17:5,30:37                                [same line]
 //
 // (one line per instrument; `buckets` lists slot:count pairs for non-empty

@@ -9,9 +9,6 @@ const char* trace_event_kind_name(TraceEventKind kind) {
     case TraceEventKind::kAdmit: return "admit";
     case TraceEventKind::kBrownout: return "brownout";
     case TraceEventKind::kShed: return "shed";
-    case TraceEventKind::kDispatch: return "dispatch";
-    case TraceEventKind::kHedge: return "hedge";
-    case TraceEventKind::kCancel: return "cancel";
     case TraceEventKind::kStageDone: return "stage_done";
     case TraceEventKind::kStageError: return "stage_error";
     case TraceEventKind::kRetry: return "retry";

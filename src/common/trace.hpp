@@ -1,17 +1,18 @@
 // Per-request trace spans (DESIGN.md §12 "Observability model").
 //
-// Aggregate counters (LiveStats, usage-journal rows) explain what the fleet
-// did; they cannot answer "why did request R exit at stage 2, degraded,
-// after a hedge?". A TraceRecorder captures that per-request timeline: one
-// *span* per request, a flat stream of timestamped events appended as the
-// request moves admission → brownout decision → stage dispatch / hedge /
-// cancel / result → exit. Events live in a fixed-capacity ring buffer —
+// Aggregate counters (serving.* metrics, usage-journal rows) explain what
+// the fleet did; they cannot answer "why did request R exit at stage 2,
+// degraded, after a retry?". A TraceRecorder captures that per-request
+// timeline: one *span* per request, a flat stream of timestamped events
+// appended as the request moves admission → brownout decision → stage
+// results and failures (each naming the worker that ran it) → exit. Events
+// live in a fixed-capacity ring buffer —
 // recording never allocates after construction and never blocks progress on
 // a full buffer (the oldest events are overwritten and counted in
 // dropped()).
 //
-// Plumbing: the scheduler and server take an optional TraceRecorder* in
-// their configs and carry a SpanHandle on each task/request state struct.
+// Plumbing: the server takes an optional TraceRecorder* in its config, and
+// sched::Engine carries a SpanHandle per request.
 // A default (null) SpanHandle makes every event() call a no-op branch, so
 // untraced runs pay one predictable-not-taken branch per event site —
 // BM_TracedRequest in bench_micro.cpp pins the traced-vs-untraced delta
@@ -38,14 +39,9 @@ enum class TraceEventKind : std::uint8_t {
   kBrownout,     ///< admission under brown-out; value = level (> 0)
   kShed,         ///< admission controller shed it; value = 1 if the brown-out
                  ///< level (not the static ceiling) shed it
-  kDispatch,     ///< stage sent to a worker; stage, worker
-  kHedge,        ///< backup dispatch issued; stage, worker = backup replica
-  kCancel,       ///< in-flight dispatch cancelled (hedge loser / deadline);
-                 ///< stage, worker = cancelled replica
   kStageDone,    ///< stage result accepted; stage, worker, value = confidence
-  kStageError,   ///< stage failed (crash / sick replica / timeout); stage,
-                 ///< worker
-  kRetry,        ///< re-queued after a failure; value = backoff delay ms
+  kStageError,   ///< stage threw; stage, worker
+  kRetry,        ///< the failed stage runs again at once; stage, worker
   kExpire,       ///< latency daemon expired the request
   kDegrade,      ///< budget exhausted; answering with best result so far
   kExit,         ///< final response emitted; stage = stages_run,

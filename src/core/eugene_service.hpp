@@ -160,8 +160,7 @@ class EugeneService {
 
   /// The service's lifecycle machine. infer_batch() injects it into every
   /// ServerConfig that does not carry its own, so service-level traffic is
-  /// always gated; external schedulers (run_live) can share it via
-  /// LiveConfig::lifecycle.
+  /// always gated.
   ServerLifecycle& lifecycle() { return lifecycle_; }
 
   serving::ModelRegistry& registry() { return registry_; }

@@ -84,26 +84,18 @@ void Engine::enqueue(std::size_t task) {
 void Engine::expire_overdue(double now_ms) {
   if (now_ms < next_deadline_) return;
   next_deadline_ = std::numeric_limits<double>::infinity();
-  // Survivors of both lists set the next sweep time; the rest expire.
-  auto overdue = [&](std::size_t task) {
-    const double deadline_ms = slots_[task].view.deadline_ms;
-    if (now_ms < deadline_ms) {
-      next_deadline_ = std::min(next_deadline_, deadline_ms);
+  // Survivors set the next sweep time; the rest expire.
+  std::erase_if(runnable_, [&](const TaskView& v) {
+    if (now_ms < v.deadline_ms) {
+      next_deadline_ = std::min(next_deadline_, v.deadline_ms);
       return false;
     }
-    finish(task, now_ms, TraceEventKind::kExpire);
+    finish(v.task_id, now_ms, TraceEventKind::kExpire);
     return true;
-  };
-  std::erase_if(runnable_, [&](const TaskView& v) { return overdue(v.task_id); });
-  std::erase_if(backoff_, overdue);
+  });
 }
 
 std::optional<std::size_t> Engine::next(double now_ms) {
-  std::erase_if(backoff_, [&](std::size_t task) {
-    if (now_ms < slots_[task].eligible_ms) return false;
-    enqueue(task);
-    return true;
-  });
   if (runnable_.empty()) return std::nullopt;
   const std::optional<std::size_t> choice = policy_.pick(runnable_, now_ms);
   if (!choice.has_value()) return std::nullopt;
@@ -148,7 +140,7 @@ void Engine::complete(std::size_t task, std::size_t label, double confidence,
 }
 
 bool Engine::fail(std::size_t task, double now_ms, StageFailure failure,
-                  double backoff_ms) {
+                  std::uint32_t worker) {
   Slot& s = slots_[task];
   EUGENE_CHECK(s.state != State::kFinished)
       << "Engine::fail: task " << task << " finished";
@@ -161,13 +153,7 @@ bool Engine::fail(std::size_t task, double now_ms, StageFailure failure,
     return false;
   }
   s.span.event(TraceEventKind::kRetry, now_ms,
-               static_cast<std::uint32_t>(s.view.stages_done), 0, backoff_ms);
-  if (s.state == State::kHeld) {
-    s.state = State::kBackoff;
-    s.eligible_ms = now_ms + backoff_ms;
-    backoff_.push_back(task);
-    next_deadline_ = std::min(next_deadline_, s.view.deadline_ms);
-  }
+               static_cast<std::uint32_t>(s.view.stages_done), worker);
   return true;
 }
 
@@ -187,13 +173,12 @@ std::optional<double> Engine::queue_delay_ms(std::size_t task) const {
   return *s.first_dispatch_ms - s.view.arrival_ms;
 }
 
-// Removes the task from the runnable set or the backoff list, if in one.
+// Removes the task from the runnable set, if in it.
 void Engine::take_out(std::size_t task) {
   const State state = slots_[task].state;
   EUGENE_CHECK(state != State::kFinished)
       << "Engine: task " << task << " already finished";
   if (state == State::kRunnable) runnable_.erase(position(task));
-  if (state == State::kBackoff) std::erase(backoff_, task);
 }
 
 void Engine::finish(std::size_t task, double now_ms, TraceEventKind why) {

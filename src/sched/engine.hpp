@@ -3,9 +3,10 @@
 // the task table, the runnable set the policy picks from, the deadline sweep,
 // the early-exit test, the failure rule, the complete/expire/degrade
 // transitions with their span events, the lifecycle gate and the results.
-// Its three callers keep only how a stage runs:
-// serving::InferenceServer::process_batch runs it inline, run_live on a
-// worker thread, and simulate as an event on virtual time (Fig. 4).
+// Its two callers keep only how a stage runs:
+// serving::InferenceServer::process_batch runs it on its peer workers, and
+// simulate as an event on virtual time (Fig. 4). The engine itself is not
+// thread-safe: process_batch's workers share it under one mutex.
 #pragma once
 
 #include <exception>
@@ -29,9 +30,9 @@ enum class StageFailure : std::uint8_t {
 StageFailure classify_stage_error(const std::exception& error);
 
 /// A task waits (not arrived, or shed), is runnable (its view is in the set
-/// the policy picks from), is held (a worker runs its stage), backs off
-/// after a failed stage, or is finished. A task's id is its position. The
-/// runnable set stays in task order, so policy ties fall to task order.
+/// the policy picks from), is held (a worker runs its stage), or is
+/// finished. A task's id is its position. The runnable set stays in task
+/// order, so policy ties fall to task order.
 class Engine {
  public:
   /// Resets `policy`, which must outlive the engine. `num_tasks` tasks of at
@@ -55,18 +56,18 @@ class Engine {
   /// response and returns false.
   bool admit(ServerLifecycle* lifecycle, double now_ms);
 
-  /// Puts a waiting task (on arrival) or a held one (its dispatch ended with
-  /// neither a result nor a failure) in the runnable set.
+  /// Puts a waiting task in the runnable set (on arrival; complete() does
+  /// the same for a held task with stages left).
   void enqueue(std::size_t task);
 
-  /// Latency daemon: expires the runnable and backing-off tasks past their
-  /// deadline. A no-op until the clock reaches the earliest one.
+  /// Latency daemon: expires the runnable tasks past their deadline. A no-op
+  /// until the clock reaches the earliest one.
   void expire_overdue(double now_ms);
 
-  /// Asks the policy which runnable task advances next (tasks whose backoff
-  /// has ended rejoin the set first) and stamps its first dispatch; nullopt
-  /// when nothing is runnable or the policy idles. The view stays in the
-  /// set: a caller that runs the stage on a worker calls hold() next.
+  /// Asks the policy which runnable task advances next and stamps its first
+  /// dispatch; nullopt when nothing is runnable or the policy idles. The
+  /// view stays in the set: a caller that runs the stage on a worker calls
+  /// hold() next.
   std::optional<std::size_t> next(double now_ms);
 
   /// Takes a picked task out of the runnable set while a worker runs it.
@@ -81,10 +82,11 @@ class Engine {
   /// The failure rule: a task past its deadline expires, and a rejected
   /// input degrades. Otherwise the failure counts one retry, and the task
   /// degrades once its retries exceed the budget. Returns true when it may
-  /// retry: a held task then backs off for `backoff_ms`, any other keeps
-  /// its place for the caller to retry at once.
+  /// retry: the task keeps its state (a held task stays held), and the
+  /// caller retries the stage at once on `worker`, which the kRetry event
+  /// names.
   bool fail(std::size_t task, double now_ms, StageFailure failure,
-            double backoff_ms = 0.0);
+            std::uint32_t worker = 0);
 
   /// Finish the task now with its best result so far, flagged expired or
   /// degraded.
@@ -103,11 +105,10 @@ class Engine {
   std::vector<TaskResult> take_results() { return std::move(results_); }
 
  private:
-  enum class State : std::uint8_t { kWaiting, kRunnable, kHeld, kBackoff, kFinished };
+  enum class State : std::uint8_t { kWaiting, kRunnable, kHeld, kFinished };
   struct Slot {
     TaskView view;  ///< kept current; the runnable set holds copies
     State state = State::kWaiting;
-    double eligible_ms = 0.0;  ///< end of the current backoff
     std::optional<double> first_dispatch_ms;
     telemetry::SpanHandle span;
   };
@@ -127,8 +128,7 @@ class Engine {
   std::vector<TaskResult> results_;
   std::vector<double> confidences_;   ///< max_stages_ per task; views point here
   std::vector<TaskView> runnable_;    ///< sorted by task id
-  std::vector<std::size_t> backoff_;  ///< backing-off tasks
-  double next_deadline_;  ///< at most the earliest runnable/backoff deadline
+  double next_deadline_;  ///< at most the earliest runnable deadline
   std::size_t unfinished_ = 0;
 };
 

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/failpoint.hpp"
 #include "common/logging.hpp"
+#include "common/thread_annotations.hpp"
 #include "sched/engine.hpp"
 
 namespace eugene::serving {
@@ -18,6 +21,8 @@ InferenceServer::InferenceServer(const ModelEntry& entry, ServerConfig config)
   EUGENE_REQUIRE(entry_.curves.fitted(),
                  "InferenceServer: model has no fitted confidence curves; "
                  "calibrate and fit curves before serving");
+  EUGENE_REQUIRE(entry_.model.num_stages() > 0, "InferenceServer: model has no stages");
+  EUGENE_REQUIRE(config_.workers >= 1, "InferenceServer: need at least one worker");
   EUGENE_REQUIRE(!config_.classes.empty(), "InferenceServer: no service classes");
   EUGENE_REQUIRE(config_.lookahead >= 1, "InferenceServer: lookahead must be >= 1");
   EUGENE_REQUIRE(config_.shed_max_stages >= 1,
@@ -87,15 +92,23 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
 
   // Each request's one feature buffer: the trunk output of its last stage.
   // Stage 0 reads the request's input in place, so this is first allocated
-  // by stage 0's output (the largest) and reused by every later stage.
+  // by stage 0's output (the largest) and reused by every later stage. Only
+  // the worker holding a request touches its buffer.
   std::vector<Tensor> features(requests.size());
 
-  // Runs request i's next stage inline. A stage that throws goes to the
-  // engine's failure rule, and is retried at once while the rule allows.
-  auto run_stage = [&](std::size_t i) {
-    const std::size_t stage = engine.result(i).stages_run;
+  // The peer workers share the engine under `mutex` and run stages outside
+  // it. The shed loop before them and the bookkeeping after they join run
+  // on the calling thread alone.
+  Mutex mutex(LockRank::kEngine, "process_batch engine");
+
+  // Runs stage `stage` of request i on `worker`, unlocked, then records it.
+  // A stage that throws goes to the engine's failure rule, and is retried
+  // at once on the same worker while the rule allows.
+  auto run_stage = [&](std::size_t i, std::size_t stage, std::uint32_t worker) {
     const Tensor& input = stage == 0 ? requests[i].input : features[i];
     for (;;) {
+      std::size_t label = 0;
+      double confidence = 0.0;
       try {
         EUGENE_FAILPOINT("serving.stage.crash");
         Stopwatch stage_watch;
@@ -107,18 +120,21 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
         // 8/4/2 KB blocks interleaved across every live request of a large
         // batch, which fragments the heap and grows the resident set.
         features[i] = out.features;
-        engine.complete(i, out.predicted_label, out.confidence, clock.now_ms());
-        return;
-      } catch (const Error& e) {
+        label = out.predicted_label;
+        confidence = out.confidence;
+      } catch (const std::exception& e) {
+        MutexLock lock(mutex);
         const double now = clock.now_ms();
         engine.span(i).event(TraceEventKind::kStageError, now,
-                             static_cast<std::uint32_t>(stage));
-        if (!engine.fail(i, now, sched::classify_stage_error(e))) {
-          EUGENE_LOG(Warn) << "serving: request " << i << " gave up on stage " << stage
-                           << ": " << e.what();
-          return;
-        }
+                             static_cast<std::uint32_t>(stage), worker);
+        if (engine.fail(i, now, sched::classify_stage_error(e), worker)) continue;
+        EUGENE_LOG(Warn) << "serving: request " << i << " gave up on stage " << stage
+                         << ": " << e.what();
+        return;
       }
+      MutexLock lock(mutex);
+      engine.complete(i, label, confidence, clock.now_ms(), worker);
+      return;
     }
   };
 
@@ -178,25 +194,57 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
       engine.span(i).event(TraceEventKind::kShed, clock.now_ms(), 0, 0,
                            i < base_capacity ? 1.0 : 0.0);
       while (!engine.finished(i) && engine.result(i).stages_run < stage_budget) {
-        run_stage(i);
+        run_stage(i, engine.result(i).stages_run, 0);
         if (engine.result(i).confidence >= eff_shed_confidence) break;
       }
       if (!engine.finished(i)) engine.degrade(i, clock.now_ms());
     }
   }
 
-  // The policy loop: every admitted request is scheduled stage by stage
-  // until it completes, exits early, expires, or degrades.
+  // The policy loop, one per worker: every admitted request is scheduled
+  // stage by stage until it completes, exits early, expires, or degrades. A
+  // worker stops once nothing is runnable: every unfinished request is then
+  // held by a peer, which keeps picking until its own request is done.
   for (std::size_t i = 0; i < admitted; ++i) engine.enqueue(i);
-  while (engine.unfinished() > 0) {
-    const double now = clock.now_ms();
-    engine.expire_overdue(now);
-    if (engine.unfinished() == 0) break;
-    const std::optional<std::size_t> picked = engine.next(now);
-    EUGENE_CHECK(picked.has_value())
-        << "process_batch: " << engine.unfinished() << " live requests but none picked";
-    run_stage(*picked);
+  auto work = [&](std::uint32_t worker) {
+    for (;;) {
+      std::size_t task = 0;
+      std::size_t stage = 0;
+      {
+        MutexLock lock(mutex);
+        const double now = clock.now_ms();
+        engine.expire_overdue(now);
+        const std::optional<std::size_t> picked = engine.next(now);
+        if (!picked.has_value()) return;
+        engine.hold(*picked);
+        task = *picked;
+        stage = engine.result(task).stages_run;
+      }
+      run_stage(task, stage, worker);
+    }
+  };
+  // The first thing any worker throws past the failure rule (an engine
+  // invariant, a failed allocation) is rethrown here once every helper has
+  // joined.
+  std::exception_ptr escaped;
+  auto work_or_keep = [&](std::uint32_t worker) {
+    try {
+      work(worker);
+    } catch (...) {
+      MutexLock lock(mutex);
+      if (!escaped) escaped = std::current_exception();
+    }
+  };
+  {
+    const std::size_t peers = std::max<std::size_t>(std::min(config_.workers, admitted), 1);
+    std::vector<std::jthread> helpers;
+    helpers.reserve(peers - 1);
+    for (std::uint32_t w = 1; w < peers; ++w) helpers.emplace_back(work_or_keep, w);
+    work_or_keep(0);
   }
+  if (escaped) std::rethrow_exception(escaped);
+  EUGENE_CHECK_EQ(engine.unfinished(), 0u)
+      << "process_batch: requests left unfinished with nothing runnable";
 
   // Feed the measured queue delay back into the brown-out controller: the
   // class-weighted mean admission-to-first-stage delay of the admitted

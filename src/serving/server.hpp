@@ -16,9 +16,12 @@
 // before the request degrades, and a stage that rejects the input
 // (InvalidArgument) degrades the request at once.
 //
-// process_batch runs sched::Engine (sched/engine.hpp) inline: it runs each
-// picked stage on the calling thread and owns admission, shedding and the
-// brown-out controller; the engine owns the per-request state.
+// process_batch runs sched::Engine (sched/engine.hpp) on `workers` peer
+// workers, the calling thread first (the paper's worker pool, §III): each
+// worker locks the engine to pick a request, runs that request's next stage
+// unlocked, and relocks to record it, so the policy is consulted whenever a
+// worker frees up. The server owns admission, shedding and the brown-out
+// controller; the engine owns the per-request state.
 #pragma once
 
 #include <limits>
@@ -86,6 +89,11 @@ struct ServerConfig {
   std::size_t shed_max_stages = 1;      ///< stage budget for a shed request
   std::size_t max_stage_retries = 2;    ///< re-runs of a throwing stage per request
 
+  /// Peer workers per process_batch call (>= 1): the calling thread plus
+  /// min(workers, admitted requests) - 1 threads that start with the call
+  /// and join before it returns. All of them share the one const model.
+  std::size_t workers = 1;
+
   // Adaptive admission (DESIGN.md §11 "Overload & health model").
   BrownoutConfig brownout;
 
@@ -112,7 +120,8 @@ struct ServerConfig {
 /// deadline stops accruing stages and answers with its best result so far).
 class InferenceServer {
  public:
-  /// `entry` must be calibrated (curves fitted) and must outlive the server.
+  /// `entry` must have stages and fitted curves, and must outlive the
+  /// server.
   InferenceServer(const ModelEntry& entry, ServerConfig config);
 
   /// Processes all requests as one concurrent batch. Requests admitted past

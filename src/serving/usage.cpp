@@ -129,7 +129,7 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n) {
 }  // namespace
 
 UsageMeter::UsageMeter(sched::StageCostModel costs, std::vector<std::string> class_names)
-    : costs_(std::move(costs)) {
+    : costs_(std::move(costs)), num_classes_(class_names.size()) {
   EUGENE_REQUIRE(!class_names.empty(), "UsageMeter: no service classes");
   EUGENE_REQUIRE(costs_.num_stages() > 0, "UsageMeter: empty cost model");
   usage_.resize(class_names.size());
@@ -144,6 +144,15 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
                  "UsageMeter::record: request/response size mismatch");
   EUGENE_REQUIRE(model_num_stages <= costs_.num_stages(),
                  "UsageMeter::record: cost model covers fewer stages than the model");
+  // Every request is checked before anything counts: a rejected batch moves
+  // neither the metrics nor the ledger.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EUGENE_REQUIRE(requests[i].service_class < num_classes_,
+                   "UsageMeter::record: unknown service class");
+    // A response can never claim more stages than the model has.
+    EUGENE_CHECK_LE(responses[i].stages_run, model_num_stages)
+        << "UsageMeter::record: response claims impossible stage count";
+  }
   {
     // Metered traffic also feeds the process-wide metrics registry — bumped
     // before mutex_ so metrics never nest inside the usage lock.
@@ -158,11 +167,6 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
   // what this call added, so replay reproduces the ledger frame by frame.
   std::vector<ClassUsage> delta(usage_.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    EUGENE_REQUIRE(requests[i].service_class < usage_.size(),
-                   "UsageMeter::record: unknown service class");
-    // A response can never claim more stages than the model has.
-    EUGENE_CHECK_LE(responses[i].stages_run, model_num_stages)
-        << "UsageMeter::record: response claims impossible stage count";
     ClassUsage& u = delta[requests[i].service_class];
     ++u.requests;
     u.stages_executed += responses[i].stages_run;

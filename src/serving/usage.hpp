@@ -47,8 +47,8 @@ struct PricingPolicy {
   double per_request = 0.05;
 };
 
-/// Service-wide (not per-class) overload-control counters, DESIGN.md §11.
-/// Journaled as the trailing ops block of v2 frames.
+/// Service-wide (not per-class) overload-control counters. Journaled as the
+/// trailing ops block of v2 frames; see record_ops().
 struct OpsUsage {
   std::size_t hedges_issued = 0;  ///< backup dispatches sent
   std::size_t hedges_won = 0;     ///< hedge races the backup won
@@ -98,9 +98,12 @@ class UsageMeter {
               const std::vector<InferenceResponse>& responses,
               std::size_t model_num_stages) EUGENE_EXCLUDES(mutex_);
 
-  /// Records a delta of service-wide overload-control counters (e.g. one
-  /// run_live's LiveStats). Journaled as a class-less v2 frame when a v2
-  /// journal is attached; accumulated in memory only on a v1 journal.
+  /// Records a delta of service-wide overload-control counters. Journaled
+  /// as a class-less v2 frame when a v2 journal is attached; accumulated in
+  /// memory only on a v1 journal. Nothing in-tree produces these counters
+  /// any more (the worker pool has no hedging or breakers); the ops block
+  /// stays because it is part of the durable v2 format, and is decided
+  /// together with the v1 writer (ROADMAP leftovers).
   void record_ops(const OpsUsage& delta) EUGENE_EXCLUDES(mutex_);
 
   /// Snapshot of the service-wide overload-control counters.
@@ -156,6 +159,7 @@ class UsageMeter {
                            const OpsUsage& ops_delta) EUGENE_REQUIRES(mutex_);
 
   sched::StageCostModel costs_;  ///< immutable after construction
+  const std::size_t num_classes_;  ///< usage_.size(), readable unlocked
   mutable Mutex mutex_{LockRank::kUsageMeter, "UsageMeter::mutex_"};
   std::vector<ClassUsage> usage_ EUGENE_GUARDED_BY(mutex_);
   OpsUsage ops_ EUGENE_GUARDED_BY(mutex_);

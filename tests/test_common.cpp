@@ -1,17 +1,12 @@
-// Tests for the common substrate: errors, rng, stats, clocks, channels,
-// durable-state io, lock ranks, backoff, circuit breakers, and cancellation.
+// Tests for the common substrate: errors, rng, stats, clocks, durable-state
+// io, and lock ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <thread>
 
-#include "common/cancellation.hpp"
-#include "common/channel.hpp"
-#include "common/health.hpp"
-#include "common/retry.hpp"
 #include "common/lock_rank.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/check.hpp"
@@ -278,48 +273,6 @@ TEST(Clock, StopwatchMeasuresElapsedTime) {
   EXPECT_GE(watch.elapsed_ms(), 8.0);
 }
 
-TEST(Channel, FifoOrderSingleThread) {
-  Channel<int> ch;
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ch.send(i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(ch.receive().value(), i);
-  EXPECT_FALSE(ch.try_receive().has_value());
-}
-
-TEST(Channel, CloseWakesReceiversAndRejectsSends) {
-  Channel<int> ch;
-  std::thread closer([&ch] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ch.close();
-  });
-  EXPECT_FALSE(ch.receive().has_value());
-  closer.join();
-  EXPECT_FALSE(ch.send(1));
-}
-
-TEST(Channel, DrainsRemainingItemsAfterClose) {
-  Channel<int> ch;
-  ch.send(7);
-  ch.close();
-  EXPECT_EQ(ch.receive().value(), 7);
-  EXPECT_FALSE(ch.receive().has_value());
-}
-
-TEST(Channel, ManyProducersOneConsumer) {
-  Channel<int> ch;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p)
-    producers.emplace_back([&ch, p] {
-      for (int i = 0; i < 100; ++i) ch.send(p * 100 + i);
-    });
-  std::size_t received = 0;
-  while (received < 400) {
-    if (ch.receive().has_value()) ++received;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(received, 400u);
-  EXPECT_EQ(ch.pending(), 0u);
-}
-
 // ---- durable-state primitives (common/io, DESIGN.md §9) -------------------
 
 std::string io_tmp_path(const std::string& tag) {
@@ -540,6 +493,18 @@ TEST(LockRank, ProductionRanksFormAStrictOrderOnTheServingPath) {
   failpoints.unlock();
   usage.unlock();
   registry.unlock();
+
+  // A peer worker of process_batch records span events and logs while it
+  // holds the engine lock.
+  Mutex engine(LockRank::kEngine, "engine");
+  Mutex trace(LockRank::kTrace, "trace");
+  engine.lock();
+  trace.lock();
+  logging.lock();
+  EXPECT_EQ(g_violation_count, 0);
+  logging.unlock();
+  trace.unlock();
+  engine.unlock();
 }
 
 #if GTEST_HAS_DEATH_TEST
@@ -562,7 +527,7 @@ TEST(LockRankDeathTest, InversionAbortsWithReport) {
 
 TEST(LockRank, CheckerCompiledOutMutexStillLocks) {
   // Release builds: eugene::Mutex must degrade to a plain std::mutex.
-  Mutex mu(LockRank::kChannel, "release_mutex");
+  Mutex mu(LockRank::kEngine, "release_mutex");
   {
     MutexLock lock(mu);
   }
@@ -572,192 +537,6 @@ TEST(LockRank, CheckerCompiledOutMutexStillLocks) {
 }
 
 #endif  // EUGENE_LOCK_RANK_CHECKS
-
-// ---------------------------------------------------------------------------
-// Retry backoff edge cases (the overflow family: parameters that used to
-// spin the doubling loop for up to SIZE_MAX iterations).
-// ---------------------------------------------------------------------------
-
-TEST(Retry, ZeroBaseDelayTerminatesAndStaysZero) {
-  // 0 * 2 == 0 never reaches max_delay_ms; without the doubling cap this
-  // looped `attempt - 1` times — an effective hang for large attempts.
-  RetryPolicy policy;
-  policy.base_delay_ms = 0.0;
-  policy.max_delay_ms = 100.0;
-  policy.jitter = 0.0;
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 1, rng), 0.0);
-  EXPECT_DOUBLE_EQ(
-      backoff_delay_ms(policy, std::numeric_limits<std::size_t>::max(), rng),
-      0.0);
-}
-
-TEST(Retry, HugeAttemptSaturatesAtMaxDelayEvenWithInfiniteMax) {
-  // delay < max_delay_ms never fails against an infinite max, so only the
-  // doubling cap bounds the loop; the product must saturate, not overflow.
-  RetryPolicy policy;
-  policy.base_delay_ms = 1.0;
-  policy.max_delay_ms = std::numeric_limits<double>::infinity();
-  policy.jitter = 0.0;
-  Rng rng(1);
-  const double d =
-      backoff_delay_ms(policy, std::numeric_limits<std::size_t>::max(), rng);
-  EXPECT_TRUE(std::isfinite(d));
-  EXPECT_DOUBLE_EQ(d, std::ldexp(1.0, 63));  // base * 2^63, the doubling cap
-
-  policy.max_delay_ms = 250.0;
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 4000, rng), 250.0);
-}
-
-TEST(Retry, JitterStaysWithinConfiguredBounds) {
-  RetryPolicy policy;
-  policy.base_delay_ms = 8.0;
-  policy.max_delay_ms = 8.0;
-  policy.jitter = 0.25;
-  Rng rng(7);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = backoff_delay_ms(policy, 1, rng);
-    EXPECT_GE(d, 8.0 * 0.75);
-    EXPECT_LE(d, 8.0 * 1.25);
-  }
-  policy.jitter = 1.5;
-  EXPECT_THROW(backoff_delay_ms(policy, 1, rng), InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Circuit breaker state machine (driven on a VirtualClock so cooldown and
-// half-open transitions are deterministic).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-HealthConfig fast_breaker_config() {
-  HealthConfig cfg;
-  cfg.ewma_alpha = 0.5;
-  cfg.error_threshold = 0.4;
-  cfg.min_samples = 2;
-  cfg.open_cooldown_ms = 10.0;
-  cfg.half_open_probes = 2;
-  return cfg;
-}
-
-}  // namespace
-
-TEST(Health, BreakerStartsClosedAndAdmitsEverything) {
-  CircuitBreaker b(fast_breaker_config());
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(b.allow(0.0));
-  EXPECT_EQ(b.trips(), 0u);
-}
-
-TEST(Health, ErrorRateBreachOpensThenCooldownHalfOpensThenProbesClose) {
-  CircuitBreaker b(fast_breaker_config());
-  VirtualClock clock;
-  // Failures past min_samples push the error EWMA over 0.4: trip.
-  b.record_failure(clock.now_ms());
-  b.record_failure(clock.now_ms());
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1u);
-  EXPECT_FALSE(b.allow(clock.now_ms()));
-
-  // Cooldown elapses: the next allow() is the half-open probe.
-  clock.advance_by(10.0);
-  EXPECT_TRUE(b.allow(clock.now_ms()));
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-
-  // half_open_probes successes close it and forgive the error history.
-  b.record_success(1.0, clock.now_ms());
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_success(1.0, clock.now_ms());
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_DOUBLE_EQ(b.error_rate(), 0.0);
-  EXPECT_TRUE(b.allow(clock.now_ms()));
-}
-
-TEST(Health, HalfOpenProbeFailureReopensImmediately) {
-  CircuitBreaker b(fast_breaker_config());
-  VirtualClock clock;
-  b.record_failure(clock.now_ms());
-  b.record_failure(clock.now_ms());
-  ASSERT_EQ(b.state(), BreakerState::kOpen);
-  clock.advance_by(10.0);
-  ASSERT_TRUE(b.allow(clock.now_ms()));  // half-open probe
-  b.record_failure(clock.now_ms());      // probe fails
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 2u);
-  EXPECT_FALSE(b.allow(clock.now_ms()));
-}
-
-TEST(Health, LatencyBreachTripsWithoutAnyErrors) {
-  HealthConfig cfg = fast_breaker_config();
-  cfg.latency_threshold_ms = 50.0;
-  CircuitBreaker b(cfg);
-  VirtualClock clock;
-  b.record_success(200.0, clock.now_ms());
-  EXPECT_EQ(b.state(), BreakerState::kClosed);  // min_samples not yet met
-  b.record_success(200.0, clock.now_ms());
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(b.error_rate(), 0.0);
-  EXPECT_GE(b.latency_ewma_ms(), 50.0);
-}
-
-TEST(Health, DisabledBreakerNeverBlocksOrTrips) {
-  HealthConfig cfg = fast_breaker_config();
-  cfg.enabled = false;
-  CircuitBreaker b(cfg);
-  for (int i = 0; i < 10; ++i) b.record_failure(0.0);
-  EXPECT_TRUE(b.allow(0.0));
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.trips(), 0u);
-}
-
-TEST(Health, ScoreOrdersSickerReplicasLast) {
-  CircuitBreaker healthy(fast_breaker_config());
-  CircuitBreaker sick(fast_breaker_config());
-  healthy.record_success(1.0, 0.0);
-  sick.record_success(1.0, 0.0);
-  sick.record_failure(0.0);
-  EXPECT_LT(healthy.score(), sick.score());
-}
-
-TEST(Health, ConfigValidationRejectsNonsense) {
-  HealthConfig bad;
-  bad.ewma_alpha = 0.0;
-  EXPECT_THROW(CircuitBreaker{bad}, InvalidArgument);
-  bad = HealthConfig{};
-  bad.error_threshold = 1.5;
-  EXPECT_THROW(CircuitBreaker{bad}, InvalidArgument);
-  bad = HealthConfig{};
-  bad.half_open_probes = 0;
-  EXPECT_THROW(CircuitBreaker{bad}, InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation tokens.
-// ---------------------------------------------------------------------------
-
-TEST(Cancellation, DetachedTokenNeverStops) {
-  CancellationToken token;
-  EXPECT_FALSE(token.valid());
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_FALSE(token.should_stop(1.0e12));
-  token.cancel();  // no-op on a detached token
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(Cancellation, DeadlineAndCancelBothStop) {
-  CancellationToken token(100.0);
-  EXPECT_TRUE(token.valid());
-  EXPECT_FALSE(token.should_stop(99.9));
-  EXPECT_TRUE(token.should_stop(100.0));  // propagated deadline passed
-
-  CancellationToken other(1.0e9);
-  CancellationToken copy = other;  // copies share the cancel flag
-  EXPECT_FALSE(copy.should_stop(0.0));
-  other.cancel();
-  EXPECT_TRUE(copy.cancelled());
-  EXPECT_TRUE(copy.should_stop(0.0));
-}
 
 }  // namespace
 }  // namespace eugene

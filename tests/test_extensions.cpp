@@ -4,6 +4,7 @@
 // for non-image workloads.
 #include <gtest/gtest.h>
 
+#include "common/metrics.hpp"
 #include "data/synthetic_images.hpp"
 #include "data/timeseries.hpp"
 #include "labeling/pool_guard.hpp"
@@ -181,7 +182,15 @@ TEST(UsageMeter, ValidatesInputs) {
   std::vector<serving::InferenceRequest> requests(1);
   requests[0].service_class = 7;
   std::vector<serving::InferenceResponse> responses(1);
+  responses[0].stages_run = 1;
+  // A rejected batch counts nowhere: not in the ledger, not in the metrics.
+  telemetry::MetricsRegistry& metrics = telemetry::MetricsRegistry::global();
+  const std::uint64_t requests_before = metrics.counter("usage.requests").value();
+  const std::uint64_t stages_before = metrics.counter("usage.stages_executed").value();
   EXPECT_THROW(meter.record(requests, responses, 1), InvalidArgument);
+  EXPECT_EQ(metrics.counter("usage.requests").value(), requests_before);
+  EXPECT_EQ(metrics.counter("usage.stages_executed").value(), stages_before);
+  EXPECT_EQ(meter.usage()[0].requests, 0u);
 }
 
 // -------------------------------------------------------------- pool guard

@@ -1,9 +1,9 @@
 // Chaos suite (DESIGN.md §8 "Failure model"): arms failpoints at every seam
-// — worker crash mid-stage, sick workers, slow workers, overload bursts —
-// and asserts the robustness contract: every submitted request receives a
-// well-formed response (complete, expired, or degraded), no exception
-// escapes run_live/process_batch, and the fault counters reconcile with the
-// number of injected faults.
+// — a stage crash on any worker of the pool, overload bursts, forced
+// brown-outs, inputs the model rejects — and asserts the robustness
+// contract: every submitted request receives a well-formed response
+// (complete, expired, or degraded), no exception escapes process_batch, and
+// the fault counters reconcile with the number of injected faults.
 //
 // Each TEST runs in its own ctest process (gtest_discover_tests), so armed
 // failpoints cannot leak across tests; FailpointGuard adds belt-and-braces
@@ -15,10 +15,10 @@
 #include "calib/evaluation.hpp"
 #include "common/clock.hpp"
 #include "common/failpoint.hpp"
-#include "common/retry.hpp"
+#include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "gp/confidence_curve.hpp"
 #include "nn/staged_model.hpp"
-#include "sched/live.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
 #include "serving/usage.hpp"
@@ -65,12 +65,6 @@ calib::StagedEvaluation fake_eval() {
   return eval;
 }
 
-gp::ConfidenceCurveModel make_curves() {
-  gp::ConfidenceCurveModel curves;
-  curves.fit(fake_eval());
-  return curves;
-}
-
 std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
   Rng rng(seed);
   std::vector<tensor::Tensor> inputs;
@@ -79,8 +73,6 @@ std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
     inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
   return inputs;
 }
-
-nn::StagedModel make_model() { return nn::build_staged_resnet(tiny_model_config()); }
 
 /// A registered + curve-fitted model entry for server tests.
 struct ServerHarness {
@@ -186,371 +178,175 @@ TEST(Fault, FailpointSpecStringParses) {
   EXPECT_THROW(reg.arm_from_string("x=error:p=oops"), InvalidArgument);
 }
 
-TEST(Fault, RetryBackoffGrowsAndCaps) {
-  RetryPolicy policy;
-  policy.base_delay_ms = 1.0;
-  policy.max_delay_ms = 8.0;
-  policy.jitter = 0.0;
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 1, rng), 1.0);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 2, rng), 2.0);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 3, rng), 4.0);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 4, rng), 8.0);
-  EXPECT_DOUBLE_EQ(backoff_delay_ms(policy, 10, rng), 8.0);  // capped
-  policy.jitter = 0.5;
-  for (int i = 0; i < 32; ++i) {
-    const double d = backoff_delay_ms(policy, 3, rng);
-    EXPECT_GE(d, 2.0);
-    EXPECT_LE(d, 6.0);  // 4 ms ± 50 %
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Live scheduler worker supervision
+// Peer workers: a failed stage stays with the worker that ran it
 // ---------------------------------------------------------------------------
-
-TEST(Fault, LiveWorkerCrashIsRetriedOnHealthyWorker) {
-  FailpointGuard guard;
-  FailpointSpec spec;
-  spec.max_fires = 1;
-  FailpointRegistry::instance().arm("live.worker.crash", spec);
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(6);
-  sched::LiveConfig cfg;
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  std::size_t total_retries = 0;
-  for (const auto& r : results) {
-    expect_well_formed(r, kStages);
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
-    total_retries += r.retries;
-  }
-  EXPECT_EQ(stats.worker_crashes, 1u);
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(total_retries, 1u);
-  // Counter reconciliation: one injected fault, one observed crash.
-  EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.crash"),
-            stats.worker_crashes);
-}
-
-TEST(Fault, LiveWorkerCrashWithRespawnCompletesAll) {
-  FailpointGuard guard;
-  FailpointSpec spec;
-  spec.max_fires = 2;
-  FailpointRegistry::instance().arm("live.worker.crash", spec);
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  sched::LiveConfig cfg;
-  cfg.max_retries = 3;
-  cfg.max_respawns = 2;
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
-  }
-  EXPECT_EQ(stats.worker_crashes, 2u);
-  EXPECT_EQ(stats.respawns, 2u);
-  EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.crash"), 2u);
-}
-
-TEST(Fault, LiveSlowWorkerIsAbandonedAndTaskRecovers) {
-  FailpointGuard guard;
-  FailpointSpec spec;
-  spec.kind = FailpointKind::kDelay;
-  spec.delay_ms = 1000.0;
-  spec.max_fires = 1;
-  FailpointRegistry::instance().arm("live.worker.slow", spec);
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(4);
-  sched::LiveConfig cfg;
-  cfg.worker_timeout_ms = 150.0;  // far above a healthy stage, far below the stall
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
-  }
-  EXPECT_EQ(stats.worker_timeouts, 1u);
-  EXPECT_EQ(stats.retries, 1u);
-}
-
-TEST(Fault, LivePersistentCrashesDegradeInsteadOfHanging) {
-  FailpointGuard guard;
-  FailpointRegistry::instance().arm("live.worker.crash", FailpointSpec{});  // p=1, ∞
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(5);
-  sched::LiveConfig cfg;
-  cfg.max_retries = 1;
-  cfg.max_respawns = 1;
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  // The robustness contract under total loss: no hang, no escaping
-  // exception, every task answered (degraded, with zero stages).
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
-    expect_well_formed(r, kStages);
-    EXPECT_TRUE(r.degraded);
-    EXPECT_EQ(r.stages_run, 0u);
-  }
-  EXPECT_EQ(stats.degraded, inputs.size());
-  EXPECT_GE(stats.worker_crashes, 2u);  // both initial workers died
-  EXPECT_EQ(stats.respawns, 1u);
-  EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.crash"),
-            stats.worker_crashes);
-}
 
 TEST(Fault, LiveExpiredTasksStayExpiredUnderCrashes) {
   FailpointGuard guard;
   FailpointSpec spec;
   spec.probability = 0.5;
   spec.seed = 13;
-  FailpointRegistry::instance().arm("live.worker.crash", spec);
+  FailpointRegistry::instance().arm("serving.stage.crash", spec);
 
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  sched::LiveConfig cfg;
-  cfg.deadline_ms = 40.0;
-  cfg.max_retries = 2;
-  cfg.max_respawns = 8;
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
+  ServerHarness harness;
+  telemetry::MetricsRegistry metrics;
+  serving::ServerConfig cfg;
+  cfg.classes = {{"tight", 40.0, 1.0}};
+  cfg.max_stage_retries = 2;
+  cfg.workers = 4;
+  cfg.metrics = &metrics;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(8)) requests.push_back({input, 0});
+  const auto responses = server.process_batch(requests);
 
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) expect_well_formed(r, kStages);
-  EXPECT_EQ(stats.expired,
-            static_cast<std::size_t>(std::count_if(
-                results.begin(), results.end(),
-                [](const sched::TaskResult& r) { return r.expired; })));
-  EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.crash"),
-            stats.worker_crashes);
-}
-
-TEST(Fault, LiveRejectsInvalidInputsUpFront) {
-  const auto curves = make_curves();
-  const nn::StagedModel model = make_model();
-  const auto inputs = make_inputs(2);
-  sched::LiveConfig cfg;
-
-  EXPECT_THROW(sched::run_live(model, 0, curves, inputs, cfg), InvalidArgument);
-
-  const std::vector<tensor::Tensor> empty_batch;
-  EXPECT_THROW(sched::run_live(model, 1, curves, empty_batch, cfg), InvalidArgument);
-
-  Rng rng(9);
-  std::vector<tensor::Tensor> mismatched = make_inputs(2);
-  mismatched.push_back(tensor::Tensor::randn({2, 4, 4}, rng));
-  EXPECT_THROW(sched::run_live(model, 1, curves, mismatched, cfg), InvalidArgument);
-
-  const nn::StagedModel no_stages(4);
-  EXPECT_THROW(sched::run_live(no_stages, 1, curves, inputs, cfg), InvalidArgument);
-
-  sched::LiveConfig bad_deadline;
-  bad_deadline.deadline_ms = 0.0;
-  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_deadline),
-               InvalidArgument);
-
-  // A bad breaker config must throw before any worker thread exists: a throw
-  // with joinable threads alive would terminate the process instead.
-  sched::LiveConfig bad_health;
-  bad_health.health.ewma_alpha = 0.0;
-  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_health),
-               InvalidArgument);
-
-  // Jitter outside [0, 1] is rejected up front, not at the first backoff
-  // deep inside the scheduler loop.
-  sched::LiveConfig bad_jitter;
-  bad_jitter.retry.jitter = 1.5;
-  EXPECT_THROW(sched::run_live(model, 1, curves, inputs, bad_jitter),
-               InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
-// Overload control: breakers, hedging, cancellation (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-TEST(Fault, LiveSickReplicaBreakerOpensAndRoutesAround) {
-  FailpointGuard guard;
-  // Worker 0 is the designated sick worker: every stage it runs fails
-  // recoverably (the worker lives, unlike a crash).
-  FailpointRegistry::instance().arm("live.worker.sick", FailpointSpec{});  // p=1, ∞
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  sched::LiveConfig cfg;
-  cfg.max_retries = 3;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.min_samples = 2;
-  cfg.health.ewma_alpha = 0.5;
-  cfg.health.error_threshold = 0.5;
-  cfg.health.open_cooldown_ms = 60000.0;  // stays open for the whole test
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
+  ASSERT_EQ(responses.size(), requests.size());
+  std::size_t expired = 0;
+  std::size_t degraded = 0;
+  std::size_t retries = 0;
+  for (const auto& r : responses) {
     expect_well_formed(r, kStages);
-    // The healthy worker carries every task to completion.
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
+    if (r.expired) {
+      ++expired;
+      EXPECT_GE(r.latency_ms, 40.0);  // only the deadline expires a request
+    }
+    degraded += r.degraded ? 1 : 0;
+    retries += r.retries;
   }
-  EXPECT_EQ(stats.worker_crashes, 0u);  // sick ≠ dead: no thread ever exited
-  EXPECT_EQ(stats.respawns, 0u);
-  // Two failures at alpha=0.5 breach the 0.5 error threshold: exactly one
-  // trip, and the breaker keeps later dispatch off the sick worker.
-  EXPECT_EQ(stats.breaker_trips, 1u);
-  EXPECT_EQ(stats.worker_errors, 2u);
-  EXPECT_GE(stats.breaker_skips, 1u);
-  // Counter reconciliation: every injected sick-stage fault was observed.
-  EXPECT_EQ(FailpointRegistry::instance().fires("live.worker.sick"),
-            stats.worker_errors);
-  // Routing around the open breaker spared the retry budget: only the
-  // pre-trip failures charged retries.
-  EXPECT_EQ(stats.retries, stats.worker_errors);
+  const auto snap = telemetry::parse_metrics_text(metrics.snapshot_text());
+  EXPECT_EQ(snap.counters.at("serving.expired"), expired);
+  EXPECT_EQ(snap.counters.at("serving.degraded"), degraded);
+  EXPECT_EQ(snap.counters.at("serving.retries"), retries);
+  // Every retry is an injected crash; a crash past the deadline expires its
+  // request instead of charging a retry.
+  EXPECT_LE(retries, FailpointRegistry::instance().fires("serving.stage.crash"));
 }
 
-TEST(Fault, LiveBreakerTripSeamForcesOpenWithoutRealErrors) {
+TEST(Fault, LiveWorkerCrashIsRetriedOnHealthyWorker) {
   FailpointGuard guard;
   FailpointSpec spec;
   spec.max_fires = 1;
-  FailpointRegistry::instance().arm("health.breaker.trip", spec);
+  FailpointRegistry::instance().arm("serving.stage.crash", spec);
 
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(6);
-  sched::LiveConfig cfg;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.open_cooldown_ms = 60000.0;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
-  }
-  // The forced trip opened one breaker with zero real failures, and the
-  // other worker finished the batch.
-  EXPECT_EQ(stats.breaker_trips, 1u);
-  EXPECT_EQ(stats.worker_errors, 0u);
-  EXPECT_EQ(stats.worker_crashes, 0u);
-  EXPECT_EQ(FailpointRegistry::instance().fires("health.breaker.trip"), 1u);
-}
-
-TEST(Fault, LiveHedgedDispatchRescuesStraggler) {
-  FailpointGuard guard;
-  // Worker 0 straggles: every stage it starts stalls 200 ms.
-  FailpointSpec spec;
-  spec.kind = FailpointKind::kDelay;
-  spec.delay_ms = 200.0;
-  FailpointRegistry::instance().arm("live.worker.sick", spec);
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(10);
-  sched::LiveConfig cfg;
-  cfg.hedging = true;
-  cfg.hedge_quantile = 0.5;
-  cfg.hedge_min_ms = 1.0;
-  cfg.hedge_min_samples = 4;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.enabled = false;  // isolate hedging from breaker routing
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
-    expect_well_formed(r, kStages);
-    // No deadline and a healthy second worker: hedging must rescue every
-    // straggling dispatch; nothing degrades and nothing expires.
-    EXPECT_FALSE(r.expired);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, kStages);
-    EXPECT_EQ(r.retries, 0u);  // a hedge is not a retry
-  }
-  EXPECT_GE(stats.hedges_issued, 1u);
-  EXPECT_GE(stats.hedges_won, 1u);
-  EXPECT_LE(stats.hedges_won, stats.hedges_issued);
-  EXPECT_EQ(stats.worker_crashes, 0u);
-
-  // The ops ledger carries the hedge counters (v2 journal frame fields).
+  // A crash is a stage that throws. The worker that ran it stays healthy:
+  // it reruns the stage at once and keeps serving the batch.
   ServerHarness harness;
-  serving::UsageMeter meter(harness.entry().costs, {"default"});
-  serving::OpsUsage ops;
-  ops.hedges_issued = stats.hedges_issued;
-  ops.hedges_won = stats.hedges_won;
-  ops.breaker_trips = stats.breaker_trips;
-  meter.record_ops(ops);
-  EXPECT_EQ(meter.ops().hedges_issued, stats.hedges_issued);
-  EXPECT_EQ(meter.ops().hedges_won, stats.hedges_won);
-}
+  telemetry::MetricsRegistry metrics;
+  telemetry::TraceRecorder trace(1024);
+  serving::ServerConfig cfg;
+  cfg.early_exit_confidence = 2.0;  // full depth
+  cfg.workers = 2;
+  cfg.trace = &trace;
+  cfg.metrics = &metrics;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(6)) requests.push_back({input, 0});
+  const auto responses = server.process_batch(requests);
 
-TEST(Fault, LiveHedgeRaceLoserIsCancelledCooperatively) {
-  FailpointGuard guard;
-  FailpointSpec stall;
-  stall.kind = FailpointKind::kDelay;
-  stall.delay_ms = 150.0;
-  FailpointRegistry::instance().arm("live.worker.sick", stall);
-  // Chaos seam: every hedge force-cancels its primary, so the backup must
-  // win every race and the loser-cancellation path runs deterministically.
-  FailpointRegistry::instance().arm("hedge.lose.race", FailpointSpec{});
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  sched::LiveConfig cfg;
-  cfg.hedging = true;
-  cfg.hedge_quantile = 0.5;
-  cfg.hedge_min_ms = 1.0;
-  cfg.hedge_min_samples = 4;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.enabled = false;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
-
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
+  ASSERT_EQ(responses.size(), requests.size());
+  std::size_t total_retries = 0;
+  for (const auto& r : responses) {
     expect_well_formed(r, kStages);
     EXPECT_FALSE(r.expired);
     EXPECT_FALSE(r.degraded);
     EXPECT_EQ(r.stages_run, kStages);
+    total_retries += r.retries;
+    if (r.retries == 0) continue;
+    // The failed stage completes on the worker it failed on.
+    const auto span = trace.span(r.span_id);
+    const auto error = std::find_if(span.begin(), span.end(), [](const auto& ev) {
+      return ev.kind == telemetry::TraceEventKind::kStageError;
+    });
+    ASSERT_NE(error, span.end());
+    const auto done = std::find_if(error, span.end(), [](const auto& ev) {
+      return ev.kind == telemetry::TraceEventKind::kStageDone;
+    });
+    ASSERT_NE(done, span.end());
+    EXPECT_EQ(done->stage, error->stage);
+    EXPECT_EQ(done->worker, error->worker);
   }
-  EXPECT_GE(stats.hedges_issued, 1u);
-  // With the primary force-cancelled, the backup wins every race it enters.
-  EXPECT_EQ(stats.hedges_won, stats.hedges_issued);
-  EXPECT_EQ(FailpointRegistry::instance().fires("hedge.lose.race"),
-            stats.hedges_issued);
-  // The losers honored the cancel at their next safe point (the pre-stage
-  // token check after the injected stall).
-  EXPECT_GE(stats.cancelled, 1u);
+  EXPECT_EQ(total_retries, 1u);
+  // Counter reconciliation: one injected fault, one retry.
+  EXPECT_EQ(FailpointRegistry::instance().fires("serving.stage.crash"), 1u);
+  const auto snap = telemetry::parse_metrics_text(metrics.snapshot_text());
+  EXPECT_EQ(snap.counters.at("serving.retries"), 1u);
+  EXPECT_EQ(snap.counters.at("serving.degraded"), 0u);
+}
+
+TEST(Fault, LivePersistentCrashesDegradeInsteadOfHanging) {
+  FailpointGuard guard;
+  FailpointRegistry::instance().arm("serving.stage.crash", FailpointSpec{});  // p=1, ∞
+
+  ServerHarness harness;
+  telemetry::MetricsRegistry metrics;
+  serving::ServerConfig cfg;
+  cfg.max_stage_retries = 1;
+  cfg.workers = 2;
+  cfg.metrics = &metrics;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(5)) requests.push_back({input, 0});
+  // The robustness contract under total loss: no hang, no escaping
+  // exception, every request answered (degraded, with zero stages).
+  const auto responses = server.process_batch(requests);
+
+  ASSERT_EQ(responses.size(), requests.size());
+  for (const auto& r : responses) {
+    expect_well_formed(r, kStages);
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(r.stages_run, 0u);
+  }
+  const auto snap = telemetry::parse_metrics_text(metrics.snapshot_text());
+  EXPECT_EQ(snap.counters.at("serving.degraded"), requests.size());
+  EXPECT_EQ(FailpointRegistry::instance().fires("serving.stage.crash"),
+            snap.counters.at("serving.retries"));
+
+  // Both workers came back: once the fault clears, the same server answers
+  // the next batch in full.
+  FailpointRegistry::instance().disarm_all();
+  const auto recovered = server.process_batch(requests);
+  ASSERT_EQ(recovered.size(), requests.size());
+  for (const auto& r : recovered) {
+    EXPECT_FALSE(r.degraded);
+    EXPECT_EQ(r.retries, 0u);
+    EXPECT_GE(r.stages_run, 1u);
+  }
+}
+
+TEST(Fault, LiveRejectsInvalidInputsUpFront) {
+  // A pool server refuses what it cannot serve before any helper thread
+  // starts (a throw with joinable threads alive would terminate the
+  // process), and a refused call leaves it serving.
+  ServerHarness harness;
+  serving::ServerConfig cfg;
+  cfg.workers = 4;
+  serving::InferenceServer server(harness.entry(), cfg);
+
+  EXPECT_THROW(server.process_batch({}), InvalidArgument);
+  std::vector<serving::InferenceRequest> batch;
+  for (const auto& input : make_inputs(4)) batch.push_back({input, 0});
+  batch.push_back({make_inputs(1).front(), 7});  // unknown class, last
+  EXPECT_THROW(server.process_batch(batch), InvalidArgument);
+  batch.back() = {tensor::Tensor{}, 0};  // empty input, last
+  EXPECT_THROW(server.process_batch(batch), InvalidArgument);
+
+  batch.pop_back();
+  const auto responses = server.process_batch(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (const auto& r : responses) {
+    expect_well_formed(r, kStages);
+    EXPECT_FALSE(r.degraded);
+  }
+
+  serving::ServerConfig no_workers = cfg;
+  no_workers.workers = 0;
+  EXPECT_THROW(serving::InferenceServer(harness.entry(), no_workers), InvalidArgument);
+
+  serving::ModelRegistry registry;
+  const std::size_t stageless = registry.add("stageless", nn::StagedModel(4));
+  registry.entry(stageless).curves.fit(fake_eval());
+  EXPECT_THROW(serving::InferenceServer(registry.entry(stageless), cfg), InvalidArgument);
 }
 
 TEST(Fault, ServerForcedBrownoutShedsAndRecovers) {
@@ -687,50 +483,59 @@ TEST(Fault, ServerOverloadBurstShedsToEarliestExit) {
 
 TEST(Fault, ServerStageCrashIsRetriedTransparently) {
   FailpointGuard guard;
-  FailpointSpec spec;
-  spec.max_fires = 1;
-  FailpointRegistry::instance().arm("serving.stage.crash", spec);
-
   ServerHarness harness;
-  serving::InferenceServer server(harness.entry(), serving::ServerConfig{});
   std::vector<serving::InferenceRequest> requests;
   for (const auto& input : make_inputs(4)) requests.push_back({input, 0});
-  const auto responses = server.process_batch(requests);
 
-  ASSERT_EQ(responses.size(), requests.size());
-  std::size_t total_retries = 0;
-  for (const auto& r : responses) {
-    EXPECT_FALSE(r.degraded);
-    EXPECT_FALSE(r.expired);
-    EXPECT_GE(r.stages_run, 1u);
-    total_retries += r.retries;
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    FailpointSpec spec;
+    spec.max_fires = 1;
+    FailpointRegistry::instance().arm("serving.stage.crash", spec);
+    serving::ServerConfig cfg;
+    cfg.workers = workers;
+    serving::InferenceServer server(harness.entry(), cfg);
+    const auto responses = server.process_batch(requests);
+
+    ASSERT_EQ(responses.size(), requests.size());
+    std::size_t total_retries = 0;
+    for (const auto& r : responses) {
+      EXPECT_FALSE(r.degraded);
+      EXPECT_FALSE(r.expired);
+      EXPECT_GE(r.stages_run, 1u);
+      total_retries += r.retries;
+    }
+    EXPECT_EQ(total_retries, 1u);  // the one injected crash cost one retry
   }
-  EXPECT_EQ(total_retries, 1u);  // the one injected crash cost one retry
 }
 
 TEST(Fault, ServerPersistentStageCrashDegradesEveryRequest) {
   FailpointGuard guard;
-  FailpointRegistry::instance().arm("serving.stage.crash", FailpointSpec{});  // p=1, ∞
-
   ServerHarness harness;
-  serving::ServerConfig cfg;
-  cfg.max_stage_retries = 2;
-  serving::InferenceServer server(harness.entry(), cfg);
   std::vector<serving::InferenceRequest> requests;
   for (const auto& input : make_inputs(3)) requests.push_back({input, 0});
-  const auto responses = server.process_batch(requests);  // must not throw
 
-  ASSERT_EQ(responses.size(), requests.size());
-  for (const auto& r : responses) {
-    EXPECT_TRUE(r.degraded);
-    EXPECT_EQ(r.stages_run, 0u);
-    EXPECT_EQ(r.retries, cfg.max_stage_retries + 1);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    FailpointRegistry::instance().arm("serving.stage.crash", FailpointSpec{});  // p=1, ∞
+    serving::ServerConfig cfg;
+    cfg.max_stage_retries = 2;
+    cfg.workers = workers;
+    serving::InferenceServer server(harness.entry(), cfg);
+    const auto responses = server.process_batch(requests);  // must not throw
+
+    ASSERT_EQ(responses.size(), requests.size());
+    for (const auto& r : responses) {
+      EXPECT_TRUE(r.degraded);
+      EXPECT_EQ(r.stages_run, 0u);
+      EXPECT_EQ(r.retries, cfg.max_stage_retries + 1);
+    }
+    // Reconcile: every injected fault is accounted for as a retry.
+    std::size_t total_retries = 0;
+    for (const auto& r : responses) total_retries += r.retries;
+    EXPECT_EQ(FailpointRegistry::instance().fires("serving.stage.crash"),
+              total_retries);
   }
-  // Reconcile: every injected fault is accounted for as a retry.
-  std::size_t total_retries = 0;
-  for (const auto& r : responses) total_retries += r.retries;
-  EXPECT_EQ(FailpointRegistry::instance().fires("serving.stage.crash"),
-            total_retries);
 }
 
 TEST(Fault, ServerShedPlusCrashCountersReconcile) {
@@ -785,14 +590,25 @@ TEST(Fault, ServerRejectsInvalidInputsUpFront) {
   serving::ServerConfig bad;
   bad.shed_max_stages = 0;
   EXPECT_THROW(serving::InferenceServer(harness.entry(), bad), InvalidArgument);
+
+  serving::ServerConfig no_workers;
+  no_workers.workers = 0;
+  EXPECT_THROW(serving::InferenceServer(harness.entry(), no_workers), InvalidArgument);
+
+  // A model with no stages is refused before any engine exists, even with
+  // fitted curves.
+  serving::ModelRegistry registry;
+  const std::size_t stageless = registry.add("stageless", nn::StagedModel(4));
+  registry.entry(stageless).curves.fit(fake_eval());
+  EXPECT_THROW(serving::InferenceServer(registry.entry(stageless), serving::ServerConfig{}),
+               InvalidArgument);
 }
 
 TEST(Fault, RejectedInputDegradesAtOnce) {
   FailpointGuard guard;
   // An input the model cannot take makes the first stage throw
   // InvalidArgument. A stage is deterministic, so retrying can never
-  // succeed: the request degrades at once, charging no retry, no worker
-  // crash, and no breaker failure.
+  // succeed: the request degrades at once and charges no retry.
   Rng rng(21);
   const tensor::Tensor wrong = tensor::Tensor::randn({2, 4, 4}, rng);
 
@@ -820,24 +636,20 @@ TEST(Fault, RejectedInputDegradesAtOnce) {
     EXPECT_EQ(r.retries, 0u) << i;
   }
 
-  // Worker pool: a batch of wrong-shaped inputs. The workers reject every
-  // task and keep serving.
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const std::vector<tensor::Tensor> inputs(4, wrong);
-  sched::LiveStats stats;
-  const auto results =
-      sched::run_live(model, 2, curves, inputs, sched::LiveConfig{}, &stats);
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) {
+  // Peer workers: a batch of wrong-shaped inputs. Every worker rejects its
+  // requests and keeps serving the rest.
+  serving::ServerConfig pool;
+  pool.workers = 4;
+  serving::InferenceServer pool_server(harness.entry(), pool);
+  const std::vector<serving::InferenceRequest> wrong_batch(4, {wrong, 0});
+  const auto rejected = pool_server.process_batch(wrong_batch);
+  ASSERT_EQ(rejected.size(), wrong_batch.size());
+  for (const auto& r : rejected) {
     expect_well_formed(r, kStages);
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.stages_run, 0u);
     EXPECT_EQ(r.retries, 0u);
   }
-  EXPECT_EQ(stats.worker_crashes, 0u);
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.degraded, inputs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -846,63 +658,79 @@ TEST(Fault, RejectedInputDegradesAtOnce) {
 
 TEST(FaultEnv, LiveSurvivesEnvironmentArmedChaos) {
   FailpointGuard guard;
-  // CI arms e.g. EUGENE_FAILPOINTS='live.worker.crash=error:p=0.05:seed=11';
-  // without the variable this runs as a plain live-mode smoke test.
+  // CI arms e.g. EUGENE_FAILPOINTS='serving.stage.crash=error:p=0.05:seed=11';
+  // without the variable this runs as a plain peer-worker smoke test.
   const std::size_t armed = FailpointRegistry::instance().arm_from_env();
 
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(10);
-  sched::LiveConfig cfg;
-  cfg.max_retries = 3;
-  cfg.max_respawns = 4;
-  cfg.worker_timeout_ms = 2000.0;
-  cfg.retry.base_delay_ms = 0.1;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 3, curves, inputs, cfg, &stats);
+  ServerHarness harness;
+  serving::ServerConfig cfg;
+  cfg.max_stage_retries = 3;
+  cfg.workers = 3;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(10)) requests.push_back({input, 0});
+  const auto responses = server.process_batch(requests);  // must not throw
 
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) expect_well_formed(r, kStages);
+  ASSERT_EQ(responses.size(), requests.size());
+  std::size_t retries = 0;
+  std::size_t degraded = 0;
+  for (const auto& r : responses) {
+    expect_well_formed(r, kStages);
+    retries += r.retries;
+    degraded += r.degraded ? 1 : 0;
+  }
+  // Each retry is an injected stage crash (a kind=delay arming stalls
+  // instead, and charges none).
+  EXPECT_LE(retries, FailpointRegistry::instance().fires("serving.stage.crash"));
   if (armed == 0) {
-    EXPECT_EQ(stats.worker_crashes + stats.worker_timeouts + stats.degraded, 0u);
+    EXPECT_EQ(retries + degraded, 0u);
   }
 }
 
 TEST(FaultEnv, LiveOverloadControlSurvivesEnvironmentArmedChaos) {
   FailpointGuard guard;
-  // CI's overload-chaos job arms the §11 seams, e.g.
-  //   EUGENE_FAILPOINTS='live.worker.sick=error:p=0.4:seed=3,
-  //                      health.breaker.trip=error:p=0.1:seed=5,
-  //                      hedge.lose.race=error:p=0.5:seed=7'
-  // Without the variable this is a hedging+breaker smoke test.
+  // CI's overload-chaos job arms e.g.
+  //   EUGENE_FAILPOINTS='serving.stage.crash=error:p=0.2:seed=3'
+  // Without the variable this is a smoke test of admission control and
+  // shedding in front of a pool of peer workers.
   const std::size_t armed = FailpointRegistry::instance().arm_from_env();
 
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(12);
-  sched::LiveConfig cfg;
-  cfg.max_retries = 4;
-  cfg.max_respawns = 4;
-  cfg.worker_timeout_ms = 2000.0;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.min_samples = 2;
-  cfg.health.open_cooldown_ms = 20.0;  // breakers recover mid-run
-  cfg.hedging = true;
-  cfg.hedge_quantile = 0.9;
-  cfg.hedge_min_samples = 4;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 3, curves, inputs, cfg, &stats);
+  ServerHarness harness;
+  telemetry::MetricsRegistry metrics;
+  serving::ServerConfig cfg;
+  cfg.admission_capacity = 8;
+  cfg.max_stage_retries = 4;
+  cfg.workers = 3;
+  cfg.metrics = &metrics;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(12)) requests.push_back({input, 0});
 
-  ASSERT_EQ(results.size(), inputs.size());
-  for (const auto& r : results) expect_well_formed(r, kStages);
-  // Every recoverable worker error traces back to a sick-seam fire; the
-  // converse only holds for kind=error arming (a kind=delay fire makes a
-  // straggler, not an error), so this stays an upper bound under env chaos.
-  EXPECT_LE(stats.worker_errors,
-            FailpointRegistry::instance().fires("live.worker.sick"));
-  EXPECT_LE(stats.hedges_won, stats.hedges_issued);
+  constexpr std::size_t kBatches = 3;
+  std::size_t retries = 0;
+  for (std::size_t batch = 0; batch < kBatches; ++batch) {
+    const auto responses = server.process_batch(requests);  // must not throw
+    ASSERT_EQ(responses.size(), requests.size());
+    for (const auto& r : responses) {
+      expect_well_formed(r, kStages);
+      if (r.browned_out) {
+        EXPECT_TRUE(r.degraded);
+      }
+      retries += r.retries;
+    }
+  }
+  const auto snap = telemetry::parse_metrics_text(metrics.snapshot_text());
+  // The static ceiling sheds 4 of every 12 requests; brown-out only sheds
+  // more.
+  EXPECT_GE(snap.counters.at("serving.sheds"), kBatches * 4);
+  EXPECT_EQ(snap.counters.at("serving.retries"), retries);
+  // Each retry is an injected stage crash (a kind=delay arming stalls
+  // instead, and charges none).
+  EXPECT_LE(retries, FailpointRegistry::instance().fires("serving.stage.crash"));
   if (armed == 0) {
-    EXPECT_EQ(stats.worker_errors + stats.breaker_trips + stats.degraded, 0u);
+    EXPECT_EQ(snap.counters.at("serving.sheds"), kBatches * 4);
+    EXPECT_EQ(retries, 0u);
+    EXPECT_EQ(server.brownout_level(), 0u);
   }
 }
 
@@ -913,28 +741,32 @@ TEST(FaultEnv, ServerSurvivesEnvironmentArmedChaos) {
   const std::size_t armed = FailpointRegistry::instance().arm_from_env();
 
   ServerHarness harness;
-  serving::ServerConfig cfg;
-  cfg.admission_capacity = 6;
-  cfg.max_stage_retries = 3;
-  serving::InferenceServer server(harness.entry(), cfg);
   std::vector<serving::InferenceRequest> requests;
   for (const auto& input : make_inputs(8)) requests.push_back({input, 0});
 
-  for (int batch = 0; batch < 3; ++batch) {
-    const auto responses = server.process_batch(requests);  // must not throw
-    ASSERT_EQ(responses.size(), requests.size());
-    for (const auto& r : responses) {
-      EXPECT_LE(r.stages_run, kStages);
-      if (r.browned_out) {
-        EXPECT_TRUE(r.degraded);
-      }
-      if (!r.expired && !r.degraded) {
-        EXPECT_GE(r.stages_run, 1u);
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    serving::ServerConfig cfg;
+    cfg.admission_capacity = 6;
+    cfg.max_stage_retries = 3;
+    cfg.workers = workers;
+    serving::InferenceServer server(harness.entry(), cfg);
+    for (int batch = 0; batch < 3; ++batch) {
+      const auto responses = server.process_batch(requests);  // must not throw
+      ASSERT_EQ(responses.size(), requests.size());
+      for (const auto& r : responses) {
+        EXPECT_LE(r.stages_run, kStages);
+        if (r.browned_out) {
+          EXPECT_TRUE(r.degraded);
+        }
+        if (!r.expired && !r.degraded) {
+          EXPECT_GE(r.stages_run, 1u);
+        }
       }
     }
-  }
-  if (armed == 0) {
-    EXPECT_EQ(server.brownout_level(), 0u);
+    if (armed == 0) {
+      EXPECT_EQ(server.brownout_level(), 0u);
+    }
   }
 }
 

@@ -20,7 +20,6 @@
 #include "common/failpoint.hpp"
 #include "common/lifecycle.hpp"
 #include "core/eugene_service.hpp"
-#include "sched/live.hpp"
 #include "serving/snapshot.hpp"
 #include "serving/usage.hpp"
 
@@ -369,40 +368,50 @@ TEST(LifecycleService, ForcedBrownoutDuringDrainYieldsDrainTypedRejections) {
 TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   FailpointGuard guard;
   core::EugeneService service;
-  add_calibrated_model(service, "m", 1);
-  const serving::ModelRegistry::ViewPtr view = service.registry().pin();
+  const std::size_t handle = add_calibrated_model(service, "m", 1);
 
-  // A live run whose worker breakers are all force-tripped: every record()
-  // opens a breaker, routing degrades, but tasks still complete — and the
-  // in-flight accounting they hold must still reach zero so the drain
+  // What an open breaker stood for — a worker that fails every stage — is
+  // a stage crash that always fires, here on every worker of a pool. Each
+  // request still finishes (degraded, zero stages), and the in-flight
+  // accounting its batch holds must still reach zero so the drain
   // finishes. A hung drain here would time out and fail the test.
-  FailpointSpec trip;
-  trip.kind = FailpointKind::kError;
-  FailpointRegistry::instance().arm("health.breaker.trip", trip);
+  FailpointRegistry::instance().arm("serving.stage.crash", FailpointSpec{});
 
-  sched::LiveConfig config;
+  serving::ServerConfig config;
   config.early_exit_confidence = 0.8;
-  config.health.enabled = true;
-  config.lifecycle = &service.lifecycle();
+  config.workers = 2;
+  const auto requests = make_requests(6);
 
-  std::vector<tensor::Tensor> inputs;
-  Rng rng(11);
-  for (int i = 0; i < 6; ++i) inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
-
+  std::atomic<int> served{0};
+  std::atomic<bool> stopped{false};
+  // Serves until the drain turns a batch away (bounded for safety).
+  auto serve_until_drained = [&] {
+    for (int rep = 0; rep < 100000; ++rep) {
+      const auto results = service.infer_batch(handle, requests, config);
+      ASSERT_EQ(results.size(), requests.size());
+      const bool drained = results.front().draining;
+      for (const auto& r : results) {
+        ASSERT_EQ(r.draining, drained);  // the gate takes or refuses a whole batch
+        EXPECT_EQ(r.stages_run, 0u);
+        EXPECT_EQ(r.degraded, !drained);
+      }
+      if (drained) return;
+      served.fetch_add(1);
+    }
+  };
   std::thread traffic([&] {
-    const auto results = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
-                                         inputs, config);
-    for (const auto& r : results) EXPECT_FALSE(r.draining);
+    serve_until_drained();
+    stopped.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const core::DrainOutcome outcome =
-      service.begin_drain(drain_options(30000.0));
+  // Drain once the pool has served a batch under the fault.
+  while (served.load() == 0 && !stopped.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const core::DrainOutcome outcome = service.begin_drain(drain_options(30000.0));
   traffic.join();
   EXPECT_TRUE(outcome.report.completed);
 
-  // Post-drain, run_live answers with typed drained results, zero stages.
-  const auto rejected = sched::run_live(view->entry(0).model, 2, view->entry(0).curves,
-                                        inputs, config);
+  // Post-drain, the pool answers with typed drained results, zero stages.
+  const auto rejected = service.infer_batch(handle, requests, config);
   for (const auto& r : rejected) {
     EXPECT_TRUE(r.draining);
     EXPECT_EQ(r.stages_run, 0u);

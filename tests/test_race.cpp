@@ -1,9 +1,8 @@
-// TSan-targeted stress tests for the concurrent core: MPMC channels, the
-// model registry, the usage meter, logging, the live scheduler, and threads
-// serving one published model. These
-// pass under the plain build too, but their real job is to give
-// ThreadSanitizer (the `tsan` CMake preset) schedules in which a data race
-// would be visible.
+// TSan-targeted stress tests for the concurrent core: the model registry,
+// the usage meter, logging, process_batch's peer workers, and threads
+// serving one published model. These pass under the plain build too, but
+// their real job is to give ThreadSanitizer (the `tsan` CMake preset)
+// schedules in which a data race would be visible.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,80 +11,15 @@
 #include <vector>
 
 #include "calib/evaluation.hpp"
-#include "common/channel.hpp"
 #include "common/logging.hpp"
 #include "core/eugene_service.hpp"
 #include "data/synthetic_images.hpp"
 #include "gp/confidence_curve.hpp"
-#include "sched/live.hpp"
 #include "serving/registry.hpp"
 #include "serving/usage.hpp"
 
 namespace eugene {
 namespace {
-
-TEST(Race, ChannelMpmcConservesItems) {
-  Channel<int> ch;
-  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 2000;
-  std::atomic<long> sum{0};
-  std::atomic<int> count{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = ch.receive()) {
-        sum.fetch_add(*v, std::memory_order_relaxed);
-        count.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        ASSERT_TRUE(ch.send(p * kPerProducer + i));
-    });
-  }
-  for (auto& t : producers) t.join();
-  ch.close();
-  for (auto& t : consumers) t.join();
-
-  const int n = kProducers * kPerProducer;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(sum.load(), static_cast<long>(n) * (n - 1) / 2);
-}
-
-TEST(Race, ChannelCloseWhileSendingAndDraining) {
-  // The admit-while-draining shape: producers keep admitting until the
-  // channel refuses, a closer pulls the plug mid-stream, and consumers must
-  // drain exactly the accepted items.
-  Channel<int> ch;
-  std::atomic<int> accepted{0};
-  std::atomic<int> received{0};
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 50000; ++i) {
-        if (!ch.send(i)) return;  // channel closed under us
-        accepted.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      while (ch.receive()) received.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ch.close();
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  EXPECT_EQ(received.load(), accepted.load());
-  EXPECT_EQ(ch.pending(), 0u);
-}
 
 nn::StagedResNetConfig tiny_model_config() {
   nn::StagedResNetConfig cfg;
@@ -196,10 +130,11 @@ TEST(Race, ConcurrentLoggingDoesNotRace) {
 }
 
 TEST(Race, LiveSchedulerAdmitWhileDraining) {
-  // Two live-scheduler instances run concurrently, their workers all sharing
-  // one model; one runs with a deadline tight enough that tasks keep expiring
-  // (draining) while the dispatcher is still admitting stages. Exercises the
-  // worker threads, both channel directions, and the policy under TSan.
+  // Two callers serve one model on peer-worker pools of 3 and 2 workers, the
+  // second with a deadline tight enough that requests keep expiring, while
+  // a third thread drains the service. Exercises the engine lock, the
+  // helper threads, the policy and the lifecycle gate under TSan: each
+  // batch is either served in full or answered with typed drain responses.
   data::SyntheticImageConfig data_cfg;
   data_cfg.num_classes = 4;
   data_cfg.channels = 2;
@@ -209,25 +144,46 @@ TEST(Race, LiveSchedulerAdmitWhileDraining) {
   const data::Dataset train = data::generate_images(data_cfg, 60, rng);
   const data::Dataset batch = data::generate_images(data_cfg, 8, rng);
 
-  nn::StagedModel model = nn::build_staged_resnet(tiny_model_config());
-  const calib::StagedEvaluation eval = calib::evaluate_staged(model, train);
-  gp::ConfidenceCurveModel curves;
-  curves.fit(eval);
+  core::EugeneService service;
+  auto entry = std::make_shared<serving::ModelEntry>(
+      "pool", nn::build_staged_resnet(tiny_model_config()));
+  entry->curves.fit(calib::evaluate_staged(entry->model, train));
+  entry->calibrated = true;
+  const std::size_t handle = service.registry().add_entry(std::move(entry));
+  std::vector<serving::InferenceRequest> requests;
+  for (const tensor::Tensor& x : batch.samples) requests.push_back({x, 0});
 
   auto run_one = [&](double deadline_ms, std::size_t workers) {
-    sched::LiveConfig cfg;
-    cfg.deadline_ms = deadline_ms;
-    const auto results = sched::run_live(model, workers, curves, batch.samples, cfg);
+    serving::ServerConfig cfg;
+    cfg.classes = {{"default", deadline_ms, 1.0}};
+    cfg.workers = workers;
+    const auto results = service.infer_batch(handle, requests, cfg);
     ASSERT_EQ(results.size(), batch.size());
-    for (const auto& r : results) ASSERT_LE(r.stages_run, 2u);
+    const bool drained = results.front().draining;
+    for (const auto& r : results) {
+      ASSERT_LE(r.stages_run, 2u);
+      ASSERT_EQ(r.draining, drained);  // the gate takes or refuses a whole batch
+      if (drained) {
+        ASSERT_EQ(r.stages_run, 0u);
+      }
+    }
   };
 
-  std::thread relaxed([&] { run_one(1e9, 3); });
+  std::thread relaxed([&] {
+    for (int rep = 0; rep < 3; ++rep) run_one(1e9, 3);
+  });
   std::thread strained([&] {
-    for (int rep = 0; rep < 3; ++rep) run_one(0.5, 2);
+    for (int rep = 0; rep < 6; ++rep) run_one(0.5, 2);
+  });
+  std::thread drainer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    core::DrainOptions options;
+    options.timeout_ms = 30000.0;
+    EXPECT_TRUE(service.begin_drain(options).report.completed);
   });
   relaxed.join();
   strained.join();
+  drainer.join();
 }
 
 TEST(Race, SharedHandleInferBatchMatchesSerial) {

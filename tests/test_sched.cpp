@@ -1,5 +1,5 @@
 // Scheduler tests: utility estimators, policies, the discrete-event engine,
-// the workload builder, and the live threaded scheduler.
+// and the workload builder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +8,9 @@
 #include <limits>
 #include <optional>
 
-#include "data/synthetic_images.hpp"
-#include "nn/train.hpp"
-#include "sched/live.hpp"
+#include "calib/evaluation.hpp"
+#include "gp/confidence_curve.hpp"
+#include "nn/staged_model.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
 #include "sched/workload.hpp"
@@ -242,9 +242,10 @@ TEST(GreedyPolicy, MatchesReferencePlanner) {
   // Engine-style runs on seeded random task sets: tasks arrive over time,
   // every pick runs the picked task's next stage (one confidence appended to
   // its history, as every engine does), a stage may stay in flight for a few
-  // picks (the task leaves the runnable set meanwhile, as in run_live), and
-  // tasks leave on completion, early exit, or deadline. Both planners see the
-  // same runnable set at every pick and must make the same pick every time.
+  // picks (the task leaves the runnable set meanwhile, as on a pool of
+  // workers), and tasks leave on completion, early exit, or deadline. Both
+  // planners see the same runnable set at every pick and must make the same
+  // pick every time.
   // Weight changes and reset() between runs must invalidate cached utilities.
   const auto curves = linear_curve_model();
   const GpUtilityEstimator gp_estimator(curves);
@@ -530,85 +531,11 @@ TEST(Workload, JitterStaysWithinBounds) {
   }
 }
 
-// ------------------------------------------------------- live scheduler ----
-
-TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
-  data::SyntheticImageConfig data_cfg;
-  data_cfg.num_classes = 4;
-  data_cfg.channels = 2;
-  data_cfg.height = 8;
-  data_cfg.width = 8;
-  Rng rng(8);
-  const data::Dataset train = data::generate_images(data_cfg, 200, rng);
-  const data::Dataset batch = data::generate_images(data_cfg, 12, rng);
-
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {4, 6, 8};
-  nn::StagedModel model = nn::build_staged_resnet(cfg);
-  nn::StagedTrainConfig tcfg;
-  tcfg.epochs = 3;
-  nn::StagedTrainer trainer(model, tcfg);
-  trainer.fit(train.samples, train.labels);
-
-  const calib::StagedEvaluation eval = calib::evaluate_staged(model, train);
-  gp::ConfidenceCurveModel curves;
-  curves.fit(eval);
-
-  LiveConfig live_cfg;  // no deadline, no early exit
-  const auto results = run_live(model, 2, curves, batch.samples, live_cfg);
-
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].stages_run, 3u);
-    EXPECT_FALSE(results[i].expired);
-    const auto direct = model.forward_all(batch.samples[i]);
-    EXPECT_EQ(results[i].label, direct.back().predicted_label);
-    // Bitwise: both workers run the same run_stage on the same model.
-    EXPECT_EQ(results[i].confidence, direct.back().confidence);
-  }
-}
-
-TEST(LiveScheduler, EarlyExitReducesExecutedStages) {
-  data::SyntheticImageConfig data_cfg;
-  data_cfg.num_classes = 4;
-  data_cfg.channels = 2;
-  data_cfg.height = 8;
-  data_cfg.width = 8;
-  data_cfg.noise_stddev = 0.05;  // easy data → high early confidence
-  Rng rng(9);
-  const data::Dataset train = data::generate_images(data_cfg, 250, rng);
-  const data::Dataset batch = data::generate_images(data_cfg, 10, rng);
-
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {4, 6, 8};
-  nn::StagedModel model = nn::build_staged_resnet(cfg);
-  nn::StagedTrainConfig tcfg;
-  tcfg.epochs = 6;
-  nn::StagedTrainer trainer(model, tcfg);
-  trainer.fit(train.samples, train.labels);
-
-  const calib::StagedEvaluation eval = calib::evaluate_staged(model, train);
-  gp::ConfidenceCurveModel curves;
-  curves.fit(eval);
-
-  LiveConfig live_cfg;
-  live_cfg.early_exit_confidence = 0.4;  // 4 classes: chance level is 0.25
-  const auto results = run_live(model, 1, curves, batch.samples, live_cfg);
-  std::size_t total_stages = 0;
-  for (const auto& r : results) total_stages += r.stages_run;
-  EXPECT_LT(total_stages, 3 * results.size())
-      << "at least one easy sample should exit early";
-}
+// ------------------------------------------------------------ replicas ----
 
 TEST(LiveScheduler, ReplicasShareWeights) {
+  // A clone answers bitwise like its source, so any number of model copies
+  // serve the same answers.
   nn::StagedResNetConfig cfg;
   cfg.in_channels = 2;
   cfg.height = 8;

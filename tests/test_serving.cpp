@@ -56,6 +56,76 @@ TEST(InferenceServer, RefusesUncalibratedModels) {
                InvalidArgument);
 }
 
+// The live scheduler: the server's peer workers (ServerConfig::workers)
+// picking stages from one engine, here two of them.
+
+/// Trains a model_config() model on `train` and registers it with curves
+/// fitted on the same set.
+std::size_t add_trained_model(serving::ModelRegistry& registry, const data::Dataset& train,
+                              std::size_t epochs) {
+  nn::StagedModel model = nn::build_staged_resnet(model_config());
+  {
+    nn::StagedTrainConfig tcfg;
+    tcfg.epochs = epochs;
+    nn::StagedTrainer trainer(model, tcfg);
+    trainer.fit(train.samples, train.labels);
+  }
+  const std::size_t handle = registry.add("live", std::move(model));
+  serving::ModelEntry& entry = registry.entry(handle);
+  entry.curves.fit(calib::evaluate_staged(entry.model, train));
+  return handle;
+}
+
+TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
+  Rng rng(8);
+  const data::Dataset train = data::generate_images(data_config(), 200, rng);
+  const data::Dataset batch = data::generate_images(data_config(), 12, rng);
+  serving::ModelRegistry registry;
+  const serving::ModelEntry& entry = registry.entry(add_trained_model(registry, train, 3));
+
+  serving::ServerConfig cfg;        // the default class has no deadline
+  cfg.early_exit_confidence = 2.0;  // no early exit
+  cfg.workers = 2;
+  serving::InferenceServer server(entry, cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const tensor::Tensor& x : batch.samples) requests.push_back({x, 0});
+  const auto results = server.process_batch(requests);
+
+  ASSERT_EQ(results.size(), batch.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].stages_run, 3u);
+    EXPECT_FALSE(results[i].expired);
+    const auto direct = entry.model.forward_all(batch.samples[i]);
+    EXPECT_EQ(results[i].label, direct.back().predicted_label);
+    // Bitwise: both workers run the same run_stage on the same model.
+    EXPECT_EQ(results[i].confidence, direct.back().confidence);
+  }
+}
+
+TEST(LiveScheduler, EarlyExitReducesExecutedStages) {
+  data::SyntheticImageConfig data_cfg = data_config();
+  data_cfg.noise_stddev = 0.05;  // easy data → high early confidence
+  Rng rng(9);
+  const data::Dataset train = data::generate_images(data_cfg, 250, rng);
+  const data::Dataset batch = data::generate_images(data_cfg, 10, rng);
+  serving::ModelRegistry registry;
+  const serving::ModelEntry& entry = registry.entry(add_trained_model(registry, train, 6));
+
+  serving::ServerConfig cfg;
+  cfg.early_exit_confidence = 0.4;  // 4 classes: chance level is 0.25
+  cfg.workers = 2;
+  serving::InferenceServer server(entry, cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const tensor::Tensor& x : batch.samples) requests.push_back({x, 0});
+  const auto results = server.process_batch(requests);
+
+  ASSERT_EQ(results.size(), batch.size());
+  std::size_t total_stages = 0;
+  for (const auto& r : results) total_stages += r.stages_run;
+  EXPECT_LT(total_stages, 3 * results.size())
+      << "at least one easy sample should exit early";
+}
+
 // Shared fixture: one fully prepared EugeneService.
 class ServiceIntegration : public ::testing::Test {
  protected:
@@ -170,7 +240,8 @@ TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
   // A 64-request, two-class batch must answer exactly what a lone
   // per-sample run_stage chain answers at the same depth: bitwise
   // confidences and identical labels, exiting at the first stage that
-  // clears the early-exit bar.
+  // clears the early-exit bar. The same holds on a pool of peer workers:
+  // which worker runs a stage changes nothing it computes.
   constexpr double kExit = 0.7;
   std::vector<serving::InferenceRequest> requests;
   for (std::size_t i = 0; i < 64; ++i)
@@ -180,29 +251,33 @@ TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
                  {"camera", std::numeric_limits<double>::infinity(), 1.0}};
   cfg.early_exit_confidence = kExit;
 
-  const auto responses = service_->infer_batch(handle_, requests, cfg);
-  ASSERT_EQ(responses.size(), requests.size());
   nn::StagedModel& model = service_->registry().entry(handle_).model;
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    const serving::InferenceResponse& r = responses[i];
-    ASSERT_GE(r.stages_run, 1u) << i;
-    ASSERT_LE(r.stages_run, model.num_stages()) << i;
-    EXPECT_FALSE(r.expired) << i;
-    EXPECT_FALSE(r.degraded) << i;
-    tensor::Tensor x = requests[i].input;
-    for (std::size_t s = 0; s < r.stages_run; ++s) {
-      const nn::StageOutput out = model.run_stage(s, x);
-      const double confidence = out.confidence;
-      if (s + 1 < r.stages_run) {
-        EXPECT_LT(confidence, kExit) << "request " << i << " ran past an exit at stage " << s;
-      } else {
-        EXPECT_EQ(r.label, out.predicted_label) << i;
-        EXPECT_EQ(r.confidence, confidence) << i;
-        if (r.stages_run < model.num_stages()) {
-          EXPECT_GE(confidence, kExit) << i;
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    cfg.workers = workers;
+    const auto responses = service_->infer_batch(handle_, requests, cfg);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const serving::InferenceResponse& r = responses[i];
+      ASSERT_GE(r.stages_run, 1u) << i;
+      ASSERT_LE(r.stages_run, model.num_stages()) << i;
+      EXPECT_FALSE(r.expired) << i;
+      EXPECT_FALSE(r.degraded) << i;
+      tensor::Tensor x = requests[i].input;
+      for (std::size_t s = 0; s < r.stages_run; ++s) {
+        const nn::StageOutput out = model.run_stage(s, x);
+        const double confidence = out.confidence;
+        if (s + 1 < r.stages_run) {
+          EXPECT_LT(confidence, kExit) << "request " << i << " ran past an exit at stage " << s;
+        } else {
+          EXPECT_EQ(r.label, out.predicted_label) << i;
+          EXPECT_EQ(r.confidence, confidence) << i;
+          if (r.stages_run < model.num_stages()) {
+            EXPECT_GE(confidence, kExit) << i;
+          }
         }
+        x = out.features;
       }
-      x = out.features;
     }
   }
 }

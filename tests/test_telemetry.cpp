@@ -1,10 +1,10 @@
 // Telemetry suite (DESIGN.md §12 "Observability model"): the lock-free
 // latency histogram's bucket math and nearest-rank quantile semantics, the
 // metrics registry's round-trippable text snapshot, the trace recorder's
-// ring discipline, and — through the chaos seams — that the spans recorded
-// for faulted requests tell the story the injected faults wrote: a sick
-// worker shows up as stage_error on worker 0, a forced-lost hedge race
-// shows hedge + cancel, a forced brown-out stamps the admission record.
+// ring discipline, and — through the chaos seams and the worker pool — that
+// the spans recorded for a request tell its story: a forced brown-out
+// stamps the admission record, and every stage result names the peer
+// worker that ran it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +18,7 @@
 #include "common/histogram.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "gp/confidence_curve.hpp"
 #include "nn/staged_model.hpp"
-#include "sched/live.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
 
@@ -67,12 +65,6 @@ calib::StagedEvaluation fake_eval() {
   return eval;
 }
 
-gp::ConfidenceCurveModel make_curves() {
-  gp::ConfidenceCurveModel curves;
-  curves.fit(fake_eval());
-  return curves;
-}
-
 std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
   Rng rng(seed);
   std::vector<tensor::Tensor> inputs;
@@ -81,8 +73,6 @@ std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
     inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
   return inputs;
 }
-
-nn::StagedModel make_model() { return nn::build_staged_resnet(tiny_model_config()); }
 
 struct ServerHarness {
   serving::ModelRegistry registry;
@@ -281,11 +271,11 @@ TEST(Metrics, RejectsNamesWithWhitespace) {
 
 TEST(Metrics, SnapshotTextRoundTrips) {
   telemetry::MetricsRegistry reg;
-  reg.counter("sched.live.hedges_issued").inc(3);
-  reg.counter("sched.live.breaker_trips");  // registered, zero
+  reg.counter("serving.retries").inc(3);
+  reg.counter("serving.sheds");  // registered, zero
   reg.gauge("serving.brownout.level").set(1.0);
   reg.gauge("t.ratio").set(0.1);  // not exactly representable: %.17g matters
-  telemetry::LatencyHistogram& h = reg.histogram("sched.stage_latency_ms.stage0");
+  telemetry::LatencyHistogram& h = reg.histogram("serving.stage_latency_ms.stage0");
   for (int i = 0; i < 42; ++i) h.record(1.0 + static_cast<double>(i % 7));
   reg.histogram("t.empty");  // histogram with no samples → "buckets -"
 
@@ -293,12 +283,12 @@ TEST(Metrics, SnapshotTextRoundTrips) {
   EXPECT_EQ(text.rfind("# eugene-metrics v1\n", 0), 0u);
 
   const telemetry::MetricsSnapshot snap = telemetry::parse_metrics_text(text);
-  EXPECT_EQ(snap.counters.at("sched.live.hedges_issued"), 3u);
-  EXPECT_EQ(snap.counters.at("sched.live.breaker_trips"), 0u);
+  EXPECT_EQ(snap.counters.at("serving.retries"), 3u);
+  EXPECT_EQ(snap.counters.at("serving.sheds"), 0u);
   EXPECT_EQ(snap.gauges.at("serving.brownout.level"), 1.0);
   EXPECT_EQ(snap.gauges.at("t.ratio"), 0.1);  // exact double round trip
 
-  const auto& hist = snap.histograms.at("sched.stage_latency_ms.stage0");
+  const auto& hist = snap.histograms.at("serving.stage_latency_ms.stage0");
   EXPECT_EQ(hist.count, 42u);
   EXPECT_EQ(hist.p50, h.quantile(0.50));
   EXPECT_EQ(hist.p99, h.quantile(0.99));
@@ -360,7 +350,7 @@ TEST(Trace, NullHandleIsInert) {
   telemetry::SpanHandle null;
   EXPECT_FALSE(static_cast<bool>(null));
   EXPECT_EQ(null.id(), 0u);
-  null.event(TraceEventKind::kDispatch, 1.0, 0, 0, 0.0);  // must not crash
+  null.event(TraceEventKind::kStageDone, 1.0, 0, 0, 0.0);  // must not crash
 }
 
 TEST(Trace, BeginSpanRecordsAdmitWithServiceClass) {
@@ -388,13 +378,13 @@ TEST(Trace, RingOverwritesOldestAndCountsDrops) {
   TraceRecorder rec(4);
   telemetry::SpanHandle span = rec.begin_span(0.0);  // event #1 (admit)
   for (int i = 1; i <= 5; ++i)
-    span.event(TraceEventKind::kDispatch, static_cast<double>(i));
+    span.event(TraceEventKind::kStageDone, static_cast<double>(i));
   // 6 events into a 4-slot ring: the admit and the first dispatch fell off.
   const auto events = rec.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(rec.dropped(), 2u);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].kind, TraceEventKind::kDispatch);
+    EXPECT_EQ(events[i].kind, TraceEventKind::kStageDone);
     EXPECT_EQ(events[i].t_ms, static_cast<double>(i + 2));  // oldest first
   }
   rec.clear();
@@ -406,13 +396,13 @@ TEST(Trace, SpanFiltersInterleavedEvents) {
   TraceRecorder rec(16);
   auto a = rec.begin_span(0.0);
   auto b = rec.begin_span(0.0);
-  a.event(TraceEventKind::kDispatch, 1.0);
-  b.event(TraceEventKind::kDispatch, 2.0);
+  a.event(TraceEventKind::kStageDone, 1.0);
+  b.event(TraceEventKind::kStageDone, 2.0);
   a.event(TraceEventKind::kExit, 3.0);
   const auto span_a = rec.span(a.id());
   ASSERT_EQ(span_a.size(), 3u);
   EXPECT_EQ(span_a[0].kind, TraceEventKind::kAdmit);
-  EXPECT_EQ(span_a[1].kind, TraceEventKind::kDispatch);
+  EXPECT_EQ(span_a[1].kind, TraceEventKind::kStageDone);
   EXPECT_EQ(span_a[2].kind, TraceEventKind::kExit);
   EXPECT_EQ(rec.span(b.id()).size(), 2u);
   EXPECT_TRUE(rec.span(99999).empty());
@@ -422,107 +412,78 @@ TEST(Trace, SpanFiltersInterleavedEvents) {
 // Chaos-seam trace tests: the spans must match the injected faults
 // ---------------------------------------------------------------------------
 
-TEST(TraceChaos, SickReplicaSpansShowStageErrorsOnWorkerZero) {
+TEST(TraceChaos, PoolStageSpansNameOnlyItsWorkers) {
   FailpointGuard guard;
-  FailpointRegistry::instance().arm("live.worker.sick", FailpointSpec{});
+  // A crash now and then makes some stages run twice on the same worker.
+  FailpointSpec crash;
+  crash.probability = 0.2;
+  crash.seed = 9;
+  FailpointRegistry::instance().arm("serving.stage.crash", crash);
 
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  TraceRecorder rec(4096);
-  telemetry::MetricsRegistry metrics;
-  sched::LiveConfig cfg;
-  cfg.max_retries = 3;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.min_samples = 2;
-  cfg.health.ewma_alpha = 0.5;
-  cfg.health.error_threshold = 0.5;
-  cfg.health.open_cooldown_ms = 60000.0;
+  ServerHarness harness;
+  TraceRecorder rec(8192);
+  serving::ServerConfig cfg;
+  cfg.workers = 4;
+  cfg.max_stage_retries = 8;
   cfg.trace = &rec;
-  cfg.metrics = &metrics;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
+  cfg.metrics = nullptr;
+  serving::InferenceServer server(harness.entry(), cfg);
+  std::vector<serving::InferenceRequest> requests;
+  for (const auto& input : make_inputs(32)) requests.push_back({input, 0});
+  const auto responses = server.process_batch(requests);
 
-  ASSERT_EQ(results.size(), inputs.size());
-  std::size_t stage_errors = 0;
-  for (const auto& r : results) {
+  ASSERT_EQ(responses.size(), requests.size());
+  ASSERT_EQ(rec.dropped(), 0u);
+  for (const auto& r : responses) {
     ASSERT_NE(r.span_id, 0u);
     const auto span = rec.span(r.span_id);
     ASSERT_FALSE(span.empty());
-    // Every span opens with admission and closes with exit.
     EXPECT_EQ(span.front().kind, TraceEventKind::kAdmit);
     EXPECT_EQ(span.back().kind, TraceEventKind::kExit);
-    EXPECT_EQ(span.back().stage, r.stages_run);
-    EXPECT_EQ(span.back().value, r.confidence);
-    // Timestamps never run backwards within a span.
-    for (std::size_t i = 1; i < span.size(); ++i)
+    EXPECT_FALSE(r.degraded);  // nine crashes in a row: p = 0.2^9
+    EXPECT_EQ(count_kind(span, TraceEventKind::kStageDone), r.stages_run);
+    EXPECT_EQ(count_kind(span, TraceEventKind::kRetry), r.retries);
+    for (std::size_t i = 1; i < span.size(); ++i) {
+      // Each request's events are ordered even across workers: the engine
+      // lock orders its stages.
       EXPECT_GE(span[i].t_ms, span[i - 1].t_ms);
-    // Stage results came from real dispatches: one dispatch/hedge per
-    // stage_done at least.
-    EXPECT_GE(count_kind(span, TraceEventKind::kDispatch) +
-                  count_kind(span, TraceEventKind::kHedge),
-              count_kind(span, TraceEventKind::kStageDone));
-    for (const auto& ev : span) {
-      if (ev.kind == TraceEventKind::kStageError) {
-        ++stage_errors;
-        // Only worker 0 is sick, and no worker timed out or crashed.
-        EXPECT_EQ(ev.worker, 0u);
+      const TraceEvent& ev = span[i];
+      if (ev.kind == TraceEventKind::kStageDone || ev.kind == TraceEventKind::kStageError ||
+          ev.kind == TraceEventKind::kRetry) {
+        EXPECT_LT(ev.worker, 4u);
+      }
+      // A retry runs on the worker whose stage failed.
+      if (ev.kind == TraceEventKind::kRetry) {
+        EXPECT_EQ(span[i - 1].kind, TraceEventKind::kStageError);
+        EXPECT_EQ(span[i - 1].worker, ev.worker);
       }
     }
   }
-  // Every injected sick-stage fault left a stage_error event in some span.
-  EXPECT_EQ(stage_errors, stats.worker_errors);
-  EXPECT_GE(stage_errors, 1u);
-  // The run's counters surfaced in the injected registry.
-  const auto snap = telemetry::parse_metrics_text(metrics.snapshot_text());
-  EXPECT_EQ(snap.counters.at("sched.live.worker_errors"), stats.worker_errors);
-  EXPECT_EQ(snap.counters.at("sched.live.breaker_trips"), stats.breaker_trips);
-  EXPECT_EQ(snap.counters.at("sched.live.tasks"), inputs.size());
 }
 
-TEST(TraceChaos, ForcedLostHedgeRaceSpansShowHedgeAndCancel) {
+TEST(TraceChaos, OneRequestCallRunsOnWorkerZero) {
+  // The calling thread is worker 0, and a pool never outnumbers the
+  // requests: one request never leaves the calling thread.
   FailpointGuard guard;
-  FailpointSpec stall;
-  stall.kind = FailpointKind::kDelay;
-  stall.delay_ms = 150.0;
-  FailpointRegistry::instance().arm("live.worker.sick", stall);
-  FailpointRegistry::instance().arm("hedge.lose.race", FailpointSpec{});
-
-  const nn::StagedModel model = make_model();
-  const auto curves = make_curves();
-  const auto inputs = make_inputs(8);
-  TraceRecorder rec(4096);
-  sched::LiveConfig cfg;
-  cfg.hedging = true;
-  cfg.hedge_quantile = 0.5;
-  cfg.hedge_min_ms = 1.0;
-  cfg.hedge_min_samples = 4;
-  cfg.retry.base_delay_ms = 0.1;
-  cfg.health.enabled = false;
+  ServerHarness harness;
+  TraceRecorder rec(256);
+  serving::ServerConfig cfg;
+  cfg.workers = 4;
+  cfg.early_exit_confidence = 2.0;  // full depth: every stage is on record
   cfg.trace = &rec;
   cfg.metrics = nullptr;
-  sched::LiveStats stats;
-  const auto results = sched::run_live(model, 2, curves, inputs, cfg, &stats);
+  serving::InferenceServer server(harness.entry(), cfg);
+  const auto responses = server.process_batch({{make_inputs(1).front(), 0}});
 
-  ASSERT_EQ(results.size(), inputs.size());
-  ASSERT_GE(stats.hedges_issued, 1u);
-  std::size_t hedge_events = 0;
-  for (const auto& r : results) {
-    ASSERT_NE(r.span_id, 0u);
-    const auto span = rec.span(r.span_id);
-    ASSERT_FALSE(span.empty());
-    EXPECT_EQ(span.back().kind, TraceEventKind::kExit);
-    const std::size_t hedges = count_kind(span, TraceEventKind::kHedge);
-    hedge_events += hedges;
-    if (hedges > 0) {
-      // The forced-lost race decided against the primary: its cooperative
-      // cancellation must be on the record alongside the hedge.
-      EXPECT_GE(count_kind(span, TraceEventKind::kCancel), 1u)
-          << "span " << r.span_id << " hedged but never cancelled the loser";
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_EQ(responses[0].stages_run, kStages);
+  const auto span = rec.span(responses[0].span_id);
+  ASSERT_EQ(count_kind(span, TraceEventKind::kStageDone), kStages);
+  for (const auto& ev : span) {
+    if (ev.kind == TraceEventKind::kStageDone) {
+      EXPECT_EQ(ev.worker, 0u);
     }
   }
-  // Every hedge the scheduler counted is visible in exactly one span.
-  EXPECT_EQ(hedge_events, stats.hedges_issued);
 }
 
 TEST(TraceChaos, ForcedBrownoutStampsAdmissionAndShedSpans) {
