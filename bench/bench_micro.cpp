@@ -20,7 +20,6 @@
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
 #include "gp/confidence_curve.hpp"
-#include "nn/arena.hpp"
 #include "nn/serialize.hpp"
 #include "nn/staged_model.hpp"
 #include "sched/policy.hpp"
@@ -102,7 +101,7 @@ void BM_Im2colInto(benchmark::State& state) {
   const tensor::Tensor img = tensor::Tensor::randn({c, 16, 16}, rng);
   std::vector<float> cols(c * 9 * g.out_height() * g.out_width());
   for (auto _ : state) {
-    tensor::im2col_into(img, g, cols.data());
+    tensor::im2col_into(img.raw(), g, cols.data());
     benchmark::DoNotOptimize(cols.data());
   }
   state.SetBytesProcessed(
@@ -127,39 +126,6 @@ void BM_StagedFirstStageOnly(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(model.run_stage(0, input));
 }
 BENCHMARK(BM_StagedFirstStageOnly);
-
-// All stages of the quickstart resnet run batched through a scratch arena:
-// one wide GEMM per layer across the whole batch (DESIGN.md §14). items/s is
-// per-sample throughput — compare against BM_StagedForward's iteration time
-// to read off the amortization win; batch=1 prices the batching machinery
-// itself. Storage lives outside the loop, so steady state allocates nothing.
-void BM_StagedForwardBatched(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  nn::StagedResNetConfig cfg;
-  nn::StagedModel model = nn::build_staged_resnet(cfg);
-  Rng rng(14);
-  std::vector<tensor::Tensor> inputs;
-  for (std::size_t b = 0; b < batch; ++b)
-    inputs.push_back(tensor::Tensor::randn({3, 16, 16}, rng));
-  nn::ScratchArena arena;
-  // Ping-pong item buffers: stage s reads features written by stage s-1, so
-  // it cannot write into the same items it is reading from.
-  std::vector<nn::StageBatchItem> even(batch), odd(batch);
-  std::vector<const tensor::Tensor*> ptrs(batch);
-  for (auto _ : state) {
-    arena.reset();
-    for (std::size_t b = 0; b < batch; ++b) ptrs[b] = &inputs[b];
-    for (std::size_t s = 0; s < model.num_stages(); ++s) {
-      auto& items = (s % 2 == 0) ? even : odd;
-      model.run_stage_batch(s, ptrs, items, arena);
-      for (std::size_t b = 0; b < batch; ++b) ptrs[b] = &items[b].features;
-    }
-    benchmark::DoNotOptimize(even.data());
-    benchmark::DoNotOptimize(odd.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_StagedForwardBatched)->Arg(1)->Arg(8)->Arg(32)->ArgName("batch");
 
 gp::ConfidenceCurveModel make_curves() {
   calib::StagedEvaluation eval;

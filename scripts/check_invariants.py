@@ -43,11 +43,11 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       with a corrupted lock order) are allowlisted.
   inference-const     no const_cast and no `mutable` data member in src/nn/
                       or src/tensor/: those are the two ways a const
-                      inference method (Layer::forward_batch,
-                      StagedModel::run_stage) could still write state, and
-                      inference must stay write-free for threads to share one
-                      published model (DESIGN.md §13). The B = 1 helper's
-                      in-place input view is the allowlisted exception.
+                      inference method (Layer::infer, StagedModel::run_stage)
+                      could still write state, and inference must stay
+                      write-free for threads to share one published model
+                      (DESIGN.md §13). ActivationView::of, the one in-place
+                      input view, is the allowlisted exception.
   single-scheduler    only src/sched/engine.cpp calls a policy's pick( in
                       src/: the request state machine exists once
                       (sched::Engine), and the server's peer workers and

@@ -51,18 +51,25 @@ inline std::size_t argmax(std::span<const float> xs) {
   return best;
 }
 
-/// Numerically stable softmax over a logit vector.
-inline std::vector<float> softmax(std::span<const float> logits) {
+/// Numerically stable softmax over a logit vector, written into `out` (the
+/// same size; allocates nothing).
+inline void softmax_into(std::span<const float> logits, std::span<float> out) {
   EUGENE_REQUIRE(!logits.empty(), "softmax of empty range");
+  EUGENE_REQUIRE(out.size() == logits.size(), "softmax: output size mismatch");
   float max_logit = logits[0];
   for (float v : logits) max_logit = std::max(max_logit, v);
-  std::vector<float> out(logits.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < logits.size(); ++i) {
     out[i] = std::exp(logits[i] - max_logit);
     sum += out[i];
   }
   for (float& v : out) v = static_cast<float>(v / sum);
+}
+
+/// Numerically stable softmax over a logit vector.
+inline std::vector<float> softmax(std::span<const float> logits) {
+  std::vector<float> out(logits.size());
+  softmax_into(logits, out);
   return out;
 }
 

@@ -1,18 +1,18 @@
 // Zero-allocation inference scratch: a bump-allocator arena plus the
-// feature-major batched activation view that inference threads through
-// Layer::forward_batch — a packed batch in StagedModel::run_stage_batch, one
-// sample viewed in place in nn::infer.
+// one-sample activation view that inference threads through Layer::infer.
 //
 // Ownership rules (DESIGN.md §14): an arena belongs to exactly one inference
-// thread — nn::infer (and so StagedModel::run_stage) uses a thread-local
-// one, and a caller of run_stage_batch owns its own. The *owner* resets it,
-// once per inference call, before the first layer runs; layers only
-// allocate. Allocations are 64-byte aligned and live until that reset —
-// nothing is freed piecemeal, which is what makes steady-state inference
-// allocation-free once the arena has grown to the model's high-water mark
-// (Arena.SecondBatchedRunAllocatesNothing pins it).
+// thread — nn::infer and StagedModel::run_stage share this thread's
+// thread_arena(), and a caller that passes its own arena owns that one. The
+// *owner* resets it before the first layer runs (a stage resets it again
+// between trunk and head); layers only allocate. Allocations are 64-byte
+// aligned and live until that reset — nothing is freed piecemeal, which is
+// what makes steady-state inference allocation-free once the arena has grown
+// to the model's high-water mark (Arena.SecondBatchedRunAllocatesNothing
+// pins it).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -39,9 +39,10 @@ class ScratchArena {
   ScratchArena& operator=(const ScratchArena&) = delete;
 
   /// 64-byte-aligned uninitialized scratch of `n` floats, valid until
-  /// reset(). n == 0 returns a valid unique pointer into the arena.
+  /// reset(). n == 0 returns a valid unique pointer into the arena: a zero
+  /// request takes one alignment unit, so the next allocation cannot alias it.
   float* alloc(std::size_t n) {
-    const std::size_t need = round_up(n);
+    const std::size_t need = round_up(std::max<std::size_t>(n, 1));
     if (current_ >= blocks_.size() || !fits(blocks_[current_], need)) {
       if (!advance_to_fitting_block(need)) {
         add_block(std::max({need, total_capacity_, kMinBlockFloats}));
@@ -154,97 +155,54 @@ class ScratchArena {
   std::size_t heap_allocations_ = 0;
 };
 
-/// A batch of B same-shaped samples in feature-major, batch-minor layout:
-/// for sample shape [d0, d1, …], element (i0, b, rest) lives at
-/// ((i0·B + b)·rest_numel + rest_index). Concretely: a CHW batch stores
-/// sample b's channel-c plane contiguously at (c·B + b)·H·W, and a rank-1
-/// feature batch is a plain [features, B] matrix — exactly the right-hand
-/// side one wide GEMM consumes per convolution or dense layer. The struct
-/// is POD (fixed-extent dims, no Shape vector) so views can be created in
-/// the hot path without allocating.
-struct BatchedView {
+/// One sample's activation: a row-major tensor of rank 1–4 over `data` (a
+/// CHW image stores channel c's plane at c·H·W). The struct is POD
+/// (fixed-extent dims, no Shape vector) so views can be created in the hot
+/// path without allocating.
+struct ActivationView {
   static constexpr std::size_t kMaxRank = 4;
 
   float* data = nullptr;
   std::size_t dims[kMaxRank] = {0, 0, 0, 0};
   std::size_t rank = 0;
-  std::size_t batch = 0;
 
-  std::size_t dim(std::size_t d) const {
-    EUGENE_REQUIRE(d < rank, "BatchedView: dim index out of range");
-    return dims[d];
+  std::size_t numel() const {
+    std::size_t n = 1;
+    for (std::size_t d = 0; d < rank; ++d) n *= dims[d];
+    return n;
   }
-  /// Product of dims[1..rank) — the per-d0 contiguous extent.
-  std::size_t rest_numel() const {
-    std::size_t r = 1;
-    for (std::size_t d = 1; d < rank; ++d) r *= dims[d];
-    return r;
-  }
-  std::size_t sample_numel() const {
-    return rank == 0 ? 0 : dims[0] * rest_numel();
-  }
-  std::size_t total_numel() const { return sample_numel() * batch; }
 
-  /// View descriptor with the same batch over different sample dims,
-  /// pointing at freshly arena-allocated storage.
-  static BatchedView make(std::span<const std::size_t> sample_dims,
-                          std::size_t batch, ScratchArena& arena) {
-    EUGENE_REQUIRE(sample_dims.size() >= 1 && sample_dims.size() <= kMaxRank,
-                   "BatchedView: sample rank outside [1, 4]");
-    EUGENE_REQUIRE(batch >= 1, "BatchedView: empty batch");
-    BatchedView v;
-    v.rank = sample_dims.size();
-    for (std::size_t d = 0; d < v.rank; ++d) v.dims[d] = sample_dims[d];
-    v.batch = batch;
-    v.data = arena.alloc(v.total_numel());
+  /// A view of `dims` over freshly arena-allocated storage.
+  static ActivationView make(std::span<const std::size_t> dims,
+                             ScratchArena& arena) {
+    EUGENE_REQUIRE(dims.size() >= 1 && dims.size() <= kMaxRank,
+                   "ActivationView: rank outside [1, 4]");
+    ActivationView v;
+    v.rank = dims.size();
+    for (std::size_t d = 0; d < v.rank; ++d) v.dims[d] = dims[d];
+    v.data = arena.alloc(v.numel());
+    return v;
+  }
+
+  /// Views `t` in place, for reading only. `data` is float* because layers
+  /// write their outputs through it, but Layer::infer never writes its
+  /// input view. Throws InvalidArgument when t's rank is outside [1, 4].
+  static ActivationView of(const tensor::Tensor& t) {
+    EUGENE_REQUIRE(t.rank() >= 1 && t.rank() <= kMaxRank,
+                   "ActivationView: rank outside [1, 4]");
+    ActivationView v;
+    v.rank = t.rank();
+    for (std::size_t d = 0; d < v.rank; ++d) v.dims[d] = t.dim(d);
+    v.data = const_cast<float*>(t.raw());
     return v;
   }
 };
 
-/// Packs same-shaped sample tensors into a feature-major batch allocated
-/// from `arena`.
-inline BatchedView pack_batch(std::span<const tensor::Tensor* const> samples,
-                              ScratchArena& arena) {
-  EUGENE_REQUIRE(!samples.empty(), "pack_batch: empty batch");
-  const tensor::Tensor& first = *samples.front();
-  EUGENE_REQUIRE(first.rank() >= 1 && first.rank() <= BatchedView::kMaxRank,
-                 "pack_batch: sample rank outside [1, 4]");
-  for (const tensor::Tensor* t : samples)
-    EUGENE_REQUIRE(t != nullptr && t->same_shape(first),
-                   "pack_batch: mismatched sample shapes");
-  BatchedView v;
-  v.rank = first.rank();
-  for (std::size_t d = 0; d < v.rank; ++d) v.dims[d] = first.dim(d);
-  v.batch = samples.size();
-  v.data = arena.alloc(v.total_numel());
-  const std::size_t d0 = v.dims[0];
-  const std::size_t rest = v.rest_numel();
-  const std::size_t batch = v.batch;
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* src = samples[b]->raw();
-    for (std::size_t i0 = 0; i0 < d0; ++i0) {
-      float* dst = v.data + (i0 * batch + b) * rest;
-      const float* s = src + i0 * rest;
-      for (std::size_t r = 0; r < rest; ++r) dst[r] = s[r];
-    }
-  }
-  return v;
-}
-
-/// Extracts sample `b` of a batched view into a standalone tensor
-/// (allocates — boundary use only, never inside forward_batch chains).
-inline tensor::Tensor unpack_sample(const BatchedView& view, std::size_t b) {
-  EUGENE_REQUIRE(b < view.batch, "unpack_sample: batch index out of range");
-  tensor::Shape shape(view.dims, view.dims + view.rank);
-  tensor::Tensor out(std::move(shape));
-  const std::size_t rest = view.rest_numel();
-  float* dst = out.raw();
-  for (std::size_t i0 = 0; i0 < view.dims[0]; ++i0) {
-    const float* src = view.data + (i0 * view.batch + b) * rest;
-    float* d = dst + i0 * rest;
-    for (std::size_t r = 0; r < rest; ++r) d[r] = src[r];
-  }
-  return out;
+/// This thread's inference arena: nn::infer and StagedModel::run_stage both
+/// use it, so an inference thread holds one arena.
+inline ScratchArena& thread_arena() {
+  thread_local ScratchArena arena;
+  return arena;
 }
 
 }  // namespace eugene::nn

@@ -3,10 +3,10 @@
 // Each layer has two routes. Training runs forward()/backward() one sample at
 // a time; minibatch SGD accumulates parameter gradients across samples before
 // each optimizer step, and forward() caches what backward() needs. Inference
-// runs the const forward_batch() over a feature-major BatchedView with arena-
-// backed scratch; it writes nothing but its arena, so any number of threads
-// may run it on one layer at once. A single sample takes the same route at
-// B = 1 through nn::infer (DESIGN.md §14).
+// runs the const infer() over one sample's ActivationView with arena-backed
+// scratch; it writes nothing but its arena, so any number of threads may run
+// it on one layer at once. nn::infer wraps it for callers that hold a Tensor
+// (DESIGN.md §14).
 #pragma once
 
 #include <experimental/propagate_const>
@@ -44,15 +44,15 @@ class Layer {
   /// parameter gradients. Must follow a forward() on the same sample.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
-  /// Inference forward over a feature-major batch (see BatchedView). Output
-  /// storage comes from `arena`; the input view stays valid (layers never
-  /// write through their input). Numerics contract: column b of the output
-  /// is bitwise equal to forward() of sample b — except Dropout, whose
-  /// inference is the identity — and so to nn::infer of it (the GEMM core's
+  /// Inference forward for one sample. Output storage comes from `arena`,
+  /// or is the input's own storage for a layer that only reshapes or passes
+  /// it through; layers never write through their input view. Numerics
+  /// contract: the output is bitwise equal to forward() of the same sample —
+  /// except Dropout, whose inference is the identity (the GEMM core's
   /// accumulation order depends only on k, which makes this achievable —
   /// DESIGN.md §14).
-  virtual BatchedView forward_batch(const BatchedView& input,
-                                    ScratchArena& arena) const = 0;
+  virtual ActivationView infer(const ActivationView& input,
+                               ScratchArena& arena) const = 0;
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }
@@ -71,22 +71,16 @@ class Layer {
   virtual std::unique_ptr<Layer> clone() const = 0;
 };
 
-/// Per-sample inference: `layer`'s forward_batch at B = 1 on this thread's
-/// scratch arena. The input is viewed in place — feature-major at B = 1 is
-/// the sample's own layout, and forward_batch never writes its input view.
-/// Throws InvalidArgument before any layer runs when the input's rank is
-/// outside [1, 4].
+/// Layer::infer for a Tensor in and out, on this thread's arena. The input
+/// is viewed in place. Throws InvalidArgument before any layer runs when the
+/// input's rank is outside [1, 4].
 inline tensor::Tensor infer(const Layer& layer, const tensor::Tensor& input) {
-  EUGENE_REQUIRE(input.rank() >= 1 && input.rank() <= BatchedView::kMaxRank,
-                 "infer: input rank outside [1, 4]");
-  BatchedView in;
-  in.rank = input.rank();
-  for (std::size_t d = 0; d < in.rank; ++d) in.dims[d] = input.dim(d);
-  in.batch = 1;
-  in.data = const_cast<float*>(input.raw());
-  thread_local ScratchArena arena;
+  const ActivationView in = ActivationView::of(input);
+  ScratchArena& arena = thread_arena();
   arena.reset();
-  return unpack_sample(layer.forward_batch(in, arena), 0);
+  const ActivationView out = layer.infer(in, arena);
+  return tensor::Tensor(tensor::Shape(out.dims, out.dims + out.rank),
+                        std::vector<float>(out.data, out.data + out.numel()));
 }
 
 /// Downcasting clone helper for callers that hold a concrete layer type
@@ -121,10 +115,10 @@ class Sequential final : public Layer {
     return g;
   }
 
-  BatchedView forward_batch(const BatchedView& input,
-                            ScratchArena& arena) const override {
-    BatchedView x = input;
-    for (const auto& layer : layers_) x = layer->forward_batch(x, arena);
+  ActivationView infer(const ActivationView& input,
+                       ScratchArena& arena) const override {
+    ActivationView x = input;
+    for (const auto& layer : layers_) x = layer->infer(x, arena);
     return x;
   }
 

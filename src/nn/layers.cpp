@@ -12,9 +12,9 @@ using tensor::Tensor;
 
 namespace {
 
-BatchedView same_dims_view(const BatchedView& input, ScratchArena& arena) {
-  return BatchedView::make(
-      std::span<const std::size_t>(input.dims, input.rank), input.batch, arena);
+ActivationView same_dims_view(const ActivationView& input, ScratchArena& arena) {
+  return ActivationView::make(std::span<const std::size_t>(input.dims, input.rank),
+                              arena);
 }
 
 }  // namespace
@@ -54,102 +54,86 @@ Tensor Conv2d::forward(const Tensor& input) {
   return out;
 }
 
-BatchedView Conv2d::forward_batch(const BatchedView& input, ScratchArena& arena) const {
+ActivationView Conv2d::infer(const ActivationView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == geometry_.in_channels &&
                      input.dims[1] == geometry_.in_height &&
                      input.dims[2] == geometry_.in_width,
-                 "Conv2d::forward_batch: geometry mismatch");
-  const std::size_t batch = input.batch;
-  const std::size_t hw = geometry_.in_height * geometry_.in_width;
-  const std::size_t ohw = geometry_.out_height() * geometry_.out_width();
+                 "Conv2d::infer: geometry mismatch");
+  const std::size_t oh = geometry_.out_height();
+  const std::size_t ow = geometry_.out_width();
+  const std::size_t ohw = oh * ow;
   const std::size_t patch =
       geometry_.in_channels * geometry_.kernel * geometry_.kernel;
-  const std::size_t n = batch * ohw;
-  const std::size_t out_dims[3] = {geometry_.out_channels, geometry_.out_height(),
-                                   geometry_.out_width()};
-  if (geometry_.stride == 1 && geometry_.out_width() >= 8 &&
+  const std::size_t out_dims[3] = {geometry_.out_channels, oh, ow};
+  const float* bb = bias_.raw();
+  if (geometry_.stride == 1 && ow >= 8 &&
       geometry_.out_channels <= tensor::gemm_rows_max_m()) {
     // Implicit im2col: embed each input plane in a zero-padded frame, then
     // hand gemm_rows one B-row pointer per (c, ky, kx) — the row is just
     // the padded channel shifted by (ky, kx). Column index j of that
-    // implicit B walks the padded frames linearly (width pw, not ow), so
-    // the GEMM computes a padded-width output whose fringe columns/rows are
+    // implicit B walks the padded frame linearly (width pw, not ow), so
+    // the GEMM computes a padded-width output whose fringe columns are
     // discarded by the compaction below. Same kernel chain as im2col +
     // gemm, so the activations are bitwise-identical — only the big
-    // [patch, B·OHW] column materialization disappears.
+    // [patch, OHW] column materialization disappears.
     const std::size_t kh = geometry_.kernel;
     const std::size_t pad = geometry_.padding;
     const std::size_t ih = geometry_.in_height;
     const std::size_t iw = geometry_.in_width;
-    const std::size_t oh = geometry_.out_height();
-    const std::size_t ow = geometry_.out_width();
-    const std::size_t ph = ih + 2 * pad;
     const std::size_t pw = iw + 2 * pad;
-    const std::size_t plane = ph * pw;
-    const std::size_t np = batch * plane;  // padded buffer floats per channel
-    // The GEMM only needs columns up to the last valid output element of the
-    // last sample — everything past (oh−1)·pw + ow in a plane is fringe.
-    const std::size_t ng = (batch - 1) * plane + (oh - 1) * pw + ow;
+    const std::size_t plane = (ih + 2 * pad) * pw;
+    // The GEMM only needs columns up to the last valid output element —
+    // everything past (oh−1)·pw + ow in the frame is fringe.
+    const std::size_t ng = (oh - 1) * pw + ow;
     // The last B row's window extends (kh−1)·pw + kh − 1 floats past the
-    // buffer; the guard keeps those (discarded-output) reads in bounds.
+    // last frame; the guard keeps those (discarded-output) reads in bounds.
     const std::size_t guard = (kh - 1) * pw + kh - 1;
-    float* padbuf = arena.alloc(geometry_.in_channels * np + guard);
-    for (std::size_t g = 0; g < guard; ++g)
-      padbuf[geometry_.in_channels * np + g] = 0.0f;
+    float* padbuf = arena.alloc(geometry_.in_channels * plane + guard);
+    std::fill_n(padbuf + geometry_.in_channels * plane, guard, 0.0f);
     for (std::size_t c = 0; c < geometry_.in_channels; ++c) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        float* dst = padbuf + c * np + b * plane;
-        const float* src = input.data + c * batch * hw + b * hw;
-        std::fill_n(dst, pad * pw, 0.0f);
-        for (std::size_t iy = 0; iy < ih; ++iy) {
-          float* row = dst + (pad + iy) * pw;
-          for (std::size_t x = 0; x < pad; ++x) row[x] = 0.0f;
-          std::memcpy(row + pad, src + iy * iw, iw * sizeof(float));
-          for (std::size_t x = pad + iw; x < pw; ++x) row[x] = 0.0f;
-        }
-        std::fill_n(dst + (pad + ih) * pw, pad * pw, 0.0f);
+      float* dst = padbuf + c * plane;
+      const float* src = input.data + c * ih * iw;
+      std::fill_n(dst, pad * pw, 0.0f);
+      for (std::size_t iy = 0; iy < ih; ++iy) {
+        float* row = dst + (pad + iy) * pw;
+        for (std::size_t x = 0; x < pad; ++x) row[x] = 0.0f;
+        std::memcpy(row + pad, src + iy * iw, iw * sizeof(float));
+        for (std::size_t x = pad + iw; x < pw; ++x) row[x] = 0.0f;
       }
+      std::fill_n(dst + (pad + ih) * pw, pad * pw, 0.0f);
     }
     const float** brows = arena.alloc_ptrs(patch);
     std::size_t p = 0;
     for (std::size_t c = 0; c < geometry_.in_channels; ++c)
       for (std::size_t ky = 0; ky < kh; ++ky)
         for (std::size_t kx = 0; kx < kh; ++kx)
-          brows[p++] = padbuf + c * np + ky * pw + kx;
+          brows[p++] = padbuf + c * plane + ky * pw + kx;
     float* cbuf = arena.alloc(geometry_.out_channels * ng);
     tensor::gemm_rows(geometry_.out_channels, ng, patch, weights_.raw(),
                       patch, brows, /*beta=*/0.0f, cbuf, ng);
-    BatchedView out = BatchedView::make({out_dims, 3}, batch, arena);
-    const float* bb = bias_.raw();
+    ActivationView out = ActivationView::make(out_dims, arena);
     for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
       const float bias = bb[oc];
-      for (std::size_t b = 0; b < batch; ++b) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const float* src = cbuf + oc * ng + b * plane + oy * pw;
-          float* dst = out.data + oc * n + b * ohw + oy * ow;
-          for (std::size_t x = 0; x < ow; ++x) dst[x] = src[x] + bias;
-        }
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        const float* src = cbuf + oc * ng + oy * pw;
+        float* dst = out.data + oc * ohw + oy * ow;
+        for (std::size_t x = 0; x < ow; ++x) dst[x] = src[x] + bias;
       }
     }
     return out;
   }
-  // One wide column matrix [patch, B·OHW]: sample b's columns start at
-  // b·OHW, so GEMM output row oc is exactly the batched (oc, b) plane run.
-  float* cols = arena.alloc(patch * n);
-  for (std::size_t b = 0; b < batch; ++b)
-    tensor::im2col_strided_into(input.data + b * hw, batch * hw, geometry_,
-                                cols, n, b * ohw);
-  BatchedView out = BatchedView::make({out_dims, 3}, batch, arena);
+  float* cols = arena.alloc(patch * ohw);
+  tensor::im2col_into(input.data, geometry_, cols);
+  ActivationView out = ActivationView::make(out_dims, arena);
   float* ws = arena.alloc(
-      tensor::gemm_workspace_floats(geometry_.out_channels, n, patch));
-  tensor::gemm(geometry_.out_channels, n, patch, weights_.raw(), patch,
-               /*trans_a=*/false, cols, n, /*trans_b=*/false, /*beta=*/0.0f,
-               out.data, n, ws);
-  const float* bb = bias_.raw();
+      tensor::gemm_workspace_floats(geometry_.out_channels, ohw, patch));
+  tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
+               /*trans_a=*/false, cols, ohw, /*trans_b=*/false, /*beta=*/0.0f,
+               out.data, ohw, ws);
   for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
     const float b = bb[oc];
-    float* row = out.data + oc * n;
-    for (std::size_t i = 0; i < n; ++i) row[i] += b;
+    float* row = out.data + oc * ohw;
+    for (std::size_t i = 0; i < ohw; ++i) row[i] += b;
   }
   return out;
 }
@@ -198,8 +182,8 @@ Tensor Dense::forward(const Tensor& input) {
   cached_input_ = input.reshaped({in_features_});
   Tensor out({out_features_});
   // Routed through the GEMM core (n = 1) with the bias added after the sum,
-  // so a per-sample forward is bitwise-identical to the corresponding column
-  // of forward_batch (see Layer::forward_batch's numerics contract).
+  // so the training forward is bitwise-identical to infer() (see
+  // Layer::infer's numerics contract).
   tensor::gemm(out_features_, 1, in_features_, weights_.raw(), in_features_,
                /*trans_a=*/false, input.raw(), 1, /*trans_b=*/false,
                /*beta=*/0.0f, out.raw(), 1);
@@ -209,22 +193,17 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
-BatchedView Dense::forward_batch(const BatchedView& input, ScratchArena& arena) const {
+ActivationView Dense::infer(const ActivationView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 1 && input.dims[0] == in_features_,
-                 "Dense::forward_batch: input size mismatch");
-  const std::size_t batch = input.batch;
-  BatchedView out = BatchedView::make({&out_features_, 1}, batch, arena);
+                 "Dense::infer: input size mismatch");
+  ActivationView out = ActivationView::make({&out_features_, 1}, arena);
   float* ws = arena.alloc(
-      tensor::gemm_workspace_floats(out_features_, batch, in_features_));
-  tensor::gemm(out_features_, batch, in_features_, weights_.raw(), in_features_,
-               /*trans_a=*/false, input.data, batch, /*trans_b=*/false,
-               /*beta=*/0.0f, out.data, batch, ws);
+      tensor::gemm_workspace_floats(out_features_, 1, in_features_));
+  tensor::gemm(out_features_, 1, in_features_, weights_.raw(), in_features_,
+               /*trans_a=*/false, input.data, 1, /*trans_b=*/false,
+               /*beta=*/0.0f, out.data, 1, ws);
   const float* bb = bias_.raw();
-  for (std::size_t o = 0; o < out_features_; ++o) {
-    const float b = bb[o];
-    float* row = out.data + o * batch;
-    for (std::size_t i = 0; i < batch; ++i) row[i] += b;
-  }
+  for (std::size_t o = 0; o < out_features_; ++o) out.data[o] += bb[o];
   return out;
 }
 
@@ -272,11 +251,11 @@ Tensor ReLU::forward(const Tensor& input) {
   return out;
 }
 
-BatchedView ReLU::forward_batch(const BatchedView& input, ScratchArena& arena) const {
-  BatchedView out = same_dims_view(input, arena);
+ActivationView ReLU::infer(const ActivationView& input, ScratchArena& arena) const {
+  ActivationView out = same_dims_view(input, arena);
   const float* x = input.data;
   float* o = out.data;
-  const std::size_t n = input.total_numel();
+  const std::size_t n = input.numel();
   for (std::size_t i = 0; i < n; ++i) o[i] = x[i] > 0.0f ? x[i] : 0.0f;
   return out;
 }
@@ -305,17 +284,17 @@ ChannelNorm::ChannelNorm(std::size_t channels, float epsilon)
 
 namespace {
 
-// Shared per-plane normalization core: the training forward and the batched
-// path must round identically (double mean/var, float xhat) for inference to
-// stay bitwise-equal to the training forward.
+// Shared per-plane normalization core: the training forward and infer() must
+// round identically (double mean/var, float xhat) for inference to stay
+// bitwise-equal to the training forward.
 void channel_norm_plane(const float* xc, std::size_t hw, float epsilon, float g,
                         float b, float* out, float* xhat_out, float* inv_std_out) {
   // Eight fixed-order accumulator lanes: a single running double sum is a
   // serial 4-cycle add chain (≈ hw·4 cycles per pass); lanes overlap the
   // adds and vectorize. The lane count and combine order are fixed, so the
   // result is deterministic and shared verbatim by the training forward and
-  // the batched path (their bitwise equality only needs this function to be
-  // one function).
+  // infer() (their bitwise equality only needs this function to be one
+  // function).
   double lane[8] = {};
   std::size_t i = 0;
   for (; i + 8 <= hw; i += 8)
@@ -366,21 +345,15 @@ Tensor ChannelNorm::forward(const Tensor& input) {
   return out;
 }
 
-BatchedView ChannelNorm::forward_batch(const BatchedView& input,
-                                       ScratchArena& arena) const {
+ActivationView ChannelNorm::infer(const ActivationView& input,
+                                  ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == channels_,
-                 "ChannelNorm::forward_batch: expected CHW with matching channels");
+                 "ChannelNorm::infer: expected CHW with matching channels");
   const std::size_t hw = input.dims[1] * input.dims[2];
-  const std::size_t batch = input.batch;
-  BatchedView out = same_dims_view(input, arena);
-  for (std::size_t c = 0; c < channels_; ++c) {
-    const float g = gain_.at(c), b = bias_.at(c);
-    for (std::size_t bi = 0; bi < batch; ++bi) {
-      const std::size_t off = (c * batch + bi) * hw;
-      channel_norm_plane(input.data + off, hw, epsilon_, g, b, out.data + off,
-                         nullptr, nullptr);
-    }
-  }
+  ActivationView out = same_dims_view(input, arena);
+  for (std::size_t c = 0; c < channels_; ++c)
+    channel_norm_plane(input.data + c * hw, hw, epsilon_, gain_.at(c), bias_.at(c),
+                       out.data + c * hw, nullptr, nullptr);
   return out;
 }
 
@@ -461,21 +434,13 @@ Tensor Flatten::forward(const Tensor& input) {
   return input.reshaped({input.numel()});
 }
 
-BatchedView Flatten::forward_batch(const BatchedView& input, ScratchArena& arena) const {
-  if (input.rank == 1) return input;  // already flat; identical layout
-  // Feature-major flattening is a real transpose: element (i0, r) of sample b
-  // moves from (i0·B + b)·rest + r to (i0·rest + r)·B + b.
-  const std::size_t flat = input.sample_numel();
-  const std::size_t batch = input.batch;
-  const std::size_t rest = input.rest_numel();
-  BatchedView out = BatchedView::make({&flat, 1}, batch, arena);
-  for (std::size_t i0 = 0; i0 < input.dims[0]; ++i0) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* src = input.data + (i0 * batch + b) * rest;
-      for (std::size_t r = 0; r < rest; ++r)
-        out.data[(i0 * rest + r) * batch + b] = src[r];
-    }
-  }
+ActivationView Flatten::infer(const ActivationView& input,
+                              ScratchArena& /*arena*/) const {
+  // A row-major sample flattens to its own storage.
+  ActivationView out;
+  out.data = input.data;
+  out.rank = 1;
+  out.dims[0] = input.numel();
   return out;
 }
 
@@ -490,22 +455,19 @@ Tensor GlobalAvgPool::forward(const Tensor& input) {
   return tensor::global_avg_pool(input);
 }
 
-BatchedView GlobalAvgPool::forward_batch(const BatchedView& input,
-                                         ScratchArena& arena) const {
-  EUGENE_REQUIRE(input.rank == 3, "GlobalAvgPool::forward_batch: expected CHW");
+ActivationView GlobalAvgPool::infer(const ActivationView& input,
+                                    ScratchArena& arena) const {
+  EUGENE_REQUIRE(input.rank == 3, "GlobalAvgPool::infer: expected CHW");
   const std::size_t c = input.dims[0];
   const std::size_t hw = input.dims[1] * input.dims[2];
-  EUGENE_REQUIRE(hw > 0, "GlobalAvgPool::forward_batch: empty image plane");
-  const std::size_t batch = input.batch;
-  BatchedView out = BatchedView::make({&c, 1}, batch, arena);
+  EUGENE_REQUIRE(hw > 0, "GlobalAvgPool::infer: empty image plane");
+  ActivationView out = ActivationView::make({&c, 1}, arena);
   for (std::size_t ch = 0; ch < c; ++ch) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* plane = input.data + (ch * batch + b) * hw;
-      // float accumulator, matching tensor::global_avg_pool bit for bit
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
-      out.data[ch * batch + b] = acc / static_cast<float>(hw);
-    }
+    const float* plane = input.data + ch * hw;
+    // float accumulator, matching tensor::global_avg_pool bit for bit
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
+    out.data[ch] = acc / static_cast<float>(hw);
   }
   return out;
 }
@@ -553,29 +515,26 @@ Tensor MaxPool2::forward(const Tensor& input) {
   return out;
 }
 
-BatchedView MaxPool2::forward_batch(const BatchedView& input, ScratchArena& arena) const {
-  EUGENE_REQUIRE(input.rank == 3, "MaxPool2::forward_batch: expected CHW image");
+ActivationView MaxPool2::infer(const ActivationView& input, ScratchArena& arena) const {
+  EUGENE_REQUIRE(input.rank == 3, "MaxPool2::infer: expected CHW image");
   const std::size_t c = input.dims[0];
   const std::size_t ih = input.dims[1], iw = input.dims[2];
   const std::size_t oh = ih / 2, ow = iw / 2;
-  EUGENE_REQUIRE(oh > 0 && ow > 0, "MaxPool2::forward_batch: image too small");
-  const std::size_t batch = input.batch;
+  EUGENE_REQUIRE(oh > 0 && ow > 0, "MaxPool2::infer: image too small");
   const std::size_t out_dims[3] = {c, oh, ow};
-  BatchedView out = BatchedView::make({out_dims, 3}, batch, arena);
+  ActivationView out = ActivationView::make(out_dims, arena);
   for (std::size_t ch = 0; ch < c; ++ch) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* x = input.data + (ch * batch + b) * ih * iw;
-      float* o = out.data + (ch * batch + b) * oh * ow;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t xo = 0; xo < ow; ++xo) {
-          std::size_t best = (2 * y) * iw + 2 * xo;
-          for (std::size_t dy = 0; dy < 2; ++dy)
-            for (std::size_t dx = 0; dx < 2; ++dx) {
-              const std::size_t idx = (2 * y + dy) * iw + (2 * xo + dx);
-              if (x[idx] > x[best]) best = idx;
-            }
-          o[y * ow + xo] = x[best];
-        }
+    const float* x = input.data + ch * ih * iw;
+    float* o = out.data + ch * oh * ow;
+    for (std::size_t y = 0; y < oh; ++y) {
+      for (std::size_t xo = 0; xo < ow; ++xo) {
+        std::size_t best = (2 * y) * iw + 2 * xo;
+        for (std::size_t dy = 0; dy < 2; ++dy)
+          for (std::size_t dx = 0; dx < 2; ++dx) {
+            const std::size_t idx = (2 * y + dy) * iw + (2 * xo + dx);
+            if (x[idx] > x[best]) best = idx;
+          }
+        o[y * ow + xo] = x[best];
       }
     }
   }

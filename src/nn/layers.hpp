@@ -16,7 +16,7 @@ class Conv2d final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override { return geometry_.flops(); }
   std::string name() const override;
@@ -42,7 +42,7 @@ class Dense final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override {
     return 2.0 * static_cast<double>(in_features_) * static_cast<double>(out_features_);
@@ -70,7 +70,7 @@ class ReLU final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "relu"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -89,7 +89,7 @@ class ChannelNorm final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   std::string name() const override { return "channel_norm(" + std::to_string(channels_) + ")"; }
   std::unique_ptr<Layer> clone() const override;
@@ -115,8 +115,8 @@ class Dropout final : public Layer {
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   /// Inference never drops: the identity.
-  BatchedView forward_batch(const BatchedView& input,
-                            ScratchArena& /*arena*/) const override {
+  ActivationView infer(const ActivationView& input,
+                       ScratchArena& /*arena*/) const override {
     return input;
   }
   std::string name() const override;
@@ -136,7 +136,7 @@ class Flatten final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "flatten"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -149,7 +149,7 @@ class GlobalAvgPool final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "global_avg_pool"; }
   std::unique_ptr<Layer> clone() const override;
 
@@ -162,7 +162,7 @@ class MaxPool2 final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "max_pool2"; }
   std::unique_ptr<Layer> clone() const override;
 

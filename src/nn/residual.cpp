@@ -34,19 +34,19 @@ Tensor ResidualBlock::forward(const Tensor& input) {
   return f;
 }
 
-BatchedView ResidualBlock::forward_batch(const BatchedView& input,
-                                         ScratchArena& arena) const {
-  BatchedView f = conv1_->forward_batch(input, arena);
-  f = norm1_->forward_batch(f, arena);
-  f = relu1_->forward_batch(f, arena);
-  f = conv2_->forward_batch(f, arena);
-  f = norm2_->forward_batch(f, arena);
-  EUGENE_REQUIRE(f.total_numel() == input.total_numel(),
-                 "ResidualBlock::forward_batch: shape drift through the block");
+ActivationView ResidualBlock::infer(const ActivationView& input,
+                                    ScratchArena& arena) const {
+  ActivationView f = conv1_->infer(input, arena);
+  f = norm1_->infer(f, arena);
+  f = relu1_->infer(f, arena);
+  f = conv2_->infer(f, arena);
+  f = norm2_->infer(f, arena);
+  EUGENE_REQUIRE(f.numel() == input.numel(),
+                 "ResidualBlock::infer: shape drift through the block");
   // Shortcut add + final ReLU fused in place over norm2's arena output.
   float* p = f.data;
   const float* x = input.data;
-  const std::size_t n = f.total_numel();
+  const std::size_t n = f.numel();
   for (std::size_t i = 0; i < n; ++i) {
     const float v = p[i] + x[i];
     p[i] = v > 0.0f ? v : 0.0f;

@@ -17,7 +17,7 @@ class ResidualBlock final : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  BatchedView forward_batch(const BatchedView& input, ScratchArena& arena) const override;
+  ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
   double flops() const override;
   std::string name() const override;

@@ -1,7 +1,6 @@
 #include "nn/staged_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -17,71 +16,47 @@ void StagedModel::add_stage(std::unique_ptr<Sequential> trunk,
   stages_.push_back(Stage{std::move(trunk), std::move(head)});
 }
 
-StageOutput StagedModel::make_output(Tensor features, const Tensor& logits) const {
+void StagedModel::run_stage_into(std::size_t s, const Tensor& input, StageOutput& out,
+                                 ScratchArena& arena) const {
+  EUGENE_REQUIRE(s < stages_.size(), "run_stage: stage index out of range");
+  const ActivationView in = ActivationView::of(input);
+  arena.reset();
+  const ActivationView feat = stages_[s].trunk->infer(in, arena);
+  // Copy the features into out.features' own storage, reshaping it only
+  // when the shape changes.
+  const tensor::Shape& have = out.features.shape();
+  if (std::equal(feat.dims, feat.dims + feat.rank, have.begin(), have.end()))
+    std::copy_n(feat.data, feat.numel(), out.features.raw());
+  else
+    out.features = Tensor(tensor::Shape(feat.dims, feat.dims + feat.rank),
+                          std::vector<float>(feat.data, feat.data + feat.numel()));
+  // The trunk's scratch is dead once its features are copied out, so the
+  // head reuses it: the arena's high-water mark is max(trunk, head).
+  arena.reset();
+  const ActivationView logits =
+      stages_[s].head->infer(ActivationView::of(out.features), arena);
   EUGENE_CHECK_EQ(logits.numel(), num_classes_) << "head produced wrong logit count";
-  StageOutput out;
-  out.probs = softmax(logits.data());
+  out.probs.resize(num_classes_);
+  softmax_into({logits.data, num_classes_}, out.probs);
   out.predicted_label = argmax(out.probs);
   out.confidence = out.probs[out.predicted_label];
-  out.features = std::move(features);
-  return out;
 }
 
 StageOutput StagedModel::run_stage(std::size_t s, const Tensor& input) const {
-  EUGENE_REQUIRE(s < stages_.size(), "run_stage: stage index out of range");
-  Tensor features = infer(*stages_[s].trunk, input);
-  const Tensor logits = infer(*stages_[s].head, features);
-  return make_output(std::move(features), logits);
+  StageOutput out;
+  run_stage_into(s, input, out, thread_arena());
+  return out;
 }
 
 void StagedModel::run_stage_batch(std::size_t s,
                                   std::span<const Tensor* const> inputs,
                                   std::span<StageBatchItem> items,
                                   ScratchArena& arena) const {
-  EUGENE_REQUIRE(s < stages_.size(), "run_stage_batch: stage index out of range");
   EUGENE_REQUIRE(!inputs.empty() && inputs.size() == items.size(),
                  "run_stage_batch: inputs/items size mismatch");
-  const std::size_t batch = inputs.size();
-  const BatchedView in = pack_batch(inputs, arena);
-  BatchedView feat = stages_[s].trunk->forward_batch(in, arena);
-  const BatchedView logits = stages_[s].head->forward_batch(feat, arena);
-  EUGENE_CHECK_EQ(logits.sample_numel(), num_classes_)
-      << "head produced wrong logit count";
-  const std::size_t feat_rest = feat.rest_numel();
-  for (std::size_t b = 0; b < batch; ++b) {
-    StageBatchItem& item = items[b];
-    // Reuse the item's feature storage when the shape repeats (the heap-free
-    // steady state); reshape only on first use or model change.
-    bool shape_ok = item.features.rank() == feat.rank;
-    for (std::size_t d = 0; shape_ok && d < feat.rank; ++d)
-      shape_ok = item.features.dim(d) == feat.dims[d];
-    if (!shape_ok)
-      item.features = Tensor(tensor::Shape(feat.dims, feat.dims + feat.rank));
-    float* dst = item.features.raw();
-    for (std::size_t i0 = 0; i0 < feat.dims[0]; ++i0) {
-      const float* src = feat.data + (i0 * batch + b) * feat_rest;
-      float* d = dst + i0 * feat_rest;
-      for (std::size_t r = 0; r < feat_rest; ++r) d[r] = src[r];
-    }
-    // Head readout replicating common/stats.hpp softmax+argmax bit for bit
-    // over the strided logit column: float exps, double sum, strict-greater
-    // first-tie argmax.
-    const float* ld = logits.data;
-    float max_logit = ld[b];
-    for (std::size_t c = 0; c < num_classes_; ++c)
-      max_logit = std::max(max_logit, ld[c * batch + b]);
-    item.probs.resize(num_classes_);
-    double sum = 0.0;
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-      item.probs[c] = std::exp(ld[c * batch + b] - max_logit);
-      sum += item.probs[c];
-    }
-    for (float& v : item.probs) v = static_cast<float>(v / sum);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < num_classes_; ++c)
-      if (item.probs[c] > item.probs[best]) best = c;
-    item.predicted_label = best;
-    item.confidence = item.probs[best];
+  for (std::size_t b = 0; b < inputs.size(); ++b) {
+    EUGENE_REQUIRE(inputs[b] != nullptr, "run_stage_batch: null input");
+    run_stage_into(s, *inputs[b], items[b], arena);
   }
 }
 

@@ -4,7 +4,8 @@
 // A StagedModel is a chain of trunk segments; after each trunk a thin
 // classifier head emits (predicted label, confidence). The scheduler decides
 // per task how many stages to run; confidence from early heads feeds the
-// dynamic utility curve.
+// dynamic utility curve. Inference runs one sample per stage call: run_stage
+// and run_stage_batch share one per-sample body (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,9 @@
 
 namespace eugene::nn {
 
-/// What a stage's classifier head reports for one sample.
+/// What a stage's classifier head reports for one sample. run_stage_batch
+/// writes into caller-owned outputs, whose features and probs keep their
+/// storage when shapes repeat, so a warmed-up call allocates nothing.
 struct StageOutput {
   tensor::Tensor features;          ///< trunk output, input to the next stage
   std::vector<float> probs;         ///< softmax distribution over classes
@@ -25,15 +28,9 @@ struct StageOutput {
   float confidence = 0.0f;          ///< max of probs (paper's "classification confidence")
 };
 
-/// One sample's slot in a batched stage run. Reused across calls: features
-/// and probs keep their storage when shapes repeat, which is what lets a
-/// warmed-up run_stage_batch run without heap allocations.
-struct StageBatchItem {
-  tensor::Tensor features;          ///< trunk output, input to the next stage
-  std::vector<float> probs;         ///< softmax distribution over classes
-  std::size_t predicted_label = 0;  ///< argmax of probs
-  float confidence = 0.0f;          ///< max of probs
-};
+/// run_stage_batch's output slot (the serving benchmark's per-layer probe
+/// names it).
+using StageBatchItem = StageOutput;
 
 /// Multi-exit network: trunks chained feature-to-feature, one softmax head
 /// per stage (paper Fig. 3).
@@ -51,18 +48,14 @@ class StagedModel {
   std::size_t num_classes() const { return num_classes_; }
 
   /// Runs trunk `s` then its head on `input` (the previous stage's features,
-  /// or the raw sample for stage 0): each through nn::infer, the batched
-  /// route at B = 1. Const and write-free, so any number of threads may run
-  /// stages of one model at once. Throws InvalidArgument when the input's
-  /// rank is outside [1, 4].
+  /// or the raw sample for stage 0) on this thread's arena. Const and
+  /// write-free, so any number of threads may run stages of one model at
+  /// once. Throws InvalidArgument when the input's rank is outside [1, 4].
   StageOutput run_stage(std::size_t s, const tensor::Tensor& input) const;
 
-  /// Batched run_stage: packs `inputs` into one feature-major batch, runs
-  /// trunk `s` and its head once over the whole batch (one wide GEMM per
-  /// compute layer), and fills `items` — items[b] corresponds to inputs[b]
-  /// and is bitwise-identical to run_stage(s, *inputs[b]). Scratch comes
-  /// from `arena`; the caller owns the arena's reset cadence (typically once
-  /// per request batch). Sizes must match; all inputs must share one shape.
+  /// run_stage over each of `inputs` in turn, on `arena`: items[b] is
+  /// bitwise-identical to run_stage(s, *inputs[b]). Sizes must match. Kept
+  /// for the serving benchmark's per-layer probe.
   void run_stage_batch(std::size_t s, std::span<const tensor::Tensor* const> inputs,
                        std::span<StageBatchItem> items, ScratchArena& arena) const;
 
@@ -105,7 +98,9 @@ class StagedModel {
     ChildPtr<Sequential> head;
   };
 
-  StageOutput make_output(tensor::Tensor features, const tensor::Tensor& logits) const;
+  /// The one per-sample stage body under run_stage and run_stage_batch.
+  void run_stage_into(std::size_t s, const tensor::Tensor& input, StageOutput& out,
+                      ScratchArena& arena) const;
 
   std::size_t num_classes_;
   std::vector<Stage> stages_;

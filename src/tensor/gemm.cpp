@@ -14,8 +14,9 @@
 //
 // The accumulation order over k for any C entry depends only on k and KC —
 // not on m, n, the ISA tile shape, transposition, or the packed/direct path
-// choice — so per-sample and batched inference produce bit-identical
-// activations (the batched-forward equivalence tests rely on this).
+// choice — so inference, whichever conv route and kernel family it takes,
+// produces activations bit-identical to the training forward (the
+// BatchedForward.* equivalence tests rely on this).
 #include "tensor/gemm.hpp"
 
 #include <cstdlib>

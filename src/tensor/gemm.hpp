@@ -12,7 +12,7 @@
 // p — no zero-skip fast paths, so 0·NaN and 0·inf propagate as IEEE says
 // (Matmul.NaNInfPropagation pins this). The accumulation order over p
 // depends only on k and the fixed KC blocking, never on m or n, which is
-// what makes batched stage inference bit-identical to per-sample inference.
+// what makes stage inference bit-identical to the training forward.
 #pragma once
 
 #include <cstddef>

@@ -82,18 +82,17 @@ Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void im2col_strided_into(const float* img, std::size_t chan_stride,
-                         const Conv2dGeometry& g, float* cols,
-                         std::size_t cols_ld, std::size_t col0) {
+void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* cols) {
   const std::size_t oh = g.out_height(), ow = g.out_width();
+  const std::size_t ohw = oh * ow;
   const long long ih = static_cast<long long>(g.in_height);
   const long long iw = static_cast<long long>(g.in_width);
   for (std::size_t c = 0; c < g.in_channels; ++c) {
-    const float* plane = img + c * chan_stride;
+    const float* plane = image_chw + c * g.in_height * g.in_width;
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx) {
         const std::size_t row = (c * g.kernel + ky) * g.kernel + kx;
-        float* dst = cols + row * cols_ld + col0;
+        float* dst = cols + row * ohw;
         if (g.stride == 1) {
           // All bounds are loop-invariant at stride 1 (signed: padded
           // coordinates can be negative): rows oy ∈ [lo_y, hi_y) read image
@@ -159,22 +158,13 @@ void im2col_strided_into(const float* img, std::size_t chan_stride,
   }
 }
 
-void im2col_into(const Tensor& image_chw, const Conv2dGeometry& g,
-                 float* cols) {
+Tensor im2col(const Tensor& image_chw, const Conv2dGeometry& g) {
   EUGENE_REQUIRE(image_chw.rank() == 3, "im2col: expected CHW image");
   EUGENE_REQUIRE(image_chw.dim(0) == g.in_channels && image_chw.dim(1) == g.in_height &&
                      image_chw.dim(2) == g.in_width,
                  "im2col: image does not match geometry");
-  const std::size_t hw = g.in_height * g.in_width;
-  im2col_strided_into(image_chw.raw(), hw, g, cols,
-                      g.out_height() * g.out_width(), 0);
-}
-
-Tensor im2col(const Tensor& image_chw, const Conv2dGeometry& g) {
-  const std::size_t oh = g.out_height(), ow = g.out_width();
-  const std::size_t patch = g.in_channels * g.kernel * g.kernel;
-  Tensor cols({patch, oh * ow});
-  im2col_into(image_chw, g, cols.raw());
+  Tensor cols({g.in_channels * g.kernel * g.kernel, g.out_height() * g.out_width()});
+  im2col_into(image_chw.raw(), g, cols.raw());
   return cols;
 }
 

@@ -4,7 +4,8 @@
 // single images and [rows, cols] for matrices. The matmul family and im2col
 // are thin wrappers over the tiled SIMD GEMM core in gemm.hpp (DESIGN.md
 // §14); the `_into` variants write into caller-provided storage so arena-
-// backed inference allocates nothing per call.
+// backed inference allocates nothing per call — im2col_into reads one raw
+// CHW image, the storage a conv's inference view points at.
 #pragma once
 
 #include "tensor/gemm.hpp"
@@ -65,21 +66,11 @@ struct Conv2dGeometry {
 /// Unrolls image patches into a [C·k·k, H_out·W_out] matrix.
 Tensor im2col(const Tensor& image_chw, const Conv2dGeometry& g);
 
-/// im2col writing into caller storage: `cols` must hold
-/// C·k·k × H_out·W_out floats (row-major, row stride H_out·W_out).
-void im2col_into(const Tensor& image_chw, const Conv2dGeometry& g,
-                 float* cols);
-
-/// Strided im2col core shared by the per-sample wrapper and batched stage
-/// inference. Reads channel `c`'s plane at `img + c·chan_stride` (a plain
-/// CHW image has chan_stride = H·W; a feature-major batch of B images has
-/// chan_stride = B·H·W with `img` offset to sample b's plane). Writes patch
-/// row `r` of this image's columns at `cols + r·cols_ld + col0`, so several
-/// images can share one wide column matrix. Interior rows are bulk copies;
-/// padding is zero-filled (no per-pixel bounds branch at stride 1).
-void im2col_strided_into(const float* img, std::size_t chan_stride,
-                         const Conv2dGeometry& g, float* cols,
-                         std::size_t cols_ld, std::size_t col0);
+/// im2col writing into caller storage: reads a CHW image matching `g` at
+/// `image_chw` and writes C·k·k rows of H_out·W_out floats to `cols`.
+/// Interior rows are bulk copies; padding is zero-filled (no per-pixel
+/// bounds branch at stride 1).
+void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* cols);
 
 /// Inverse of im2col: scatters column gradients back into CHW, accumulating
 /// overlapping patches.

@@ -1,8 +1,7 @@
-// Scratch-arena and batched-inference tests (DESIGN.md §14): bump-allocator
-// mechanics, feature-major pack/unpack round trips, bitwise equivalence of
-// every layer's forward_batch with its per-sample training forward and of
-// run_stage_batch with run_stage, and the zero-heap-allocation steady state
-// of run_stage_batch.
+// Scratch-arena and inference tests (DESIGN.md §14): bump-allocator
+// mechanics, bitwise equivalence of every layer's infer() with its training
+// forward and of run_stage_batch with run_stage, and the zero-heap-allocation
+// steady state of run_stage_batch.
 //
 // This binary overrides global operator new/delete with counting versions,
 // which is why it lives in its own test executable: the counters must see
@@ -19,12 +18,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "nn/arena.hpp"
 #include "nn/residual.hpp"
 #include "nn/staged_model.hpp"
+#include "tensor/gemm.hpp"
 
 namespace {
 std::atomic<std::size_t> g_heap_allocs{0};
@@ -57,6 +58,17 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
   EXPECT_GE(b, a + 16);
   EXPECT_GE(c, b + 100);
   EXPECT_EQ(arena.used_floats(), 16u + 112u + 16u);
+  // A zero request is a unique pointer too: it takes one unit, on a fresh
+  // arena and on this warm one alike.
+  ScratchArena fresh;
+  for (ScratchArena* ar : {&fresh, &arena}) {
+    float* zero = ar->alloc(0);
+    float* next = ar->alloc(1);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(zero) % 64, 0u);
+    EXPECT_GE(next, zero + 16);
+  }
+  EXPECT_EQ(fresh.used_floats(), 16u + 16u);
+  EXPECT_EQ(arena.used_floats(), 16u + 112u + 16u + 16u + 16u);
 }
 
 TEST(Arena, ResetRecyclesWithoutNewBlocks) {
@@ -90,66 +102,6 @@ TEST(Arena, CoalescesFragmentedBlocksOnReset) {
   EXPECT_EQ(arena.heap_allocations(), heap_after);
 }
 
-TEST(Arena, PackUnpackRoundTrip) {
-  Rng rng(3);
-  const Tensor a = Tensor::randn({3, 4, 5}, rng);
-  const Tensor b = Tensor::randn({3, 4, 5}, rng);
-  ScratchArena arena;
-  const Tensor* samples[] = {&a, &b};
-  BatchedView v = pack_batch(samples, arena);
-  EXPECT_EQ(v.rank, 3u);
-  EXPECT_EQ(v.batch, 2u);
-  EXPECT_EQ(v.total_numel(), 2 * 60u);
-  const Tensor a2 = unpack_sample(v, 0);
-  const Tensor b2 = unpack_sample(v, 1);
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(a2.data()[i], a.data()[i]) << i;
-    EXPECT_EQ(b2.data()[i], b.data()[i]) << i;
-  }
-}
-
-TEST(Arena, PackBatchRejectsMismatchedShapes) {
-  Rng rng(4);
-  const Tensor a = Tensor::randn({2, 3}, rng);
-  const Tensor b = Tensor::randn({3, 2}, rng);
-  ScratchArena arena;
-  const Tensor* samples[] = {&a, &b};
-  EXPECT_THROW(pack_batch(samples, arena), InvalidArgument);
-  // The B = 1 route views its input in place, so it checks the rank a
-  // BatchedView can hold before any layer runs.
-  const Tensor rank5 = Tensor::randn({1, 2, 1, 2, 2}, rng);
-  EXPECT_THROW(infer(ReLU(), rank5), InvalidArgument);
-  StagedMlpConfig cfg;
-  cfg.input_dim = rank5.numel();
-  EXPECT_THROW(build_staged_mlp(cfg).run_stage(0, rank5), InvalidArgument);
-}
-
-// ---------------------------------------------------- batched equivalence
-
-/// Runs `layer.forward_batch` over `samples` packed into one batch.
-BatchedView batch_forward(const Layer& layer, const std::vector<Tensor>& samples,
-                          ScratchArena& arena) {
-  std::vector<const Tensor*> ptrs;
-  for (const Tensor& s : samples) ptrs.push_back(&s);
-  return layer.forward_batch(pack_batch(ptrs, arena), arena);
-}
-
-/// Asserts layer.forward_batch output column b is bitwise-equal to the
-/// training forward of sample b (the Layer::forward_batch contract).
-void expect_batch_matches_sequential(Layer& layer,
-                                     const std::vector<Tensor>& samples) {
-  ScratchArena arena;
-  const BatchedView out = batch_forward(layer, samples, arena);
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    const Tensor want = layer.forward(samples[b]);
-    const Tensor got = unpack_sample(out, b);
-    ASSERT_EQ(got.numel(), want.numel()) << layer.name();
-    for (std::size_t i = 0; i < want.numel(); ++i)
-      EXPECT_EQ(got.data()[i], want.data()[i])
-          << layer.name() << " sample " << b << " element " << i;
-  }
-}
-
 std::vector<Tensor> random_batch(const tensor::Shape& shape, std::size_t n,
                                  Rng& rng) {
   std::vector<Tensor> out;
@@ -157,62 +109,115 @@ std::vector<Tensor> random_batch(const tensor::Shape& shape, std::size_t n,
   return out;
 }
 
+TEST(Arena, PackBatchRejectsMismatchedShapes) {
+  // run_stage_batch runs its inputs one at a time, so an input whose shape
+  // the stage cannot take is rejected by the first layer it reaches.
+  StagedResNetConfig cfg;
+  cfg.in_channels = 2;
+  cfg.height = 8;
+  cfg.width = 8;
+  cfg.num_classes = 3;
+  cfg.stage_channels = {4};
+  const StagedModel model = build_staged_resnet(cfg);
+  Rng rng(4);
+  const Tensor a = Tensor::randn({2, 8, 8}, rng);
+  const Tensor b = Tensor::randn({2, 8, 7}, rng);
+  ScratchArena arena;
+  const Tensor* samples[] = {&a, &b};
+  std::vector<StageBatchItem> items(2);
+  EXPECT_THROW(model.run_stage_batch(0, samples, items, arena), InvalidArgument);
+  EXPECT_THROW(model.run_stage_batch(0, samples, std::span(items).first(1), arena),
+               InvalidArgument);
+  // Inference views its input in place, so it checks the rank an
+  // ActivationView can hold before any layer runs.
+  const Tensor rank5 = Tensor::randn({1, 2, 1, 2, 2}, rng);
+  EXPECT_THROW(infer(ReLU(), rank5), InvalidArgument);
+  StagedMlpConfig mlp;
+  mlp.input_dim = rank5.numel();
+  EXPECT_THROW(build_staged_mlp(mlp).run_stage(0, rank5), InvalidArgument);
+}
+
+// ------------------------------------------------- inference equivalence
+
+/// Asserts infer(layer, sample) is bitwise-equal to the layer's training
+/// forward of the same sample (the Layer::infer contract), for each sample.
+void expect_infer_matches_forward(Layer& layer, const std::vector<Tensor>& samples) {
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    const Tensor got = infer(layer, samples[b]);
+    const Tensor want = layer.forward(samples[b]);
+    ASSERT_TRUE(got.same_shape(want)) << layer.name();
+    for (std::size_t i = 0; i < want.numel(); ++i)
+      EXPECT_EQ(got.data()[i], want.data()[i])
+          << layer.name() << " sample " << b << " element " << i;
+  }
+}
+
 TEST(BatchedForward, Conv2dMatchesPerSample) {
   Rng rng(11);
-  // out_width 7 < 8: the explicit im2col + GEMM branch.
-  tensor::Conv2dGeometry g;
-  g.in_channels = 3;
-  g.out_channels = 5;
-  g.in_height = 9;
-  g.in_width = 7;
-  Conv2d conv(g, rng);
-  expect_batch_matches_sequential(conv, random_batch({3, 9, 7}, 4, rng));
-  // Stride 1 and out_width >= 8: the implicit-im2col branch every served
-  // stage-0 and stage-1 conv takes.
-  tensor::Conv2dGeometry wide;
-  wide.in_channels = 3;
-  wide.out_channels = 8;
-  wide.in_height = 10;
-  wide.in_width = 10;
-  Conv2d wide_conv(wide, rng);
-  expect_batch_matches_sequential(wide_conv, random_batch({3, 10, 10}, 4, rng));
+  struct Case {
+    std::size_t in_c, out_c, h, w, kernel, stride, pad;
+  };
+  const Case cases[] = {
+      // out_width 7 < 8: the explicit im2col + GEMM branch.
+      {3, 5, 9, 7, 3, 1, 1},
+      // Stride 1 and out_width >= 8: the implicit-im2col branch every served
+      // stage-0 and stage-1 conv takes.
+      {3, 8, 10, 10, 3, 1, 1},
+      // Implicit im2col at other frame offsets: no padding, wider and
+      // narrower kernels.
+      {2, 6, 12, 12, 5, 1, 0},
+      {4, 7, 9, 10, 1, 1, 0},
+      // Stride 2: explicit im2col.
+      {3, 5, 11, 17, 3, 2, 1},
+      // m above gemm_rows_max_m(): the packed GEMM with arena workspace.
+      {3, 64, 8, 9, 3, 1, 1},
+  };
+  ASSERT_GT(64u, tensor::gemm_rows_max_m());
+  for (const Case& c : cases) {
+    tensor::Conv2dGeometry g;
+    g.in_channels = c.in_c;
+    g.out_channels = c.out_c;
+    g.in_height = c.h;
+    g.in_width = c.w;
+    g.kernel = c.kernel;
+    g.stride = c.stride;
+    g.padding = c.pad;
+    Conv2d conv(g, rng);
+    expect_infer_matches_forward(conv, random_batch({c.in_c, c.h, c.w}, 3, rng));
+  }
 }
 
 TEST(BatchedForward, DenseMatchesPerSample) {
   Rng rng(12);
   Dense dense(13, 6, rng);
-  expect_batch_matches_sequential(dense, random_batch({13}, 5, rng));
+  expect_infer_matches_forward(dense, random_batch({13}, 5, rng));
 }
 
 TEST(BatchedForward, ActivationAndNormLayersMatchPerSample) {
   Rng rng(13);
   ReLU relu;
-  expect_batch_matches_sequential(relu, random_batch({2, 4, 4}, 3, rng));
+  expect_infer_matches_forward(relu, random_batch({2, 4, 4}, 3, rng));
   ChannelNorm norm(4);
-  expect_batch_matches_sequential(norm, random_batch({4, 5, 3}, 3, rng));
+  expect_infer_matches_forward(norm, random_batch({4, 5, 3}, 3, rng));
   MaxPool2 pool;
-  expect_batch_matches_sequential(pool, random_batch({2, 6, 8}, 3, rng));
+  expect_infer_matches_forward(pool, random_batch({2, 6, 8}, 3, rng));
   GlobalAvgPool gap;
-  expect_batch_matches_sequential(gap, random_batch({3, 4, 4}, 3, rng));
+  expect_infer_matches_forward(gap, random_batch({3, 4, 4}, 3, rng));
   Flatten flatten;
-  expect_batch_matches_sequential(flatten, random_batch({2, 3, 4}, 3, rng));
+  expect_infer_matches_forward(flatten, random_batch({2, 3, 4}, 3, rng));
   // Dropout's training forward drops units; its inference is the identity.
   const Dropout dropout(0.5f, 99);
-  const std::vector<Tensor> samples = random_batch({2, 3, 3}, 3, rng);
-  ScratchArena arena;
-  const BatchedView out = batch_forward(dropout, samples, arena);
-  for (std::size_t b = 0; b < samples.size(); ++b) {
-    const Tensor got = unpack_sample(out, b);
-    for (std::size_t i = 0; i < samples[b].numel(); ++i)
-      EXPECT_EQ(got.data()[i], samples[b].data()[i])
-          << "sample " << b << " element " << i;
+  for (const Tensor& sample : random_batch({2, 3, 3}, 3, rng)) {
+    const Tensor got = infer(dropout, sample);
+    for (std::size_t i = 0; i < sample.numel(); ++i)
+      EXPECT_EQ(got.data()[i], sample.data()[i]) << "element " << i;
   }
 }
 
 TEST(BatchedForward, ResidualBlockMatchesPerSample) {
   Rng rng(14);
   ResidualBlock block(4, 6, 6, rng);
-  expect_batch_matches_sequential(block, random_batch({4, 6, 6}, 3, rng));
+  expect_infer_matches_forward(block, random_batch({4, 6, 6}, 3, rng));
 }
 
 TEST(BatchedForward, RunStageBatchMatchesRunStageResnet) {

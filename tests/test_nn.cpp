@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "data/synthetic_images.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -204,7 +205,7 @@ TEST(Dropout, InferenceIsIdentity) {
   Rng rng(13);
   const Dropout layer(0.5f, 77);
   const Tensor x = Tensor::randn({20}, rng);
-  const Tensor y = infer(layer, x);  // forward_batch at B = 1
+  const Tensor y = infer(layer, x);
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(x.data()[i], y.data()[i]);
 }
 
@@ -313,6 +314,46 @@ TEST(StagedModel, StageChainingMatchesForwardAll) {
     EXPECT_EQ(all[s].predicted_label, chained[s].predicted_label);
     EXPECT_FLOAT_EQ(all[s].confidence, chained[s].confidence);
   }
+}
+
+/// Walks `x` through every stage, checking that run_stage's features are
+/// nn::infer of the trunk and its readout is softmax/argmax of nn::infer of
+/// the head, bit for bit: entropy calibration scores heads the second way,
+/// curve fitting and serving read run_stage.
+void expect_run_stage_matches_infer(const StagedModel& model, Tensor x) {
+  for (std::size_t s = 0; s < model.num_stages(); ++s) {
+    const StageOutput out = model.run_stage(s, x);
+    const Tensor features = infer(model.trunk(s), x);
+    ASSERT_TRUE(out.features.same_shape(features)) << s;
+    for (std::size_t i = 0; i < features.numel(); ++i)
+      EXPECT_EQ(out.features.data()[i], features.data()[i]) << s << "/" << i;
+    const std::vector<float> probs = softmax(infer(model.head(s), features).data());
+    ASSERT_EQ(out.probs.size(), probs.size()) << s;
+    for (std::size_t c = 0; c < probs.size(); ++c)
+      EXPECT_EQ(out.probs[c], probs[c]) << s << "/" << c;
+    EXPECT_EQ(out.predicted_label, argmax(probs)) << s;
+    EXPECT_EQ(out.confidence, probs[argmax(probs)]) << s;
+    x = out.features;
+  }
+}
+
+TEST(StagedModel, RunStageMatchesInferOfTrunkAndHead) {
+  Rng rng(21);
+  StagedResNetConfig resnet;
+  resnet.in_channels = 2;
+  resnet.height = 8;
+  resnet.width = 8;
+  resnet.num_classes = 4;
+  resnet.stage_channels = {4, 6};
+  resnet.head_hidden = 5;
+  resnet.head_dropout = 0.1f;
+  expect_run_stage_matches_infer(build_staged_resnet(resnet),
+                                 Tensor::randn({2, 8, 8}, rng));
+  StagedMlpConfig mlp;
+  mlp.input_dim = 2 * 3 * 4;
+  mlp.num_classes = 3;
+  mlp.stage_widths = {10, 8};
+  expect_run_stage_matches_infer(build_staged_mlp(mlp), Tensor::randn({2, 3, 4}, rng));
 }
 
 TEST(StagedModel, McDropoutDiffersFromDeterministicAndAveragesOut) {
