@@ -17,10 +17,15 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       commit primitive; DESIGN.md §9).
   failpoint-registry  the set of EUGENE_FAILPOINT / EUGENE_FAILPOINT_FIRED
                       string literals in src/ equals the registry in
-                      common/failpoint_names.hpp, both directions, and every
-                      EUGENE_FAILPOINTS spec in .github/workflows/ci.yml arms
-                      only registered names, so a chaos job can never
-                      silently arm a renamed or deleted site.
+                      common/failpoint_names.hpp, both directions; every
+                      EUGENE_FAILPOINTS spec in .github/workflows/ci.yml
+                      arms only registered names; and every arm("<name>"
+                      literal in tests/, bench/, examples/ and fuzz/ names a
+                      registered failpoint (the framework's own `test.` and
+                      `bench.` names excepted). A chaos job or a test can
+                      then never silently arm a renamed or deleted site,
+                      which would arm nothing and pass without testing
+                      anything.
   raw-sleep           no bare std::this_thread::sleep_for / sleep_until in
                       src/ — polling loops must wait on a CondVar so
                       cancellation, shutdown, and new work wake them
@@ -288,6 +293,12 @@ REGISTRY_NAME_RE = re.compile(r'"([^"]+)"')
 # An environment spec in CI: EUGENE_FAILPOINTS: 'name=kind:...,name=kind'
 CI_SPEC_RE = re.compile(r"""EUGENE_FAILPOINTS\s*[:=]\s*['"]([^'"]*)['"]""")
 CI_WORKFLOW_REL = ".github/workflows/ci.yml"
+# A programmatic arming in a test, bench, example or fuzz harness.
+ARM_RE = re.compile(r'(?<![\w])arm\s*\(\s*"([^"]+)"')
+ARMING_DIRS = ("tests", "bench", "examples", "fuzz")
+# Names that no src site uses: the failpoint framework's own tests and
+# bench_micro arm these to exercise the registry itself.
+FRAMEWORK_PREFIXES = ("test.", "bench.")
 
 
 def rule_failpoint_registry(files, repo_root: Path):
@@ -335,6 +346,23 @@ def rule_failpoint_registry(files, repo_root: Path):
                         "failpoint-registry", CI_WORKFLOW_REL, line_no,
                         f'EUGENE_FAILPOINTS arms "{name}", which is not '
                         f"declared in {registry_rel}")
+
+    # Likewise a test that arms an unknown failpoint arms nothing, and can
+    # pass without testing what it says.
+    for sub in ARMING_DIRS:
+        for path in sorted((repo_root / sub).rglob("*")):
+            if path.suffix not in CXX_EXTS or not path.is_file():
+                continue
+            f = SourceFile(repo_root, path)
+            for m in ARM_RE.finditer(f.code):
+                name = m.group(1)
+                if name in declared or name.startswith(FRAMEWORK_PREFIXES):
+                    continue
+                line = f.code.count("\n", 0, m.start()) + 1
+                yield Violation(
+                    "failpoint-registry", f.rel, line,
+                    f'arm("{name}") names a failpoint not declared in '
+                    f"{registry_rel}: it arms nothing")
 
 
 RAW_SLEEP_RE = re.compile(r"std::this_thread::sleep_(for|until)\b")

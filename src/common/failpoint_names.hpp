@@ -14,7 +14,6 @@
 namespace eugene::failpoint_names {
 
 inline constexpr const char* kAll[] = {
-    "admit.brownout.force",     // InferenceServer: escalate the brownout level
     "io.atomic.corrupt",        // atomic_write_file: commit with one bit flipped
     "io.atomic.short",          // atomic_write_file: commit missing tail bytes
     "io.atomic.torn",           // atomic_write_file: crash before the rename

@@ -9,7 +9,8 @@
 // The machine is the *single* authority on whether new work may enter the
 // process: the admission path (serving::InferenceServer::process_batch,
 // through sched::Engine::admit) calls try_admit() before accepting a batch
-// and finish() once the batch's responses have been emitted. Draining therefore
+// and finish() once the batch's responses have been emitted. It is the
+// server's only admission decision; overload is left to the scheduler. Draining therefore
 // means "reject new admissions with a typed drain response, let the in-flight
 // count fall to zero" — nothing in flight is ever dropped by the drain
 // itself; the bounded wait in begin_drain() only limits how long we wait for

@@ -120,6 +120,10 @@ namespace {
 }
 
 std::uint64_t parse_u64(const std::string& tok, const std::string& line) {
+  // snapshot_text() writes bare digits; stoull alone would also take a sign,
+  // and wrap "-1" to 2^64 - 1.
+  if (tok.empty() || std::isdigit(static_cast<unsigned char>(tok[0])) == 0)
+    bad_dump("malformed integer '" + tok + "'", line);
   std::uint64_t v = 0;
   std::size_t pos = 0;
   try {
@@ -155,6 +159,14 @@ std::string expect_field(std::istringstream& in, const char* label,
   return value;
 }
 
+/// Adds one instrument; a name appears at most once per instrument type.
+template <typename V>
+void put_once(std::map<std::string, V>& into, const std::string& name, V value,
+              const std::string& line) {
+  if (!into.emplace(name, std::move(value)).second)
+    bad_dump("duplicate name '" + name + "'", line);
+}
+
 }  // namespace
 
 MetricsSnapshot parse_metrics_text(const std::string& text) {
@@ -173,11 +185,11 @@ MetricsSnapshot parse_metrics_text(const std::string& text) {
     if (type == "counter") {
       std::string value;
       if (!(fields >> value)) bad_dump("counter missing value", line);
-      snap.counters[name] = parse_u64(value, line);
+      put_once(snap.counters, name, parse_u64(value, line), line);
     } else if (type == "gauge") {
       std::string value;
       if (!(fields >> value)) bad_dump("gauge missing value", line);
-      snap.gauges[name] = parse_f64(value, line);
+      put_once(snap.gauges, name, parse_f64(value, line), line);
     } else if (type == "histogram") {
       MetricsSnapshot::Histogram h;
       h.count = parse_u64(expect_field(fields, "count", line), line);
@@ -210,10 +222,12 @@ MetricsSnapshot parse_metrics_text(const std::string& text) {
       } else if (h.count != 0) {
         bad_dump("non-zero count with no buckets", line);
       }
-      snap.histograms[name] = std::move(h);
+      put_once(snap.histograms, name, std::move(h), line);
     } else {
       bad_dump("unknown line type '" + type + "'", line);
     }
+    std::string extra;
+    if (fields >> extra) bad_dump("trailing field '" + extra + "'", line);
   }
   return snap;
 }

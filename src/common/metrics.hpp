@@ -18,7 +18,7 @@
 //
 //   # eugene-metrics v1
 //   counter serving.retries 3
-//   gauge serving.brownout.level 1
+//   gauge serving.lifecycle.state 1
 //   histogram serving.stage_latency_ms.stage0 count 42 p50 1.25 p99 4
 //       buckets 17:5,30:37                                [same line]
 //
@@ -128,7 +128,9 @@ struct MetricsSnapshot {
 
 /// Inverse of MetricsRegistry::snapshot_text(). Throws CorruptionError on
 /// anything that is not a well-formed v1 metrics dump (wrong header,
-/// unknown line type, malformed numbers or bucket lists).
+/// unknown line type, malformed numbers or bucket lists, a signed integer,
+/// a field after a line's last one, or a name repeated within one
+/// instrument type).
 MetricsSnapshot parse_metrics_text(const std::string& text);
 
 }  // namespace eugene::telemetry

@@ -7,8 +7,6 @@ namespace eugene::telemetry {
 const char* trace_event_kind_name(TraceEventKind kind) {
   switch (kind) {
     case TraceEventKind::kAdmit: return "admit";
-    case TraceEventKind::kBrownout: return "brownout";
-    case TraceEventKind::kShed: return "shed";
     case TraceEventKind::kStageDone: return "stage_done";
     case TraceEventKind::kStageError: return "stage_error";
     case TraceEventKind::kRetry: return "retry";

@@ -4,12 +4,11 @@
 // the fleet did; they cannot answer "why did request R exit at stage 2,
 // degraded, after a retry?". A TraceRecorder captures that per-request
 // timeline: one *span* per request, a flat stream of timestamped events
-// appended as the request moves admission → brownout decision → stage
-// results and failures (each naming the worker that ran it) → exit. Events
-// live in a fixed-capacity ring buffer —
-// recording never allocates after construction and never blocks progress on
-// a full buffer (the oldest events are overwritten and counted in
-// dropped()).
+// appended as the request moves admission → stage results and failures
+// (each naming the worker that ran it) → exit. Events live in a
+// fixed-capacity ring buffer — recording never allocates after construction
+// and never blocks progress on a full buffer (the oldest events are
+// overwritten and counted in dropped()).
 //
 // Plumbing: the server takes an optional TraceRecorder* in its config, and
 // sched::Engine carries a SpanHandle per request.
@@ -36,14 +35,12 @@ namespace eugene::telemetry {
 /// kind-specific (documented per enumerator); unused fields are 0.
 enum class TraceEventKind : std::uint8_t {
   kAdmit = 0,    ///< request entered the system; value = service class
-  kBrownout,     ///< admission under brown-out; value = level (> 0)
-  kShed,         ///< admission controller shed it; value = 1 if the brown-out
-                 ///< level (not the static ceiling) shed it
   kStageDone,    ///< stage result accepted; stage, worker, value = confidence
   kStageError,   ///< stage threw; stage, worker
   kRetry,        ///< the failed stage runs again at once; stage, worker
   kExpire,       ///< latency daemon expired the request
-  kDegrade,      ///< budget exhausted; answering with best result so far
+  kDegrade,      ///< retry budget spent or input rejected; answering with
+                 ///< the best result so far
   kExit,         ///< final response emitted; stage = stages_run,
                  ///< value = confidence
   kDrain,        ///< request rejected because the server is draining

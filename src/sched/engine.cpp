@@ -102,8 +102,6 @@ std::optional<std::size_t> Engine::next(double now_ms) {
   const auto picked = position(*choice);
   EUGENE_CHECK(picked != runnable_.end() && picked->task_id == *choice)
       << "Engine: policy picked task " << *choice << ", which is not runnable";
-  Slot& s = slots_[*choice];
-  if (!s.first_dispatch_ms.has_value()) s.first_dispatch_ms = now_ms;
   return choice;
 }
 
@@ -118,8 +116,8 @@ void Engine::complete(std::size_t task, std::size_t label, double confidence,
                       double now_ms, std::uint32_t worker) {
   Slot& s = slots_[task];
   TaskView& v = s.view;
-  EUGENE_CHECK(s.state != State::kFinished && v.stages_done < v.total_stages)
-      << "Engine::complete: task " << task << " has no stage left to run";
+  EUGENE_CHECK(s.state == State::kHeld && v.stages_done < v.total_stages)
+      << "Engine::complete: task " << task << " is not held, or has no stage left";
   s.span.event(TraceEventKind::kStageDone, now_ms,
                static_cast<std::uint32_t>(v.stages_done), worker, confidence);
   confidences_[task * max_stages_ + v.stages_done] = confidence;
@@ -128,15 +126,10 @@ void Engine::complete(std::size_t task, std::size_t label, double confidence,
   r.stages_run = v.stages_done;
   r.label = label;
   r.confidence = confidence;
-  if (s.state == State::kWaiting) return;
-  if (v.stages_done == v.total_stages || confidence >= early_exit_confidence_) {
-    take_out(task);
+  if (v.stages_done == v.total_stages || confidence >= early_exit_confidence_)
     finish(task, now_ms, TraceEventKind::kExit);
-  } else if (s.state == State::kRunnable) {
-    *position(task) = v;
-  } else {
+  else
     enqueue(task);
-  }
 }
 
 bool Engine::fail(std::size_t task, double now_ms, StageFailure failure,
@@ -149,7 +142,8 @@ bool Engine::fail(std::size_t task, double now_ms, StageFailure failure,
     return false;
   }
   if (failure == StageFailure::kRejected || ++results_[task].retries > max_retries_) {
-    degrade(task, now_ms);
+    take_out(task);
+    finish(task, now_ms, TraceEventKind::kDegrade);
     return false;
   }
   s.span.event(TraceEventKind::kRetry, now_ms,
@@ -160,17 +154,6 @@ bool Engine::fail(std::size_t task, double now_ms, StageFailure failure,
 void Engine::expire(std::size_t task, double now_ms) {
   take_out(task);
   finish(task, now_ms, TraceEventKind::kExpire);
-}
-
-void Engine::degrade(std::size_t task, double now_ms) {
-  take_out(task);
-  finish(task, now_ms, TraceEventKind::kDegrade);
-}
-
-std::optional<double> Engine::queue_delay_ms(std::size_t task) const {
-  const Slot& s = slots_[task];
-  if (!s.first_dispatch_ms.has_value()) return std::nullopt;
-  return *s.first_dispatch_ms - s.view.arrival_ms;
 }
 
 // Removes the task from the runnable set, if in it.

@@ -5,8 +5,10 @@
 // transitions with their span events, the lifecycle gate and the results.
 // Its two callers keep only how a stage runs:
 // serving::InferenceServer::process_batch runs it on its peer workers, and
-// simulate as an event on virtual time (Fig. 4). The engine itself is not
-// thread-safe: process_batch's workers share it under one mutex.
+// simulate as an event on virtual time (Fig. 4). Each caller has one loop:
+// next() picks a task, hold() takes it, the stage runs, and complete() or
+// fail() records it; complete() takes only a held task. The engine itself
+// is not thread-safe: process_batch's workers share it under one mutex.
 #pragma once
 
 #include <exception>
@@ -29,10 +31,10 @@ enum class StageFailure : std::uint8_t {
 /// The StageFailure of an exception a stage threw.
 StageFailure classify_stage_error(const std::exception& error);
 
-/// A task waits (not arrived, or shed), is runnable (its view is in the set
-/// the policy picks from), is held (a worker runs its stage), or is
-/// finished. A task's id is its position. The runnable set stays in task
-/// order, so policy ties fall to task order.
+/// A task waits (not yet arrived), is runnable (its view is in the set the
+/// policy picks from), is held (a worker runs its stage), or is finished.
+/// A task's id is its position. The runnable set stays in task order, so
+/// policy ties fall to task order.
 class Engine {
  public:
   /// Resets `policy`, which must outlive the engine. `num_tasks` tasks of at
@@ -64,18 +66,17 @@ class Engine {
   /// until the clock reaches the earliest one.
   void expire_overdue(double now_ms);
 
-  /// Asks the policy which runnable task advances next and stamps its first
-  /// dispatch; nullopt when nothing is runnable or the policy idles. The
-  /// view stays in the set: a caller that runs the stage on a worker calls
-  /// hold() next.
+  /// Asks the policy which runnable task advances next; nullopt when nothing
+  /// is runnable or the policy idles. The view stays in the set: a caller
+  /// that runs the stage on a worker calls hold() next.
   std::optional<std::size_t> next(double now_ms);
 
   /// Takes a picked task out of the runnable set while a worker runs it.
   void hold(std::size_t task);
 
-  /// Records the task's next stage, with a kStageDone event from `worker`.
-  /// A scheduled task then finishes at full depth or at the early-exit bar,
-  /// or is runnable again; a waiting (shed) task only records.
+  /// Records the held task's next stage, with a kStageDone event from
+  /// `worker`. The task then finishes at full depth or at the early-exit
+  /// bar, or is runnable again. A task that is not held is an engine bug.
   void complete(std::size_t task, std::size_t label, double confidence, double now_ms,
                 std::uint32_t worker = 0);
 
@@ -88,17 +89,13 @@ class Engine {
   bool fail(std::size_t task, double now_ms, StageFailure failure,
             std::uint32_t worker = 0);
 
-  /// Finish the task now with its best result so far, flagged expired or
-  /// degraded.
+  /// Finish the task now with its best result so far, flagged expired.
   void expire(std::size_t task, double now_ms);
-  void degrade(std::size_t task, double now_ms);
 
   std::size_t unfinished() const { return unfinished_; }
   bool finished(std::size_t task) const { return slots_[task].state == State::kFinished; }
   bool held(std::size_t task) const { return slots_[task].state == State::kHeld; }
   const TaskResult& result(std::size_t task) const { return results_[task]; }
-  /// First dispatch minus arrival; nullopt if the task was never picked.
-  std::optional<double> queue_delay_ms(std::size_t task) const;
   /// For the caller's own span events (null when untraced).
   const telemetry::SpanHandle& span(std::size_t task) const { return slots_[task].span; }
   /// Every task's answer, in task order. Ends the run.
@@ -109,7 +106,6 @@ class Engine {
   struct Slot {
     TaskView view;  ///< kept current; the runnable set holds copies
     State state = State::kWaiting;
-    std::optional<double> first_dispatch_ms;
     telemetry::SpanHandle span;
   };
 

@@ -70,13 +70,13 @@ struct TaskResult {
   double confidence = 0.0; ///< that stage's confidence (0 with no stage run)
   std::size_t stages_run = 0;
   bool expired = false;    ///< deadline hit before full/confident completion
-  bool degraded = false;   ///< shed under overload, retry budget spent, or the
-                           ///< input rejected by the model
-  bool browned_out = false;  ///< shed by the adaptive admission controller
-                             ///< (would have been admitted at level 0)
+  bool degraded = false;   ///< retry budget spent, or the input rejected by
+                           ///< the model; answered with the best result so far
+  bool browned_out = false;  ///< always false: nothing sheds a request. Kept
+                             ///< only because the serving benchmark reads it
   bool draining = false;   ///< rejected: the server is draining/stopped — the
                            ///< typed drain response; no stage ran, resubmit
-                           ///< elsewhere (never combined with degraded/shed)
+                           ///< elsewhere (never combined with degraded)
   std::size_t retries = 0; ///< failed stage attempts charged to the retry budget
   double latency_ms = 0.0; ///< arrival to final answer
   std::uint64_t span_id = 0;  ///< trace span (0 when the run was untraced)

@@ -29,10 +29,11 @@ struct ClassUsage {
   double compute_ms = 0.0;   ///< Σ profiled stage costs actually spent
   std::size_t expired = 0;
   std::size_t early_exits = 0;
-  std::size_t shed = 0;      ///< degraded responses (overload or fault budget)
+  std::size_t shed = 0;      ///< degraded responses (retry budget spent or
+                             ///< input rejected)
   std::size_t retries = 0;   ///< stage re-executions consumed by faults
-  std::size_t brownout_sheds = 0;  ///< of `shed`: shed by the brown-out
-                                   ///< controller (journal v2+)
+  std::size_t brownout_sheds = 0;  ///< journal v2 column; 0 for every batch
+                                   ///< served now that nothing sheds
 
   double mean_stages() const {
     return requests == 0 ? 0.0
@@ -77,8 +78,9 @@ struct JournalReplay {
 /// Failpoint seam: usage.journal.torn cuts a frame short mid-append.
 ///
 /// Journal versioning: v1 frames carry the original 7-field class rows; v2
-/// (current) rows add brownout_sheds and every v2 frame ends in an ops block
-/// (hedges, breaker trips). The reader accepts both. The *writer* is gated
+/// (current) rows add brownout_sheds (0 for every batch served today) and
+/// every v2 frame ends in an ops block (hedges, breaker trips; nothing
+/// in-tree produces them any more). The reader accepts both. The *writer* is gated
 /// on the attached file's header version: appends to an existing v1 journal
 /// stay v1-encoded (mixed-version files would be unreadable to old readers),
 /// which means brownout_sheds and ops deltas are not durable on a v1 file —

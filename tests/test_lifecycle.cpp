@@ -344,27 +344,6 @@ TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
   EXPECT_EQ(fresh.restore(dir.path, tiny_factory()), kThreads);
 }
 
-TEST(LifecycleService, ForcedBrownoutDuringDrainYieldsDrainTypedRejections) {
-  FailpointGuard guard;
-  core::EugeneService service;
-  const std::size_t handle = add_calibrated_model(service, "m", 1);
-
-  // Satellite guarantee: the lifecycle gate runs before the brown-out
-  // controller, so even a server being forced into brown-out answers a
-  // drained request with draining=true — never browned_out/degraded.
-  FailpointRegistry::instance().arm("admit.brownout.force", FailpointSpec{});
-  (void)service.begin_drain(drain_options(1000.0));
-
-  const auto responses =
-      service.infer_batch(handle, make_requests(4), serving::ServerConfig{});
-  for (const auto& r : responses) {
-    EXPECT_TRUE(r.draining);
-    EXPECT_FALSE(r.browned_out);
-    EXPECT_FALSE(r.degraded);
-    EXPECT_EQ(r.stages_run, 0u);
-  }
-}
-
 TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   FailpointGuard guard;
   core::EugeneService service;

@@ -11,6 +11,7 @@
 #include "calib/evaluation.hpp"
 #include "gp/confidence_curve.hpp"
 #include "nn/staged_model.hpp"
+#include "sched/engine.hpp"
 #include "sched/policy.hpp"
 #include "sched/simulator.hpp"
 #include "sched/workload.hpp"
@@ -473,6 +474,33 @@ TEST(Simulator, ValidatesInputs) {
       make_task(0, 0.0, 1e9,
                 {{true, 0.5}, {true, 0.6}, {true, 0.7}, {true, 0.8}})};
   EXPECT_THROW(simulate(four_stages, policy, unit_costs(), cfg), InvalidArgument);
+}
+
+TEST(Engine, CompletesOnlyAHeldTask) {
+  // A stage runs only on the worker that holds its task, so recording one
+  // for a waiting, runnable or finished task is an engine bug.
+  FifoPolicy policy;
+  Engine engine(policy, 2, 2, /*max_retries=*/0, /*early_exit_confidence=*/2.0,
+                /*trace=*/nullptr);
+  engine.add(0, 0.0, 1e9, 2);
+  engine.add(0, 0.0, 1e9, 1);
+  EXPECT_THROW(engine.complete(0, 1, 0.5, 0.0), InternalError);  // waiting
+  engine.enqueue(0);
+  engine.enqueue(1);
+  EXPECT_THROW(engine.complete(0, 1, 0.5, 0.0), InternalError);  // runnable
+  EXPECT_EQ(engine.result(0).stages_run, 0u);
+
+  engine.hold(0);
+  engine.complete(0, 1, 0.5, 1.0);  // one stage left: runnable again
+  EXPECT_EQ(engine.result(0).stages_run, 1u);
+  EXPECT_FALSE(engine.held(0));
+  EXPECT_FALSE(engine.finished(0));
+
+  engine.hold(1);
+  engine.complete(1, 2, 0.7, 2.0);  // its only stage: finished
+  EXPECT_TRUE(engine.finished(1));
+  EXPECT_THROW(engine.complete(1, 2, 0.7, 3.0), InternalError);  // finished
+  EXPECT_EQ(engine.result(1).stages_run, 1u);
 }
 
 // ------------------------------------------------------------ workload ----
