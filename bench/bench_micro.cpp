@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for Eugene's hot paths: tensor kernels,
-// staged-model inference, GP vs piecewise-linear confidence queries,
-// scheduler pick overhead, process_batch on a pool of peer workers, and
-// checkpoint durability (CRC32 throughput, v2 save/load, the atomic-write
-// tax).
+// staged-model inference and each of its layers, GP vs piecewise-linear
+// confidence queries, scheduler pick overhead, process_batch on a pool of
+// peer workers, and checkpoint durability (CRC32 throughput, v2 save/load,
+// the atomic-write tax).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -20,6 +21,7 @@
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
 #include "gp/confidence_curve.hpp"
+#include "nn/residual.hpp"
 #include "nn/serialize.hpp"
 #include "nn/staged_model.hpp"
 #include "sched/policy.hpp"
@@ -99,9 +101,10 @@ void BM_Im2colInto(benchmark::State& state) {
   g.in_height = 16;
   g.in_width = 16;
   const tensor::Tensor img = tensor::Tensor::randn({c, 16, 16}, rng);
+  std::vector<float> frame(tensor::im2col_frame_floats(g));
   std::vector<float> cols(c * 9 * g.out_height() * g.out_width());
   for (auto _ : state) {
-    tensor::im2col_into(img.raw(), g, cols.data());
+    tensor::im2col_into(img.raw(), g, frame.data(), cols.data());
     benchmark::DoNotOptimize(cols.data());
   }
   state.SetBytesProcessed(
@@ -126,6 +129,72 @@ void BM_StagedFirstStageOnly(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(model.run_stage(0, input));
 }
 BENCHMARK(BM_StagedFirstStageOnly);
+
+// Layer-by-layer rows of the served model (DESIGN.md §14): the staged
+// ResNet servebench serves (StagedResNetConfig defaults, head_hidden 24),
+// one row per layer run_stage runs, trunk then head. A residual block gets
+// a row of its own followed by rows for its conv1 and conv2, which time
+// each conv on the block's input (a conv's cost does not depend on the
+// values). Each row is Layer::infer on a warm, reset arena; the GFLOP
+// counter reads against BM_GemmKernel/isa:1/n:256 from the same run.
+struct LayerProbe {
+  const nn::Layer* layer = nullptr;
+  tensor::Tensor input;
+  std::string label;
+};
+
+const std::vector<std::vector<LayerProbe>>& staged_layer_probes() {
+  static const auto* probes = [] {
+    nn::StagedResNetConfig cfg;
+    cfg.head_hidden = 24;
+    static nn::StagedModel model = nn::build_staged_resnet(cfg);
+    auto* rows = new std::vector<std::vector<LayerProbe>>(model.num_stages());
+    Rng rng(6);
+    tensor::Tensor x =
+        tensor::Tensor::randn({cfg.in_channels, cfg.height, cfg.width}, rng);
+    for (std::size_t s = 0; s < model.num_stages(); ++s) {
+      tensor::Tensor features;
+      for (nn::Sequential* part : {&model.trunk(s), &model.head(s)}) {
+        for (std::size_t i = 0; i < part->size(); ++i) {
+          const nn::Layer& layer = part->layer(i);
+          (*rows)[s].push_back({&layer, x, layer.name()});
+          if (const auto* block = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
+            (*rows)[s].push_back({&block->conv1(), x, block->conv1().name() + " conv1"});
+            (*rows)[s].push_back({&block->conv2(), x, block->conv2().name() + " conv2"});
+          }
+          x = nn::infer(layer, x);
+        }
+        if (part == &model.trunk(s)) features = x;
+      }
+      x = features;
+    }
+    return rows;
+  }();
+  return *probes;
+}
+
+void BM_StagedLayer(benchmark::State& state) {
+  const LayerProbe& probe = staged_layer_probes()[static_cast<std::size_t>(
+      state.range(0))][static_cast<std::size_t>(state.range(1))];
+  const nn::ActivationView in = nn::ActivationView::of(probe.input);
+  nn::ScratchArena arena;
+  probe.layer->infer(in, arena);  // warm the arena to this layer's size
+  for (auto _ : state) {
+    arena.reset();
+    benchmark::DoNotOptimize(probe.layer->infer(in, arena).data);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(probe.label);
+  if (probe.layer->flops() > 0.0)
+    state.counters["GFLOP"] = benchmark::Counter(
+        probe.layer->flops() * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_StagedLayer)->Apply([](benchmark::internal::Benchmark* b) {
+  const auto& probes = staged_layer_probes();
+  for (std::size_t s = 0; s < probes.size(); ++s)
+    for (std::size_t l = 0; l < probes[s].size(); ++l)
+      b->Args({static_cast<std::int64_t>(s), static_cast<std::int64_t>(l)});
+});
 
 gp::ConfidenceCurveModel make_curves() {
   calib::StagedEvaluation eval;

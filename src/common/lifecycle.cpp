@@ -2,6 +2,7 @@
 
 #include "common/clock.hpp"
 #include "common/failpoint.hpp"
+#include "common/metrics.hpp"
 
 namespace eugene {
 
@@ -15,11 +16,22 @@ const char* server_state_name(ServerState state) {
   return "?";
 }
 
+ServerLifecycle::ServerLifecycle(telemetry::Gauge* state_gauge)
+    : state_gauge_(state_gauge) {
+  if (state_gauge_ != nullptr)
+    state_gauge_->set(static_cast<double>(ServerState::kStarting));
+}
+
+void ServerLifecycle::set_state(ServerState state) {
+  state_ = state;
+  if (state_gauge_ != nullptr) state_gauge_->set(static_cast<double>(state));
+}
+
 bool ServerLifecycle::try_admit(std::size_t units) {
   MutexLock lock(mutex_);
   switch (state_) {
     case ServerState::kStarting:
-      state_ = ServerState::kServing;  // first admission marks the process live
+      set_state(ServerState::kServing);  // first admission marks the process live
       [[fallthrough]];
     case ServerState::kServing:
       inflight_ += units;
@@ -45,7 +57,7 @@ void ServerLifecycle::finish(std::size_t units) {
 
 void ServerLifecycle::set_serving() {
   MutexLock lock(mutex_);
-  if (state_ == ServerState::kStarting) state_ = ServerState::kServing;
+  if (state_ == ServerState::kStarting) set_state(ServerState::kServing);
 }
 
 DrainReport ServerLifecycle::begin_drain(double timeout_ms) {
@@ -57,7 +69,7 @@ DrainReport ServerLifecycle::begin_drain(double timeout_ms) {
       report.completed = true;
       return report;
     }
-    state_ = ServerState::kDraining;  // Starting/Serving/Draining all land here
+    set_state(ServerState::kDraining);  // Starting/Serving/Draining all land here
     report.inflight_at_begin = inflight_;
   }
   // Chaos seam: a drain that stalls (delay) or dies (error) before the wait.
@@ -75,7 +87,7 @@ DrainReport ServerLifecycle::begin_drain(double timeout_ms) {
 
 void ServerLifecycle::set_stopped() {
   MutexLock lock(mutex_);
-  state_ = ServerState::kStopped;
+  set_state(ServerState::kStopped);
 }
 
 ServerState ServerLifecycle::state() const {

@@ -27,6 +27,10 @@
 
 #include "common/thread_annotations.hpp"
 
+namespace eugene::telemetry {
+class Gauge;
+}  // namespace eugene::telemetry
+
 namespace eugene {
 
 /// Lifecycle states, in the only order they can be visited.
@@ -54,7 +58,10 @@ struct DrainReport {
 /// admit", preserving standalone construction in tests and benches.
 class ServerLifecycle {
  public:
-  ServerLifecycle() = default;
+  /// `state_gauge`, when set, reads the current ServerState from
+  /// construction on: every transition stores it there (an atomic store —
+  /// no registry lookup on the admission path).
+  explicit ServerLifecycle(telemetry::Gauge* state_gauge = nullptr);
   ServerLifecycle(const ServerLifecycle&) = delete;
   ServerLifecycle& operator=(const ServerLifecycle&) = delete;
 
@@ -91,6 +98,9 @@ class ServerLifecycle {
   std::size_t inflight() const EUGENE_EXCLUDES(mutex_);
 
  private:
+  void set_state(ServerState state) EUGENE_REQUIRES(mutex_);
+
+  telemetry::Gauge* const state_gauge_;
   mutable Mutex mutex_{LockRank::kLifecycle, "ServerLifecycle::mutex_"};
   CondVar drained_cv_;
   ServerState state_ EUGENE_GUARDED_BY(mutex_) = ServerState::kStarting;

@@ -24,13 +24,13 @@ void record_swap(telemetry::TraceRecorder& trace, std::uint64_t epoch) {
 
 }  // namespace
 
-EugeneService::EugeneService() {
-  // Publication epochs and the lifecycle gauge land in the process-wide
-  // registry alongside the serving.* counters.
+// Publication epochs and the lifecycle gauge land in the process-wide
+// registry alongside the serving.* counters; the lifecycle machine sets its
+// gauge on every transition.
+EugeneService::EugeneService()
+    : lifecycle_(&telemetry::MetricsRegistry::global().gauge(
+          "serving.lifecycle.state")) {
   registry_.set_metrics(&telemetry::MetricsRegistry::global());
-  telemetry::MetricsRegistry::global()
-      .gauge("serving.lifecycle.state")
-      .set(static_cast<double>(lifecycle_.state()));
 }
 
 std::size_t EugeneService::train(const std::string& name, const data::Dataset& train_set,
@@ -196,8 +196,6 @@ DrainOutcome EugeneService::begin_drain(const DrainOptions& options) {
 
   DrainOutcome outcome;
   outcome.report = lifecycle_.begin_drain(options.timeout_ms);
-  metrics.gauge("serving.lifecycle.state")
-      .set(static_cast<double>(lifecycle_.state()));
   metrics.histogram("serving.drain.duration_ms").record(outcome.report.duration_ms);
   if (!outcome.report.completed)
     EUGENE_LOG(Warn) << "drain timed out with " << outcome.report.inflight_abandoned
@@ -215,8 +213,6 @@ DrainOutcome EugeneService::begin_drain(const DrainOptions& options) {
     outcome.snapshot_epoch = serving::save_snapshot(registry_, options.snapshot_dir);
 
   lifecycle_.set_stopped();
-  metrics.gauge("serving.lifecycle.state")
-      .set(static_cast<double>(lifecycle_.state()));
   span.event(telemetry::TraceEventKind::kExit, clock.now_ms());
   EUGENE_LOG(Info) << "drain " << (outcome.report.completed ? "completed" : "timed out")
                    << " in " << outcome.report.duration_ms << " ms; server stopped";

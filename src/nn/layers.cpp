@@ -1,7 +1,6 @@
 #include "nn/layers.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -65,71 +64,42 @@ ActivationView Conv2d::infer(const ActivationView& input, ScratchArena& arena) c
   const std::size_t patch =
       geometry_.in_channels * geometry_.kernel * geometry_.kernel;
   const std::size_t out_dims[3] = {geometry_.out_channels, oh, ow};
-  const float* bb = bias_.raw();
-  if (geometry_.stride == 1 && ow >= 8 &&
+  ActivationView out = ActivationView::make(out_dims, arena);
+  if (geometry_.stride == 1 && ow % 8 == 0 &&
       geometry_.out_channels <= tensor::gemm_rows_max_m()) {
-    // Implicit im2col: embed each input plane in a zero-padded frame, then
-    // hand gemm_rows one B-row pointer per (c, ky, kx) — the row is just
-    // the padded channel shifted by (ky, kx). Column index j of that
-    // implicit B walks the padded frame linearly (width pw, not ow), so
-    // the GEMM computes a padded-width output whose fringe columns are
-    // discarded by the compaction below. Same kernel chain as im2col +
-    // gemm, so the activations are bitwise-identical — only the big
-    // [patch, OHW] column materialization disappears.
+    // Implicit im2col, for out widths that are a multiple of 8 (the served
+    // 16×16 and 8×8 convs): embed the input in a zero-padded frame, then
+    // hand gemm_rows one B-row pointer per (c, ky, kx) — the row is just the
+    // padded channel shifted by (ky, kx) — with its columns folded onto the
+    // frame's rows (width ow, pitch pw), so output pixel (oy, ox) reads frame
+    // offset oy·pw + ox. Same kernel chain as im2col + gemm, so the
+    // activations are bitwise-identical; only the [patch, OHW] column copy
+    // disappears. The kernels read 8 contiguous columns at a time, so 4-wide
+    // planes take the explicit route below.
     const std::size_t kh = geometry_.kernel;
-    const std::size_t pad = geometry_.padding;
-    const std::size_t ih = geometry_.in_height;
-    const std::size_t iw = geometry_.in_width;
-    const std::size_t pw = iw + 2 * pad;
-    const std::size_t plane = (ih + 2 * pad) * pw;
-    // The GEMM only needs columns up to the last valid output element —
-    // everything past (oh−1)·pw + ow in the frame is fringe.
-    const std::size_t ng = (oh - 1) * pw + ow;
-    // The last B row's window extends (kh−1)·pw + kh − 1 floats past the
-    // last frame; the guard keeps those (discarded-output) reads in bounds.
-    const std::size_t guard = (kh - 1) * pw + kh - 1;
-    float* padbuf = arena.alloc(geometry_.in_channels * plane + guard);
-    std::fill_n(padbuf + geometry_.in_channels * plane, guard, 0.0f);
-    for (std::size_t c = 0; c < geometry_.in_channels; ++c) {
-      float* dst = padbuf + c * plane;
-      const float* src = input.data + c * ih * iw;
-      std::fill_n(dst, pad * pw, 0.0f);
-      for (std::size_t iy = 0; iy < ih; ++iy) {
-        float* row = dst + (pad + iy) * pw;
-        for (std::size_t x = 0; x < pad; ++x) row[x] = 0.0f;
-        std::memcpy(row + pad, src + iy * iw, iw * sizeof(float));
-        for (std::size_t x = pad + iw; x < pw; ++x) row[x] = 0.0f;
-      }
-      std::fill_n(dst + (pad + ih) * pw, pad * pw, 0.0f);
-    }
+    const std::size_t pw = geometry_.in_width + 2 * geometry_.padding;
+    const std::size_t plane = (geometry_.in_height + 2 * geometry_.padding) * pw;
+    float* frame = arena.alloc(tensor::im2col_frame_floats(geometry_));
+    tensor::pad_into_frame(input.data, geometry_, frame);
     const float** brows = arena.alloc_ptrs(patch);
     std::size_t p = 0;
     for (std::size_t c = 0; c < geometry_.in_channels; ++c)
       for (std::size_t ky = 0; ky < kh; ++ky)
         for (std::size_t kx = 0; kx < kh; ++kx)
-          brows[p++] = padbuf + c * plane + ky * pw + kx;
-    float* cbuf = arena.alloc(geometry_.out_channels * ng);
-    tensor::gemm_rows(geometry_.out_channels, ng, patch, weights_.raw(),
-                      patch, brows, /*beta=*/0.0f, cbuf, ng);
-    ActivationView out = ActivationView::make(out_dims, arena);
-    for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
-      const float bias = bb[oc];
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        const float* src = cbuf + oc * ng + oy * pw;
-        float* dst = out.data + oc * ohw + oy * ow;
-        for (std::size_t x = 0; x < ow; ++x) dst[x] = src[x] + bias;
-      }
-    }
-    return out;
+          brows[p++] = frame + c * plane + ky * pw + kx;
+    tensor::gemm_rows(geometry_.out_channels, ohw, patch, weights_.raw(),
+                      patch, brows, ow, pw, /*beta=*/0.0f, out.data, ohw);
+  } else {
+    float* frame = arena.alloc(tensor::im2col_frame_floats(geometry_));
+    float* cols = arena.alloc(patch * ohw);
+    tensor::im2col_into(input.data, geometry_, frame, cols);
+    float* ws = arena.alloc(
+        tensor::gemm_workspace_floats(geometry_.out_channels, ohw, patch));
+    tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
+                 /*trans_a=*/false, cols, ohw, /*trans_b=*/false,
+                 /*beta=*/0.0f, out.data, ohw, ws);
   }
-  float* cols = arena.alloc(patch * ohw);
-  tensor::im2col_into(input.data, geometry_, cols);
-  ActivationView out = ActivationView::make(out_dims, arena);
-  float* ws = arena.alloc(
-      tensor::gemm_workspace_floats(geometry_.out_channels, ohw, patch));
-  tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
-               /*trans_a=*/false, cols, ohw, /*trans_b=*/false, /*beta=*/0.0f,
-               out.data, ohw, ws);
+  const float* bb = bias_.raw();
   for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
     const float b = bb[oc];
     float* row = out.data + oc * ohw;

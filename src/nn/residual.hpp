@@ -23,6 +23,10 @@ class ResidualBlock final : public Layer {
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
+  /// The block's two convolutions (bench_micro times each on its own).
+  const Conv2d& conv1() const { return *conv1_; }
+  const Conv2d& conv2() const { return *conv2_; }
+
  private:
   /// Empty shell filled member-by-member by clone() (height/width are not
   /// stored, so a clone cannot rebuild through the public constructor).

@@ -10,7 +10,8 @@
 //         buffer so the kernel itself never branches on edges
 //
 // Short-m problems (m <= kDirectMaxM, no transposes) skip packing entirely
-// and run strided kernels over A/B in place — see gemm_direct below.
+// and run kernels over A/B in place — see gemm_in_place below; gemm_rows()
+// takes the same path with B given as row pointers.
 //
 // The accumulation order over k for any C entry depends only on k and KC —
 // not on m, n, the ISA tile shape, transposition, or the packed/direct path
@@ -109,30 +110,39 @@ KernelInfo kernel_for(GemmIsa isa) {
 // wins from ~2·kMc rows up.
 constexpr std::size_t kDirectMaxM = 48;
 
-/// The no-pack driver. Keeps the packed path's KC blocking (block_beta
-/// between k blocks) and per-element accumulation chain, so results are
+void run_tile(const KernelInfo& kern, std::size_t rows, std::size_t kc,
+              const float* a, std::size_t lda, detail::StridedB b, float* c,
+              std::size_t ldc, float beta) {
+  kern.direct(rows, kc, a, lda, b, c, ldc, beta);
+}
+
+void run_tile(const KernelInfo& kern, std::size_t rows, std::size_t kc,
+              const float* a, std::size_t lda, detail::GatheredB b, float* c,
+              std::size_t ldc, float beta) {
+  kern.gather(rows, kc, a, lda, b, c, ldc, beta);
+}
+
+/// The no-pack driver, over B read in place (strided, or through folded row
+/// pointers). Keeps the packed path's KC blocking (block_beta between k
+/// blocks) and per-element accumulation chain, so results are
 /// bitwise-identical to the packed path at every size — only the data
 /// movement differs.
-void gemm_direct(const KernelInfo& kern, std::size_t m, std::size_t n,
-                 std::size_t k, const float* a, std::size_t lda,
-                 const float* b, std::size_t ldb, float beta, float* c,
-                 std::size_t ldc) {
-  const std::size_t mr = kern.mr;
+template <class B>
+void gemm_in_place(const KernelInfo& kern, std::size_t m, std::size_t n,
+                   std::size_t k, const float* a, std::size_t lda, B b,
+                   float beta, float* c, std::size_t ldc) {
+  const std::size_t mr = kern.direct_mr;
   const std::size_t nr = kern.nr;
   for (std::size_t pc = 0; pc < k; pc += kKc) {
     const std::size_t kc = std::min(kKc, k - pc);
     const float block_beta = pc == 0 ? beta : 1.0f;
     const float* ablk = a + pc;
-    const float* bblk = b + pc * ldb;
     std::size_t jr = 0;
     for (; jr + nr <= n; jr += nr) {
-      std::size_t ir = 0;
-      for (; ir + mr <= m; ir += mr)
-        kern.direct(kc, ablk + ir * lda, lda, bblk + jr, ldb,
-                    c + ir * ldc + jr, ldc, block_beta);
-      if (ir < m)
-        kern.direct_edge(m - ir, kc, ablk + ir * lda, lda, bblk + jr, ldb,
-                         c + ir * ldc + jr, ldc, block_beta);
+      const auto bstrip = b.at(pc, jr);
+      for (std::size_t ir = 0; ir < m; ir += mr)
+        run_tile(kern, std::min(mr, m - ir), kc, ablk + ir * lda, lda, bstrip,
+                 c + ir * ldc + jr, ldc, block_beta);
     }
     if (jr < n) {
       // n tail: zero-pad the trailing columns into one nr-wide strip so the
@@ -140,77 +150,18 @@ void gemm_direct(const KernelInfo& kern, std::size_t m, std::size_t n,
       // local tile — the same merge the packed path uses for partial tiles.
       const std::size_t cols = n - jr;
       float btail[kKc * detail::kMaxNr];
+      const auto bblk = b.at(pc, jr);
       for (std::size_t p = 0; p < kc; ++p) {
-        const float* brow = bblk + p * ldb + jr;
         float* d = btail + p * nr;
-        for (std::size_t j = 0; j < cols; ++j) d[j] = brow[j];
+        for (std::size_t j = 0; j < cols; ++j)
+          d[j] = j < 8 ? bblk.row(p)[j] : bblk.row_hi(p)[j - 8];
         for (std::size_t j = cols; j < nr; ++j) d[j] = 0.0f;
       }
       float tile[detail::kMaxMr * detail::kMaxNr];
       for (std::size_t ir = 0; ir < m; ir += mr) {
         const std::size_t rows = std::min(mr, m - ir);
-        if (rows == mr)
-          kern.direct(kc, ablk + ir * lda, lda, btail, nr, tile, nr, 0.0f);
-        else
-          kern.direct_edge(rows, kc, ablk + ir * lda, lda, btail, nr, tile,
-                           nr, 0.0f);
-        float* cblk = c + ir * ldc + jr;
-        if (block_beta == 0.0f) {
-          for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t j = 0; j < cols; ++j)
-              cblk[r * ldc + j] = tile[r * nr + j];
-        } else {
-          for (std::size_t r = 0; r < rows; ++r)
-            for (std::size_t j = 0; j < cols; ++j)
-              cblk[r * ldc + j] += tile[r * nr + j];
-        }
-      }
-    }
-  }
-}
-
-/// Row-pointer analogue of gemm_direct: B row p lives at b_rows[p]. Same KC
-/// blocking and kernel chain, so C entries stay bitwise-identical to the
-/// packed and strided paths.
-void gemm_gather(const KernelInfo& kern, std::size_t m, std::size_t n,
-                 std::size_t k, const float* a, std::size_t lda,
-                 const float* const* b_rows, float beta, float* c,
-                 std::size_t ldc) {
-  const std::size_t mr = kern.mr;
-  const std::size_t nr = kern.nr;
-  for (std::size_t pc = 0; pc < k; pc += kKc) {
-    const std::size_t kc = std::min(kKc, k - pc);
-    const float block_beta = pc == 0 ? beta : 1.0f;
-    const float* ablk = a + pc;
-    const float* const* brows = b_rows + pc;
-    std::size_t jr = 0;
-    for (; jr + nr <= n; jr += nr) {
-      std::size_t ir = 0;
-      for (; ir + mr <= m; ir += mr)
-        kern.gather(kc, ablk + ir * lda, lda, brows, jr, c + ir * ldc + jr,
-                    ldc, block_beta);
-      if (ir < m)
-        kern.gather_edge(m - ir, kc, ablk + ir * lda, lda, brows, jr,
-                         c + ir * ldc + jr, ldc, block_beta);
-    }
-    if (jr < n) {
-      // n tail: same zero-padded strip + local-tile merge as gemm_direct.
-      const std::size_t cols = n - jr;
-      float btail[kKc * detail::kMaxNr];
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float* brow = brows[p] + jr;
-        float* d = btail + p * nr;
-        for (std::size_t j = 0; j < cols; ++j) d[j] = brow[j];
-        for (std::size_t j = cols; j < nr; ++j) d[j] = 0.0f;
-      }
-      float tile[detail::kMaxMr * detail::kMaxNr];
-      for (std::size_t ir = 0; ir < m; ir += mr) {
-        const std::size_t rows = std::min(mr, m - ir);
-        if (rows == mr)
-          kern.direct(kc, ablk + ir * lda, lda, btail, nr, tile, nr, 0.0f);
-        else
-          kern.direct_edge(rows, kc, ablk + ir * lda, lda, btail, nr, tile,
-                           nr, 0.0f);
+        kern.direct(rows, kc, ablk + ir * lda, lda, {btail, nr}, tile, nr,
+                    0.0f);
         float* cblk = c + ir * ldc + jr;
         if (block_beta == 0.0f) {
           for (std::size_t r = 0; r < rows; ++r)
@@ -297,7 +248,8 @@ void gemm_with_isa(GemmIsa isa, std::size_t m, std::size_t n, std::size_t k,
 
   const KernelInfo kern = kernel_for(isa);
   if (!trans_a && !trans_b && m <= kDirectMaxM) {
-    gemm_direct(kern, m, n, k, a, lda, b, ldb, beta, c, ldc);
+    gemm_in_place(kern, m, n, k, a, lda, detail::StridedB{b, ldb}, beta, c,
+                  ldc);
     return;
   }
 
@@ -360,13 +312,16 @@ std::size_t gemm_rows_max_m() { return kDirectMaxM; }
 
 void gemm_rows_with_isa(GemmIsa isa, std::size_t m, std::size_t n,
                         std::size_t k, const float* a, std::size_t lda,
-                        const float* const* b_rows, float beta, float* c,
+                        const float* const* b_rows, std::size_t fold_width,
+                        std::size_t fold_pitch, float beta, float* c,
                         std::size_t ldc) {
   EUGENE_REQUIRE(beta == 0.0f || beta == 1.0f,
                  "gemm_rows: beta must be 0 or 1");
   EUGENE_REQUIRE(gemm_isa_available(isa),
                  "gemm_rows: requested ISA unavailable");
   EUGENE_REQUIRE(m <= kDirectMaxM, "gemm_rows: m exceeds gemm_rows_max_m()");
+  EUGENE_REQUIRE(fold_width >= n || (fold_width > 0 && fold_width % 8 == 0),
+                 "gemm_rows: fold_width must be a multiple of 8 or >= n");
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (beta == 0.0f)
@@ -374,14 +329,16 @@ void gemm_rows_with_isa(GemmIsa isa, std::size_t m, std::size_t n,
         std::memset(c + i * ldc, 0, n * sizeof(float));
     return;
   }
-  gemm_gather(kernel_for(isa), m, n, k, a, lda, b_rows, beta, c, ldc);
+  gemm_in_place(kernel_for(isa), m, n, k, a, lda,
+                detail::FoldedB{b_rows, fold_width, fold_pitch}, beta, c, ldc);
 }
 
 void gemm_rows(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* const* b_rows, float beta,
+               std::size_t lda, const float* const* b_rows,
+               std::size_t fold_width, std::size_t fold_pitch, float beta,
                float* c, std::size_t ldc) {
-  gemm_rows_with_isa(active_gemm_isa(), m, n, k, a, lda, b_rows, beta, c,
-                     ldc);
+  gemm_rows_with_isa(active_gemm_isa(), m, n, k, a, lda, b_rows, fold_width,
+                     fold_pitch, beta, c, ldc);
 }
 
 void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,

@@ -23,7 +23,7 @@ namespace eugene::tensor {
 /// Instruction-set level of the GEMM micro-kernel.
 enum class GemmIsa {
   kScalar = 0,  ///< portable C++ kernel, auto-vectorized at best
-  kAvx2 = 1,    ///< 6×16 AVX2+FMA kernel (x86-64 only)
+  kAvx2 = 1,    ///< 6×16 / 4×16 AVX2+FMA kernels (x86-64 only)
 };
 
 /// Diagnostic name ("scalar", "avx2").
@@ -68,26 +68,31 @@ void gemm_with_isa(GemmIsa isa, std::size_t m, std::size_t n, std::size_t k,
                    const float* b, std::size_t ldb, bool trans_b, float beta,
                    float* c, std::size_t ldc, float* workspace = nullptr);
 
-/// Largest m gemm_rows() accepts (it runs exclusively on the strided no-pack
-/// kernels, which only pay off for short-m problems).
+/// Largest m gemm_rows() accepts (it runs only on the no-pack kernels,
+/// which pay off for short-m problems).
 std::size_t gemm_rows_max_m();
 
-/// C(m×n) = A·B + beta·C where B is given as k row pointers: row p of B is
-/// the n floats at b_rows[p]. Rows may alias or overlap arbitrarily — conv
-/// layers point them at shifted windows of one zero-padded image plane,
-/// turning im2col into pure pointer arithmetic. Requires m ≤
-/// gemm_rows_max_m(); needs no workspace. The accumulation order per C entry
-/// matches gemm() exactly (same KC blocking, same kernel chain), so a conv
-/// computed through gemm_rows() is bitwise-identical to the same conv
-/// computed through im2col + gemm().
+/// C(m×n) = A·B + beta·C where B is given as k row pointers whose n columns
+/// fold onto lines of `fold_width` floats spaced `fold_pitch` apart: column
+/// j of row p is b_rows[p][(j / fold_width)·fold_pitch + j % fold_width].
+/// Rows may alias or overlap arbitrarily — conv layers point them at
+/// shifted windows of one zero-padded image, whose output rows are the
+/// lines, turning im2col into pointer arithmetic. fold_width must be a
+/// multiple of 8, or at least n (no fold: row p is the n floats at
+/// b_rows[p]). Requires m ≤ gemm_rows_max_m(); needs no workspace. The
+/// accumulation order per C entry matches gemm() exactly (same KC blocking,
+/// same kernel chain), so a conv computed through gemm_rows() is
+/// bitwise-identical to the same conv through im2col + gemm().
 void gemm_rows(std::size_t m, std::size_t n, std::size_t k, const float* a,
-               std::size_t lda, const float* const* b_rows, float beta,
+               std::size_t lda, const float* const* b_rows,
+               std::size_t fold_width, std::size_t fold_pitch, float beta,
                float* c, std::size_t ldc);
 
 /// gemm_rows() forced onto a specific ISA level (must be available).
 void gemm_rows_with_isa(GemmIsa isa, std::size_t m, std::size_t n,
                         std::size_t k, const float* a, std::size_t lda,
-                        const float* const* b_rows, float beta, float* c,
+                        const float* const* b_rows, std::size_t fold_width,
+                        std::size_t fold_pitch, float beta, float* c,
                         std::size_t ldc);
 
 }  // namespace eugene::tensor

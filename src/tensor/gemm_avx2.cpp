@@ -1,5 +1,7 @@
-// AVX2+FMA micro-kernel: a 6×16 register tile (12 ymm accumulators + one
-// broadcast + two B loads = 15 of the 16 architectural ymm registers).
+// AVX2+FMA micro-kernels: a 6×16 register tile for packed panels (12 ymm
+// accumulators + one broadcast + two B loads = 15 of the 16 architectural
+// ymm registers) and a 4×16 tile for the short-m path, which reads B in
+// place, strided or through row pointers.
 // Compiled with per-function target attributes so this TU builds under the
 // project's baseline flags; only runtime dispatch (avx2_fma_supported) may
 // route execution here.
@@ -17,6 +19,7 @@ namespace {
 
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
+constexpr std::size_t kDirectMr = 4;
 
 __attribute__((target("avx2,fma"))) void kernel_6x16(std::size_t kc,
                                                      const float* a_panel,
@@ -54,117 +57,19 @@ __attribute__((target("avx2,fma"))) void kernel_6x16(std::size_t kc,
   }
 }
 
-// Strided no-pack variant: identical FMA chain to kernel_6x16 (broadcast A,
-// two 8-wide B loads, fmadd in p order), reading A/B row-major in place.
-__attribute__((target("avx2,fma"))) void direct_6x16(
-    std::size_t kc, const float* a, std::size_t lda, const float* b,
-    std::size_t ldb, float* c, std::size_t ldc, float beta) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  std::size_t p = 0;
-  // Two k steps per iteration (same ordered per-p chain per C entry — see
-  // gather_6x16).
-  for (; p + 2 <= kc; p += 2) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-    const __m256 b2 = _mm256_loadu_ps(b + (p + 1) * ldb);
-    const __m256 b3 = _mm256_loadu_ps(b + (p + 1) * ldb + 8);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 ar0 = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar0, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar0, b1, acc[r][1]);
-      const __m256 ar1 = _mm256_broadcast_ss(a + r * lda + p + 1);
-      acc[r][0] = _mm256_fmadd_ps(ar1, b2, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar1, b3, acc[r][1]);
-    }
-  }
-  for (; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
-  } else {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      _mm256_storeu_ps(c + r * ldc,
-                       _mm256_add_ps(_mm256_loadu_ps(c + r * ldc), acc[r][0]));
-      _mm256_storeu_ps(
-          c + r * ldc + 8,
-          _mm256_add_ps(_mm256_loadu_ps(c + r * ldc + 8), acc[r][1]));
-    }
-  }
-}
-
-// m-edge of the strided path: first `rows` (< mr) rows at full nr width.
-// The accumulators spill with a runtime row bound — edge tiles run once per
-// column strip, so the register pressure trade is irrelevant here.
-__attribute__((target("avx2,fma"))) void direct_edge_6x16(
-    std::size_t rows, std::size_t kc, const float* a, std::size_t lda,
-    const float* b, std::size_t ldb, float* c, std::size_t ldc, float beta) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < rows; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  std::size_t p = 0;
-  for (; p + 2 <= kc; p += 2) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-    const __m256 b2 = _mm256_loadu_ps(b + (p + 1) * ldb);
-    const __m256 b3 = _mm256_loadu_ps(b + (p + 1) * ldb + 8);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const __m256 ar0 = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar0, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar0, b1, acc[r][1]);
-      const __m256 ar1 = _mm256_broadcast_ss(a + r * lda + p + 1);
-      acc[r][0] = _mm256_fmadd_ps(ar1, b2, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar1, b3, acc[r][1]);
-    }
-  }
-  for (; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      _mm256_storeu_ps(c + r * ldc,
-                       _mm256_add_ps(_mm256_loadu_ps(c + r * ldc), acc[r][0]));
-      _mm256_storeu_ps(
-          c + r * ldc + 8,
-          _mm256_add_ps(_mm256_loadu_ps(c + r * ldc + 8), acc[r][1]));
-    }
-  }
-}
-
-// Row-pointer variants: B row p starts at b_rows[p] + boff. Same FMA chain
-// as the panel/strided kernels above.
-__attribute__((target("avx2,fma"))) void gather_6x16(
-    std::size_t kc, const float* a, std::size_t lda,
-    const float* const* b_rows, std::size_t boff, float* c, std::size_t ldc,
-    float beta) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < kMr; ++r) {
+// No-pack kernel over the first R rows of a 4×16 tile: the same FMA chain
+// per C entry as kernel_6x16 (broadcast A, two 8-wide B loads, fmadd in p
+// order), reading A row-major in place and B row p's 16 columns at b.row(p)
+// and b.row_hi(p). Four rows divide every served conv's out_channels (8,
+// 16, 32), so their GEMMs run on full tiles with 8 accumulators in
+// registers; R < 4 is the m-edge, still register-resident because R is a
+// compile-time constant.
+template <std::size_t R, class B>
+__attribute__((target("avx2,fma"))) void tile_rows(
+    std::size_t kc, const float* a, std::size_t lda, B b, float* c,
+    std::size_t ldc, float beta) {
+  __m256 acc[R][2];
+  for (std::size_t r = 0; r < R; ++r) {
     acc[r][0] = _mm256_setzero_ps();
     acc[r][1] = _mm256_setzero_ps();
   }
@@ -173,13 +78,11 @@ __attribute__((target("avx2,fma"))) void gather_6x16(
   // two independent FMA groups. Each C entry still sees the same ordered
   // per-p chain, so results are unchanged bit-for-bit.
   for (; p + 2 <= kc; p += 2) {
-    const float* brow0 = b_rows[p] + boff;
-    const float* brow1 = b_rows[p + 1] + boff;
-    const __m256 b0 = _mm256_loadu_ps(brow0);
-    const __m256 b1 = _mm256_loadu_ps(brow0 + 8);
-    const __m256 b2 = _mm256_loadu_ps(brow1);
-    const __m256 b3 = _mm256_loadu_ps(brow1 + 8);
-    for (std::size_t r = 0; r < kMr; ++r) {
+    const __m256 b0 = _mm256_loadu_ps(b.row(p));
+    const __m256 b1 = _mm256_loadu_ps(b.row_hi(p));
+    const __m256 b2 = _mm256_loadu_ps(b.row(p + 1));
+    const __m256 b3 = _mm256_loadu_ps(b.row_hi(p + 1));
+    for (std::size_t r = 0; r < R; ++r) {
       const __m256 ar0 = _mm256_broadcast_ss(a + r * lda + p);
       acc[r][0] = _mm256_fmadd_ps(ar0, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(ar0, b1, acc[r][1]);
@@ -189,22 +92,21 @@ __attribute__((target("avx2,fma"))) void gather_6x16(
     }
   }
   for (; p < kc; ++p) {
-    const float* brow = b_rows[p] + boff;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    for (std::size_t r = 0; r < kMr; ++r) {
+    const __m256 b0 = _mm256_loadu_ps(b.row(p));
+    const __m256 b1 = _mm256_loadu_ps(b.row_hi(p));
+    for (std::size_t r = 0; r < R; ++r) {
       const __m256 ar = _mm256_broadcast_ss(a + r * lda + p);
       acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
     }
   }
   if (beta == 0.0f) {
-    for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t r = 0; r < R; ++r) {
       _mm256_storeu_ps(c + r * ldc, acc[r][0]);
       _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
     }
   } else {
-    for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t r = 0; r < R; ++r) {
       _mm256_storeu_ps(c + r * ldc,
                        _mm256_add_ps(_mm256_loadu_ps(c + r * ldc), acc[r][0]));
       _mm256_storeu_ps(
@@ -214,55 +116,15 @@ __attribute__((target("avx2,fma"))) void gather_6x16(
   }
 }
 
-__attribute__((target("avx2,fma"))) void gather_edge_6x16(
-    std::size_t rows, std::size_t kc, const float* a, std::size_t lda,
-    const float* const* b_rows, std::size_t boff, float* c, std::size_t ldc,
-    float beta) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < rows; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  std::size_t p = 0;
-  for (; p + 2 <= kc; p += 2) {
-    const float* brow0 = b_rows[p] + boff;
-    const float* brow1 = b_rows[p + 1] + boff;
-    const __m256 b0 = _mm256_loadu_ps(brow0);
-    const __m256 b1 = _mm256_loadu_ps(brow0 + 8);
-    const __m256 b2 = _mm256_loadu_ps(brow1);
-    const __m256 b3 = _mm256_loadu_ps(brow1 + 8);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const __m256 ar0 = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar0, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar0, b1, acc[r][1]);
-      const __m256 ar1 = _mm256_broadcast_ss(a + r * lda + p + 1);
-      acc[r][0] = _mm256_fmadd_ps(ar1, b2, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar1, b3, acc[r][1]);
-    }
-  }
-  for (; p < kc; ++p) {
-    const float* brow = b_rows[p] + boff;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(a + r * lda + p);
-      acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) {
-      _mm256_storeu_ps(c + r * ldc,
-                       _mm256_add_ps(_mm256_loadu_ps(c + r * ldc), acc[r][0]));
-      _mm256_storeu_ps(
-          c + r * ldc + 8,
-          _mm256_add_ps(_mm256_loadu_ps(c + r * ldc + 8), acc[r][1]));
-    }
+template <class B>
+__attribute__((target("avx2,fma"))) void tile_4x16(
+    std::size_t rows, std::size_t kc, const float* a, std::size_t lda, B b,
+    float* c, std::size_t ldc, float beta) {
+  switch (rows) {
+    case kDirectMr: return tile_rows<kDirectMr>(kc, a, lda, b, c, ldc, beta);
+    case 3: return tile_rows<3>(kc, a, lda, b, c, ldc, beta);
+    case 2: return tile_rows<2>(kc, a, lda, b, c, ldc, beta);
+    default: return tile_rows<1>(kc, a, lda, b, c, ldc, beta);
   }
 }
 
@@ -273,8 +135,8 @@ bool avx2_fma_supported() {
 }
 
 KernelInfo avx2_kernel() {
-  return {kMr,         kNr,          &kernel_6x16,      &direct_6x16,
-          &direct_edge_6x16, &gather_6x16, &gather_edge_6x16};
+  return {kMr, kNr, kDirectMr, &kernel_6x16, &tile_4x16<StridedB>,
+          &tile_4x16<GatheredB>};
 }
 
 #else  // non-x86: AVX2 is never available; keep the table total.

@@ -17,37 +17,65 @@ namespace eugene::tensor::detail {
 inline constexpr std::size_t kMaxMr = 8;
 inline constexpr std::size_t kMaxNr = 16;
 
-/// One ISA level's micro-kernel and its tile shape.
+/// B read in place as a row-major matrix: row p starts at b + p·ldb. row()
+/// points at a tile's first 8 columns and row_hi() at its next 8.
+struct StridedB {
+  const float* b = nullptr;
+  std::size_t ldb = 0;
+  const float* row(std::size_t p) const { return b + p * ldb; }
+  const float* row_hi(std::size_t p) const { return row(p) + 8; }
+  /// The same B from row p and column j on.
+  StridedB at(std::size_t p, std::size_t j) const { return {b + p * ldb + j, ldb}; }
+};
+
+/// One tile's view of a FoldedB: row p's first 8 columns start at
+/// rows[p] + lo, its next 8 at rows[p] + hi.
+struct GatheredB {
+  const float* const* rows = nullptr;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  const float* row(std::size_t p) const { return rows[p] + lo; }
+  const float* row_hi(std::size_t p) const { return rows[p] + hi; }
+};
+
+/// B given as k row pointers whose n columns fold onto lines of `width`
+/// floats spaced `pitch` apart: column j of row p is at rows[p] +
+/// (j / width)·pitch + j % width. Rows may overlap arbitrarily; conv layers
+/// point them at shifted windows of one zero-padded image, whose output
+/// rows are the lines (implicit im2col). Each 8 columns a tile reads must be
+/// contiguous, so width is a multiple of 8 or at least n.
+struct FoldedB {
+  const float* const* rows = nullptr;
+  std::size_t width = 0;
+  std::size_t pitch = 0;
+  std::size_t fold(std::size_t j) const { return j / width * pitch + j % width; }
+  GatheredB at(std::size_t p, std::size_t j) const {
+    return {rows + p, fold(j), fold(j + 8)};
+  }
+};
+
+/// One ISA level's micro-kernels and their tile shapes.
 ///
-/// `direct` / `direct_edge` are the strided no-pack variants behind the
-/// short-m fast path: they read A and B row-major in place (leading
-/// dimensions lda/ldb) instead of from packed panels, with the SAME
-/// per-element accumulation chain as `kernel` — same op (FMA or mul+add),
-/// same p order — so a C entry is bitwise-identical whichever variant
-/// computed it. `direct` computes the full mr×nr tile; `direct_edge`
-/// computes only the first `rows` (< mr) rows at full nr width.
-/// `gather` / `gather_edge` are the row-pointer variants behind the implicit
-/// im2col conv path: B row p starts at b_rows[p] + boff (rows need not be
-/// equally spaced — conv points them at overlapping shifted windows of one
-/// padded image). Same accumulation chain as `kernel` / `direct`.
+/// `direct` and `gather` are the no-pack variants behind the short-m path:
+/// they read A row-major in place (leading dimension lda) and B through
+/// StridedB or GatheredB, with the SAME per-element accumulation
+/// chain as `kernel` — same op (FMA or mul+add), same p order — so a C entry
+/// is bitwise-identical whichever variant computed it. Both compute the
+/// first `rows` (≤ direct_mr) rows of a direct_mr×nr tile at full nr width.
+/// direct_mr divides 8, 16 and 32, the served conv channel counts, so those
+/// GEMMs only ever run full tiles.
 struct KernelInfo {
-  std::size_t mr = 0;
-  std::size_t nr = 0;
+  std::size_t mr = 0;  ///< packed tile rows
+  std::size_t nr = 0;  ///< tile columns, every variant
+  std::size_t direct_mr = 0;
   void (*kernel)(std::size_t kc, const float* a_panel, const float* b_panel,
                  float* c, std::size_t ldc, float beta) = nullptr;
-  void (*direct)(std::size_t kc, const float* a, std::size_t lda,
-                 const float* b, std::size_t ldb, float* c, std::size_t ldc,
+  void (*direct)(std::size_t rows, std::size_t kc, const float* a,
+                 std::size_t lda, StridedB b, float* c, std::size_t ldc,
                  float beta) = nullptr;
-  void (*direct_edge)(std::size_t rows, std::size_t kc, const float* a,
-                      std::size_t lda, const float* b, std::size_t ldb,
-                      float* c, std::size_t ldc, float beta) = nullptr;
-  void (*gather)(std::size_t kc, const float* a, std::size_t lda,
-                 const float* const* b_rows, std::size_t boff, float* c,
-                 std::size_t ldc, float beta) = nullptr;
-  void (*gather_edge)(std::size_t rows, std::size_t kc, const float* a,
-                      std::size_t lda, const float* const* b_rows,
-                      std::size_t boff, float* c, std::size_t ldc,
-                      float beta) = nullptr;
+  void (*gather)(std::size_t rows, std::size_t kc, const float* a,
+                 std::size_t lda, GatheredB b, float* c, std::size_t ldc,
+                 float beta) = nullptr;
 };
 
 /// Portable kernel, always available.
@@ -56,9 +84,9 @@ KernelInfo scalar_kernel();
 /// True when the CPU supports AVX2 and FMA (always false off x86-64).
 bool avx2_fma_supported();
 
-/// AVX2+FMA 6×16 kernel. Calling it on a CPU without AVX2/FMA is undefined;
-/// guard with avx2_fma_supported(). Off x86-64 this returns the scalar
-/// kernel so the dispatch table stays total.
+/// AVX2+FMA kernels (6×16 packed, 4×16 direct and gather). Calling them on
+/// a CPU without AVX2/FMA is undefined; guard with avx2_fma_supported(). Off
+/// x86-64 this returns the scalar kernel so the dispatch table stays total.
 KernelInfo avx2_kernel();
 
 }  // namespace eugene::tensor::detail

@@ -29,96 +29,44 @@ void kernel_4x8(std::size_t kc, const float* a_panel, const float* b_panel,
   }
 }
 
-// Strided no-pack variant: same accumulator layout and per-element
-// mul-then-add chain as kernel_4x8, reading A/B row-major in place.
-void direct_4x8(std::size_t kc, const float* a, std::size_t lda,
-                const float* b, std::size_t ldb, float* c, std::size_t ldc,
-                float beta) {
-  float acc[kMr][kNr] = {};
+// No-pack variant over the first R rows of the tile: same accumulator layout
+// and per-element mul-then-add chain as kernel_4x8, reading A row-major in
+// place and B row p at b.row(p).
+template <std::size_t R, class B>
+void tile_rows(std::size_t kc, const float* a, std::size_t lda, B b, float* c,
+               std::size_t ldc, float beta) {
+  float acc[R][kNr] = {};
   for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = b + p * ldb;
-    for (std::size_t r = 0; r < kMr; ++r) {
+    const float* brow = b.row(p);
+    for (std::size_t r = 0; r < R; ++r) {
       const float ar = a[r * lda + p];
       for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += ar * brow[j];
     }
   }
   if (beta == 0.0f) {
-    for (std::size_t r = 0; r < kMr; ++r)
+    for (std::size_t r = 0; r < R; ++r)
       for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
   } else {
-    for (std::size_t r = 0; r < kMr; ++r)
+    for (std::size_t r = 0; r < R; ++r)
       for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] += acc[r][j];
   }
 }
 
-// m-edge of the strided path: first `rows` (< mr) rows at full nr width.
-void direct_edge_4x8(std::size_t rows, std::size_t kc, const float* a,
-                     std::size_t lda, const float* b, std::size_t ldb,
-                     float* c, std::size_t ldc, float beta) {
-  float acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = b + p * ldb;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float ar = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += ar * brow[j];
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
-  } else {
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] += acc[r][j];
-  }
-}
-
-// Row-pointer variants: B row p starts at b_rows[p] + boff. Same chain as
-// the panel/strided kernels above.
-void gather_4x8(std::size_t kc, const float* a, std::size_t lda,
-                const float* const* b_rows, std::size_t boff, float* c,
-                std::size_t ldc, float beta) {
-  float acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = b_rows[p] + boff;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float ar = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += ar * brow[j];
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < kMr; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
-  } else {
-    for (std::size_t r = 0; r < kMr; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] += acc[r][j];
-  }
-}
-
-void gather_edge_4x8(std::size_t rows, std::size_t kc, const float* a,
-                     std::size_t lda, const float* const* b_rows,
-                     std::size_t boff, float* c, std::size_t ldc, float beta) {
-  float acc[kMr][kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* brow = b_rows[p] + boff;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float ar = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r][j] += ar * brow[j];
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r][j];
-  } else {
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] += acc[r][j];
+template <class B>
+void tile_4x8(std::size_t rows, std::size_t kc, const float* a,
+              std::size_t lda, B b, float* c, std::size_t ldc, float beta) {
+  switch (rows) {
+    case kMr: return tile_rows<kMr>(kc, a, lda, b, c, ldc, beta);
+    case 3: return tile_rows<3>(kc, a, lda, b, c, ldc, beta);
+    case 2: return tile_rows<2>(kc, a, lda, b, c, ldc, beta);
+    default: return tile_rows<1>(kc, a, lda, b, c, ldc, beta);
   }
 }
 
 }  // namespace
 
 KernelInfo scalar_kernel() {
-  return {kMr,        kNr,         &kernel_4x8,     &direct_4x8,
-          &direct_edge_4x8, &gather_4x8, &gather_edge_4x8};
+  return {kMr, kNr, kMr, &kernel_4x8, &tile_4x8<StridedB>, &tile_4x8<GatheredB>};
 }
 
 }  // namespace eugene::tensor::detail

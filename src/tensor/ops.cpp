@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 namespace eugene::tensor {
 namespace {
@@ -82,79 +83,98 @@ Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* cols) {
-  const std::size_t oh = g.out_height(), ow = g.out_width();
-  const std::size_t ohw = oh * ow;
-  const long long ih = static_cast<long long>(g.in_height);
-  const long long iw = static_cast<long long>(g.in_width);
+namespace {
+
+// The conv extents the frame code reads. kSide > 0 is a "same" 3×3 stride-1
+// conv on a kSide×kSide plane — every served conv — where all of them are
+// compile-time constants, so each copy below becomes a straight run of
+// vector moves instead of a loop with a library call per row.
+template <std::size_t kSide>
+struct FrameExtents {
+  explicit FrameExtents(const Conv2dGeometry& g)
+      : ih(kSide > 0 ? kSide : g.in_height),
+        iw(kSide > 0 ? kSide : g.in_width),
+        oh(kSide > 0 ? kSide : g.out_height()),
+        ow(kSide > 0 ? kSide : g.out_width()),
+        kernel(kSide > 0 ? 3 : g.kernel),
+        pad(kSide > 0 ? 1 : g.padding),
+        stride(kSide > 0 ? 1 : g.stride),
+        pw(iw + 2 * pad),
+        plane((ih + 2 * pad) * pw) {}
+  std::size_t ih, iw, oh, ow, kernel, pad, stride, pw, plane;
+};
+
+template <std::size_t kSide>
+void pad_frame(const float* image_chw, const Conv2dGeometry& g, float* frame) {
+  const FrameExtents<kSide> e(g);
   for (std::size_t c = 0; c < g.in_channels; ++c) {
-    const float* plane = image_chw + c * g.in_height * g.in_width;
-    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
-        const std::size_t row = (c * g.kernel + ky) * g.kernel + kx;
-        float* dst = cols + row * ohw;
-        if (g.stride == 1) {
-          // All bounds are loop-invariant at stride 1 (signed: padded
-          // coordinates can be negative): rows oy ∈ [lo_y, hi_y) read image
-          // row oy+dy, columns ox ∈ [lo, hi) read column ox+dx; everything
-          // outside is padding, zero-filled in bulk.
-          const long long dy = static_cast<long long>(ky) -
-                               static_cast<long long>(g.padding);
-          const long long dx = static_cast<long long>(kx) -
-                               static_cast<long long>(g.padding);
-          const long long ohs = static_cast<long long>(oh);
-          const long long ows = static_cast<long long>(ow);
-          const long long lo_y = std::min(ohs, std::max<long long>(0, -dy));
-          const long long hi_y = std::max(lo_y, std::min(ohs, ih - dy));
-          const long long lo = std::min(ows, std::max<long long>(0, -dx));
-          const long long hi = std::max(lo, std::min(ows, iw - dx));
-          std::fill_n(dst, static_cast<std::size_t>(lo_y) * ow, 0.0f);
-          std::fill_n(dst + hi_y * ows, static_cast<std::size_t>(ohs - hi_y) * ow,
-                      0.0f);
-          const float* src = plane + (lo_y + dy) * iw + lo + dx;
-          float* d = dst + lo_y * ows;
-          if (dx == 0 && lo == 0 && hi == ows && ows == iw) {
-            // Horizontally aligned same-width rows: source and destination
-            // are both contiguous across rows — one copy for the whole band.
-            std::memcpy(d, src,
-                        static_cast<std::size_t>(hi_y - lo_y) * ow * sizeof(float));
-          } else if (hi - lo > 16) {
-            for (long long oy = lo_y; oy < hi_y; ++oy, d += ows, src += iw) {
-              for (long long x = 0; x < lo; ++x) d[x] = 0.0f;
-              std::memcpy(d + lo, src,
-                          static_cast<std::size_t>(hi - lo) * sizeof(float));
-              for (long long x = hi; x < ows; ++x) d[x] = 0.0f;
-            }
+    float* dst = frame + c * e.plane;
+    const float* src = image_chw + c * e.ih * e.iw;
+    std::fill_n(dst, e.pad * e.pw, 0.0f);
+    for (std::size_t iy = 0; iy < e.ih; ++iy) {
+      float* row = dst + (e.pad + iy) * e.pw;
+      std::fill_n(row, e.pad, 0.0f);
+      std::memcpy(row + e.pad, src + iy * e.iw, e.iw * sizeof(float));
+      std::fill_n(row + e.pad + e.iw, e.pad, 0.0f);
+    }
+    std::fill_n(dst + (e.pad + e.ih) * e.pw, e.pad * e.pw, 0.0f);
+  }
+}
+
+// One column row per (c, ky, kx), in order: output row oy of that row reads
+// `ow` floats of frame row oy·stride + ky from column kx on.
+template <std::size_t kSide>
+void unroll_frame(const float* frame, const Conv2dGeometry& g, float* cols) {
+  const FrameExtents<kSide> e(g);
+  for (std::size_t c = 0; c < g.in_channels; ++c)
+    for (std::size_t ky = 0; ky < e.kernel; ++ky)
+      for (std::size_t kx = 0; kx < e.kernel; ++kx)
+        for (std::size_t oy = 0; oy < e.oh; ++oy, cols += e.ow) {
+          const float* srow =
+              frame + c * e.plane + (oy * e.stride + ky) * e.pw + kx;
+          if (e.stride == 1) {
+            std::memcpy(cols, srow, e.ow * sizeof(float));
           } else {
-            // Short rows: an out-of-line memcpy call costs more than the
-            // copy itself (small feature maps hit this ~1k times per conv).
-            for (long long oy = lo_y; oy < hi_y; ++oy, d += ows, src += iw) {
-              for (long long x = 0; x < lo; ++x) d[x] = 0.0f;
-              for (long long x = 0; x < hi - lo; ++x) d[lo + x] = src[x];
-              for (long long x = hi; x < ows; ++x) d[x] = 0.0f;
-            }
-          }
-        } else {
-          for (std::size_t oy = 0; oy < oh; ++oy, dst += ow) {
-            const long long iy = static_cast<long long>(oy * g.stride + ky) -
-                                 static_cast<long long>(g.padding);
-            if (iy < 0 || iy >= ih) {
-              std::fill_n(dst, ow, 0.0f);
-              continue;
-            }
-            const float* srow =
-                plane + static_cast<std::size_t>(iy) * g.in_width;
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-              const long long ix = static_cast<long long>(ox * g.stride + kx) -
-                                   static_cast<long long>(g.padding);
-              dst[ox] = (ix >= 0 && ix < iw)
-                            ? srow[static_cast<std::size_t>(ix)]
-                            : 0.0f;
-            }
+            for (std::size_t ox = 0; ox < e.ow; ++ox)
+              cols[ox] = srow[ox * e.stride];
           }
         }
-      }
-    }
+}
+
+/// kSide for `g`: its plane side when it is a "same" 3×3 stride-1 conv on
+/// a 4×4, 8×8 or 16×16 plane, else 0.
+std::size_t fixed_side(const Conv2dGeometry& g) {
+  const bool same3x3 = g.kernel == 3 && g.padding == 1 && g.stride == 1 &&
+                       g.in_height == g.in_width;
+  const std::size_t side = g.in_width;
+  return same3x3 && (side == 4 || side == 8 || side == 16) ? side : 0;
+}
+
+}  // namespace
+
+std::size_t im2col_frame_floats(const Conv2dGeometry& g) {
+  return g.in_channels * (g.in_height + 2 * g.padding) *
+         (g.in_width + 2 * g.padding);
+}
+
+void pad_into_frame(const float* image_chw, const Conv2dGeometry& g,
+                    float* frame) {
+  switch (fixed_side(g)) {
+    case 4: return pad_frame<4>(image_chw, g, frame);
+    case 8: return pad_frame<8>(image_chw, g, frame);
+    case 16: return pad_frame<16>(image_chw, g, frame);
+    default: return pad_frame<0>(image_chw, g, frame);
+  }
+}
+
+void im2col_into(const float* image_chw, const Conv2dGeometry& g,
+                 float* frame, float* cols) {
+  pad_into_frame(image_chw, g, frame);
+  switch (fixed_side(g)) {
+    case 4: return unroll_frame<4>(frame, g, cols);
+    case 8: return unroll_frame<8>(frame, g, cols);
+    case 16: return unroll_frame<16>(frame, g, cols);
+    default: return unroll_frame<0>(frame, g, cols);
   }
 }
 
@@ -164,7 +184,8 @@ Tensor im2col(const Tensor& image_chw, const Conv2dGeometry& g) {
                      image_chw.dim(2) == g.in_width,
                  "im2col: image does not match geometry");
   Tensor cols({g.in_channels * g.kernel * g.kernel, g.out_height() * g.out_width()});
-  im2col_into(image_chw.raw(), g, cols.raw());
+  std::vector<float> frame(im2col_frame_floats(g));
+  im2col_into(image_chw.raw(), g, frame.data(), cols.raw());
   return cols;
 }
 

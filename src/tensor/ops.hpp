@@ -66,11 +66,23 @@ struct Conv2dGeometry {
 /// Unrolls image patches into a [C·k·k, H_out·W_out] matrix.
 Tensor im2col(const Tensor& image_chw, const Conv2dGeometry& g);
 
+/// Floats of a conv's zero-padded frame: every input channel inside a
+/// border of `padding`, C·(H + 2·padding)·(W + 2·padding).
+std::size_t im2col_frame_floats(const Conv2dGeometry& g);
+
+/// Writes the CHW image matching `g` into `frame` (im2col_frame_floats(g)
+/// floats), each plane inside a zero border of `padding`.
+void pad_into_frame(const float* image_chw, const Conv2dGeometry& g,
+                    float* frame);
+
 /// im2col writing into caller storage: reads a CHW image matching `g` at
-/// `image_chw` and writes C·k·k rows of H_out·W_out floats to `cols`.
-/// Interior rows are bulk copies; padding is zero-filled (no per-pixel
-/// bounds branch at stride 1).
-void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* cols);
+/// `image_chw` and writes C·k·k rows of H_out·W_out floats to `cols`,
+/// through `frame` (im2col_frame_floats(g) floats of scratch): after
+/// pad_into_frame, every row of `cols` is a run of plain copies with no
+/// bounds test. "Same" 3×3 stride-1 convs on 4×4, 8×8 and 16×16 planes copy
+/// at compile-time extents.
+void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* frame,
+                 float* cols);
 
 /// Inverse of im2col: scatters column gradients back into CHW, accumulating
 /// overlapping patches.

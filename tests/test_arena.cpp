@@ -158,18 +158,34 @@ TEST(BatchedForward, Conv2dMatchesPerSample) {
     std::size_t in_c, out_c, h, w, kernel, stride, pad;
   };
   const Case cases[] = {
-      // out_width 7 < 8: the explicit im2col + GEMM branch.
-      {3, 5, 9, 7, 3, 1, 1},
-      // Stride 1 and out_width >= 8: the implicit-im2col branch every served
-      // stage-0 and stage-1 conv takes.
-      {3, 8, 10, 10, 3, 1, 1},
-      // Implicit im2col at other frame offsets: no padding, wider and
-      // narrower kernels.
-      {2, 6, 12, 12, 5, 1, 0},
+      // The six served convs (StagedResNetConfig defaults), out_channels 8,
+      // 16 and 32 on the in-place GEMM's full 4-row tiles. The 16×16 and
+      // 8×8 convs take the implicit-im2col route; 4×4 takes the explicit
+      // one, whose im2col copies at compile-time extents.
+      {3, 8, 16, 16, 3, 1, 1},
+      {8, 8, 16, 16, 3, 1, 1},
+      {8, 16, 8, 8, 3, 1, 1},
+      {16, 16, 8, 8, 3, 1, 1},
+      {16, 32, 4, 4, 3, 1, 1},
+      {32, 32, 4, 4, 3, 1, 1},
+      // m = 12 and 20: full tiles at other multiples of 4 on each route;
+      // m = 5 and 7 leave a row edge.
+      {4, 12, 8, 8, 3, 1, 1},
+      {5, 20, 4, 4, 3, 1, 1},
+      {2, 5, 16, 16, 3, 1, 1},
+      {3, 7, 9, 7, 3, 1, 1},
+      // Implicit route at other frame geometries: 24- and 32-wide rows,
+      // whose 16-wide tiles straddle output rows or not, an odd row count
+      // (a column tail), and an unpadded 5×5 kernel.
+      {2, 6, 3, 24, 3, 1, 1},
+      {2, 6, 4, 32, 3, 1, 1},
+      {3, 4, 7, 8, 3, 1, 1},
+      {2, 6, 20, 20, 5, 1, 0},
+      // Explicit route at runtime extents: a 1×1 kernel, odd widths.
       {4, 7, 9, 10, 1, 1, 0},
-      // Stride 2: explicit im2col.
+      // Stride 2: strided copies out of the frame.
       {3, 5, 11, 17, 3, 2, 1},
-      // m above gemm_rows_max_m(): the packed GEMM with arena workspace.
+      // m = 64 > 48: the packed GEMM with arena workspace.
       {3, 64, 8, 9, 3, 1, 1},
   };
   ASSERT_GT(64u, tensor::gemm_rows_max_m());

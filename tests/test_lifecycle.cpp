@@ -397,6 +397,27 @@ TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   }
 }
 
+TEST(LifecycleService, StateGaugeFollowsPromotionToServing) {
+  // The gauge tracks the machine itself, not only the transitions the
+  // service drives (drain, stop): the first admission and set_serving()
+  // each promote Starting → Serving, and metrics_text() must say so.
+  const std::string serving_line = "gauge serving.lifecycle.state 1\n";
+  {
+    core::EugeneService service;
+    EXPECT_EQ(telemetry::parse_metrics_text(service.metrics_text())
+                  .gauges.at("serving.lifecycle.state"),
+              0.0);  // Starting
+    const std::size_t handle = add_calibrated_model(service, "m", 1);
+    service.infer_batch(handle, make_requests(2), serving::ServerConfig{});
+    EXPECT_NE(service.metrics_text().find(serving_line), std::string::npos);
+  }
+  {
+    core::EugeneService service;
+    service.lifecycle().set_serving();
+    EXPECT_NE(service.metrics_text().find(serving_line), std::string::npos);
+  }
+}
+
 TEST(LifecycleService, HotSwapKeepsArtifactsAndBumpsEpoch) {
   FailpointGuard guard;
   core::EugeneService service;

@@ -52,6 +52,45 @@ TEST_P(ConvGeometrySweep, Im2colMatchesDirect) {
     ASSERT_NEAR(fast.data()[i], slow.data()[i], 1e-3) << "element " << i;
 }
 
+TEST_P(ConvGeometrySweep, Im2colMatchesNaiveUnroll) {
+  // im2col is pure data movement, so every column entry must equal the
+  // image pixel its window covers, or exactly 0 in the padding.
+  const ConvCase c = GetParam();
+  tensor::Conv2dGeometry g;
+  g.in_channels = c.cin;
+  g.out_channels = c.cout;
+  g.in_height = c.h;
+  g.in_width = c.w;
+  g.kernel = c.kernel;
+  g.stride = c.stride;
+  g.padding = c.padding;
+  Rng rng(c.cin * 7 + c.w);
+  const tensor::Tensor x = tensor::Tensor::randn({c.cin, c.h, c.w}, rng);
+  const tensor::Tensor cols = tensor::im2col(x, g);
+  const std::size_t oh = g.out_height(), ow = g.out_width();
+  for (std::size_t ch = 0; ch < c.cin; ++ch)
+    for (std::size_t ky = 0; ky < c.kernel; ++ky)
+      for (std::size_t kx = 0; kx < c.kernel; ++kx)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const long long iy = static_cast<long long>(oy * c.stride + ky) -
+                                 static_cast<long long>(c.padding);
+            const long long ix = static_cast<long long>(ox * c.stride + kx) -
+                                 static_cast<long long>(c.padding);
+            const bool inside = iy >= 0 && ix >= 0 &&
+                                iy < static_cast<long long>(c.h) &&
+                                ix < static_cast<long long>(c.w);
+            const float want =
+                inside ? x.at(ch, static_cast<std::size_t>(iy),
+                              static_cast<std::size_t>(ix))
+                       : 0.0f;
+            ASSERT_EQ(cols.at((ch * c.kernel + ky) * c.kernel + kx, oy * ow + ox),
+                      want)
+                << "c=" << ch << " ky=" << ky << " kx=" << kx << " oy=" << oy
+                << " ox=" << ox;
+          }
+}
+
 TEST_P(ConvGeometrySweep, Col2imAdjointIdentity) {
   // <im2col(x), y> == <x, col2im(y)> must hold for every geometry: it is
   // exactly the identity the conv backward pass relies on.
@@ -75,12 +114,17 @@ TEST_P(ConvGeometrySweep, Col2imAdjointIdentity) {
   EXPECT_NEAR(lhs, rhs, std::max(1e-2, std::abs(lhs) * 1e-4));
 }
 
+// The last three are the "same" 3×3 stride-1 planes im2col copies at
+// compile-time extents (the served 8×8 and 16×16, and 4×4 with more than
+// one channel).
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvGeometrySweep,
     ::testing::Values(ConvCase{1, 1, 4, 4, 3, 1, 1}, ConvCase{2, 3, 5, 7, 3, 1, 1},
                       ConvCase{3, 2, 8, 8, 3, 2, 1}, ConvCase{4, 4, 6, 6, 1, 1, 0},
                       ConvCase{2, 5, 9, 5, 5, 1, 2}, ConvCase{3, 3, 7, 7, 3, 3, 1},
-                      ConvCase{1, 8, 4, 4, 3, 1, 0}, ConvCase{8, 1, 10, 10, 3, 2, 1}));
+                      ConvCase{1, 8, 4, 4, 3, 1, 0}, ConvCase{8, 1, 10, 10, 3, 2, 1},
+                      ConvCase{3, 4, 8, 8, 3, 1, 1}, ConvCase{2, 3, 16, 16, 3, 1, 1},
+                      ConvCase{5, 2, 4, 4, 3, 1, 1}));
 
 // ------------------------------------------------------------------------
 // Loss gradients across random logits / labels / alphas.

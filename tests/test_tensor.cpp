@@ -291,11 +291,15 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 }
 
 void expect_gemm_matches_naive(GemmIsa isa) {
-  // Shapes straddling the micro-tile boundaries of both kernels (scalar 4×8,
-  // AVX2 6×16): 1, tile−1, tile, tile+1, and a round cache-friendly size.
+  // Shapes straddling the micro-tile boundaries of every kernel (scalar 4×8,
+  // AVX2 6×16 packed and 4×16 direct): 1, tile−1, tile, tile+1, and a round
+  // cache-friendly size. m also straddles the direct tile's multiples (12,
+  // 20) and the direct/packed switch at m = 48.
   const std::size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 128};
+  const std::size_t ms[] = {1,  3,  4,  5,  6,  7,  8,  9,  12, 15,
+                            16, 17, 20, 47, 48, 49, 128};
   Rng rng(7);
-  for (std::size_t m : sizes) {
+  for (std::size_t m : ms) {
     for (std::size_t n : sizes) {
       for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{17},
                             std::size_t{128}}) {
@@ -402,6 +406,39 @@ TEST(Gemm, EnvIsaParsing) {
   EXPECT_TRUE(gemm_isa_available(GemmIsa::kScalar));
 }
 
+TEST(Gemm, DirectPathMatchesPackedBitwise) {
+  // The accumulation chain per C entry depends only on k and the KC block,
+  // never on the kernel family: a transposed A always takes the packed path,
+  // so it must reproduce the strided direct path bit for bit. Pinned across
+  // the direct tile's row edges (4 rows under both ISAs), the served conv
+  // channel counts, the direct/packed switch at m = 48, and the KC seam
+  // (k > 256), on every available ISA.
+  Rng rng(17);
+  for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2}) {
+    if (!gemm_isa_available(isa)) continue;
+    for (std::size_t m : {1, 3, 4, 5, 8, 12, 16, 20, 32, 47, 48}) {
+      for (std::size_t n : {1, 15, 16, 17, 100}) {
+        for (std::size_t k : {1, 72, 300}) {
+          const Tensor a = Tensor::randn({m, k}, rng);
+          const Tensor b = Tensor::randn({k, n}, rng);
+          Tensor at({k, m});
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t p = 0; p < k; ++p) at.at(p, i) = a.at(i, p);
+          Tensor direct({m, n}), packed({m, n});
+          gemm_with_isa(isa, m, n, k, a.raw(), k, false, b.raw(), n, false,
+                        0.0f, direct.raw(), n);
+          gemm_with_isa(isa, m, n, k, at.raw(), m, true, b.raw(), n, false,
+                        0.0f, packed.raw(), n);
+          for (std::size_t i = 0; i < m * n; ++i)
+            ASSERT_EQ(direct.data()[i], packed.data()[i])
+                << gemm_isa_name(isa) << " m=" << m << " n=" << n
+                << " k=" << k << " at " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmRows, MatchesGemmBitwiseOverOddShapes) {
   // gemm_rows() promises the exact accumulation chain of gemm() — a conv
   // computed through row pointers must be bit-identical to the same conv
@@ -411,7 +448,8 @@ TEST(GemmRows, MatchesGemmBitwiseOverOddShapes) {
   for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2}) {
     if (!gemm_isa_available(isa)) continue;
     for (std::size_t m : {std::size_t{1}, std::size_t{5}, std::size_t{8},
-                          std::size_t{32}, gemm_rows_max_m()}) {
+                          std::size_t{12}, std::size_t{32},
+                          gemm_rows_max_m()}) {
       for (std::size_t n :
            {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
             std::size_t{100}}) {
@@ -424,8 +462,8 @@ TEST(GemmRows, MatchesGemmBitwiseOverOddShapes) {
           Tensor want({m, n}), got({m, n});
           gemm_with_isa(isa, m, n, k, a.raw(), k, false, b.raw(), n, false,
                         0.0f, want.raw(), n);
-          gemm_rows_with_isa(isa, m, n, k, a.raw(), k, rows.data(), 0.0f,
-                             got.raw(), n);
+          gemm_rows_with_isa(isa, m, n, k, a.raw(), k, rows.data(), n, n,
+                             0.0f, got.raw(), n);
           for (std::size_t i = 0; i < m * n; ++i)
             EXPECT_EQ(got.data()[i], want.data()[i])
                 << gemm_isa_name(isa) << " m=" << m << " n=" << n
@@ -438,23 +476,32 @@ TEST(GemmRows, MatchesGemmBitwiseOverOddShapes) {
 
 TEST(GemmRows, OverlappingRowsMatchMaterializedB) {
   // The conv fast path points the k row pointers at shifted windows of one
-  // padded image plane, so consecutive rows overlap by all but one element.
-  // Same result, bitwise, as materializing those windows into a dense B.
+  // padded image, so consecutive rows overlap by all but one element, and
+  // folds each row's columns onto the image's rows: here 8 columns per line
+  // with a pitch of 11. Same result, bitwise, as materializing those
+  // windows into a dense B, on every ISA and across the 16-wide tile's
+  // column tail (n = 40).
   Rng rng(18);
-  const std::size_t m = 6, n = 24, k = 40;
-  const Tensor plane = Tensor::randn({k + n}, rng);
+  const std::size_t m = 6, n = 40, k = 30, width = 8, pitch = 11;
+  const Tensor plane = Tensor::randn({k + (n / width) * pitch}, rng);
   const Tensor a = Tensor::randn({m, k}, rng);
   std::vector<const float*> rows(k);
   Tensor dense({k, n});
   for (std::size_t p = 0; p < k; ++p) {
-    rows[p] = plane.raw() + p;  // row p = plane[p .. p+n)
-    for (std::size_t j = 0; j < n; ++j) dense.at(p, j) = plane.data()[p + j];
+    rows[p] = plane.raw() + p;
+    for (std::size_t j = 0; j < n; ++j)
+      dense.at(p, j) = rows[p][j / width * pitch + j % width];
   }
-  Tensor want({m, n}), got({m, n});
-  gemm(m, n, k, a.raw(), k, false, dense.raw(), n, false, 0.0f, want.raw(), n);
-  gemm_rows(m, n, k, a.raw(), k, rows.data(), 0.0f, got.raw(), n);
-  for (std::size_t i = 0; i < m * n; ++i)
-    EXPECT_EQ(got.data()[i], want.data()[i]) << i;
+  for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2}) {
+    if (!gemm_isa_available(isa)) continue;
+    Tensor want({m, n}), got({m, n});
+    gemm_with_isa(isa, m, n, k, a.raw(), k, false, dense.raw(), n, false,
+                  0.0f, want.raw(), n);
+    gemm_rows_with_isa(isa, m, n, k, a.raw(), k, rows.data(), width, pitch,
+                       0.0f, got.raw(), n);
+    for (std::size_t i = 0; i < m * n; ++i)
+      EXPECT_EQ(got.data()[i], want.data()[i]) << gemm_isa_name(isa) << " " << i;
+  }
 }
 
 TEST(GemmRows, BetaOneAccumulatesAndRejectsBigM) {
@@ -466,13 +513,17 @@ TEST(GemmRows, BetaOneAccumulatesAndRejectsBigM) {
   for (std::size_t p = 0; p < k; ++p) rows[p] = b.raw() + p * n;
   const Tensor base = Tensor::randn({m, n}, rng);
   Tensor c = base;
-  gemm_rows(m, n, k, a.raw(), k, rows.data(), 1.0f, c.raw(), n);
+  gemm_rows(m, n, k, a.raw(), k, rows.data(), n, n, 1.0f, c.raw(), n);
   const Tensor prod = naive_matmul(a, b);
   for (std::size_t i = 0; i < m * n; ++i)
     EXPECT_NEAR(c.data()[i], base.data()[i] + prod.data()[i], 1e-4f) << i;
   Tensor big({gemm_rows_max_m() + 1, n});
   EXPECT_THROW(gemm_rows(gemm_rows_max_m() + 1, n, k, big.raw(), k,
-                         rows.data(), 0.0f, big.raw(), n),
+                         rows.data(), n, n, 0.0f, big.raw(), n),
+               eugene::Error);
+  // A fold narrower than n must keep 8-column runs contiguous.
+  EXPECT_THROW(gemm_rows(m, n, k, a.raw(), k, rows.data(), 4, 6, 0.0f,
+                         c.raw(), n),
                eugene::Error);
 }
 
