@@ -81,7 +81,7 @@ int main() {
   // Fig. 4 setup: equal stage times (the paper's optimality condition),
   // per-image deadline, shared worker pool. Load crosses saturation
   // between N=5 and N=10.
-  const sched::StageCostModel costs{{10.0, 10.0, 10.0}, 0.0};
+  const std::vector<double> stage_ms{10.0, 10.0, 10.0};
   sched::SimulationConfig sim_cfg;
   sim_cfg.num_workers = 4;
 
@@ -102,7 +102,7 @@ int main() {
       const auto tasks = sched::build_workload(test_eval, wl, wl_rng);
       for (std::size_t pi = 0; pi < policies.size(); ++pi) {
         auto policy = policies[pi].make();
-        const sched::SimulationResult r = simulate(tasks, *policy, costs, sim_cfg);
+        const sched::SimulationResult r = simulate(tasks, *policy, stage_ms, sim_cfg);
         results[pi][ci].mean_acc += r.mean_accuracy() / kTrials;
         results[pi][ci].std_acc += r.std_accuracy() / kTrials;
         results[pi][ci].stages_per_task += r.mean_stages_per_task() / kTrials;

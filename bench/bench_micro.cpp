@@ -346,7 +346,7 @@ void BM_TracedRequest(benchmark::State& state) {
     }
   }
   entry.curves.fit(eval);
-  entry.costs.stage_ms = {1.0, 1.0};
+  entry.stage_ms = {1.0, 1.0};
 
   telemetry::TraceRecorder recorder(4096);
   serving::ServerConfig cfg;

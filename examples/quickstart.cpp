@@ -50,10 +50,11 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // -- 4. profile -------------------------------------------------------------
-  const core::StageProfile profile = eugene.profile(model, {3, 16, 16});
-  for (std::size_t s = 0; s < profile.stage_ms.size(); ++s)
-    std::printf("stage %zu: %.2f ms, %.1f MFLOPs\n", s + 1, profile.stage_ms[s],
-                profile.stage_flops[s] / 1e6);
+  const std::vector<double> stage_ms = eugene.profile(model, {3, 16, 16});
+  const nn::StagedModel& staged = eugene.registry().entry(model).model;
+  for (std::size_t s = 0; s < stage_ms.size(); ++s)
+    std::printf("stage %zu: %.2f ms, %.1f MFLOPs\n", s + 1, stage_ms[s],
+                staged.stage_flops(s) / 1e6);
 
   // -- 5. serve ---------------------------------------------------------------
   std::printf("\nserving %zu fresh inputs (early exit at confidence 0.9):\n",

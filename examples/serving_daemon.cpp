@@ -75,8 +75,7 @@ std::size_t register_fresh_model(core::EugeneService& service,
   auto entry = std::make_shared<serving::ModelEntry>(
       name, nn::build_staged_resnet(daemon_model_config()));
   entry->curves.fit(fake_eval());
-  entry->costs.stage_ms = {1.0, 2.0};
-  entry->costs.jitter_fraction = 0.0;
+  entry->stage_ms = {1.0, 2.0};
   entry->calibration_alpha = {0.4, 0.6};
   entry->calibrated = true;
   return service.registry().add_entry(std::move(entry));
@@ -114,7 +113,9 @@ int main(int argc, char** argv) {
   service.lifecycle().set_serving();
 
   std::filesystem::create_directories(state_dir);
-  serving::UsageMeter meter(sched::StageCostModel{{1.0, 2.0}, 0.0}, {"default"});
+  // Priced from the served entry's profiled stage times (restored from the
+  // snapshot on a warm restart).
+  serving::UsageMeter meter(service.registry().entry(handle).stage_ms, {"default"});
   meter.open_journal(state_dir + "/usage.journal");
 
   // -- 2. serve (clients + a live operator) -----------------------------------

@@ -73,10 +73,7 @@ int main(int argc, char** argv) {
 
   // -- usage metering & pricing (paper §V: "a pricing structure ... informed
   // of the true resource cost imposed by clients of each class") ----------
-  const core::StageProfile profile = eugene.profile(model, {3, 16, 16});
-  sched::StageCostModel costs;
-  costs.stage_ms = profile.stage_ms;
-  serving::UsageMeter meter(costs, {"chatbot", "camera"});
+  serving::UsageMeter meter(eugene.profile(model, {3, 16, 16}), {"chatbot", "camera"});
   meter.record(requests, responses, 3);
   serving::PricingPolicy pricing{/*per_compute_ms=*/0.02, /*per_request=*/0.05};
   std::printf("\nbilling report (%.2f credits/ms + %.2f credits/request):\n",

@@ -38,7 +38,7 @@ eugene::serving::ModelEntry& fuzz_entry() {
   }();
   // A previous iteration may have restored artifacts into the entry; reset
   // the mutable fields so every input decodes against the same baseline.
-  entry.costs.stage_ms.clear();
+  entry.stage_ms.clear();
   entry.calibration_alpha.clear();
   entry.calibrated = false;
   return entry;

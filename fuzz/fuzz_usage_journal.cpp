@@ -14,11 +14,8 @@
 namespace {
 
 eugene::serving::UsageMeter& fuzz_meter() {
-  static eugene::serving::UsageMeter meter = [] {
-    eugene::sched::StageCostModel costs;
-    costs.stage_ms = {1.0, 2.0, 3.0};
-    return eugene::serving::UsageMeter(costs, {"free", "standard", "premium"});
-  }();
+  static eugene::serving::UsageMeter meter({1.0, 2.0, 3.0},
+                                            {"free", "standard", "premium"});
   return meter;
 }
 

@@ -261,6 +261,34 @@ void gen_usage_journal() {
     img.insert(img.end(), frame.begin(), frame.end());
     write_seed("usage_journal", "hostile_frame_len", img);
   }
+  // One committed version-2 frame, the layout earlier builds wrote: the
+  // class row carries an eighth (brown-out) column and the frame ends in a
+  // three-counter block (hedges issued, hedges won, breaker trips). Replay
+  // reads both and discards them; no build writes this layout any more.
+  {
+    ByteWriter p;
+    p.u64(1);    // touched classes
+    p.u32(1);    // class
+    p.u64(4);    // requests
+    p.u64(7);    // stages
+    p.f64(6.5);  // compute_ms
+    p.u64(1);    // expired
+    p.u64(2);    // early_exits
+    p.u64(0);    // shed
+    p.u64(1);    // retries
+    p.u64(1);    // brown-out column
+    p.u64(3);    // hedges issued
+    p.u64(1);    // hedges won
+    p.u64(1);    // breaker trips
+    const std::vector<std::uint8_t> payload = p.take();
+    ByteWriter img;
+    img.u32(kJournalMagic);
+    img.u32(2);
+    img.u32(static_cast<std::uint32_t>(payload.size()));
+    img.u32(crc32(payload.data(), payload.size()));
+    img.raw(payload.data(), payload.size());
+    write_seed("usage_journal", "v2_valid", img.take());
+  }
   write_seed("usage_journal", "empty", {});
   write_seed("usage_journal", "short_header", truncate_to(hdr, 5));
 }

@@ -65,8 +65,9 @@ reduce::CacheModel EugeneService::build_device_cache(
   return reduce::build_cache_model(train_set, frequent_classes, config, rng);
 }
 
-StageProfile EugeneService::profile(std::size_t handle, const tensor::Shape& input_shape,
-                                    const profile::TimingConfig& timing) {
+std::vector<double> EugeneService::profile(std::size_t handle,
+                                           const tensor::Shape& input_shape,
+                                           const profile::TimingConfig& timing) {
   EUGENE_REQUIRE(timing.repeats >= 1, "EugeneService::profile: need at least one repeat");
   Rng rng(timing.seed);
   const Tensor input = Tensor::randn(input_shape, rng);
@@ -74,14 +75,10 @@ StageProfile EugeneService::profile(std::size_t handle, const tensor::Shape& inp
   // Copy-on-write: the timing runs (and the cost install) happen on a
   // private clone of the entry; concurrent inference keeps serving the
   // pinned epoch untouched until the new costs publish atomically.
-  StageProfile result;
+  std::vector<double> stage_ms;
   registry_.update(handle, [&](serving::ModelEntry& entry) {
     nn::StagedModel& model = entry.model;
-    result.stage_ms.assign(model.num_stages(), 0.0);
-    result.stage_flops.resize(model.num_stages());
-    for (std::size_t s = 0; s < model.num_stages(); ++s)
-      result.stage_flops[s] = model.stage_flops(s);
-
+    stage_ms.assign(model.num_stages(), 0.0);
     std::vector<std::vector<double>> samples(model.num_stages());
     for (std::size_t rep = 0; rep < timing.warmup + timing.repeats; ++rep) {
       const Tensor* current = &input;
@@ -96,11 +93,11 @@ StageProfile EugeneService::profile(std::size_t handle, const tensor::Shape& inp
     }
     for (std::size_t s = 0; s < model.num_stages(); ++s) {
       std::sort(samples[s].begin(), samples[s].end());
-      result.stage_ms[s] = samples[s][samples[s].size() / 2];
+      stage_ms[s] = samples[s][samples[s].size() / 2];
     }
-    entry.costs.stage_ms = result.stage_ms;
+    entry.stage_ms = stage_ms;
   });
-  return result;
+  return stage_ms;
 }
 
 CalibrationReport EugeneService::calibrate(std::size_t handle,
@@ -180,7 +177,7 @@ void EugeneService::swap_model(std::size_t handle, nn::StagedModel model,
   auto next = std::make_shared<serving::ModelEntry>(old_entry.name, std::move(model));
   if (keep_artifacts) {
     next->curves = old_entry.curves;
-    next->costs = old_entry.costs;
+    next->stage_ms = old_entry.stage_ms;
     next->calibration_alpha = old_entry.calibration_alpha;
     next->calibrated = old_entry.calibrated;
   }

@@ -30,12 +30,6 @@ struct CalibrationReport {
   std::vector<double> stage_ece;
 };
 
-/// Per-stage profiling result.
-struct StageProfile {
-  std::vector<double> stage_ms;     ///< measured median forward time
-  std::vector<double> stage_flops;  ///< analytic FLOPs
-};
-
 /// What begin_drain() should do after in-flight work stops (DESIGN.md §13).
 struct DrainOptions {
   double timeout_ms = 5000.0;  ///< bound on waiting for in-flight requests
@@ -84,10 +78,11 @@ class EugeneService {
                                         const reduce::CacheBuildConfig& config);
 
   // ---- §II-C: execution profiling -----------------------------------------
-  /// Measures real per-stage execution times of a registered model and
-  /// installs them as the model's stage cost model. Returns the profile.
-  StageProfile profile(std::size_t handle, const tensor::Shape& input_shape,
-                       const profile::TimingConfig& timing = {});
+  /// Measures the median execution time of each stage of a registered
+  /// model, in milliseconds, installs it as ModelEntry::stage_ms (what the
+  /// usage meter prices and the simulator replays) and returns it.
+  std::vector<double> profile(std::size_t handle, const tensor::Shape& input_shape,
+                              const profile::TimingConfig& timing = {});
 
   // ---- §II-D: calibration / result quality --------------------------------
   /// Entropy-calibrates the model's heads (Eq. 4) on `calib_set`, fits the

@@ -52,7 +52,8 @@ struct Event {
 }  // namespace
 
 SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& policy,
-                          const StageCostModel& costs, const SimulationConfig& config) {
+                          const std::vector<double>& stage_ms,
+                          const SimulationConfig& config) {
   EUGENE_REQUIRE(!tasks.empty(), "simulate: empty task set");
   EUGENE_REQUIRE(config.num_workers >= 1, "simulate: need at least one worker");
   std::size_t num_services = 0;
@@ -62,8 +63,8 @@ SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& 
     num_services = std::max(num_services, t.service + 1);
     max_stages = std::max(max_stages, t.stages.size());
   }
-  EUGENE_REQUIRE(costs.num_stages() >= max_stages,
-                 "simulate: cost model covers fewer stages than tasks have");
+  EUGENE_REQUIRE(stage_ms.size() >= max_stages,
+                 "simulate: stage costs cover fewer stages than tasks have");
 
   Engine engine(policy, tasks.size(), max_stages, /*max_retries=*/0,
                 config.early_exit_confidence, /*trace=*/nullptr);
@@ -78,7 +79,6 @@ SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& 
   }
 
   SimulationResult result;
-  Rng rng(config.rng_seed);
   std::size_t free_workers = config.num_workers;
   double now = 0.0;
 
@@ -88,7 +88,7 @@ SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& 
       if (!task.has_value()) return;
       engine.hold(*task);
       --free_workers;
-      const double dt = costs.duration_ms(engine.result(*task).stages_run, rng);
+      const double dt = stage_ms[engine.result(*task).stages_run];
       events.push({now + dt, seq++, EventKind::StageDone, *task});
     }
   };

@@ -2,11 +2,11 @@
 // sched::Engine state machine the server runs, driven on virtual time.
 //
 // The simulator owns a pool of homogeneous workers, the event queue, the
-// stage cost model and the outcome playback; the engine owns the tasks and
-// the policy loop. Per the paper's architecture: stages run to completion
-// once dispatched (stage-granularity preemption), and a latency daemon kills
-// tasks whose deadline expires — including aborting a stage mid-execution,
-// wasting that worker time.
+// fixed per-stage durations and the outcome playback; the engine owns the
+// tasks and the policy loop. Per the paper's architecture: stages run to
+// completion once dispatched (stage-granularity preemption), and a latency
+// daemon kills tasks whose deadline expires — including aborting a stage
+// mid-execution, wasting that worker time.
 #pragma once
 
 #include "sched/policy.hpp"
@@ -20,7 +20,6 @@ struct SimulationConfig {
   /// ("once a high-enough confidence is reported, skip remaining stages",
   /// paper §II-D). Values > 1 disable early exit.
   double early_exit_confidence = 2.0;
-  std::uint64_t rng_seed = 99;
 };
 
 /// Outcome counters for one service (client stream).
@@ -55,9 +54,11 @@ struct SimulationResult {
 };
 
 /// Runs `policy` over `tasks` and returns the metrics. The policy is reset()
-/// before the run. A task's id is its position; stage costs must cover the
-/// maximum stage count in the task set.
+/// before the run. A task's id is its position. Stage s of every task takes
+/// exactly `stage_ms[s]` milliseconds, so `stage_ms` must cover the maximum
+/// stage count in the task set.
 SimulationResult simulate(const std::vector<TaskSpec>& tasks, SchedulingPolicy& policy,
-                          const StageCostModel& costs, const SimulationConfig& config);
+                          const std::vector<double>& stage_ms,
+                          const SimulationConfig& config);
 
 }  // namespace eugene::sched

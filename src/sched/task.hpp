@@ -13,9 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/rng.hpp"
-
 namespace eugene::sched {
 
 /// What executing one stage of one task would reveal (precomputed from a
@@ -80,23 +77,6 @@ struct TaskResult {
   std::size_t retries = 0; ///< failed stage attempts charged to the retry budget
   double latency_ms = 0.0; ///< arrival to final answer
   std::uint64_t span_id = 0;  ///< trace span (0 when the run was untraced)
-};
-
-/// Per-stage execution-time model. The default derives nothing; callers set
-/// per-stage milliseconds (typically from stage FLOPs via the profiler).
-struct StageCostModel {
-  std::vector<double> stage_ms;  ///< one entry per stage
-  double jitter_fraction = 0.0;  ///< uniform ±fraction noise, 0 = deterministic
-
-  double duration_ms(std::size_t stage, Rng& rng) const {
-    EUGENE_REQUIRE(stage < stage_ms.size(), "StageCostModel: stage out of range");
-    double d = stage_ms[stage];
-    if (jitter_fraction > 0.0)
-      d *= 1.0 + rng.uniform(-jitter_fraction, jitter_fraction);
-    return d;
-  }
-
-  std::size_t num_stages() const { return stage_ms.size(); }
 };
 
 }  // namespace eugene::sched

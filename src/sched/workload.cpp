@@ -39,17 +39,4 @@ std::vector<TaskSpec> build_workload(const calib::StagedEvaluation& eval,
   return tasks;
 }
 
-StageCostModel cost_model_from_flops(const std::vector<double>& stage_flops,
-                                     double flops_per_ms) {
-  EUGENE_REQUIRE(!stage_flops.empty(), "cost_model_from_flops: no stages");
-  EUGENE_REQUIRE(flops_per_ms > 0.0, "cost_model_from_flops: throughput must be positive");
-  StageCostModel costs;
-  costs.stage_ms.reserve(stage_flops.size());
-  for (double f : stage_flops) {
-    EUGENE_REQUIRE(f > 0.0, "cost_model_from_flops: non-positive stage FLOPs");
-    costs.stage_ms.push_back(f / flops_per_ms);
-  }
-  return costs;
-}
-
 }  // namespace eugene::sched

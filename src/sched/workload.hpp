@@ -5,6 +5,7 @@
 #pragma once
 
 #include "calib/evaluation.hpp"
+#include "common/rng.hpp"
 #include "sched/task.hpp"
 
 namespace eugene::sched {
@@ -22,10 +23,5 @@ struct WorkloadConfig {
 /// every service, service by service.
 std::vector<TaskSpec> build_workload(const calib::StagedEvaluation& eval,
                                      const WorkloadConfig& config, Rng& rng);
-
-/// Derives a stage cost model from per-stage FLOPs and a throughput in
-/// FLOP/ms, the knob that sets system load relative to deadlines.
-StageCostModel cost_model_from_flops(const std::vector<double>& stage_flops,
-                                     double flops_per_ms);
 
 }  // namespace eugene::sched

@@ -8,7 +8,7 @@ namespace eugene::serving {
 std::shared_ptr<ModelEntry> ModelEntry::clone() const {
   auto copy = std::make_shared<ModelEntry>(name, model.clone());
   copy->curves = curves;
-  copy->costs = costs;
+  copy->stage_ms = stage_ms;
   copy->calibration_alpha = calibration_alpha;
   copy->calibrated = calibrated;
   return copy;

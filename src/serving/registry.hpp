@@ -1,6 +1,6 @@
 // Model registry: named, versioned staged models together with the
-// artifacts the serving path needs (confidence-curve model, stage cost
-// model, chosen calibration α) — published by *epoch* (DESIGN.md §13).
+// artifacts the serving path needs (confidence-curve model, profiled stage
+// times, chosen calibration α) — published by *epoch* (DESIGN.md §13).
 //
 // Readers never take the writer mutex. The full model set lives in an
 // immutable View swapped atomically: pin() is one spin-bit-protected
@@ -32,7 +32,6 @@
 #include "common/thread_annotations.hpp"
 #include "gp/confidence_curve.hpp"
 #include "nn/staged_model.hpp"
-#include "sched/task.hpp"
 
 namespace eugene::telemetry {
 class MetricsRegistry;
@@ -45,7 +44,7 @@ struct ModelEntry {
   std::string name;
   nn::StagedModel model;
   gp::ConfidenceCurveModel curves;          ///< fitted after calibration
-  sched::StageCostModel costs;              ///< per-stage execution time
+  std::vector<double> stage_ms;             ///< profiled time per stage (ms)
   std::vector<double> calibration_alpha;    ///< Eq. 4 α chosen per stage
   bool calibrated = false;
 

@@ -15,6 +15,14 @@ namespace eugene::serving {
 
 using tensor::Tensor;
 
+namespace {
+
+/// RTDeepIoT's planning horizon k. The served planner looks one stage ahead;
+/// Fig. 4's k sweep builds its own policy (bench_fig4_scheduling).
+constexpr std::size_t kLookahead = 1;
+
+}  // namespace
+
 InferenceServer::InferenceServer(const ModelEntry& entry, ServerConfig config)
     : entry_(entry), config_(std::move(config)) {
   EUGENE_REQUIRE(entry_.curves.fitted(),
@@ -23,7 +31,6 @@ InferenceServer::InferenceServer(const ModelEntry& entry, ServerConfig config)
   EUGENE_REQUIRE(entry_.model.num_stages() > 0, "InferenceServer: model has no stages");
   EUGENE_REQUIRE(config_.workers >= 1, "InferenceServer: need at least one worker");
   EUGENE_REQUIRE(!config_.classes.empty(), "InferenceServer: no service classes");
-  EUGENE_REQUIRE(config_.lookahead >= 1, "InferenceServer: lookahead must be >= 1");
 }
 
 std::vector<InferenceResponse> InferenceServer::process_batch(
@@ -40,7 +47,7 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
   WallClock clock;
   const std::size_t num_stages = entry_.model.num_stages();
   sched::GpUtilityEstimator estimator(entry_.curves);
-  sched::GreedyUtilityPolicy policy(estimator, config_.lookahead);
+  sched::GreedyUtilityPolicy policy(estimator, kLookahead);
   std::vector<double> weights;
   weights.reserve(config_.classes.size());
   for (const auto& c : config_.classes) weights.push_back(c.utility_weight);

@@ -55,7 +55,6 @@ using InferenceResponse = sched::TaskResult;
 struct ServerConfig {
   std::vector<ServiceClassConfig> classes = {{}};
   double early_exit_confidence = 0.92;  ///< skip remaining stages above this
-  std::size_t lookahead = 1;            ///< RTDeepIoT k
 
   // Graceful degradation (DESIGN.md §8 "Failure model").
   std::size_t max_stage_retries = 2;    ///< re-runs of a throwing stage per request

@@ -68,7 +68,7 @@ Manifest decode_manifest(const std::vector<std::uint8_t>& payload) {
 }
 
 /// Serializes everything in a ModelEntry except the weights: curves (as
-/// piecewise-linear profiles + priors), stage costs, α, calibrated flag.
+/// piecewise-linear profiles + priors), stage times, α, calibrated flag.
 std::vector<std::uint8_t> encode_artifacts(const ModelEntry& entry) {
   io::ByteWriter w;
   w.u8(entry.calibrated ? 1 : 0);
@@ -89,8 +89,8 @@ std::vector<std::uint8_t> encode_artifacts(const ModelEntry& entry) {
     }
   }
 
-  w.f64_vec(entry.costs.stage_ms);
-  w.f64(entry.costs.jitter_fraction);
+  w.f64_vec(entry.stage_ms);
+  w.f64(0.0);  // retired stage-time jitter slot: written as 0, skipped on read
   w.f64_vec(entry.calibration_alpha);
   return w.take();
 }
@@ -138,8 +138,8 @@ void decode_artifacts(const std::vector<std::uint8_t>& payload, ModelEntry& entr
     throw CorruptionError(what + ": calibrated entry without fitted curves");
   }
 
-  entry.costs.stage_ms = r.f64_vec();
-  entry.costs.jitter_fraction = r.f64();
+  entry.stage_ms = r.f64_vec();
+  (void)r.f64();  // retired jitter slot; any value a snapshot holds is ignored
   entry.calibration_alpha = r.f64_vec();
   r.expect_exhausted();
   // Costs and α are per-stage vectors when present (empty = never profiled /
@@ -147,9 +147,9 @@ void decode_artifacts(const std::vector<std::uint8_t>& payload, ModelEntry& entr
   // from different snapshots — fail here, typed, instead of restoring
   // successfully and dying confusingly at serving time.
   const std::size_t stages = entry.model.num_stages();
-  if (!entry.costs.stage_ms.empty() && entry.costs.stage_ms.size() != stages)
+  if (!entry.stage_ms.empty() && entry.stage_ms.size() != stages)
     throw CorruptionError(what + ": stage cost count " +
-                          std::to_string(entry.costs.stage_ms.size()) +
+                          std::to_string(entry.stage_ms.size()) +
                           " does not match model (" + std::to_string(stages) +
                           "); mixed-snapshot artifacts");
   if (!entry.calibration_alpha.empty() && entry.calibration_alpha.size() != stages)

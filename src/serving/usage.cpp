@@ -17,16 +17,14 @@ namespace eugene::serving {
 namespace {
 
 constexpr std::uint32_t kJournalMagic = 0x4A475545;  // "EUGJ"
-// v1: 7-field class rows, no ops block. v2: rows gain brownout_sheds and
-// every frame ends in an OpsUsage block. New journals are written v2;
-// appends to an existing file stay in that file's header version.
-constexpr std::uint32_t kJournalVersion = 2;
+// The one version written: seven-column class rows. Version 2 rows add a
+// brown-out column and its frames end in a three-counter hedge/breaker
+// block; replay reads both and discards them.
+constexpr std::uint32_t kJournalVersion = 1;
+constexpr std::uint32_t kNewestReadableVersion = 2;
 
-/// One journal frame: the per-class deltas of a single record() batch (plus,
-/// in v2, the service-wide ops-counter delta), encoded in `version` format.
-std::vector<std::uint8_t> encode_frame(const std::vector<ClassUsage>& delta,
-                                       const OpsUsage& ops,
-                                       std::uint32_t version) {
+/// One journal frame: the per-class deltas of a single record() batch.
+std::vector<std::uint8_t> encode_frame(const std::vector<ClassUsage>& delta) {
   io::ByteWriter w;
   std::uint64_t touched = 0;
   for (const auto& d : delta) touched += d.requests > 0 ? 1 : 0;
@@ -42,12 +40,6 @@ std::vector<std::uint8_t> encode_frame(const std::vector<ClassUsage>& delta,
     w.u64(d.early_exits);
     w.u64(d.shed);
     w.u64(d.retries);
-    if (version >= 2) w.u64(d.brownout_sheds);
-  }
-  if (version >= 2) {
-    w.u64(ops.hedges_issued);
-    w.u64(ops.hedges_won);
-    w.u64(ops.breaker_trips);
   }
   return w.take();
 }
@@ -79,7 +71,7 @@ JournalScan scan_journal(const std::vector<std::uint8_t>& bytes,
   if (header.u32() != kJournalMagic)
     throw CorruptionError("usage journal " + path + ": bad magic");
   const std::uint32_t version = header.u32();
-  if (version == 0 || version > kJournalVersion)
+  if (version == 0 || version > kNewestReadableVersion)
     throw CorruptionError("usage journal " + path + ": unsupported version " +
                           std::to_string(version));
   scan.version = version;
@@ -128,10 +120,10 @@ void write_all(int fd, const std::uint8_t* data, std::size_t n) {
 
 }  // namespace
 
-UsageMeter::UsageMeter(sched::StageCostModel costs, std::vector<std::string> class_names)
-    : costs_(std::move(costs)), num_classes_(class_names.size()) {
+UsageMeter::UsageMeter(std::vector<double> stage_ms, std::vector<std::string> class_names)
+    : stage_ms_(std::move(stage_ms)), num_classes_(class_names.size()) {
   EUGENE_REQUIRE(!class_names.empty(), "UsageMeter: no service classes");
-  EUGENE_REQUIRE(costs_.num_stages() > 0, "UsageMeter: empty cost model");
+  EUGENE_REQUIRE(!stage_ms_.empty(), "UsageMeter: no stage times");
   usage_.resize(class_names.size());
   for (std::size_t i = 0; i < class_names.size(); ++i)
     usage_[i].class_name = std::move(class_names[i]);
@@ -142,8 +134,8 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
                         std::size_t model_num_stages) {
   EUGENE_REQUIRE(requests.size() == responses.size(),
                  "UsageMeter::record: request/response size mismatch");
-  EUGENE_REQUIRE(model_num_stages <= costs_.num_stages(),
-                 "UsageMeter::record: cost model covers fewer stages than the model");
+  EUGENE_REQUIRE(model_num_stages <= stage_ms_.size(),
+                 "UsageMeter::record: stage times cover fewer stages than the model");
   // Every request is checked before anything counts: a rejected batch moves
   // neither the metrics nor the ledger.
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -153,63 +145,48 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
     EUGENE_CHECK_LE(responses[i].stages_run, model_num_stages)
         << "UsageMeter::record: response claims impossible stage count";
   }
-  {
-    // Metered traffic also feeds the process-wide metrics registry — bumped
-    // before mutex_ so metrics never nest inside the usage lock.
-    telemetry::MetricsRegistry& m = telemetry::MetricsRegistry::global();
-    std::uint64_t stages = 0;
-    for (const auto& r : responses) stages += r.stages_run;
-    m.counter("usage.requests").inc(requests.size());
-    m.counter("usage.stages_executed").inc(stages);
-  }
-  MutexLock lock(mutex_);
   // Accumulate the batch into a delta first: the journal persists exactly
-  // what this call added, so replay reproduces the ledger frame by frame.
-  std::vector<ClassUsage> delta(usage_.size());
+  // what this call adds, so replay reproduces the ledger frame by frame.
+  std::vector<ClassUsage> delta(num_classes_);
+  std::uint64_t stages = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ClassUsage& u = delta[requests[i].service_class];
     ++u.requests;
     u.stages_executed += responses[i].stages_run;
     for (std::size_t s = 0; s < responses[i].stages_run; ++s)
-      u.compute_ms += costs_.stage_ms[s];
+      u.compute_ms += stage_ms_[s];
     u.expired += responses[i].expired ? 1 : 0;
     u.shed += responses[i].degraded ? 1 : 0;
-    u.brownout_sheds += responses[i].browned_out ? 1 : 0;
     u.retries += responses[i].retries;
     u.early_exits += (!responses[i].expired && !responses[i].degraded &&
                       responses[i].stages_run < model_num_stages)
                          ? 1
                          : 0;
+    stages += responses[i].stages_run;
   }
-  for (std::size_t c = 0; c < usage_.size(); ++c) {
-    ClassUsage& u = usage_[c];
-    const ClassUsage& d = delta[c];
-    u.requests += d.requests;
-    u.stages_executed += d.stages_executed;
-    u.compute_ms += d.compute_ms;
-    u.expired += d.expired;
-    u.early_exits += d.early_exits;
-    u.shed += d.shed;
-    u.brownout_sheds += d.brownout_sheds;
-    u.retries += d.retries;
+  {
+    MutexLock lock(mutex_);
+    // The frame commits before the ledger moves: a failed append throws
+    // with usage_ untouched, so memory never counts what the journal lacks.
+    if (journal_fd_ >= 0) append_frame_locked(delta);
+    for (std::size_t c = 0; c < usage_.size(); ++c) {
+      ClassUsage& u = usage_[c];
+      const ClassUsage& d = delta[c];
+      u.requests += d.requests;
+      u.stages_executed += d.stages_executed;
+      u.compute_ms += d.compute_ms;
+      u.expired += d.expired;
+      u.early_exits += d.early_exits;
+      u.shed += d.shed;
+      u.retries += d.retries;
+    }
   }
-  if (journal_fd_ >= 0) append_frame_locked(delta, OpsUsage{});
-}
-
-void UsageMeter::record_ops(const OpsUsage& delta) {
-  MutexLock lock(mutex_);
-  ops_.hedges_issued += delta.hedges_issued;
-  ops_.hedges_won += delta.hedges_won;
-  ops_.breaker_trips += delta.breaker_trips;
-  // A v1 journal has no ops block; the delta stays in-memory only there
-  // rather than making the file unreadable to v1 readers.
-  if (journal_fd_ >= 0 && journal_version_ >= 2)
-    append_frame_locked(std::vector<ClassUsage>(usage_.size()), delta);
-}
-
-OpsUsage UsageMeter::ops() const {
-  MutexLock lock(mutex_);
-  return ops_;
+  // Metered traffic also feeds the process-wide metrics registry — bumped
+  // after mutex_ so metrics never nest inside the usage lock, and only for a
+  // batch the ledger took.
+  telemetry::MetricsRegistry& m = telemetry::MetricsRegistry::global();
+  m.counter("usage.requests").inc(requests.size());
+  m.counter("usage.stages_executed").inc(stages);
 }
 
 UsageMeter::~UsageMeter() {
@@ -226,7 +203,6 @@ void UsageMeter::close_journal() {
   const int saved = errno;
   ::close(journal_fd_);
   journal_fd_ = -1;
-  journal_version_ = 0;
   if (!synced)
     throw IoError("UsageMeter: fsync on close_journal: " + std::string(std::strerror(saved)));
 }
@@ -239,44 +215,47 @@ void UsageMeter::open_journal(const std::string& path) {
   // file back to its committed prefix first.
   std::size_t committed = 0;
   std::size_t on_disk = 0;
-  std::uint32_t version = kJournalVersion;
   if (io::file_exists(path)) {
     const std::vector<std::uint8_t> bytes = io::read_file_bytes(path);
     on_disk = bytes.size();
     const JournalScan scan = scan_journal(bytes, path);
+    // v1 frames after a v2 header would misparse on replay; refuse before
+    // the file is opened for writing, so it stays byte-identical.
+    if (scan.version > kJournalVersion)
+      throw InvalidArgument("UsageMeter: journal " + path + " is version " +
+                            std::to_string(scan.version) +
+                            ", which this meter only replays; replay it, then "
+                            "journal to a new path");
     committed = scan.committed;
-    // Version gate: keep appending in the file's own header version so the
-    // journal never mixes frame encodings (a torn/fresh header re-writes
-    // as current).
-    if (committed >= 8) version = scan.version;
   }
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd < 0)
     throw IoError("UsageMeter: cannot open journal " + path + ": " +
                   std::strerror(errno));
-  if (committed < on_disk && ::ftruncate(fd, static_cast<off_t>(committed)) != 0) {
-    const int saved = errno;
+  // The fd is attached only once the file ends on a committed boundary, so a
+  // failure here leaves the meter as it was.
+  try {
+    if (committed < on_disk && ::ftruncate(fd, static_cast<off_t>(committed)) != 0)
+      throw IoError("UsageMeter: cannot truncate torn journal " + path + ": " +
+                    std::strerror(errno));
+    if (committed < 8) {  // brand-new file, or a header the crash tore
+      const std::uint32_t header[2] = {kJournalMagic, kJournalVersion};
+      write_all(fd, reinterpret_cast<const std::uint8_t*>(header), sizeof(header));
+      committed = sizeof(header);
+    }
+    if (::fsync(fd) != 0)
+      throw IoError("UsageMeter: fsync journal " + path + ": " + std::strerror(errno));
+  } catch (const IoError&) {
     ::close(fd);
-    throw IoError("UsageMeter: cannot truncate torn journal " + path + ": " +
-                  std::strerror(saved));
+    throw;
   }
   if (journal_fd_ >= 0) ::close(journal_fd_);
   journal_fd_ = fd;
-  journal_version_ = version;
-  if (committed < 8) {  // brand-new file, or a header the crash tore
-    const std::uint32_t header[2] = {kJournalMagic, kJournalVersion};
-    write_all(journal_fd_, reinterpret_cast<const std::uint8_t*>(header),
-              sizeof(header));
-  }
-  if (::fsync(journal_fd_) != 0)
-    throw IoError("UsageMeter: fsync journal " + path + ": " +
-                  std::strerror(errno));
+  journal_committed_ = committed;
 }
 
-void UsageMeter::append_frame_locked(const std::vector<ClassUsage>& delta,
-                                     const OpsUsage& ops_delta) {
-  const std::vector<std::uint8_t> payload =
-      encode_frame(delta, ops_delta, journal_version_);
+void UsageMeter::append_frame_locked(const std::vector<ClassUsage>& delta) {
+  const std::vector<std::uint8_t> payload = encode_frame(delta);
   io::ByteWriter frame;
   frame.u32(static_cast<std::uint32_t>(payload.size()));
   frame.u32(crc32(payload.data(), payload.size()));
@@ -292,12 +271,24 @@ void UsageMeter::append_frame_locked(const std::vector<ClassUsage>& delta,
     throw FailpointError("usage.journal.torn: simulated crash mid-append");
   }
 
-  write_all(journal_fd_, bytes.data(), bytes.size());
-  // fsync per frame: a committed frame survives power loss, not just a
-  // process kill — the same guarantee the snapshot path gives.
-  if (::fsync(journal_fd_) != 0)
-    throw IoError("UsageMeter: fsync journal append: " +
-                  std::string(std::strerror(errno)));
+  try {
+    write_all(journal_fd_, bytes.data(), bytes.size());
+    // fsync per frame: a committed frame survives power loss, not just a
+    // process kill — the same guarantee the snapshot path gives.
+    if (::fsync(journal_fd_) != 0)
+      throw IoError("UsageMeter: fsync journal append: " +
+                    std::string(std::strerror(errno)));
+  } catch (const IoError&) {
+    // Part of the frame may be on disk. Appending after it would turn a torn
+    // tail into mid-file damage that no replay gets past, so cut the file
+    // back to its last committed frame, or detach when even that fails.
+    if (::ftruncate(journal_fd_, static_cast<off_t>(journal_committed_)) != 0) {
+      ::close(journal_fd_);
+      journal_fd_ = -1;
+    }
+    throw;
+  }
+  journal_committed_ += bytes.size();
 }
 
 JournalReplay UsageMeter::replay_journal(const std::string& path) {
@@ -327,13 +318,10 @@ JournalReplay UsageMeter::replay_journal_image(const std::vector<std::uint8_t>& 
       u.early_exits += r.u64();
       u.shed += r.u64();
       u.retries += r.u64();
-      if (scan.version >= 2) u.brownout_sheds += r.u64();
+      if (scan.version == 2) (void)r.u64();  // brown-out column
     }
-    if (scan.version >= 2) {
-      ops_.hedges_issued += r.u64();
-      ops_.hedges_won += r.u64();
-      ops_.breaker_trips += r.u64();
-    }
+    if (scan.version == 2)  // hedges issued, hedges won, breaker trips
+      for (int i = 0; i < 3; ++i) (void)r.u64();
     r.expect_exhausted();
     ++result.frames;
   }

@@ -5,7 +5,7 @@
 //
 // UsageMeter accumulates, per service class, the true resource consumption
 // of a batch: stage executions, compute milliseconds (from the model's
-// profiled stage costs), expirations, and early exits — and turns them into
+// profiled stage times), expirations, and early exits — and turns them into
 // an itemized cost report.
 #pragma once
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "sched/task.hpp"
 #include "serving/server.hpp"
 
 namespace eugene::serving {
@@ -26,14 +25,12 @@ struct ClassUsage {
   std::string class_name;
   std::size_t requests = 0;
   std::size_t stages_executed = 0;
-  double compute_ms = 0.0;   ///< Σ profiled stage costs actually spent
+  double compute_ms = 0.0;   ///< Σ profiled stage times actually spent
   std::size_t expired = 0;
   std::size_t early_exits = 0;
   std::size_t shed = 0;      ///< degraded responses (retry budget spent or
                              ///< input rejected)
   std::size_t retries = 0;   ///< stage re-executions consumed by faults
-  std::size_t brownout_sheds = 0;  ///< journal v2 column; 0 for every batch
-                                   ///< served now that nothing sheds
 
   double mean_stages() const {
     return requests == 0 ? 0.0
@@ -48,14 +45,6 @@ struct PricingPolicy {
   double per_request = 0.05;
 };
 
-/// Service-wide (not per-class) overload-control counters. Journaled as the
-/// trailing ops block of v2 frames; see record_ops().
-struct OpsUsage {
-  std::size_t hedges_issued = 0;  ///< backup dispatches sent
-  std::size_t hedges_won = 0;     ///< hedge races the backup won
-  std::size_t breaker_trips = 0;  ///< circuit-breaker transitions to open
-};
-
 /// Outcome of replaying a usage journal (DESIGN.md §9): how many batch
 /// frames were applied, and whether the file ended in a torn tail (the
 /// normal signature of a crash mid-append — replay stops there, keeping
@@ -65,7 +54,7 @@ struct JournalReplay {
   bool truncated = false;
 };
 
-/// Meters batches against a model's profiled stage costs. Thread-safe: many
+/// Meters batches against a model's profiled stage times. Thread-safe: many
 /// serving threads may record() batches concurrently while a billing thread
 /// reads usage() or charge().
 ///
@@ -77,46 +66,37 @@ struct JournalReplay {
 /// (replay, reopen, record) can repeat across any number of crashes.
 /// Failpoint seam: usage.journal.torn cuts a frame short mid-append.
 ///
-/// Journal versioning: v1 frames carry the original 7-field class rows; v2
-/// (current) rows add brownout_sheds (0 for every batch served today) and
-/// every v2 frame ends in an ops block (hedges, breaker trips; nothing
-/// in-tree produces them any more). The reader accepts both. The *writer* is gated
-/// on the attached file's header version: appends to an existing v1 journal
-/// stay v1-encoded (mixed-version files would be unreadable to old readers),
-/// which means brownout_sheds and ops deltas are not durable on a v1 file —
-/// they are accumulated in memory only and dropped from the encoded frame.
+/// Journal versions: this meter writes version 1 (seven-column class rows).
+/// It still replays version 2, whose rows carry a brown-out column and whose
+/// frames end in a hedge/breaker block; both are read and discarded, since
+/// nothing produces them. It never appends to a version 2 file.
 class UsageMeter {
  public:
-  /// `costs` is the model's profiled per-stage execution time; `classes`
-  /// names the service classes (parallel to ServerConfig::classes).
-  UsageMeter(sched::StageCostModel costs, std::vector<std::string> class_names);
+  /// `stage_ms` is the model's profiled time per stage (ModelEntry::stage_ms);
+  /// `classes` names the service classes (parallel to ServerConfig::classes).
+  UsageMeter(std::vector<double> stage_ms, std::vector<std::string> class_names);
 
   ~UsageMeter();
   UsageMeter(const UsageMeter&) = delete;
   UsageMeter& operator=(const UsageMeter&) = delete;
 
-  /// Records one processed batch.
+  /// Records one processed batch. With a journal attached, the batch reaches
+  /// memory only after its frame is written and fsynced. A failed append
+  /// cuts the file back to its last committed frame and rethrows (IoError)
+  /// with the ledger unchanged; if that cut fails too, the journal is
+  /// detached, so no later frame lands after a partial one.
   void record(const std::vector<InferenceRequest>& requests,
               const std::vector<InferenceResponse>& responses,
               std::size_t model_num_stages) EUGENE_EXCLUDES(mutex_);
 
-  /// Records a delta of service-wide overload-control counters. Journaled
-  /// as a class-less v2 frame when a v2 journal is attached; accumulated in
-  /// memory only on a v1 journal. Nothing in-tree produces these counters
-  /// any more (the worker pool has no hedging or breakers); the ops block
-  /// stays because it is part of the durable v2 format, and is decided
-  /// together with the v1 writer (ROADMAP leftovers).
-  void record_ops(const OpsUsage& delta) EUGENE_EXCLUDES(mutex_);
-
-  /// Snapshot of the service-wide overload-control counters.
-  OpsUsage ops() const EUGENE_EXCLUDES(mutex_);
-
-  /// Attaches the append-only journal at `path` (created with a versioned
+  /// Attaches the append-only journal at `path` (created with a version 1
   /// header if new). An existing journal is scanned first and truncated to
   /// its last committed frame, so appends after a crash mid-append land on a
   /// clean frame boundary instead of after torn garbage. Throws IoError when
   /// the file cannot be opened or truncated, CorruptionError when it is not
-  /// a journal (bad magic, future version, mid-file damage).
+  /// a journal (bad magic, future version, mid-file damage), and
+  /// InvalidArgument for a version 2 journal, which is left untouched:
+  /// replay it, then journal to a new path.
   void open_journal(const std::string& path) EUGENE_EXCLUDES(mutex_);
 
   /// Flushes and detaches the journal (drain path: every committed frame is
@@ -157,18 +137,17 @@ class UsageMeter {
                        const PricingPolicy& pricing) const
       EUGENE_REQUIRES(mutex_);
 
-  void append_frame_locked(const std::vector<ClassUsage>& delta,
-                           const OpsUsage& ops_delta) EUGENE_REQUIRES(mutex_);
+  void append_frame_locked(const std::vector<ClassUsage>& delta)
+      EUGENE_REQUIRES(mutex_);
 
-  sched::StageCostModel costs_;  ///< immutable after construction
+  const std::vector<double> stage_ms_;
   const std::size_t num_classes_;  ///< usage_.size(), readable unlocked
   mutable Mutex mutex_{LockRank::kUsageMeter, "UsageMeter::mutex_"};
   std::vector<ClassUsage> usage_ EUGENE_GUARDED_BY(mutex_);
-  OpsUsage ops_ EUGENE_GUARDED_BY(mutex_);
   int journal_fd_ EUGENE_GUARDED_BY(mutex_) = -1;  ///< -1 when detached
-  /// Header version of the attached journal file; frames append in this
-  /// version so a file never mixes encodings.
-  std::uint32_t journal_version_ EUGENE_GUARDED_BY(mutex_) = 0;
+  /// Length of the attached journal's header plus committed frames: where
+  /// a failed append cuts the file back to.
+  std::size_t journal_committed_ EUGENE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace eugene::serving

@@ -144,8 +144,7 @@ TEST(Partition, StageInfosFromRealModel) {
 // ------------------------------------------------------------ usage meter
 
 TEST(UsageMeter, AccumulatesPerClassAndCharges) {
-  sched::StageCostModel costs{{10.0, 20.0, 30.0}, 0.0};
-  serving::UsageMeter meter(costs, {"chatbot", "camera"});
+  serving::UsageMeter meter({10.0, 20.0, 30.0}, {"chatbot", "camera"});
 
   std::vector<serving::InferenceRequest> requests(3);
   requests[0].service_class = 0;
@@ -176,9 +175,9 @@ TEST(UsageMeter, AccumulatesPerClassAndCharges) {
 }
 
 TEST(UsageMeter, ValidatesInputs) {
-  sched::StageCostModel costs{{10.0}, 0.0};
-  EXPECT_THROW(serving::UsageMeter(costs, {}), InvalidArgument);
-  serving::UsageMeter meter(costs, {"a"});
+  const std::vector<double> stage_ms{10.0};
+  EXPECT_THROW(serving::UsageMeter(stage_ms, {}), InvalidArgument);
+  serving::UsageMeter meter(stage_ms, {"a"});
   std::vector<serving::InferenceRequest> requests(1);
   requests[0].service_class = 7;
   std::vector<serving::InferenceResponse> responses(1);

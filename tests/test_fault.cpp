@@ -81,7 +81,7 @@ struct ServerHarness {
   ServerHarness() : handle(registry.add("tiny", nn::build_staged_resnet(tiny_model_config()))) {
     serving::ModelEntry& e = registry.entry(handle);
     e.curves.fit(fake_eval());
-    e.costs.stage_ms = {1.0, 1.0};
+    e.stage_ms = {1.0, 1.0};
   }
 
   serving::ModelEntry& entry() { return registry.entry(handle); }
@@ -446,7 +446,7 @@ TEST(Fault, ServerShedPlusCrashCountersReconcile) {
 
   // The ledger's shed column counts degraded answers; its retries column
   // reconciles with the injected faults.
-  serving::UsageMeter meter(harness.entry().costs, {"default"});
+  serving::UsageMeter meter(harness.entry().stage_ms, {"default"});
   meter.record(requests, responses, kStages);
   const auto usage = meter.usage();
   EXPECT_EQ(usage[0].shed, 1u);

@@ -117,13 +117,13 @@ TEST_F(Pipeline, ConfidenceCurvesDriveTheFullSchedulerStack) {
   sched::RoundRobinPolicy rr;
   sched::FifoPolicy fifo;
 
-  const sched::StageCostModel costs{{10.0, 10.0, 10.0}, 0.0};
+  const std::vector<double> stage_ms{10.0, 10.0, 10.0};
   sched::SimulationConfig sim;
   sim.num_workers = 2;  // overloaded: 6 streams on 2 workers
 
-  const auto r_greedy = simulate(tasks, greedy, costs, sim);
-  const auto r_rr = simulate(tasks, rr, costs, sim);
-  const auto r_fifo = simulate(tasks, fifo, costs, sim);
+  const auto r_greedy = simulate(tasks, greedy, stage_ms, sim);
+  const auto r_rr = simulate(tasks, rr, stage_ms, sim);
+  const auto r_fifo = simulate(tasks, fifo, stage_ms, sim);
 
   // The headline Fig. 4 ordering at miniature scale.
   EXPECT_GT(r_greedy.mean_accuracy(), r_rr.mean_accuracy() - 0.02);
@@ -172,10 +172,7 @@ TEST_F(Pipeline, PartitionPlannerConsumesRealArtifacts) {
 }
 
 TEST_F(Pipeline, UsageMeterConsistentWithResponses) {
-  const core::StageProfile profile = service_->profile(handle_, {2, 12, 12});
-  sched::StageCostModel costs;
-  costs.stage_ms = profile.stage_ms;
-  serving::UsageMeter meter(costs, {"default"});
+  serving::UsageMeter meter(service_->profile(handle_, {2, 12, 12}), {"default"});
 
   std::vector<serving::InferenceRequest> requests;
   for (std::size_t i = 0; i < 30; ++i) requests.push_back({test_->samples[i], 0});

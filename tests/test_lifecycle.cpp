@@ -85,8 +85,7 @@ std::shared_ptr<serving::ModelEntry> make_calibrated_entry(
   auto entry = std::make_shared<serving::ModelEntry>(
       name, nn::build_staged_resnet(tiny_model_config(seed)));
   entry->curves.fit(fake_eval(seed + 4));
-  entry->costs.stage_ms = {1.0 + static_cast<double>(seed), 2.0};
-  entry->costs.jitter_fraction = 0.0;
+  entry->stage_ms = {1.0 + static_cast<double>(seed), 2.0};
   entry->calibration_alpha = {0.4, 0.6};
   entry->calibrated = true;
   return entry;
@@ -251,10 +250,10 @@ TEST(LifecycleEpoch, SwapStallErrorAbortsPublicationCleanly) {
   // The failed publication left no trace: same epoch, same entry, and the
   // next publication commits the epoch number the failed one never used.
   EXPECT_EQ(registry.epoch(), epoch);
-  EXPECT_EQ(registry.entry(handle).costs.stage_ms[0], 2.0);  // seed-1 entry
+  EXPECT_EQ(registry.entry(handle).stage_ms[0], 2.0);  // seed-1 entry
   registry.replace(handle, make_calibrated_entry("m", 9));
   EXPECT_EQ(registry.epoch(), epoch + 1);
-  EXPECT_EQ(registry.entry(handle).costs.stage_ms[0], 10.0);  // seed-9 entry
+  EXPECT_EQ(registry.entry(handle).stage_ms[0], 10.0);  // seed-9 entry
 }
 
 // ---- service-level drain / swap / reload ----------------------------------
@@ -270,9 +269,7 @@ TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
   for (std::size_t t = 0; t < kThreads; ++t)
     add_calibrated_model(service, "m" + std::to_string(t), t + 1);
 
-  serving::UsageMeter meter(
-      sched::StageCostModel{{1.0, 2.0}, 0.0},
-      {"default"});
+  serving::UsageMeter meter({1.0, 2.0}, {"default"});
   meter.open_journal(journal);
 
   // Serving threads: each owns a distinct handle (published entries hold
@@ -328,8 +325,7 @@ TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
 
   // Every journaled batch survived the flush: a fresh meter replays the
   // complete ledger with no torn tail.
-  serving::UsageMeter replayed(sched::StageCostModel{{1.0, 2.0}, 0.0},
-                               {"default"});
+  serving::UsageMeter replayed({1.0, 2.0}, {"default"});
   const auto replay = replayed.replay_journal(journal);
   EXPECT_FALSE(replay.truncated);
   EXPECT_EQ(replayed.usage()[0].requests, completed.load());

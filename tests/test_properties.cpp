@@ -255,10 +255,9 @@ TEST_P(SimulatorSweep, ConservationInvariantsHold) {
     default: policy = std::make_unique<sched::EarliestDeadlinePolicy>(); break;
   }
 
-  sched::StageCostModel costs{{8.0, 8.0, 8.0}, 0.0};
   sched::SimulationConfig cfg;
   cfg.num_workers = c.workers;
-  const sched::SimulationResult r = simulate(tasks, *policy, costs, cfg);
+  const sched::SimulationResult r = simulate(tasks, *policy, {8.0, 8.0, 8.0}, cfg);
 
   // (1) every task is accounted for exactly once.
   std::size_t accounted = 0;

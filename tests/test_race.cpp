@@ -76,9 +76,7 @@ TEST(Race, RegistryConcurrentLookupAndRegister) {
 }
 
 TEST(Race, UsageMeterConcurrentRecordAndCharge) {
-  sched::StageCostModel costs;
-  costs.stage_ms = {1.0, 2.0};
-  serving::UsageMeter meter(costs, {"a", "b"});
+  serving::UsageMeter meter({1.0, 2.0}, {"a", "b"});
 
   std::vector<serving::InferenceRequest> requests(4);
   std::vector<serving::InferenceResponse> responses(4);

@@ -11,6 +11,8 @@
 // so CI's kill-mid-checkpoint job can inject background crashes.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -88,8 +90,7 @@ std::size_t add_calibrated_model(serving::ModelRegistry& registry,
       registry.add(name, nn::build_staged_resnet(tiny_model_config(seed)));
   serving::ModelEntry& e = registry.entry(handle);
   e.curves.fit(fake_eval(seed + 4));
-  e.costs.stage_ms = {1.0 + static_cast<double>(seed), 2.0};
-  e.costs.jitter_fraction = 0.0;
+  e.stage_ms = {1.0 + static_cast<double>(seed), 2.0};
   e.calibration_alpha = {0.4, 0.6};
   e.calibrated = true;
   return handle;
@@ -149,7 +150,7 @@ TEST(Recovery, WarmRestartServesIdenticalResults) {
   // and answers with identical (label, confidence) pairs.
   serving::ModelEntry& e = after.entry(0);
   EXPECT_TRUE(e.calibrated);
-  EXPECT_EQ(e.costs.stage_ms, (std::vector<double>{2.0, 2.0}));
+  EXPECT_EQ(e.stage_ms, (std::vector<double>{2.0, 2.0}));
   EXPECT_EQ(e.calibration_alpha, (std::vector<double>{0.4, 0.6}));
   EXPECT_TRUE(e.curves.fitted());
   EXPECT_FALSE(e.curves.has_exact_gp());  // only the serving-path profiles persist
@@ -305,11 +306,7 @@ TEST(Recovery, RestoredCurvesServeButRefuseExactGpQueries) {
 
 // ---- usage-journal recovery -----------------------------------------------
 
-sched::StageCostModel journal_costs() {
-  sched::StageCostModel costs;
-  costs.stage_ms = {2.0, 3.0};
-  return costs;
-}
+std::vector<double> journal_costs() { return {2.0, 3.0}; }
 
 serving::InferenceResponse fake_response(std::size_t stages, bool expired,
                                          bool degraded, std::size_t retries) {
@@ -466,10 +463,9 @@ TEST(Recovery, UsageJournalRejectsForeignFile) {
   EXPECT_EQ(meter.replay_journal(dir.path + "/absent.journal").frames, 0u);
 }
 
-/// A byte-exact pre-PR7 (version-1) journal image: header {magic, 1} and one
-/// frame whose class rows have seven fields and no trailing ops block. This
-/// is the on-disk format deployed meters may still carry; replay must accept
-/// it forever.
+/// A byte-exact version-1 journal image, the layout the meter writes:
+/// header {magic, 1} and one frame whose class rows have seven fields and
+/// nothing after them. Replay must accept it forever.
 std::vector<std::uint8_t> v1_journal_image() {
   io::ByteWriter payload;
   payload.u64(1);    // touched classes
@@ -480,7 +476,7 @@ std::vector<std::uint8_t> v1_journal_image() {
   payload.u64(1);    // expired
   payload.u64(0);    // early_exits
   payload.u64(1);    // shed
-  payload.u64(2);    // retries — v1 rows end here: no brownout_sheds
+  payload.u64(2);    // retries — v1 rows end here
   const std::vector<std::uint8_t>& p = payload.buffer();
   io::ByteWriter file;
   file.u32(0x4A475545);  // "EUGJ"
@@ -492,9 +488,8 @@ std::vector<std::uint8_t> v1_journal_image() {
 }
 
 TEST(Recovery, UsageJournalV1ImageReplaysCompatibly) {
-  // Regression for the v2 format change: a journal written before the
-  // brownout/ops counters existed replays without error and without
-  // inventing counts for fields its frames never carried.
+  // The written format, pinned byte for byte: a v1 image replays every
+  // column of its class row.
   FailpointGuard guard;
   serving::UsageMeter meter(journal_costs(), {"only"});
   const serving::JournalReplay replay =
@@ -508,15 +503,11 @@ TEST(Recovery, UsageJournalV1ImageReplaysCompatibly) {
   EXPECT_EQ(u.expired, 1u);
   EXPECT_EQ(u.shed, 1u);
   EXPECT_EQ(u.retries, 2u);
-  EXPECT_EQ(u.brownout_sheds, 0u);  // v1 never recorded these
-  EXPECT_EQ(meter.ops().hedges_issued, 0u);
-  EXPECT_EQ(meter.ops().breaker_trips, 0u);
 }
 
 TEST(Recovery, UsageJournalAppendToV1FileStaysV1) {
-  // open_journal on an existing v1 file keeps appending v1 frames — the file
-  // never mixes encodings, so a pre-PR7 reader still replays it. The price:
-  // ops deltas and brownout_sheds are memory-only on such a meter.
+  // open_journal on an existing v1 file appends v1 frames after it, so the
+  // file keeps one encoding and replays whole.
   FailpointGuard guard;
   TempDir dir("jv1");
   std::error_code ec;
@@ -527,52 +518,163 @@ TEST(Recovery, UsageJournalAppendToV1FileStaysV1) {
   serving::UsageMeter meter(journal_costs(), {"only"});
   meter.replay_journal(journal);
   meter.open_journal(journal);
-  serving::InferenceResponse browned = fake_response(1, false, false, 0);
-  browned.browned_out = true;
-  meter.record({{tensor::Tensor::zeros({1}), 0}}, {browned}, kStages);
-  meter.record_ops({3, 2, 1});  // not journalable in v1; stays in memory
-  EXPECT_EQ(meter.usage()[0].brownout_sheds, 1u);
-  EXPECT_EQ(meter.ops().hedges_issued, 3u);
+  meter.record({{tensor::Tensor::zeros({1}), 0}}, {fake_response(1, false, false, 0)},
+               kStages);
 
   serving::UsageMeter recovered(journal_costs(), {"only"});
   const serving::JournalReplay replay = recovered.replay_journal(journal);
-  EXPECT_EQ(replay.frames, 2u);  // v1 seed frame + the v1-encoded append
+  EXPECT_EQ(replay.frames, 2u);  // v1 seed frame + the appended frame
   EXPECT_FALSE(replay.truncated);
   EXPECT_EQ(recovered.usage()[0].requests, 3u);
-  // The v1 encoding had nowhere to put these; replay correctly reads zero.
-  EXPECT_EQ(recovered.usage()[0].brownout_sheds, 0u);
-  EXPECT_EQ(recovered.ops().hedges_issued, 0u);
-  EXPECT_EQ(recovered.ops().hedges_won, 0u);
-  EXPECT_EQ(recovered.ops().breaker_trips, 0u);
+  EXPECT_EQ(recovered.usage()[0].stages_executed, 4u);
+  EXPECT_DOUBLE_EQ(recovered.usage()[0].compute_ms, meter.usage()[0].compute_ms);
 }
 
-TEST(Recovery, UsageJournalV2RoundtripsBrownoutAndOpsCounters) {
+TEST(Recovery, UsageJournalWritesVersionOneRows) {
+  // A journal this build creates carries header version 1, and each frame
+  // holds seven-column class rows: the touched-class count, then per class
+  // its id and seven 8-byte columns, and nothing after them.
   FailpointGuard guard;
-  TempDir dir("jv2");
+  TempDir dir("jwrite");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
 
   serving::UsageMeter meter(journal_costs(), {"interactive", "batch"});
   meter.open_journal(journal);
-  serving::InferenceResponse browned = fake_response(1, false, false, 0);
-  browned.browned_out = true;
   meter.record({{tensor::Tensor::zeros({1}), 0}, {tensor::Tensor::zeros({1}), 1}},
-               {browned, fake_response(2, false, false, 0)}, kStages);
-  meter.record_ops({5, 2, 1});
-  meter.record_ops({1, 1, 0});
+               {fake_response(2, false, false, 1), fake_response(1, true, false, 0)},
+               kStages);
+  meter.close_journal();
 
-  serving::UsageMeter recovered(journal_costs(), {"interactive", "batch"});
-  const serving::JournalReplay replay = recovered.replay_journal(journal);
-  EXPECT_EQ(replay.frames, 3u);  // one record + two ops frames
+  const std::vector<std::uint8_t> bytes = io::read_file_bytes(journal);
+  io::ByteReader r(bytes, "journal");
+  EXPECT_EQ(r.u32(), 0x4A475545u);  // "EUGJ"
+  EXPECT_EQ(r.u32(), 1u);           // header version
+  const std::uint32_t len = r.u32();
+  (void)r.u32();                    // CRC
+  EXPECT_EQ(len, 8u + 2u * (4u + 7u * 8u));
+  EXPECT_EQ(r.u64(), 2u);           // touched classes
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(r.u32(), c);
+    for (int col = 0; col < 7; ++col) (void)r.u64();
+  }
+  r.expect_exhausted();
+}
+
+/// A byte-exact version-2 journal image, the layout earlier builds wrote:
+/// header {magic, 2}, one frame whose class row carries an eighth
+/// (brown-out) column and which ends in a three-counter block (hedges
+/// issued, hedges won, breaker trips).
+std::vector<std::uint8_t> v2_journal_image() {
+  io::ByteWriter payload;
+  payload.u64(1);    // touched classes
+  payload.u32(0);    // class id
+  payload.u64(4);    // requests
+  payload.u64(6);    // stages_executed
+  payload.f64(9.5);  // compute_ms
+  payload.u64(1);    // expired
+  payload.u64(2);    // early_exits
+  payload.u64(1);    // shed
+  payload.u64(3);    // retries
+  payload.u64(1);    // brown-out column
+  payload.u64(5);    // hedges issued
+  payload.u64(2);    // hedges won
+  payload.u64(1);    // breaker trips
+  const std::vector<std::uint8_t>& p = payload.buffer();
+  io::ByteWriter file;
+  file.u32(0x4A475545);  // "EUGJ"
+  file.u32(2);           // version 2
+  file.u32(static_cast<std::uint32_t>(p.size()));
+  file.u32(crc32(p.data(), p.size()));
+  file.raw(p.data(), p.size());
+  return file.take();
+}
+
+TEST(Recovery, UsageJournalV2ImageReplaysAndRefusesAppend) {
+  // A v2 journal still replays: its class columns count, and the brown-out
+  // column and the counter block are read and discarded. Appending to it is
+  // refused typed, with the file left exactly as it was.
+  FailpointGuard guard;
+  TempDir dir("jv2");
+  std::error_code ec;
+  fs::create_directory(dir.path, ec);
+  const std::string journal = dir.path + "/usage.journal";
+  const std::vector<std::uint8_t> image = v2_journal_image();
+  io::atomic_write_file(journal, image);
+
+  serving::UsageMeter meter(journal_costs(), {"only"});
+  const serving::JournalReplay replay = meter.replay_journal(journal);
+  EXPECT_EQ(replay.frames, 1u);
   EXPECT_FALSE(replay.truncated);
-  EXPECT_EQ(recovered.usage()[0].brownout_sheds, 1u);
-  EXPECT_EQ(recovered.usage()[1].brownout_sheds, 0u);
-  EXPECT_EQ(recovered.ops().hedges_issued, 6u);
-  EXPECT_EQ(recovered.ops().hedges_won, 3u);
-  EXPECT_EQ(recovered.ops().breaker_trips, 1u);
-  serving::PricingPolicy pricing;
-  EXPECT_DOUBLE_EQ(recovered.total_charge(pricing), meter.total_charge(pricing));
+  const serving::ClassUsage u = meter.usage()[0];
+  EXPECT_EQ(u.requests, 4u);
+  EXPECT_EQ(u.stages_executed, 6u);
+  EXPECT_DOUBLE_EQ(u.compute_ms, 9.5);
+  EXPECT_EQ(u.expired, 1u);
+  EXPECT_EQ(u.early_exits, 2u);
+  EXPECT_EQ(u.shed, 1u);
+  EXPECT_EQ(u.retries, 3u);
+
+  EXPECT_THROW(meter.open_journal(journal), InvalidArgument);
+  EXPECT_EQ(io::read_file_bytes(journal), image);
+  // The meter stays detached: a record counts in memory only.
+  meter.record({{tensor::Tensor::zeros({1}), 0}}, {fake_response(1, false, false, 0)},
+               kStages);
+  EXPECT_EQ(io::read_file_bytes(journal), image);
+}
+
+TEST(Recovery, UsageJournalFailedAppendKeepsLedgerReplayable) {
+  // A write that fails partway (here: the file-size limit cuts the second
+  // frame 10 bytes in) must leave neither the partial frame on disk nor the
+  // batch in memory. Otherwise the next append lands after the stray bytes,
+  // every replay throws CRC mismatch mid-file, and the whole ledger is lost.
+  FailpointGuard guard;
+  TempDir dir("jfsize");
+  std::error_code ec;
+  fs::create_directory(dir.path, ec);
+  const std::string journal = dir.path + "/usage.journal";
+
+  serving::UsageMeter meter(journal_costs(), {"only"});
+  meter.open_journal(journal);
+  meter.record({{tensor::Tensor::zeros({1}), 0}}, {fake_response(2, false, false, 0)},
+               kStages);
+  const std::uintmax_t committed = fs::file_size(journal);
+
+  // Past RLIMIT_FSIZE a write fails with EFBIG instead of raising SIGXFSZ.
+  struct sigaction ignore {};
+  ignore.sa_handler = SIG_IGN;
+  struct sigaction saved_action {};
+  ASSERT_EQ(::sigaction(SIGXFSZ, &ignore, &saved_action), 0);
+  rlimit saved_limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  rlimit capped = saved_limit;
+  capped.rlim_cur = static_cast<rlim_t>(committed + 10);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  bool threw = false;
+  try {
+    meter.record({{tensor::Tensor::zeros({1}), 0}}, {fake_response(1, false, false, 0)},
+                 kStages);
+  } catch (const IoError&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved_limit), 0);
+  ASSERT_EQ(::sigaction(SIGXFSZ, &saved_action, nullptr), 0);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(fs::file_size(journal), committed);  // the partial frame is gone
+  EXPECT_EQ(meter.usage()[0].requests, 1u);      // and the batch never counted
+
+  meter.record({{tensor::Tensor::zeros({1}), 0}}, {fake_response(1, false, false, 0)},
+               kStages);
+  serving::UsageMeter recovered(journal_costs(), {"only"});
+  const serving::JournalReplay replay = recovered.replay_journal(journal);
+  EXPECT_EQ(replay.frames, 2u);
+  EXPECT_FALSE(replay.truncated);
+  const serving::ClassUsage live = meter.usage()[0];
+  const serving::ClassUsage replayed = recovered.usage()[0];
+  EXPECT_EQ(replayed.requests, live.requests);
+  EXPECT_EQ(replayed.stages_executed, live.stages_executed);
+  EXPECT_DOUBLE_EQ(replayed.compute_ms, live.compute_ms);
 }
 
 // ---- adversarial snapshot payloads ------------------------------------------
@@ -595,6 +697,57 @@ TEST(Recovery, ManifestWithImplausibleModelCountThrowsTyped) {
                CorruptionError);
 }
 
+/// An artifacts payload in the snapshot layout: an uncalibrated entry (no
+/// curves), its stage times, the retired jitter slot, and α.
+std::vector<std::uint8_t> artifacts_payload(const std::vector<double>& stage_ms,
+                                            double jitter_slot,
+                                            const std::vector<double>& alpha) {
+  io::ByteWriter w;
+  w.u8(0);  // calibrated
+  w.u64(0);  // curve stages
+  w.f64_vec(stage_ms);
+  w.f64(jitter_slot);
+  w.f64_vec(alpha);
+  return w.take();
+}
+
+TEST(Recovery, ArtifactsWithNonZeroJitterSlotDecode) {
+  // Snapshots written before stage times became a plain vector may hold a
+  // non-zero jitter fraction in the slot after them; it is skipped, and the
+  // stage times and α decode as written.
+  FailpointGuard guard;
+  serving::ModelEntry entry("model", nn::build_staged_resnet(tiny_model_config()));
+  serving::detail::decode_artifacts_payload(
+      artifacts_payload({1.5, 2.5}, 0.25, {0.4, 0.6}), entry, "parent layout");
+  EXPECT_EQ(entry.stage_ms, (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(entry.calibration_alpha, (std::vector<double>{0.4, 0.6}));
+  EXPECT_FALSE(entry.calibrated);
+}
+
+TEST(Recovery, ArtifactsWriteZeroInJitterSlot) {
+  // The writer keeps the layout, so older builds restore these snapshots:
+  // the artifacts file holds exactly the hand-built payload, jitter slot 0.
+  FailpointGuard guard;
+  TempDir dir("artlayout");
+  serving::ModelRegistry registry;
+  const std::size_t handle =
+      registry.add("model", nn::build_staged_resnet(tiny_model_config()));
+  registry.update(handle, [](serving::ModelEntry& e) {
+    e.stage_ms = {1.5, 2.5};
+    e.calibration_alpha = {0.4, 0.6};
+  });
+  (void)serving::save_snapshot(registry, dir.path);
+
+  std::vector<std::uint8_t> payload;
+  for (const auto& de : fs::directory_iterator(dir.path)) {
+    if (de.path().filename().string().find("artifacts") == std::string::npos) continue;
+    payload = io::decode_blob(io::read_file_bytes(de.path().string()), 0x41475545u,
+                              1u, "artifacts")
+                  .payload;
+  }
+  EXPECT_EQ(payload, artifacts_payload({1.5, 2.5}, 0.0, {0.4, 0.6}));
+}
+
 TEST(Recovery, MixedSnapshotArtifactVectorsThrowTyped) {
   // Per-stage cost/α vectors whose length disagrees with the model are the
   // mixed-snapshot signature: restore must fail typed at load time, not
@@ -607,7 +760,7 @@ TEST(Recovery, MixedSnapshotArtifactVectorsThrowTyped) {
     if (bad_alpha)
       registry.entry(0).calibration_alpha = {0.1, 0.2, 0.3};  // 3-stage α
     else
-      registry.entry(0).costs.stage_ms = {1.0, 2.0, 3.0};  // 3-stage costs
+      registry.entry(0).stage_ms = {1.0, 2.0, 3.0};  // 3-stage costs
     (void)serving::save_snapshot(registry, dir.path);
 
     serving::ModelRegistry restored;

@@ -352,7 +352,7 @@ TaskSpec make_task(std::size_t service, double arrival, double deadline,
   return t;
 }
 
-StageCostModel unit_costs() { return StageCostModel{{10.0, 10.0, 10.0}, 0.0}; }
+std::vector<double> unit_costs() { return {10.0, 10.0, 10.0}; }
 
 TEST(Simulator, CompletesEverythingWithGenerousDeadlines) {
   std::vector<TaskSpec> tasks;
@@ -537,25 +537,6 @@ TEST(Workload, BuildsRequestedStreams) {
     EXPECT_GT(t.arrival_ms, last_arrival[t.service]);
     last_arrival[t.service] = t.arrival_ms;
     EXPECT_DOUBLE_EQ(t.deadline_ms, t.arrival_ms + 50.0);
-  }
-}
-
-TEST(Workload, CostModelFromFlops) {
-  const auto costs = cost_model_from_flops({1e6, 2e6, 4e6}, 1e5);
-  ASSERT_EQ(costs.num_stages(), 3u);
-  EXPECT_DOUBLE_EQ(costs.stage_ms[0], 10.0);
-  EXPECT_DOUBLE_EQ(costs.stage_ms[2], 40.0);
-  EXPECT_THROW(cost_model_from_flops({}, 1.0), InvalidArgument);
-  EXPECT_THROW(cost_model_from_flops({1.0}, 0.0), InvalidArgument);
-}
-
-TEST(Workload, JitterStaysWithinBounds) {
-  StageCostModel costs{{10.0}, 0.2};
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const double d = costs.duration_ms(0, rng);
-    EXPECT_GE(d, 8.0);
-    EXPECT_LE(d, 12.0);
   }
 }
 

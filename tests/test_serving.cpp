@@ -175,24 +175,23 @@ TEST_F(ServiceIntegration, CalibrationProducesLowEce) {
 }
 
 TEST_F(ServiceIntegration, ProfileMeasuresIncreasingStageCosts) {
-  const core::StageProfile profile = service_->profile(handle_, {2, 8, 8});
-  ASSERT_EQ(profile.stage_ms.size(), 3u);
-  for (double ms : profile.stage_ms) EXPECT_GT(ms, 0.0);
-  for (double flops : profile.stage_flops) EXPECT_GT(flops, 0.0);
-  // The profile is installed as the registry's cost model.
-  EXPECT_EQ(service_->registry().entry(handle_).costs.stage_ms, profile.stage_ms);
+  const std::vector<double> stage_ms = service_->profile(handle_, {2, 8, 8});
+  ASSERT_EQ(stage_ms.size(), 3u);
+  for (double ms : stage_ms) EXPECT_GT(ms, 0.0);
+  // The profile is installed as the entry's stage times.
+  EXPECT_EQ(service_->registry().entry(handle_).stage_ms, stage_ms);
 }
 
 TEST_F(ServiceIntegration, ProfileRejectsZeroRepeatsAndPublishesNothing) {
   // No timed run means no median to take: the call must fail before the
   // registry update, leaving the epoch and the installed costs untouched.
   const std::uint64_t epoch = service_->registry().epoch();
-  const std::vector<double> costs = service_->registry().entry(handle_).costs.stage_ms;
+  const std::vector<double> costs = service_->registry().entry(handle_).stage_ms;
   profile::TimingConfig timing;
   timing.repeats = 0;
   EXPECT_THROW(service_->profile(handle_, {2, 8, 8}, timing), InvalidArgument);
   EXPECT_EQ(service_->registry().epoch(), epoch);
-  EXPECT_EQ(service_->registry().entry(handle_).costs.stage_ms, costs);
+  EXPECT_EQ(service_->registry().entry(handle_).stage_ms, costs);
 }
 
 TEST_F(ServiceIntegration, SingleInferenceReturnsSaneResult) {
@@ -385,8 +384,7 @@ TEST_F(ServiceIntegration, PickSequenceMatchesRebuiltRunnableSet) {
   sched::SimulationConfig sim;
   sim.num_workers = 1;
   sim.early_exit_confidence = kExit;
-  const sched::StageCostModel costs{std::vector<double>(num_stages, 1.0)};
-  sched::simulate(tasks, recorder, costs, sim);
+  sched::simulate(tasks, recorder, std::vector<double>(num_stages, 1.0), sim);
   EXPECT_EQ(recorder.picks, server_order);
 }
 

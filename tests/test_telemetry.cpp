@@ -81,7 +81,7 @@ struct ServerHarness {
       : handle(registry.add("tiny", nn::build_staged_resnet(tiny_model_config()))) {
     serving::ModelEntry& e = registry.entry(handle);
     e.curves.fit(fake_eval());
-    e.costs.stage_ms = {1.0, 1.0};
+    e.stage_ms = {1.0, 1.0};
   }
 
   serving::ModelEntry& entry() { return registry.entry(handle); }
