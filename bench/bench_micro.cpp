@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -132,69 +133,98 @@ BENCHMARK(BM_StagedFirstStageOnly);
 
 // Layer-by-layer rows of the served model (DESIGN.md §14): the staged
 // ResNet servebench serves (StagedResNetConfig defaults, head_hidden 24),
-// one row per layer run_stage runs, trunk then head. A residual block gets
-// a row of its own followed by rows for its conv1 and conv2, which time
-// each conv on the block's input (a conv's cost does not depend on the
-// values). Each row is Layer::infer on a warm, reset arena; the GFLOP
-// counter reads against BM_GemmKernel/isa:1/n:256 from the same run.
+// one row per layer run_stage runs, trunk then head, each registered as
+// BM_StagedLayer/<stage>/<trunk|head>/<layer name>, so a new row shifts no
+// other row's name. A residual block's row is followed by rows for its
+// parts on the block's own activations: conv1, norm1+relu (norm1 with the
+// ReLU folded in), conv2 and norm2+shortcut+relu, which together are what
+// the block's infer() runs. Each row is one infer on a warm, reset arena;
+// the GFLOP counter reads against BM_GemmKernel/isa:1/n:256 from the same
+// run.
+using InferFn =
+    std::function<nn::ActivationView(const nn::ActivationView&, nn::ScratchArena&)>;
+
 struct LayerProbe {
-  const nn::Layer* layer = nullptr;
+  std::string name;
   tensor::Tensor input;
-  std::string label;
+  InferFn infer;
+  double flops = 0.0;
 };
 
-const std::vector<std::vector<LayerProbe>>& staged_layer_probes() {
-  static const auto* probes = [] {
-    nn::StagedResNetConfig cfg;
-    cfg.head_hidden = 24;
-    static nn::StagedModel model = nn::build_staged_resnet(cfg);
-    auto* rows = new std::vector<std::vector<LayerProbe>>(model.num_stages());
-    Rng rng(6);
-    tensor::Tensor x =
-        tensor::Tensor::randn({cfg.in_channels, cfg.height, cfg.width}, rng);
-    for (std::size_t s = 0; s < model.num_stages(); ++s) {
-      tensor::Tensor features;
-      for (nn::Sequential* part : {&model.trunk(s), &model.head(s)}) {
-        for (std::size_t i = 0; i < part->size(); ++i) {
-          const nn::Layer& layer = part->layer(i);
-          (*rows)[s].push_back({&layer, x, layer.name()});
-          if (const auto* block = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
-            (*rows)[s].push_back({&block->conv1(), x, block->conv1().name() + " conv1"});
-            (*rows)[s].push_back({&block->conv2(), x, block->conv2().name() + " conv2"});
-          }
-          x = nn::infer(layer, x);
-        }
-        if (part == &model.trunk(s)) features = x;
-      }
-      x = features;
-    }
-    return rows;
-  }();
-  return *probes;
+InferFn infer_of(const nn::Layer& layer) {
+  return [&layer](const nn::ActivationView& in, nn::ScratchArena& arena) {
+    return layer.infer(in, arena);
+  };
 }
 
-void BM_StagedLayer(benchmark::State& state) {
-  const LayerProbe& probe = staged_layer_probes()[static_cast<std::size_t>(
-      state.range(0))][static_cast<std::size_t>(state.range(1))];
+std::vector<LayerProbe> staged_layer_probes() {
+  nn::StagedResNetConfig cfg;
+  cfg.head_hidden = 24;
+  static nn::StagedModel model = nn::build_staged_resnet(cfg);
+  std::vector<LayerProbe> probes;
+  Rng rng(6);
+  tensor::Tensor x =
+      tensor::Tensor::randn({cfg.in_channels, cfg.height, cfg.width}, rng);
+  for (std::size_t s = 0; s < model.num_stages(); ++s) {
+    tensor::Tensor features;
+    for (nn::Sequential* part : {&model.trunk(s), &model.head(s)}) {
+      const bool trunk = part == &model.trunk(s);
+      const std::string prefix = std::to_string(s) + (trunk ? "/trunk/" : "/head/");
+      for (std::size_t i = 0; i < part->size(); ++i) {
+        const nn::Layer& layer = part->layer(i);
+        const std::string name = prefix + layer.name();
+        probes.push_back({name, x, infer_of(layer), layer.flops()});
+        if (const auto* block = dynamic_cast<const nn::ResidualBlock*>(&layer)) {
+          const nn::ChannelNorm& norm1 = block->norm1();
+          const nn::ChannelNorm& norm2 = block->norm2();
+          const tensor::Tensor c1 = nn::infer(block->conv1(), x);
+          const tensor::Tensor r1 = nn::infer(nn::ReLU(), nn::infer(norm1, c1));
+          const tensor::Tensor c2 = nn::infer(block->conv2(), r1);
+          probes.push_back({name + "/conv1", x, infer_of(block->conv1()),
+                            block->conv1().flops()});
+          probes.push_back({name + "/norm1+relu", c1,
+                            [&norm1](const nn::ActivationView& in,
+                                     nn::ScratchArena& arena) {
+                              return norm1.infer_folded(in, arena, /*relu=*/true);
+                            }});
+          probes.push_back({name + "/conv2", r1, infer_of(block->conv2()),
+                            block->conv2().flops()});
+          probes.push_back({name + "/norm2+shortcut+relu", c2,
+                            [&norm2, shortcut = x](const nn::ActivationView& in,
+                                                   nn::ScratchArena& arena) {
+                              return norm2.infer_folded(in, arena, /*relu=*/true,
+                                                        shortcut.raw());
+                            }});
+        }
+        x = nn::infer(layer, x);
+      }
+      if (trunk) features = x;
+    }
+    x = features;
+  }
+  return probes;
+}
+
+void BM_StagedLayer(benchmark::State& state, const LayerProbe& probe) {
   const nn::ActivationView in = nn::ActivationView::of(probe.input);
   nn::ScratchArena arena;
-  probe.layer->infer(in, arena);  // warm the arena to this layer's size
+  probe.infer(in, arena);  // warm the arena to this layer's size
   for (auto _ : state) {
     arena.reset();
-    benchmark::DoNotOptimize(probe.layer->infer(in, arena).data);
+    benchmark::DoNotOptimize(probe.infer(in, arena).data);
     benchmark::ClobberMemory();
   }
-  state.SetLabel(probe.label);
-  if (probe.layer->flops() > 0.0)
+  if (probe.flops > 0.0)
     state.counters["GFLOP"] = benchmark::Counter(
-        probe.layer->flops() * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+        probe.flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_StagedLayer)->Apply([](benchmark::internal::Benchmark* b) {
-  const auto& probes = staged_layer_probes();
-  for (std::size_t s = 0; s < probes.size(); ++s)
-    for (std::size_t l = 0; l < probes[s].size(); ++l)
-      b->Args({static_cast<std::int64_t>(s), static_cast<std::int64_t>(l)});
-});
+
+[[maybe_unused]] const bool kStagedLayerRows = [] {
+  for (const LayerProbe& probe : staged_layer_probes())
+    benchmark::RegisterBenchmark(("BM_StagedLayer/" + probe.name).c_str(),
+                                 BM_StagedLayer, probe);
+  return true;
+}();
 
 gp::ConfidenceCurveModel make_curves() {
   calib::StagedEvaluation eval;

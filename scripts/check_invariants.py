@@ -58,6 +58,15 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       (sched::Engine), and the server's peer workers and
                       the simulator drive it instead of running their own
                       policy loop (DESIGN.md §15).
+  fma-target          a target attribute or pragma in src/ (target(...),
+                      target_clones(...), #pragma GCC target(...)) that
+                      enables FMA — an `fma` option, or an `arch=` one, which
+                      may — appears only in src/tensor/gemm_avx2.cpp. GCC
+                      contracts a separate multiply and add into an FMA under
+                      its C++ default -ffp-contract=fast wherever FMA is
+                      enabled, so such a target on a norm or pool body would
+                      silently change its bits, and with them every trained
+                      model (DESIGN.md §14).
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -495,6 +504,31 @@ def rule_single_scheduler(files):
                     "(DESIGN.md §15)")
 
 
+# A target attribute or pragma and its option string(s); the options are
+# matched on comment-stripped text with string literals kept.
+TARGET_RE = re.compile(r'\btarget(?:_clones)?\s*\(\s*((?:"[^"]*"\s*,?\s*)+)\)')
+FMA_OPTION_RE = re.compile(r"^(fma4?|arch=.*)$")
+GEMM_AVX2_REL = "src/tensor/gemm_avx2.cpp"
+
+
+def rule_fma_target(files):
+    for f in files:
+        if not f.rel.startswith("src/") or f.rel == GEMM_AVX2_REL:
+            continue
+        for m in TARGET_RE.finditer(f.code):
+            options = [o.strip() for lit in re.findall(r'"([^"]*)"', m.group(1))
+                       for o in lit.split(",")]
+            enabling = [o for o in options if FMA_OPTION_RE.match(o)]
+            if enabling:
+                line = f.code.count("\n", 0, m.start()) + 1
+                yield Violation(
+                    "fma-target", f.rel, line,
+                    f"target option(s) {', '.join(enabling)} enable FMA "
+                    f"outside {GEMM_AVX2_REL}: GCC would contract a multiply "
+                    "and an add into one FMA and change the body's bits "
+                    "(DESIGN.md §14)")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -521,6 +555,7 @@ RULES = {
     "no-direct-exit": rule_direct_exit,
     "inference-const": rule_inference_const,
     "single-scheduler": rule_single_scheduler,
+    "fma-target": rule_fma_target,
 }
 
 

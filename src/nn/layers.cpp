@@ -252,78 +252,35 @@ ChannelNorm::ChannelNorm(std::size_t channels, float epsilon)
   EUGENE_REQUIRE(channels > 0, "ChannelNorm: zero channels");
 }
 
-namespace {
-
-// Shared per-plane normalization core: the training forward and infer() must
-// round identically (double mean/var, float xhat) for inference to stay
-// bitwise-equal to the training forward.
-void channel_norm_plane(const float* xc, std::size_t hw, float epsilon, float g,
-                        float b, float* out, float* xhat_out, float* inv_std_out) {
-  // Eight fixed-order accumulator lanes: a single running double sum is a
-  // serial 4-cycle add chain (≈ hw·4 cycles per pass); lanes overlap the
-  // adds and vectorize. The lane count and combine order are fixed, so the
-  // result is deterministic and shared verbatim by the training forward and
-  // infer() (their bitwise equality only needs this function to be one
-  // function).
-  double lane[8] = {};
-  std::size_t i = 0;
-  for (; i + 8 <= hw; i += 8)
-    for (std::size_t l = 0; l < 8; ++l) lane[l] += xc[i + l];
-  for (; i < hw; ++i) lane[i % 8] += xc[i];
-  double mean = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-                ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-  mean /= static_cast<double>(hw);
-  for (std::size_t l = 0; l < 8; ++l) lane[l] = 0.0;
-  i = 0;
-  for (; i + 8 <= hw; i += 8)
-    for (std::size_t l = 0; l < 8; ++l) {
-      const double d = xc[i + l] - mean;
-      lane[l] += d * d;
-    }
-  for (; i < hw; ++i) {
-    const double d = xc[i] - mean;
-    lane[i % 8] += d * d;
-  }
-  double var = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-               ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-  var /= static_cast<double>(hw);
-  const float inv_std = static_cast<float>(1.0 / std::sqrt(var + epsilon));
-  if (inv_std_out != nullptr) *inv_std_out = inv_std;
-  for (std::size_t i = 0; i < hw; ++i) {
-    const float xhat = (xc[i] - static_cast<float>(mean)) * inv_std;
-    if (xhat_out != nullptr) xhat_out[i] = xhat;
-    out[i] = g * xhat + b;
-  }
-}
-
-}  // namespace
-
+// forward() and infer() run one tensor::channel_norm body, which is what
+// keeps inference bitwise equal to the training forward.
 Tensor ChannelNorm::forward(const Tensor& input) {
   EUGENE_REQUIRE(input.rank() == 3 && input.dim(0) == channels_,
                  "ChannelNorm::forward: expected CHW with matching channels");
-  const std::size_t hw = input.dim(1) * input.dim(2);
   Tensor out(input.shape());
   cached_xhat_ = Tensor(input.shape());
   cached_inv_std_.assign(channels_, 0.0f);
-  const float* x = input.raw();
-  float* o = out.raw();
-  float* xh = cached_xhat_.raw();
-  for (std::size_t c = 0; c < channels_; ++c) {
-    channel_norm_plane(x + c * hw, hw, epsilon_, gain_.at(c), bias_.at(c),
-                       o + c * hw, xh + c * hw, &cached_inv_std_[c]);
-  }
+  tensor::plane_kernels().channel_norm(
+      {.x = input.raw(), .channels = channels_, .hw = input.dim(1) * input.dim(2),
+       .epsilon = epsilon_, .gain = gain_.raw(), .bias = bias_.raw(), .out = out.raw(),
+       .xhat = cached_xhat_.raw(), .inv_std = cached_inv_std_.data()});
   return out;
 }
 
 ActivationView ChannelNorm::infer(const ActivationView& input,
                                   ScratchArena& arena) const {
+  return infer_folded(input, arena, /*relu=*/false);
+}
+
+ActivationView ChannelNorm::infer_folded(const ActivationView& input, ScratchArena& arena,
+                                         bool relu, const float* shortcut) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == channels_,
                  "ChannelNorm::infer: expected CHW with matching channels");
-  const std::size_t hw = input.dims[1] * input.dims[2];
   ActivationView out = same_dims_view(input, arena);
-  for (std::size_t c = 0; c < channels_; ++c)
-    channel_norm_plane(input.data + c * hw, hw, epsilon_, gain_.at(c), bias_.at(c),
-                       out.data + c * hw, nullptr, nullptr);
+  tensor::plane_kernels().channel_norm(
+      {.x = input.data, .channels = channels_, .hw = input.dims[1] * input.dims[2],
+       .epsilon = epsilon_, .gain = gain_.raw(), .bias = bias_.raw(),
+       .shortcut = shortcut, .relu = relu, .out = out.data});
   return out;
 }
 
@@ -421,24 +378,23 @@ Tensor Flatten::backward(const Tensor& grad_output) {
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor GlobalAvgPool::forward(const Tensor& input) {
+  EUGENE_REQUIRE(input.rank() == 3 && input.dim(1) * input.dim(2) > 0,
+                 "GlobalAvgPool::forward: expected a non-empty CHW image");
   cached_shape_ = input.shape();
-  return tensor::global_avg_pool(input);
+  Tensor out({input.dim(0)});
+  tensor::plane_kernels().global_avg_pool(input.raw(), input.dim(0),
+                                          input.dim(1) * input.dim(2), out.raw());
+  return out;
 }
 
 ActivationView GlobalAvgPool::infer(const ActivationView& input,
                                     ScratchArena& arena) const {
-  EUGENE_REQUIRE(input.rank == 3, "GlobalAvgPool::infer: expected CHW");
+  EUGENE_REQUIRE(input.rank == 3 && input.dims[1] * input.dims[2] > 0,
+                 "GlobalAvgPool::infer: expected a non-empty CHW image");
   const std::size_t c = input.dims[0];
-  const std::size_t hw = input.dims[1] * input.dims[2];
-  EUGENE_REQUIRE(hw > 0, "GlobalAvgPool::infer: empty image plane");
   ActivationView out = ActivationView::make({&c, 1}, arena);
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    const float* plane = input.data + ch * hw;
-    // float accumulator, matching tensor::global_avg_pool bit for bit
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < hw; ++i) acc += plane[i];
-    out.data[ch] = acc / static_cast<float>(hw);
-  }
+  tensor::plane_kernels().global_avg_pool(input.data, c, input.dims[1] * input.dims[2],
+                                          out.data);
   return out;
 }
 
@@ -489,25 +445,10 @@ ActivationView MaxPool2::infer(const ActivationView& input, ScratchArena& arena)
   EUGENE_REQUIRE(input.rank == 3, "MaxPool2::infer: expected CHW image");
   const std::size_t c = input.dims[0];
   const std::size_t ih = input.dims[1], iw = input.dims[2];
-  const std::size_t oh = ih / 2, ow = iw / 2;
-  EUGENE_REQUIRE(oh > 0 && ow > 0, "MaxPool2::infer: image too small");
-  const std::size_t out_dims[3] = {c, oh, ow};
+  EUGENE_REQUIRE(ih >= 2 && iw >= 2, "MaxPool2::infer: image too small");
+  const std::size_t out_dims[3] = {c, ih / 2, iw / 2};
   ActivationView out = ActivationView::make(out_dims, arena);
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    const float* x = input.data + ch * ih * iw;
-    float* o = out.data + ch * oh * ow;
-    for (std::size_t y = 0; y < oh; ++y) {
-      for (std::size_t xo = 0; xo < ow; ++xo) {
-        std::size_t best = (2 * y) * iw + 2 * xo;
-        for (std::size_t dy = 0; dy < 2; ++dy)
-          for (std::size_t dx = 0; dx < 2; ++dx) {
-            const std::size_t idx = (2 * y + dy) * iw + (2 * xo + dx);
-            if (x[idx] > x[best]) best = idx;
-          }
-        o[y * ow + xo] = x[best];
-      }
-    }
-  }
+  tensor::plane_kernels().max_pool_2x2(input.data, c, ih, iw, out.data);
   return out;
 }
 

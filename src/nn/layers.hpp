@@ -94,6 +94,12 @@ class ChannelNorm final : public Layer {
   std::string name() const override { return "channel_norm(" + std::to_string(channels_) + ")"; }
   std::unique_ptr<Layer> clone() const override;
 
+  /// infer() with ResidualBlock's epilogue folded into the normalize pass:
+  /// `shortcut` (input-shaped) added when set, then a ReLU when `relu`.
+  /// Bitwise equal to infer() followed by the add and a ReLU layer.
+  ActivationView infer_folded(const ActivationView& input, ScratchArena& arena,
+                              bool relu, const float* shortcut = nullptr) const;
+
  private:
   std::size_t channels_;
   float epsilon_;

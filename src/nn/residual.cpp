@@ -36,22 +36,14 @@ Tensor ResidualBlock::forward(const Tensor& input) {
 
 ActivationView ResidualBlock::infer(const ActivationView& input,
                                     ScratchArena& arena) const {
-  ActivationView f = conv1_->infer(input, arena);
-  f = norm1_->infer(f, arena);
-  f = relu1_->infer(f, arena);
-  f = conv2_->infer(f, arena);
-  f = norm2_->infer(f, arena);
-  EUGENE_REQUIRE(f.numel() == input.numel(),
+  // relu1 runs inside norm1's normalize pass, and the shortcut add and the
+  // final ReLU inside norm2's: no pass of their own, no buffer of their own.
+  const ActivationView f =
+      norm1_->infer_folded(conv1_->infer(input, arena), arena, /*relu=*/true);
+  const ActivationView g = conv2_->infer(f, arena);
+  EUGENE_REQUIRE(g.numel() == input.numel(),
                  "ResidualBlock::infer: shape drift through the block");
-  // Shortcut add + final ReLU fused in place over norm2's arena output.
-  float* p = f.data;
-  const float* x = input.data;
-  const std::size_t n = f.numel();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = p[i] + x[i];
-    p[i] = v > 0.0f ? v : 0.0f;
-  }
-  return f;
+  return norm2_->infer_folded(g, arena, /*relu=*/true, input.data);
 }
 
 Tensor ResidualBlock::backward(const Tensor& grad_output) {

@@ -23,9 +23,11 @@ class ResidualBlock final : public Layer {
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
 
-  /// The block's two convolutions (bench_micro times each on its own).
+  /// The block's convolutions and norms (bench_micro times each part).
   const Conv2d& conv1() const { return *conv1_; }
   const Conv2d& conv2() const { return *conv2_; }
+  const ChannelNorm& norm1() const { return *norm1_; }
+  const ChannelNorm& norm2() const { return *norm2_; }
 
  private:
   /// Empty shell filled member-by-member by clone() (height/width are not

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/plane_kernel.hpp"
+
 namespace eugene::tensor {
 namespace {
 
@@ -277,36 +279,10 @@ Tensor conv2d_direct(const Tensor& image_chw, const Tensor& weights, const Tenso
   return out;
 }
 
-Tensor max_pool2(const Tensor& image_chw) {
-  EUGENE_REQUIRE(image_chw.rank() == 3, "max_pool2: expected CHW image");
-  const std::size_t c = image_chw.dim(0);
-  const std::size_t oh = image_chw.dim(1) / 2;
-  const std::size_t ow = image_chw.dim(2) / 2;
-  EUGENE_REQUIRE(oh > 0 && ow > 0, "max_pool2: image too small");
-  Tensor out({c, oh, ow});
-  for (std::size_t ch = 0; ch < c; ++ch)
-    for (std::size_t y = 0; y < oh; ++y)
-      for (std::size_t x = 0; x < ow; ++x)
-        out.at(ch, y, x) = std::max(
-            std::max(image_chw.at(ch, 2 * y, 2 * x), image_chw.at(ch, 2 * y, 2 * x + 1)),
-            std::max(image_chw.at(ch, 2 * y + 1, 2 * x),
-                     image_chw.at(ch, 2 * y + 1, 2 * x + 1)));
-  return out;
-}
-
-Tensor global_avg_pool(const Tensor& image_chw) {
-  EUGENE_REQUIRE(image_chw.rank() == 3, "global_avg_pool: expected CHW image");
-  const std::size_t c = image_chw.dim(0);
-  const std::size_t hw = image_chw.dim(1) * image_chw.dim(2);
-  EUGENE_REQUIRE(hw > 0, "global_avg_pool: empty image plane");
-  Tensor out({c});
-  const float* img = image_chw.raw();
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < hw; ++i) acc += img[ch * hw + i];
-    out.at(ch) = acc / static_cast<float>(hw);
-  }
-  return out;
+PlaneKernels plane_kernels_with_isa(GemmIsa isa) {
+  EUGENE_REQUIRE(gemm_isa_available(isa), "plane_kernels: requested ISA unavailable");
+  return isa == GemmIsa::kAvx2 ? detail::avx2_plane_kernels()
+                               : detail::scalar_plane_kernels();
 }
 
 }  // namespace eugene::tensor

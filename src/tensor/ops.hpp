@@ -1,11 +1,13 @@
-// Tensor kernels: matmul family, im2col convolution, pooling.
+// Tensor kernels: matmul family, im2col convolution, channel norm, pooling.
 //
 // These are the compute primitives under eugene::nn. Shapes follow CHW for
 // single images and [rows, cols] for matrices. The matmul family and im2col
 // are thin wrappers over the tiled SIMD GEMM core in gemm.hpp (DESIGN.md
 // §14); the `_into` variants write into caller-provided storage so arena-
 // backed inference allocates nothing per call — im2col_into reads one raw
-// CHW image, the storage a conv's inference view points at.
+// CHW image, the storage a conv's inference view points at. Channel norm and
+// the pools read and write raw CHW planes too, through one body per ISA
+// level that the GEMM's active_gemm_isa() picks.
 #pragma once
 
 #include "tensor/gemm.hpp"
@@ -98,10 +100,42 @@ Tensor conv2d(const Tensor& image_chw, const Tensor& weights, const Tensor& bias
 Tensor conv2d_direct(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
                      const Conv2dGeometry& g);
 
-/// 2×2 max pooling with stride 2 over CHW; odd trailing rows/cols dropped.
-Tensor max_pool2(const Tensor& image_chw);
+/// One ChannelNorm pass over `channels` CHW planes of `hw` floats. Per
+/// plane: mean and variance in double over eight lanes (element i joins lane
+/// i % 8 in index order; lanes combine as ((0+1)+(2+3)) + ((4+5)+(6+7))),
+/// inv_std = float(1 / sqrt(var + epsilon)); per element, in float,
+/// x̂ = (x − float(mean))·inv_std and y = gain·x̂ + bias (a multiply, then an
+/// add), y += shortcut when set, y = y > 0 ? y : 0 when `relu`. `xhat` and
+/// `inv_std` (the training forward's caches) are written when non-null.
+struct ChannelNormPass {
+  const float* x = nullptr;
+  std::size_t channels = 0, hw = 0;
+  float epsilon = 0.0f;
+  const float *gain = nullptr, *bias = nullptr, *shortcut = nullptr;
+  bool relu = false;
+  float *out = nullptr, *xhat = nullptr, *inv_std = nullptr;
+};
 
-/// Global average pool: CHW → [C].
-Tensor global_avg_pool(const Tensor& image_chw);
+/// Channel norm and the pools on one ISA level. Every level computes the
+/// same bits; the training forward and inference share them (DESIGN.md §14).
+struct PlaneKernels {
+  void (*channel_norm)(const ChannelNormPass& pass);
+  /// `channels` planes of `hw` floats into out[c]: each plane's serial float
+  /// sum in index order, divided by hw.
+  void (*global_avg_pool)(const float* image_chw, std::size_t channels, std::size_t hw,
+                          float* out);
+  /// 2×2 stride-2 max pool of height×width planes, an odd last row or column
+  /// dropped. Each window keeps its first element (row-major) unless a later
+  /// one compares `>` the kept one: ties and ±0 keep the first, and a NaN
+  /// wins only in the first position.
+  void (*max_pool_2x2)(const float* image_chw, std::size_t channels, std::size_t height,
+                       std::size_t width, float* out);
+};
+
+/// The bodies of `isa`, which must be available.
+PlaneKernels plane_kernels_with_isa(GemmIsa isa);
+
+/// The bodies of active_gemm_isa().
+inline PlaneKernels plane_kernels() { return plane_kernels_with_isa(active_gemm_isa()); }
 
 }  // namespace eugene::tensor

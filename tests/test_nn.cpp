@@ -180,6 +180,14 @@ TEST(GradCheck, EntropyRegularizedLoss) {
   }
 }
 
+TEST(Pooling, MaxPool2PicksMaxima) {
+  Tensor img({1, 2, 4}, std::vector<float>{1, 5, 2, 0, 3, 4, 8, 7});
+  const Tensor out = infer(MaxPool2(), img);
+  ASSERT_EQ(out.shape(), (tensor::Shape{1, 1, 2}));
+  EXPECT_EQ(out.at(0, 0, 0), 5.0f);
+  EXPECT_EQ(out.at(0, 0, 1), 8.0f);
+}
+
 TEST(Loss, EntropyRegularizationShiftsConfidence) {
   // With L = CE + α·H: positive α penalizes entropy, so gradient descent
   // pushes the top logit up harder (sharper distribution, higher

@@ -2,17 +2,25 @@
 //   * conv/pooling gradients hold across a geometry grid (TEST_P);
 //   * softmax/ECE/entropy invariants hold for random distributions;
 //   * the DES scheduler preserves conservation laws for every policy × load;
-//   * GP predictions are sane across random monotone curve families.
+//   * GP predictions are sane across random monotone curve families;
+//   * ChannelNorm and the pools match the scalar code they replaced, bit for
+//     bit, on every ISA arm.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "calib/ece.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "gp/gaussian_process.hpp"
 #include "nn/layers.hpp"
+#include "nn/residual.hpp"
 #include "nn/loss.hpp"
 #include "sched/simulator.hpp"
 #include "tensor/ops.hpp"
@@ -322,6 +330,262 @@ TEST_P(GpCurveSweep, PosteriorMeanInterpolatesAndStaysBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GpCurveSweep, ::testing::Range(1, 9));
+
+// ------------------------------------------------------------------------
+// ChannelNorm, GlobalAvgPool and MaxPool2 against the scalar loops they
+// replaced. forward() and infer() share one body per ISA level, so their
+// equality cannot catch a changed lane count, combine order or pool order,
+// or a multiply-add contracted into an FMA; these references can. Each arm
+// is checked through plane_kernels_with_isa, and the layers on the active
+// arm (EUGENE_GEMM_ISA picks it).
+// ------------------------------------------------------------------------
+
+bool same_bits(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+std::vector<tensor::GemmIsa> available_isas() {
+  std::vector<tensor::GemmIsa> out;
+  for (const auto isa : {tensor::GemmIsa::kScalar, tensor::GemmIsa::kAvx2})
+    if (tensor::gemm_isa_available(isa)) out.push_back(isa);
+  return out;
+}
+
+// ChannelNorm's per-plane core before the vector bodies, verbatim.
+void channel_norm_plane(const float* xc, std::size_t hw, float epsilon, float g,
+                        float b, float* out, float* xhat_out, float* inv_std_out) {
+  double lane[8] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= hw; i += 8)
+    for (std::size_t l = 0; l < 8; ++l) lane[l] += xc[i + l];
+  for (; i < hw; ++i) lane[i % 8] += xc[i];
+  double mean = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+                ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  mean /= static_cast<double>(hw);
+  for (std::size_t l = 0; l < 8; ++l) lane[l] = 0.0;
+  i = 0;
+  for (; i + 8 <= hw; i += 8)
+    for (std::size_t l = 0; l < 8; ++l) {
+      const double d = xc[i + l] - mean;
+      lane[l] += d * d;
+    }
+  for (; i < hw; ++i) {
+    const double d = xc[i] - mean;
+    lane[i % 8] += d * d;
+  }
+  double var = ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+               ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+  var /= static_cast<double>(hw);
+  const float inv_std = static_cast<float>(1.0 / std::sqrt(var + epsilon));
+  if (inv_std_out != nullptr) *inv_std_out = inv_std;
+  for (std::size_t i = 0; i < hw; ++i) {
+    const float xhat = (xc[i] - static_cast<float>(mean)) * inv_std;
+    if (xhat_out != nullptr) xhat_out[i] = xhat;
+    out[i] = g * xhat + b;
+  }
+}
+
+float relu(float v) { return v > 0.0f ? v : 0.0f; }
+
+const std::vector<std::pair<std::size_t, std::size_t>> kPlanes = {
+    {1, 1}, {3, 5}, {4, 4}, {7, 9}, {8, 8}, {16, 16}};
+
+// (channels, plane, cancelling). A cancelling plane opens each 16 floats
+// with ±2^40-scale pairs four apart, then eight values in [0, 1): each of
+// the eight double lanes rounds the small values against a large running
+// sum, and the large ones cancel only in the combine, so another lane count
+// or combine order moves the mean by far more than a float ulp.
+class ChannelNormSweep
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::pair<std::size_t, std::size_t>, bool>> {};
+
+TEST_P(ChannelNormSweep, MatchesScalarReferenceBitwise) {
+  const auto [channels, plane, cancelling] = GetParam();
+  const std::size_t hw = plane.first * plane.second;
+  const std::size_t n = channels * hw;
+  Rng rng(channels * 131 + hw * 7 + (cancelling ? 1 : 0));
+  tensor::Tensor x({channels, plane.first, plane.second});
+  tensor::Tensor shortcut = tensor::Tensor::randn(x.shape(), rng);
+  tensor::Tensor gain({channels}), bias({channels});
+  for (std::size_t c = 0; c < channels; ++c) {
+    gain.at(c) = static_cast<float>(rng.uniform(0.5, 1.5));
+    bias.at(c) = cancelling ? 0.0f : static_cast<float>(rng.uniform(-0.5, 0.5));
+    const float offset = static_cast<float>(rng.uniform(-3.0, 3.0));
+    float* xc = x.raw() + c * hw;
+    for (std::size_t i = 0; i < hw; ++i)
+      xc[i] = offset + static_cast<float>(rng.normal());
+    if (cancelling) {
+      for (std::size_t i = 0; i < hw; ++i) xc[i] = static_cast<float>(rng.uniform());
+      for (std::size_t i = 0; i + 8 <= hw; i += 16)
+        for (std::size_t l = 0; l < 4; ++l) {
+          const float big = static_cast<float>(std::ldexp(rng.uniform(1.0, 2.0), 40));
+          xc[i + l] = big;
+          xc[i + l + 4] = -big;
+        }
+    }
+  }
+  const float epsilon = 1e-5f;
+
+  std::vector<float> ref(n), ref_xhat(n), ref_inv_std(channels);
+  std::vector<float> ref_relu(n), ref_block(n);
+  for (std::size_t c = 0; c < channels; ++c)
+    channel_norm_plane(x.raw() + c * hw, hw, epsilon, gain.at(c), bias.at(c),
+                       ref.data() + c * hw, ref_xhat.data() + c * hw, &ref_inv_std[c]);
+  for (std::size_t i = 0; i < n; ++i) {
+    ref_relu[i] = relu(ref[i]);
+    ref_block[i] = relu(ref[i] + shortcut.raw()[i]);
+  }
+
+  nn::ChannelNorm layer(channels, epsilon);
+  const std::vector<nn::ParamRef> params = layer.params();
+  *params[0].value = gain;
+  *params[1].value = bias;
+  EXPECT_TRUE(same_bits(layer.forward(x).raw(), ref.data(), n)) << "forward";
+  EXPECT_TRUE(same_bits(nn::infer(layer, x).raw(), ref.data(), n)) << "infer";
+  nn::ScratchArena arena;
+  const nn::ActivationView in = nn::ActivationView::of(x);
+  EXPECT_TRUE(same_bits(layer.infer_folded(in, arena, true).data, ref_relu.data(), n))
+      << "norm + relu";
+  EXPECT_TRUE(same_bits(layer.infer_folded(in, arena, true, shortcut.raw()).data,
+                        ref_block.data(), n))
+      << "norm + shortcut + relu";
+
+  for (const tensor::GemmIsa isa : available_isas()) {
+    SCOPED_TRACE(tensor::gemm_isa_name(isa));
+    std::vector<float> out(n), xhat(n), inv_std(channels);
+    tensor::ChannelNormPass pass;
+    pass.x = x.raw();
+    pass.channels = channels;
+    pass.hw = hw;
+    pass.epsilon = epsilon;
+    pass.gain = gain.raw();
+    pass.bias = bias.raw();
+    pass.out = out.data();
+    pass.xhat = xhat.data();
+    pass.inv_std = inv_std.data();
+    tensor::plane_kernels_with_isa(isa).channel_norm(pass);
+    EXPECT_TRUE(same_bits(out.data(), ref.data(), n)) << "out";
+    EXPECT_TRUE(same_bits(xhat.data(), ref_xhat.data(), n)) << "xhat";
+    EXPECT_TRUE(same_bits(inv_std.data(), ref_inv_std.data(), channels)) << "inv_std";
+    pass.xhat = nullptr;
+    pass.inv_std = nullptr;
+    pass.relu = true;
+    tensor::plane_kernels_with_isa(isa).channel_norm(pass);
+    EXPECT_TRUE(same_bits(out.data(), ref_relu.data(), n)) << "relu";
+    pass.shortcut = shortcut.raw();
+    tensor::plane_kernels_with_isa(isa).channel_norm(pass);
+    EXPECT_TRUE(same_bits(out.data(), ref_block.data(), n)) << "shortcut + relu";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ChannelNormSweep,
+    ::testing::Combine(::testing::Values(1, 3, 8, 9, 16, 32),
+                       ::testing::ValuesIn(kPlanes), ::testing::Bool()));
+
+// The block's two folded norms end to end, on the served block shapes (the
+// AVX2 arm's vector path) and on planes with a lane tail (its scalar
+// fallback): ResidualBlock::infer against its training forward.
+TEST(FoldedNorm, ResidualBlockInferMatchesForwardBitwise) {
+  for (const auto& [channels, side_h, side_w] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{8, 16, 16}, {16, 8, 8},
+        {32, 4, 4}, {3, 7, 9}}) {
+    Rng rng(channels);
+    nn::ResidualBlock block(channels, side_h, side_w, rng);
+    const tensor::Tensor x = tensor::Tensor::randn({channels, side_h, side_w}, rng);
+    const tensor::Tensor want = block.forward(x);
+    EXPECT_TRUE(same_bits(nn::infer(block, x).raw(), want.raw(), want.numel()))
+        << channels << " channels";
+  }
+}
+
+class GlobalAvgPoolSweep
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::pair<std::size_t, std::size_t>>> {};
+
+TEST_P(GlobalAvgPoolSweep, MatchesSerialFloatSumBitwise) {
+  const auto [channels, plane] = GetParam();
+  const std::size_t hw = plane.first * plane.second;
+  Rng rng(channels * 17 + hw);
+  const tensor::Tensor x =
+      tensor::Tensor::randn({channels, plane.first, plane.second}, rng);
+  std::vector<float> ref(channels);
+  for (std::size_t c = 0; c < channels; ++c) {
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < hw; ++i) acc += x.raw()[c * hw + i];
+    ref[c] = acc / static_cast<float>(hw);
+  }
+  nn::GlobalAvgPool layer;
+  EXPECT_TRUE(same_bits(layer.forward(x).raw(), ref.data(), channels)) << "forward";
+  EXPECT_TRUE(same_bits(nn::infer(layer, x).raw(), ref.data(), channels)) << "infer";
+  for (const tensor::GemmIsa isa : available_isas()) {
+    std::vector<float> out(channels);
+    tensor::plane_kernels_with_isa(isa).global_avg_pool(x.raw(), channels, hw,
+                                                        out.data());
+    EXPECT_TRUE(same_bits(out.data(), ref.data(), channels))
+        << tensor::gemm_isa_name(isa);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, GlobalAvgPoolSweep,
+    ::testing::Combine(::testing::Values(1, 3, 8, 10, 32),
+                       ::testing::Values(std::make_pair(1, 1), std::make_pair(3, 5),
+                                         std::make_pair(7, 9), std::make_pair(5, 13),
+                                         std::make_pair(4, 4), std::make_pair(16, 16))));
+
+// Planes whose output widths cover the AVX2 body's eight- and four-window
+// steps and its scalar tail, odd extents included.
+class MaxPool2Sweep
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::pair<std::size_t, std::size_t>>> {};
+
+TEST_P(MaxPool2Sweep, KeepsFirstGreaterBitwise) {
+  const auto [channels, plane] = GetParam();
+  const auto [height, width] = plane;
+  const std::size_t oh = height / 2, ow = width / 2, n = channels * oh * ow;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Ties, both zeros and NaNs are common draws; round nan_at also plants a
+  // NaN at window position nan_at (row-major) of every window.
+  const float draws[] = {-1.0f, -0.0f, 0.0f, 1.0f, 2.0f, 2.0f, nan};
+  Rng rng(channels * 29 + height * 5 + width);
+  for (int nan_at = -1; nan_at < 4; ++nan_at) {
+    SCOPED_TRACE(nan_at);
+    tensor::Tensor x({channels, height, width});
+    for (std::size_t i = 0; i < x.numel(); ++i) x.raw()[i] = draws[rng.uniform_int(0, 6)];
+    std::vector<float> ref(n);
+    for (std::size_t c = 0; c < channels; ++c)
+      for (std::size_t y = 0; y < oh; ++y)
+        for (std::size_t xo = 0; xo < ow; ++xo) {
+          float* w = x.raw() + (c * height + 2 * y) * width + 2 * xo;
+          float* window[4] = {w, w + 1, w + width, w + width + 1};
+          if (nan_at >= 0) *window[nan_at] = nan;
+          float best = *window[0];
+          for (float* v : window)
+            if (*v > best) best = *v;
+          ref[(c * oh + y) * ow + xo] = best;
+        }
+    nn::MaxPool2 layer;
+    EXPECT_TRUE(same_bits(layer.forward(x).raw(), ref.data(), n)) << "forward";
+    EXPECT_TRUE(same_bits(nn::infer(layer, x).raw(), ref.data(), n)) << "infer";
+    for (const tensor::GemmIsa isa : available_isas()) {
+      std::vector<float> out(n);
+      tensor::plane_kernels_with_isa(isa).max_pool_2x2(x.raw(), channels, height, width,
+                                                 out.data());
+      EXPECT_TRUE(same_bits(out.data(), ref.data(), n)) << tensor::gemm_isa_name(isa);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MaxPool2Sweep,
+    ::testing::Combine(
+        ::testing::Values(1, 3, 8, 9),
+        ::testing::Values(std::make_pair(2, 2), std::make_pair(3, 5),
+                          std::make_pair(5, 9), std::make_pair(8, 8),
+                          std::make_pair(9, 17), std::make_pair(16, 16),
+                          std::make_pair(7, 25), std::make_pair(5, 27),
+                          std::make_pair(6, 33))));
 
 }  // namespace
 }  // namespace eugene
