@@ -492,8 +492,9 @@ void BM_CheckpointSaveV2(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointSaveV2);
 
-// v2 checkpoint decode: magic/version/length validation, chunked body read,
-// CRC verification, and the shape-checked copy into live tensors.
+// v2 checkpoint decode: a chunked read of the whole stream, the blob checks
+// (magic, version, length, CRC), and the shape-checked copy into live
+// tensors.
 void BM_CheckpointLoadV2(benchmark::State& state) {
   nn::StagedModel model = bench_checkpoint_model();
   const auto params = model.params();

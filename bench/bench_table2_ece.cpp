@@ -10,10 +10,8 @@
 //     2        0.146     0.046       0.012
 //     3        0.123     0.054       0.008
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.hpp"
-#include "nn/serialize.hpp"
 
 using namespace eugene;
 
@@ -65,12 +63,11 @@ int main() {
   std::printf("ablation: entropy-regularization alpha sweep (stage 3 head, test ECE)\n");
   std::printf("%-8s %10s %12s %12s\n", "alpha", "ECE", "accuracy", "confidence");
   const auto features = calib::stage_features(bundle.model, bundle.calib_set);
-  std::stringstream snapshot;
-  nn::save_params(bundle.model.head(2).params(), snapshot);
+  const auto head = bundle.model.head(2).params();
+  std::vector<tensor::Tensor> initial;
+  for (const auto& p : head) initial.push_back(*p.value);
   for (double alpha : {-1.0, -0.5, -0.2, 0.0, 0.2, 0.5, 1.0}) {
-    snapshot.clear();
-    snapshot.seekg(0);
-    nn::load_params(bundle.model.head(2).params(), snapshot);
+    for (std::size_t i = 0; i < head.size(); ++i) *head[i].value = initial[i];
     calib::finetune_head(bundle.model, 2, features[2], bundle.calib_set.labels, alpha);
     const auto eval = calib::evaluate_staged(bundle.model, bundle.test_set);
     std::printf("%+8.2f %10.3f %12.3f %12.3f\n", alpha,

@@ -67,6 +67,11 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       enabled, so such a target on a norm or pool body would
                       silently change its bits, and with them every trained
                       model (DESIGN.md §14).
+  one-container       in src/, only common/io.cpp (blobs) and
+                      serving/usage.cpp (journal frames) include
+                      common/crc32.hpp: durable bytes are CRC-framed in those
+                      two places, and every other artifact, checkpoints
+                      included, is an io blob (DESIGN.md §9).
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -529,6 +534,24 @@ def rule_fma_target(files):
                     "(DESIGN.md §14)")
 
 
+CRC_INCLUDE_RE = re.compile(r'#\s*include\s*"common/crc32\.hpp"')
+CRC_FRAMERS = ("src/common/io.cpp", "src/serving/usage.cpp")
+
+
+def rule_one_container(files):
+    for f in files:
+        if not f.rel.startswith("src/") or f.rel in CRC_FRAMERS:
+            continue
+        for ln, line in enumerate(f.code_lines, 1):
+            if CRC_INCLUDE_RE.search(line):
+                yield Violation(
+                    "one-container", f.rel, ln,
+                    "common/crc32.hpp included outside " +
+                    " and ".join(CRC_FRAMERS) + " — write the artifact "
+                    "as an io blob (io::encode_blob / write_blob_file) "
+                    "instead of framing a CRC of its own (DESIGN.md §9)")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -556,6 +579,7 @@ RULES = {
     "inference-const": rule_inference_const,
     "single-scheduler": rule_single_scheduler,
     "fma-target": rule_fma_target,
+    "one-container": rule_one_container,
 }
 
 

@@ -1,15 +1,11 @@
 #include "calib/calibrators.hpp"
 
 #include <cmath>
-#include <numeric>
-#include <sstream>
 
 #include "calib/ece.hpp"
 #include "common/logging.hpp"
 #include "common/stats.hpp"
-#include "nn/loss.hpp"
-#include "nn/optimizer.hpp"
-#include "nn/serialize.hpp"
+#include "nn/train.hpp"
 
 namespace eugene::calib {
 
@@ -34,46 +30,15 @@ void finetune_head(nn::StagedModel& model, std::size_t stage,
                    std::span<const Tensor> features,
                    std::span<const std::size_t> labels, double alpha,
                    std::size_t epochs, double learning_rate, std::size_t batch_size) {
-  EUGENE_REQUIRE(batch_size > 0, "finetune_head: batch size must be positive");
-  EUGENE_REQUIRE(features.size() == labels.size(), "finetune_head: size mismatch");
-  EUGENE_REQUIRE(!features.empty(), "finetune_head: empty calibration set");
-  nn::SgdConfig sgd;
-  sgd.learning_rate = learning_rate;
-  sgd.momentum = 0.9;
-  sgd.weight_decay = 0.0;  // calibration should not shrink the head
-  nn::Sequential& head = model.head(stage);
-  nn::SgdOptimizer optimizer(head.params(), sgd);
-  Rng shuffle_rng(13 + stage);
-  std::vector<std::size_t> order(features.size());
-  for (std::size_t e = 0; e < epochs; ++e) {
-    std::iota(order.begin(), order.end(), 0);
-    shuffle_rng.shuffle(order);
-    std::size_t in_batch = 0;
-    optimizer.zero_grads();
-    for (std::size_t idx : order) {
-      const Tensor logits = head.forward(features[idx]);
-      const nn::LossResult loss =
-          nn::cross_entropy_with_entropy_reg(logits, labels[idx], alpha);
-      head.backward(loss.grad_logits);
-      if (++in_batch == batch_size) {
-        optimizer.step(1.0 / static_cast<double>(in_batch));
-        optimizer.zero_grads();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      optimizer.step(1.0 / static_cast<double>(in_batch));
-      optimizer.zero_grads();
-    }
-  }
-}
-
-void finetune_heads(nn::StagedModel& model, const data::Dataset& calib_set, double alpha,
-                    std::size_t epochs, double learning_rate, std::size_t batch_size) {
-  const auto features = stage_features(model, calib_set);
-  for (std::size_t s = 0; s < model.num_stages(); ++s)
-    finetune_head(model, s, features[s], calib_set.labels, alpha, epochs, learning_rate,
-                  batch_size);
+  nn::ClassifierTrainConfig config;
+  config.epochs = epochs;
+  config.batch_size = batch_size;
+  config.sgd.learning_rate = learning_rate;
+  config.sgd.momentum = 0.9;
+  config.sgd.weight_decay = 0.0;  // calibration should not shrink the head
+  config.entropy_alpha = alpha;
+  config.shuffle_seed = 13 + stage;
+  nn::train_classifier(model.head(stage), features, labels, config);
 }
 
 namespace {
@@ -92,6 +57,18 @@ double head_ece(const nn::StagedModel& model, std::size_t stage,
     confidence[i] = probs[predicted[i]];
   }
   return expected_calibration_error(predicted, truth, confidence, bins);
+}
+
+std::vector<Tensor> copy_weights(const std::vector<nn::ParamRef>& params) {
+  std::vector<Tensor> weights;
+  weights.reserve(params.size());
+  for (const auto& p : params) weights.push_back(*p.value);
+  return weights;
+}
+
+void restore_weights(const std::vector<nn::ParamRef>& params,
+                     const std::vector<Tensor>& weights) {
+  for (std::size_t i = 0; i < params.size(); ++i) *params[i].value = weights[i];
 }
 
 }  // namespace
@@ -122,19 +99,15 @@ std::vector<double> calibrate_heads_entropy(nn::StagedModel& model,
     const std::span<const Tensor> val_features =
         std::span<const Tensor>(features).subspan(fit_count);
     const auto head = model.head(s).params();
-    // Snapshot the pre-calibration weights so every α starts equal; the
+    // Copy the pre-calibration weights so every α starts equal; the
     // untouched head is itself a candidate (fine-tuning must earn its keep).
-    std::stringstream initial;
-    nn::save_params(head, initial);
+    const std::vector<Tensor> initial = copy_weights(head);
 
     double best_alpha = 0.0;
     double best_ece = head_ece(model, s, val_features, val_labels, config.ece_bins);
-    std::stringstream best_weights;
-    nn::save_params(head, best_weights);
+    std::vector<Tensor> best_weights = initial;
     for (double alpha : config.alpha_grid) {
-      initial.clear();
-      initial.seekg(0);
-      nn::load_params(head, initial);
+      restore_weights(head, initial);
       finetune_head(model, s, fit_features, fit_labels, alpha, config.epochs,
                     config.learning_rate, config.batch_size);
       const double ece = head_ece(model, s, val_features, val_labels, config.ece_bins);
@@ -142,14 +115,10 @@ std::vector<double> calibrate_heads_entropy(nn::StagedModel& model,
       if (ece < best_ece) {
         best_ece = ece;
         best_alpha = alpha;
-        best_weights.str({});
-        best_weights.clear();
-        nn::save_params(head, best_weights);
+        best_weights = copy_weights(head);
       }
     }
-    best_weights.clear();
-    best_weights.seekg(0);
-    nn::load_params(head, best_weights);
+    restore_weights(head, best_weights);
     chosen[s] = best_alpha;
     EUGENE_LOG(Info) << "stage " << s << " calibration picked alpha=" << best_alpha
                      << " (held-out ECE " << best_ece << ")";

@@ -15,20 +15,14 @@
 
 namespace eugene::calib {
 
-/// Fine-tunes one stage head on cached features with the Eq. 4 loss.
-/// Trunk weights are frozen.
+/// Fine-tunes one stage head on cached features with the Eq. 4 loss:
+/// nn::train_classifier on the head with momentum 0.9, no weight decay and
+/// shuffle seed 13 + stage. Trunk weights are frozen.
 void finetune_head(nn::StagedModel& model, std::size_t stage,
                    std::span<const tensor::Tensor> features,
                    std::span<const std::size_t> labels, double alpha,
                    std::size_t epochs = 200, double learning_rate = 0.1,
                    std::size_t batch_size = 32);
-
-/// Fine-tunes every stage head on the calibration set with the Eq. 4 loss.
-/// Features are computed once and cached, so this is cheap even for many
-/// epochs.
-void finetune_heads(nn::StagedModel& model, const data::Dataset& calib_set,
-                    double alpha, std::size_t epochs = 200, double learning_rate = 0.1,
-                    std::size_t batch_size = 32);
 
 /// Grid-search configuration for entropy calibration.
 struct EntropyCalibConfig {

@@ -32,7 +32,8 @@ LossResult cross_entropy_with_entropy_reg(const tensor::Tensor& logits,
 /// Plain softmax cross-entropy (alpha = 0 case, kept for readability).
 LossResult cross_entropy(const tensor::Tensor& logits, std::size_t label);
 
-/// Mean squared error against a target vector (used by regression examples).
+/// Mean squared error against a target vector. No trainer or example calls
+/// it; Loss.MseGradient pins its gradient.
 LossResult mean_squared_error(const tensor::Tensor& output, const tensor::Tensor& target);
 
 /// Softmax probabilities of a logit tensor (rank-1).

@@ -5,7 +5,8 @@
 // architecture ("caching appropriately trained neural network models",
 // paper §I/§II-B).
 //
-// Checkpoint format v2 (DESIGN.md §9 "Durability model"):
+// A checkpoint is a common/io blob (DESIGN.md §9 "One container format")
+// with magic "EUG2" and version 2:
 //
 //   [magic "EUG2" u32][version u32][body length u64][body][crc32(body) u32]
 //
@@ -27,16 +28,18 @@ namespace eugene::nn {
 /// Writes all parameters to a stream in checkpoint format v2.
 void save_params(const std::vector<ParamRef>& params, std::ostream& out);
 
-/// Reads parameters saved by save_params (v2) into an
-/// architecture with exactly matching shapes. Throws eugene::CorruptionError
-/// on a damaged stream (bad magic, future version, truncation, CRC mismatch)
-/// and eugene::InvalidArgument when the stream is intact but the
-/// architecture does not match.
+/// Reads parameters saved by save_params (v2) into an architecture with
+/// exactly matching shapes. Consumes the whole stream, which must hold
+/// exactly one checkpoint. Throws eugene::CorruptionError on a damaged
+/// stream (bad magic, future version, truncation, CRC mismatch, bytes after
+/// the checkpoint) and eugene::InvalidArgument when the stream is intact but
+/// the architecture does not match.
 void load_params(const std::vector<ParamRef>& params, std::istream& in);
 
 /// File wrappers. save_params_file writes atomically (temp + fsync +
 /// rename via common/io), so a crash mid-save never destroys a previous
-/// checkpoint at the same path.
+/// checkpoint at the same path. load_params_file throws eugene::IoError when
+/// the file cannot be opened or read, and otherwise fails as load_params.
 void save_params_file(const std::vector<ParamRef>& params, const std::string& path);
 void load_params_file(const std::vector<ParamRef>& params, const std::string& path);
 

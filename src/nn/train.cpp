@@ -9,6 +9,41 @@ namespace eugene::nn {
 
 using tensor::Tensor;
 
+namespace {
+
+/// One minibatch-SGD epoch over `count` samples in a freshly shuffled order:
+/// `train_sample(i)` runs forward + backward for sample i (accumulating its
+/// gradients) and returns its loss; the optimizer steps on the mean gradient
+/// every `batch_size` samples and once more on the remainder. Returns the
+/// summed loss.
+template <typename TrainSample>
+double minibatch_epoch(std::size_t count, std::size_t batch_size, Rng& shuffle_rng,
+                       SgdOptimizer& optimizer, TrainSample&& train_sample) {
+  EUGENE_REQUIRE(batch_size > 0, "batch size must be positive");
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), 0);
+  shuffle_rng.shuffle(order);
+
+  double loss_sum = 0.0;
+  std::size_t in_batch = 0;
+  optimizer.zero_grads();
+  for (std::size_t idx : order) {
+    loss_sum += train_sample(idx);
+    if (++in_batch == batch_size) {
+      optimizer.step(1.0 / static_cast<double>(in_batch));
+      optimizer.zero_grads();
+      in_batch = 0;
+    }
+  }
+  if (in_batch > 0) {
+    optimizer.step(1.0 / static_cast<double>(in_batch));
+    optimizer.zero_grads();
+  }
+  return loss_sum;
+}
+
+}  // namespace
+
 StagedTrainer::StagedTrainer(StagedModel& model, StagedTrainConfig config)
     : model_(model),
       config_(std::move(config)),
@@ -18,7 +53,6 @@ StagedTrainer::StagedTrainer(StagedModel& model, StagedTrainConfig config)
     config_.head_loss_weights.assign(model_.num_stages(), 1.0);
   EUGENE_REQUIRE(config_.head_loss_weights.size() == model_.num_stages(),
                  "head_loss_weights size must match stage count");
-  EUGENE_REQUIRE(config_.batch_size > 0, "batch size must be positive");
 }
 
 double StagedTrainer::train_sample(const Tensor& image, std::size_t label) {
@@ -58,26 +92,9 @@ double StagedTrainer::train_epoch(std::span<const Tensor> images,
                                   std::span<const std::size_t> labels) {
   EUGENE_REQUIRE(images.size() == labels.size(), "images/labels size mismatch");
   EUGENE_REQUIRE(!images.empty(), "train_epoch: empty dataset");
-
-  std::vector<std::size_t> order(images.size());
-  std::iota(order.begin(), order.end(), 0);
-  shuffle_rng_.shuffle(order);
-
-  double loss_sum = 0.0;
-  std::size_t in_batch = 0;
-  optimizer_.zero_grads();
-  for (std::size_t idx : order) {
-    loss_sum += train_sample(images[idx], labels[idx]);
-    if (++in_batch == config_.batch_size) {
-      optimizer_.step(1.0 / static_cast<double>(in_batch));
-      optimizer_.zero_grads();
-      in_batch = 0;
-    }
-  }
-  if (in_batch > 0) {
-    optimizer_.step(1.0 / static_cast<double>(in_batch));
-    optimizer_.zero_grads();
-  }
+  const double loss_sum =
+      minibatch_epoch(images.size(), config_.batch_size, shuffle_rng_, optimizer_,
+                      [&](std::size_t i) { return train_sample(images[i], labels[i]); });
   return loss_sum / static_cast<double>(images.size());
 }
 
@@ -120,27 +137,14 @@ void train_classifier(Sequential& model, std::span<const Tensor> inputs,
   EUGENE_REQUIRE(!inputs.empty(), "train_classifier: empty dataset");
   SgdOptimizer optimizer(model.params(), config.sgd);
   Rng shuffle_rng(config.shuffle_seed);
-  std::vector<std::size_t> order(inputs.size());
   for (std::size_t e = 0; e < config.epochs; ++e) {
-    std::iota(order.begin(), order.end(), 0);
-    shuffle_rng.shuffle(order);
-    std::size_t in_batch = 0;
-    optimizer.zero_grads();
-    for (std::size_t idx : order) {
-      const Tensor logits = model.forward(inputs[idx]);
-      const LossResult loss =
-          cross_entropy_with_entropy_reg(logits, labels[idx], config.entropy_alpha);
-      model.backward(loss.grad_logits);
-      if (++in_batch == config.batch_size) {
-        optimizer.step(1.0 / static_cast<double>(in_batch));
-        optimizer.zero_grads();
-        in_batch = 0;
-      }
-    }
-    if (in_batch > 0) {
-      optimizer.step(1.0 / static_cast<double>(in_batch));
-      optimizer.zero_grads();
-    }
+    minibatch_epoch(inputs.size(), config.batch_size, shuffle_rng, optimizer,
+                    [&](std::size_t i) {
+                      const LossResult loss = cross_entropy_with_entropy_reg(
+                          model.forward(inputs[i]), labels[i], config.entropy_alpha);
+                      model.backward(loss.grad_logits);
+                      return loss.value;
+                    });
   }
 }
 

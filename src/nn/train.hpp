@@ -1,7 +1,7 @@
-// Training loops: joint deep-supervision training of staged models (all
-// heads trained together), calibration fine-tuning (paper Eq. 4), and plain
-// single-output classifier training used by the reduction and labeling
-// services.
+// Training: joint deep-supervision training of staged models (all heads
+// trained together), and plain single-output classifier training, which the
+// reduction and labeling services and calibration's head fine-tuning (paper
+// Eq. 4) use. Both run one minibatch-SGD epoch loop.
 #pragma once
 
 #include <functional>
@@ -71,7 +71,9 @@ struct ClassifierTrainConfig {
   std::uint64_t shuffle_seed = 7;
 };
 
-/// Trains a Sequential ending in class logits with softmax cross-entropy.
+/// Trains a Sequential ending in class logits with softmax cross-entropy
+/// (plus config.entropy_alpha times the entropy term of Eq. 4). An epoch
+/// with batch size 0 throws eugene::InvalidArgument.
 void train_classifier(Sequential& model, std::span<const tensor::Tensor> inputs,
                       std::span<const std::size_t> labels,
                       const ClassifierTrainConfig& config);

@@ -14,12 +14,6 @@ void require_matrix(const Tensor& t, const char* name) {
                                     shape_to_string(t.shape()));
 }
 
-void require_out_shape(const Tensor& out, std::size_t m, std::size_t n,
-                       const char* name) {
-  EUGENE_REQUIRE(out.rank() == 2 && out.dim(0) == m && out.dim(1) == n,
-                 std::string(name) + ": output tensor has the wrong shape");
-}
-
 }  // namespace
 
 // The matmul family delegates to the tiled GEMM core (gemm.hpp). Note the
@@ -28,60 +22,33 @@ void require_out_shape(const Tensor& out, std::size_t m, std::size_t n,
 // the IEEE behavior) and mispredicted once per inner iteration on dense
 // data.
 
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 float* workspace) {
+Tensor matmul(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul a");
   require_matrix(b, "matmul b");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   EUGENE_REQUIRE(b.dim(0) == k, "matmul: inner dimensions disagree");
-  require_out_shape(out, m, n, "matmul_into");
-  gemm(m, n, k, a.raw(), k, false, b.raw(), n, false, 0.0f, out.raw(), n,
-       workspace);
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  require_matrix(a, "matmul a");
-  require_matrix(b, "matmul b");
-  Tensor c({a.dim(0), b.dim(1)});
-  matmul_into(a, b, c);
+  Tensor c({m, n});
+  gemm(m, n, k, a.raw(), k, false, b.raw(), n, false, 0.0f, c.raw(), n);
   return c;
-}
-
-void matmul_transpose_a_into(const Tensor& a, const Tensor& b, Tensor& out,
-                             float* workspace) {
-  require_matrix(a, "matmul_transpose_a a");
-  require_matrix(b, "matmul_transpose_a b");
-  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  EUGENE_REQUIRE(b.dim(0) == k, "matmul_transpose_a: inner dimensions disagree");
-  require_out_shape(out, m, n, "matmul_transpose_a_into");
-  gemm(m, n, k, a.raw(), m, true, b.raw(), n, false, 0.0f, out.raw(), n,
-       workspace);
 }
 
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul_transpose_a a");
   require_matrix(b, "matmul_transpose_a b");
-  Tensor c({a.dim(1), b.dim(1)});
-  matmul_transpose_a_into(a, b, c);
+  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  EUGENE_REQUIRE(b.dim(0) == k, "matmul_transpose_a: inner dimensions disagree");
+  Tensor c({m, n});
+  gemm(m, n, k, a.raw(), m, true, b.raw(), n, false, 0.0f, c.raw(), n);
   return c;
-}
-
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out,
-                             float* workspace) {
-  require_matrix(a, "matmul_transpose_b a");
-  require_matrix(b, "matmul_transpose_b b");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  EUGENE_REQUIRE(b.dim(1) == k, "matmul_transpose_b: inner dimensions disagree");
-  require_out_shape(out, m, n, "matmul_transpose_b_into");
-  gemm(m, n, k, a.raw(), k, false, b.raw(), k, true, 0.0f, out.raw(), n,
-       workspace);
 }
 
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul_transpose_b a");
   require_matrix(b, "matmul_transpose_b b");
-  Tensor c({a.dim(0), b.dim(0)});
-  matmul_transpose_b_into(a, b, c);
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  EUGENE_REQUIRE(b.dim(1) == k, "matmul_transpose_b: inner dimensions disagree");
+  Tensor c({m, n});
+  gemm(m, n, k, a.raw(), k, false, b.raw(), k, true, 0.0f, c.raw(), n);
   return c;
 }
 

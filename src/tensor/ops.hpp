@@ -3,9 +3,9 @@
 // These are the compute primitives under eugene::nn. Shapes follow CHW for
 // single images and [rows, cols] for matrices. The matmul family and im2col
 // are thin wrappers over the tiled SIMD GEMM core in gemm.hpp (DESIGN.md
-// §14); the `_into` variants write into caller-provided storage so arena-
-// backed inference allocates nothing per call — im2col_into reads one raw
-// CHW image, the storage a conv's inference view points at. Channel norm and
+// §14); im2col_into writes into caller-provided storage so arena-backed
+// inference allocates nothing per call — it reads one raw CHW image, the
+// storage a conv's inference view points at. Channel norm and
 // the pools read and write raw CHW planes too, through one body per ISA
 // level that the GEMM's active_gemm_isa() picks.
 #pragma once
@@ -23,20 +23,6 @@ Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 
 /// C = A(m×k) * Bᵀ(n×k becomes k×n): matmul with B transposed, no copy.
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-
-/// matmul writing into `out` (must be pre-shaped [m, n]). `workspace` is
-/// packing scratch of gemm_workspace_floats(m, n, k) floats, or null for
-/// the internal thread-local buffer.
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out,
-                 float* workspace = nullptr);
-
-/// matmul_transpose_a writing into `out` ([m, n], A stored k×m).
-void matmul_transpose_a_into(const Tensor& a, const Tensor& b, Tensor& out,
-                             float* workspace = nullptr);
-
-/// matmul_transpose_b writing into `out` ([m, n], B stored n×k).
-void matmul_transpose_b_into(const Tensor& a, const Tensor& b, Tensor& out,
-                             float* workspace = nullptr);
 
 /// Geometry of a 2-D convolution over a CHW image.
 struct Conv2dGeometry {
@@ -95,8 +81,7 @@ Tensor col2im(const Tensor& cols, const Conv2dGeometry& g);
 Tensor conv2d(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
               const Conv2dGeometry& g);
 
-/// Direct (no-im2col) conv2d used as a correctness oracle and as the second
-/// execution regime in the profiler's cost model.
+/// Direct (no-im2col) conv2d: the tests' correctness oracle for conv2d.
 Tensor conv2d_direct(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
                      const Conv2dGeometry& g);
 

@@ -2,6 +2,8 @@
 // entropy / MC-dropout / temperature calibrators on a real trained model.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "calib/calibrators.hpp"
 #include "calib/ece.hpp"
 #include "calib/evaluation.hpp"
@@ -203,6 +205,49 @@ TEST_F(CalibrationIntegration, EntropyCalibrationReducesEce) {
   const double after_test = mean_ece(evaluate_staged(*model_, *test_set_));
   EXPECT_LT(after_test, 0.25);
   (void)alpha;
+}
+
+TEST_F(CalibrationIntegration, EntropyCalibrationKeepsExactlyTheWinningHead) {
+  // One α besides the untouched head: every head must end bitwise equal to
+  // its pre-calibration weights (α = 0 won) or to those weights fine-tuned
+  // with that α on the first 70% of the calibration set (α won). This pins
+  // the weight backup and restore around each candidate. α = 1 is strong
+  // enough that an early head can lose to its untouched weights, so both
+  // outcomes get exercised.
+  const std::size_t fit_count = calib_set_->size() * 7 / 10;
+  const std::vector<std::size_t> fit_labels(calib_set_->labels.begin(),
+                                            calib_set_->labels.begin() + fit_count);
+  const nn::StagedModel before = model_->clone();
+  const auto features = stage_features(before, *calib_set_);
+  for (const double candidate : {0.35, 1.0}) {
+    nn::StagedModel model = model_->clone();
+    EntropyCalibConfig cfg;
+    cfg.alpha_grid = {candidate};
+    cfg.epochs = 15;
+    const std::vector<double> alpha = calibrate_heads_entropy(model, *calib_set_, cfg);
+    ASSERT_EQ(alpha.size(), 3u);
+
+    for (std::size_t s = 0; s < 3; ++s) {
+      nn::StagedModel expected = before.clone();
+      if (alpha[s] == candidate) {
+        finetune_head(expected, s, std::span(features[s]).first(fit_count), fit_labels,
+                      candidate, cfg.epochs, cfg.learning_rate, cfg.batch_size);
+      } else {
+        ASSERT_EQ(alpha[s], 0.0) << "stage " << s;
+      }
+      const auto got = model.head(s).params();
+      const auto want = expected.head(s).params();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].value->shape(), want[i].value->shape());
+        EXPECT_EQ(std::memcmp(got[i].value->raw(), want[i].value->raw(),
+                              got[i].value->numel() * sizeof(float)),
+                  0)
+            << "grid {" << candidate << "}, stage " << s << " (alpha " << alpha[s]
+            << "), parameter " << i;
+      }
+    }
+  }
 }
 
 TEST_F(CalibrationIntegration, TemperatureScalingProducesFiniteTemps) {

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/io.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "data/synthetic_images.hpp"
@@ -533,6 +534,51 @@ TEST(Serialize, FileWithTrailingBytesThrowsTyped) {
   }
   EXPECT_THROW(load_params_file(a.params(), path), CorruptionError);
   std::remove(path.c_str());
+}
+
+// The exact bytes of a checkpoint, so a change to how it is written cannot
+// change what it writes. The tensors are set by hand, not drawn from Rng:
+// std::normal_distribution differs between standard libraries. Byte order is
+// native (DESIGN.md §9), so the expected bytes are a little-endian host's.
+TEST(Serialize, CheckpointBytesArePinned) {
+  Tensor w({2, 3}, {0.5f, -1.0f, 2.0f, 0.0f, -0.25f, 8.0f});
+  Tensor b({3}, {1.0f, -2.0f, 0.125f});
+  Tensor w_grad({2, 3}), b_grad({3});
+  const std::vector<ParamRef> params = {{&w, &w_grad}, {&b, &b_grad}};
+
+  std::ostringstream out(std::ios::binary);
+  save_params(params, out);
+  const std::string written = out.str();
+  const std::vector<std::uint8_t> bytes(written.begin(), written.end());
+  // [magic "EUG2"][version 2][body length 60][body][crc32(body)], where the
+  // body is the tensor count, then per tensor rank, shape and raw floats.
+  const std::vector<std::uint8_t> expected = {
+      0x32, 0x47, 0x55, 0x45, 0x02, 0x00, 0x00, 0x00, 0x3c, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f,
+      0x00, 0x00, 0x80, 0xbf, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x80, 0xbe, 0x00, 0x00, 0x00, 0x41, 0x01, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0,
+      0x00, 0x00, 0x00, 0x3e, 0x50, 0xca, 0x8e, 0x0e,
+  };
+  EXPECT_EQ(bytes, expected);
+  EXPECT_EQ(serialized_size_bytes(params), expected.size());
+
+  // A checkpoint is a common/io blob: the blob decoder accepts it as is.
+  const io::Blob blob = io::decode_blob(bytes, 0x45554732, 2, "checkpoint");
+  EXPECT_EQ(blob.version, 2u);
+  EXPECT_EQ(blob.payload,
+            std::vector<std::uint8_t>(expected.begin() + 16, expected.end() - 4));
+}
+
+TEST(Serialize, StreamWithTrailingBytesThrowsTyped) {
+  // load_params consumes its whole stream: bytes after the checkpoint fail
+  // typed, exactly as they do in a file.
+  StagedModel a = build_staged_resnet(tiny_config());
+  std::stringstream buffer;
+  save_params(a.params(), buffer);
+  buffer.put('\xff');
+  EXPECT_THROW(load_params(a.params(), buffer), CorruptionError);
 }
 
 TEST(Training, StagedModelLearnsSyntheticImages) {

@@ -22,6 +22,7 @@
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
 #include "core/eugene_service.hpp"
+#include "nn/serialize.hpp"
 #include "serving/snapshot.hpp"
 #include "serving/usage.hpp"
 
@@ -238,6 +239,27 @@ TEST(Recovery, ShortAndBitFlippedCheckpointsThrowTypedErrors) {
                  CorruptionError)
         << fp;
   }
+}
+
+TEST(Recovery, MissingCheckpointFileThrowsIoError) {
+  // A file the manifest names but the disk lacks is an I/O failure, the same
+  // type a missing artifacts file raises, not a caller's broken
+  // precondition.
+  FailpointGuard guard;
+  TempDir dir("missing_params");
+  serving::ModelRegistry registry;
+  add_calibrated_model(registry, "model", 1);
+  const std::uint64_t epoch = serving::save_snapshot(registry, dir.path);
+  const std::string params_path =
+      dir.path + "/model-0.params." + std::to_string(epoch);
+  ASSERT_TRUE(io::file_exists(params_path));
+  fs::remove(params_path);
+
+  serving::ModelRegistry restored;
+  EXPECT_THROW((void)serving::restore_snapshot(restored, dir.path, tiny_factory()),
+               IoError);
+  nn::StagedModel model = nn::build_staged_resnet(tiny_model_config());
+  EXPECT_THROW(nn::load_params_file(model.params(), params_path), IoError);
 }
 
 TEST(Recovery, RestoreFromEmptyOrMissingDirIsCleanColdStart) {
