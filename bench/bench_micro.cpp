@@ -44,10 +44,9 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
-// The raw GEMM core at a forced ISA arm (DESIGN.md §14): gemm_with_isa with
-// a caller-owned workspace — the exact call arena-backed inference makes.
-// The scalar/avx2 row pair is the per-machine SIMD speedup; the scalar row
-// vs the old BM_Matmul baseline is what tiling + packing alone bought.
+// The raw GEMM core at a forced ISA arm (DESIGN.md §14): gemm_with_isa on
+// row-major operands, the call arena-backed inference makes. The
+// scalar/avx2 row pair is the per-machine SIMD speedup.
 void BM_GemmKernel(benchmark::State& state) {
   const auto isa = static_cast<tensor::GemmIsa>(state.range(0));
   if (!tensor::gemm_isa_available(isa)) {
@@ -59,10 +58,9 @@ void BM_GemmKernel(benchmark::State& state) {
   const tensor::Tensor a = tensor::Tensor::randn({n, n}, rng);
   const tensor::Tensor b = tensor::Tensor::randn({n, n}, rng);
   tensor::Tensor c({n, n});
-  std::vector<float> workspace(tensor::gemm_workspace_floats(n, n, n));
   for (auto _ : state) {
     tensor::gemm_with_isa(isa, n, n, n, a.raw(), n, false, b.raw(), n, false,
-                          0.0f, c.raw(), n, workspace.data());
+                          0.0f, c.raw(), n);
     benchmark::DoNotOptimize(c.raw());
   }
   state.SetLabel(tensor::gemm_isa_name(isa));

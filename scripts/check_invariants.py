@@ -72,6 +72,13 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       common/crc32.hpp: durable bytes are CRC-framed in those
                       two places, and every other artifact, checkpoints
                       included, is an io blob (DESIGN.md §9).
+  one-gemm-driver     in src/, only tensor/gemm.cpp (the driver) and the two
+                      per-ISA tiles, tensor/gemm_scalar.cpp and
+                      tensor/gemm_avx2.cpp, include tensor/gemm_kernel.hpp:
+                      every product goes through tensor::gemm / gemm_rows,
+                      so there is one GEMM path and one tile per ISA, whose
+                      accumulation chain keeps inference bitwise equal to
+                      the training forward (DESIGN.md §14).
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -552,6 +559,25 @@ def rule_one_container(files):
                     "instead of framing a CRC of its own (DESIGN.md §9)")
 
 
+GEMM_KERNEL_INCLUDE_RE = re.compile(r'#\s*include\s*"tensor/gemm_kernel\.hpp"')
+GEMM_KERNEL_USERS = ("src/tensor/gemm.cpp", "src/tensor/gemm_scalar.cpp",
+                     "src/tensor/gemm_avx2.cpp")
+
+
+def rule_one_gemm_driver(files):
+    for f in files:
+        if not f.rel.startswith("src/") or f.rel in GEMM_KERNEL_USERS:
+            continue
+        for ln, line in enumerate(f.code_lines, 1):
+            if GEMM_KERNEL_INCLUDE_RE.search(line):
+                yield Violation(
+                    "one-gemm-driver", f.rel, ln,
+                    "tensor/gemm_kernel.hpp included outside " +
+                    ", ".join(GEMM_KERNEL_USERS) + " — call tensor::gemm "
+                    "or gemm_rows instead of driving a tile of your own "
+                    "(DESIGN.md §14)")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -580,6 +606,7 @@ RULES = {
     "single-scheduler": rule_single_scheduler,
     "fma-target": rule_fma_target,
     "one-container": rule_one_container,
+    "one-gemm-driver": rule_one_gemm_driver,
 }
 
 

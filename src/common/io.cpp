@@ -133,6 +133,7 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
 std::vector<std::uint8_t> encode_blob(std::uint32_t magic, std::uint32_t version,
                                       const std::vector<std::uint8_t>& payload) {
   ByteWriter w;
+  w.reserve(16 + payload.size() + 4);  // header, payload, CRC footer
   w.u32(magic);
   w.u32(version);
   w.u64(payload.size());

@@ -102,6 +102,10 @@ class ByteWriter {
     std::memcpy(buf_.data() + old, data, n);
   }
 
+  /// Reserves room for `n` bytes in total, so a writer that knows its final
+  /// size grows its buffer once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 

@@ -57,13 +57,6 @@ class ScratchArena {
     return out;
   }
 
-  /// alloc() plus zero fill.
-  float* alloc_zeroed(std::size_t n) {
-    float* out = alloc(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0.0f;
-    return out;
-  }
-
   /// `n` pointer-sized slots riding on the float arena (the 64-byte
   /// alignment covers any pointer type). Conv layers use this for the
   /// B-row pointer tables of tensor::gemm_rows.
@@ -93,8 +86,6 @@ class ScratchArena {
   std::size_t used_floats() const { return used_; }
   /// Largest used_floats() ever observed.
   std::size_t high_water_floats() const { return high_water_; }
-  /// Total block capacity currently held.
-  std::size_t capacity_floats() const { return total_capacity_; }
   /// Heap allocations performed over the arena's lifetime. Constant across
   /// warmed-up episodes — the zero-steady-state-allocation assertion.
   std::size_t heap_allocations() const { return heap_allocations_; }

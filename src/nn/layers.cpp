@@ -65,8 +65,7 @@ ActivationView Conv2d::infer(const ActivationView& input, ScratchArena& arena) c
       geometry_.in_channels * geometry_.kernel * geometry_.kernel;
   const std::size_t out_dims[3] = {geometry_.out_channels, oh, ow};
   ActivationView out = ActivationView::make(out_dims, arena);
-  if (geometry_.stride == 1 && ow % 8 == 0 &&
-      geometry_.out_channels <= tensor::gemm_rows_max_m()) {
+  if (geometry_.stride == 1 && ow % 8 == 0) {
     // Implicit im2col, for out widths that are a multiple of 8 (the served
     // 16×16 and 8×8 convs): embed the input in a zero-padded frame, then
     // hand gemm_rows one B-row pointer per (c, ky, kx) — the row is just the
@@ -93,11 +92,9 @@ ActivationView Conv2d::infer(const ActivationView& input, ScratchArena& arena) c
     float* frame = arena.alloc(tensor::im2col_frame_floats(geometry_));
     float* cols = arena.alloc(patch * ohw);
     tensor::im2col_into(input.data, geometry_, frame, cols);
-    float* ws = arena.alloc(
-        tensor::gemm_workspace_floats(geometry_.out_channels, ohw, patch));
     tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
                  /*trans_a=*/false, cols, ohw, /*trans_b=*/false,
-                 /*beta=*/0.0f, out.data, ohw, ws);
+                 /*beta=*/0.0f, out.data, ohw);
   }
   const float* bb = bias_.raw();
   for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
@@ -167,11 +164,9 @@ ActivationView Dense::infer(const ActivationView& input, ScratchArena& arena) co
   EUGENE_REQUIRE(input.rank == 1 && input.dims[0] == in_features_,
                  "Dense::infer: input size mismatch");
   ActivationView out = ActivationView::make({&out_features_, 1}, arena);
-  float* ws = arena.alloc(
-      tensor::gemm_workspace_floats(out_features_, 1, in_features_));
   tensor::gemm(out_features_, 1, in_features_, weights_.raw(), in_features_,
                /*trans_a=*/false, input.data, 1, /*trans_b=*/false,
-               /*beta=*/0.0f, out.data, 1, ws);
+               /*beta=*/0.0f, out.data, 1);
   const float* bb = bias_.raw();
   for (std::size_t o = 0; o < out_features_; ++o) out.data[o] += bb[o];
   return out;

@@ -156,7 +156,7 @@ StagedModel build_staged_resnet(const StagedResNetConfig& config) {
 
   for (std::size_t s = 0; s < config.stage_channels.size(); ++s) {
     auto trunk = std::make_unique<Sequential>();
-    if (s > 0 && config.downsample_between_stages) {
+    if (s > 0) {
       EUGENE_REQUIRE(height >= 2 && width >= 2,
                      "build_staged_resnet: image too small to downsample");
       trunk->add(std::make_unique<MaxPool2>());

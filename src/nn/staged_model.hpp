@@ -120,7 +120,6 @@ struct StagedResNetConfig {
   /// "thin softmax" heads sit on a much wider backbone; a small hidden layer
   /// gives our narrow stages comparable per-sample confidence expressivity.
   std::size_t head_hidden = 0;
-  bool downsample_between_stages = true;
   std::uint64_t seed = 1;
 };
 

@@ -134,7 +134,6 @@ class CacheController {
   /// The frequent set the controller currently recommends.
   std::vector<std::size_t> recommended_classes() const;
 
-  bool cache_active() const { return cache_active_; }
   void mark_built() { cache_active_ = true; recent_hits_.clear(); }
   void mark_dropped() { cache_active_ = false; recent_hits_.clear(); }
 

@@ -26,7 +26,6 @@ class CsrMatrix {
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
-  std::size_t nonzeros() const { return values_.size(); }
 
   /// Bytes needed to store the CSR structure (values + column indices +
   /// row pointers) — compare with rows·cols·4 for dense.

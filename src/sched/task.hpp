@@ -53,10 +53,6 @@ struct TaskView {
   double arrival_ms = 0.0;
   double deadline_ms = 0.0;
   std::span<const double> observed_confidence;  ///< size == stages_done
-
-  double current_confidence() const {
-    return observed_confidence.empty() ? 0.0 : observed_confidence.back();
-  }
 };
 
 /// Final answer for one task: what the engine reports when the task leaves

@@ -148,8 +148,13 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
   // Accumulate the batch into a delta first: the journal persists exactly
   // what this call adds, so replay reproduces the ledger frame by frame.
   std::vector<ClassUsage> delta(num_classes_);
+  std::uint64_t admitted = 0;
   std::uint64_t stages = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
+    // A draining response was refused at the lifecycle gate and ran no
+    // stage: it was never admitted, so it is billed nowhere.
+    if (responses[i].draining) continue;
+    ++admitted;
     ClassUsage& u = delta[requests[i].service_class];
     ++u.requests;
     u.stages_executed += responses[i].stages_run;
@@ -164,6 +169,7 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
                          : 0;
     stages += responses[i].stages_run;
   }
+  if (admitted == 0) return;  // nothing to count: no frame, no fsync
   {
     MutexLock lock(mutex_);
     // The frame commits before the ledger moves: a failed append throws
@@ -185,7 +191,7 @@ void UsageMeter::record(const std::vector<InferenceRequest>& requests,
   // after mutex_ so metrics never nest inside the usage lock, and only for a
   // batch the ledger took.
   telemetry::MetricsRegistry& m = telemetry::MetricsRegistry::global();
-  m.counter("usage.requests").inc(requests.size());
+  m.counter("usage.requests").inc(admitted);
   m.counter("usage.stages_executed").inc(stages);
 }
 

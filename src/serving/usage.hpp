@@ -31,12 +31,6 @@ struct ClassUsage {
   std::size_t shed = 0;      ///< degraded responses (retry budget spent or
                              ///< input rejected)
   std::size_t retries = 0;   ///< stage re-executions consumed by faults
-
-  double mean_stages() const {
-    return requests == 0 ? 0.0
-                         : static_cast<double>(stages_executed) /
-                               static_cast<double>(requests);
-  }
 };
 
 /// Pricing knobs: cost per compute millisecond and per request admitted.
@@ -80,7 +74,10 @@ class UsageMeter {
   UsageMeter(const UsageMeter&) = delete;
   UsageMeter& operator=(const UsageMeter&) = delete;
 
-  /// Records one processed batch. With a journal attached, the batch reaches
+  /// Records one processed batch. A draining response (refused at the
+  /// lifecycle gate before any stage ran) counts nowhere: not in the ledger,
+  /// the journal or the usage.* metrics, and a batch that admitted no
+  /// request appends no frame. With a journal attached, the batch reaches
   /// memory only after its frame is written and fsynced. A failed append
   /// cuts the file back to its last committed frame and rethrows (IoError)
   /// with the ledger unchanged; if that cut fails too, the journal is

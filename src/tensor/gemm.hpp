@@ -1,12 +1,11 @@
-// Tiled, packed, runtime-dispatched single-precision GEMM (DESIGN.md §14).
+// Tiled, runtime-dispatched single-precision GEMM (DESIGN.md §14).
 //
-// This is the compute core every Eugene stage bottoms out in: a BLIS-style
-// register-tiled micro-kernel under cache blocking, with A and B repacked
-// into contiguous panels so the kernel streams at unit stride regardless of
-// the caller's layout or transposition. Each ISA level lives in its own
-// translation unit (gemm_scalar.cpp always; gemm_avx2.cpp built with
-// AVX2+FMA target attributes on x86-64) and the best supported kernel is
-// picked once, at first use.
+// This is the compute core every Eugene stage bottoms out in: one
+// register-tiled micro-kernel per ISA level under KC blocking, reading A and
+// B where they lie. Each ISA level lives in its own translation unit
+// (gemm_scalar.cpp always; gemm_avx2.cpp built with AVX2+FMA target
+// attributes on x86-64) and the best supported kernel is picked once, at
+// first use.
 //
 // Numerics contract: C entries are plain ordered sums of a[i,p]*b[p,j] over
 // p — no zero-skip fast paths, so 0·NaN and 0·inf propagate as IEEE says
@@ -23,7 +22,7 @@ namespace eugene::tensor {
 /// Instruction-set level of the GEMM micro-kernel.
 enum class GemmIsa {
   kScalar = 0,  ///< portable C++ kernel, auto-vectorized at best
-  kAvx2 = 1,    ///< 6×16 / 4×16 AVX2+FMA kernels (x86-64 only)
+  kAvx2 = 1,    ///< 4×16 AVX2+FMA tile (x86-64 only)
 };
 
 /// Diagnostic name ("scalar", "avx2").
@@ -42,23 +41,16 @@ std::optional<GemmIsa> parse_gemm_isa(const char* text);
 /// on first call.
 GemmIsa active_gemm_isa();
 
-/// Workspace floats gemm() needs for its packing panels at these dimensions.
-/// Callers that own scratch memory (nn::ScratchArena) size it with this; a
-/// null workspace makes gemm() fall back to a grow-once thread-local buffer.
-std::size_t gemm_workspace_floats(std::size_t m, std::size_t n, std::size_t k);
-
 /// C(m×n) = A·B + beta·C with optional logical transposes.
 ///
 /// `a` stores A row-major with leading dimension `lda` — logically m×k, or
-/// k×m when `trans_a` (the transpose is absorbed by the packing; nothing is
-/// copied up front). Same for `b`/`ldb`/`trans_b` (k×n, or n×k when
-/// transposed). `beta` must be 0 (overwrite C) or 1 (accumulate into C).
-/// `workspace` must hold gemm_workspace_floats(m, n, k) floats, or be null
-/// to use an internal thread-local buffer (no steady-state allocation).
+/// k×m when `trans_a` (then A is first copied row-major into a grow-once
+/// thread-local buffer, so there is no steady-state allocation). Same for
+/// `b`/`ldb`/`trans_b` (k×n, or n×k when transposed). `beta` must be 0
+/// (overwrite C) or 1 (accumulate into C).
 void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           std::size_t lda, bool trans_a, const float* b, std::size_t ldb,
-          bool trans_b, float beta, float* c, std::size_t ldc,
-          float* workspace = nullptr);
+          bool trans_b, float beta, float* c, std::size_t ldc);
 
 /// gemm() forced onto a specific ISA level (must be available). The
 /// dispatch-arm property tests and BM_GemmKernel use this; production code
@@ -66,11 +58,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
 void gemm_with_isa(GemmIsa isa, std::size_t m, std::size_t n, std::size_t k,
                    const float* a, std::size_t lda, bool trans_a,
                    const float* b, std::size_t ldb, bool trans_b, float beta,
-                   float* c, std::size_t ldc, float* workspace = nullptr);
-
-/// Largest m gemm_rows() accepts (it runs only on the no-pack kernels,
-/// which pay off for short-m problems).
-std::size_t gemm_rows_max_m();
+                   float* c, std::size_t ldc);
 
 /// C(m×n) = A·B + beta·C where B is given as k row pointers whose n columns
 /// fold onto lines of `fold_width` floats spaced `fold_pitch` apart: column
@@ -79,10 +67,10 @@ std::size_t gemm_rows_max_m();
 /// shifted windows of one zero-padded image, whose output rows are the
 /// lines, turning im2col into pointer arithmetic. fold_width must be a
 /// multiple of 8, or at least n (no fold: row p is the n floats at
-/// b_rows[p]). Requires m ≤ gemm_rows_max_m(); needs no workspace. The
-/// accumulation order per C entry matches gemm() exactly (same KC blocking,
-/// same kernel chain), so a conv computed through gemm_rows() is
-/// bitwise-identical to the same conv through im2col + gemm().
+/// b_rows[p]). The accumulation order per C entry matches gemm() exactly
+/// (same KC blocking, same kernel chain), so a conv computed through
+/// gemm_rows() is bitwise-identical to the same conv through im2col +
+/// gemm().
 void gemm_rows(std::size_t m, std::size_t n, std::size_t k, const float* a,
                std::size_t lda, const float* const* b_rows,
                std::size_t fold_width, std::size_t fold_pitch, float beta,

@@ -1,7 +1,5 @@
-// AVX2+FMA micro-kernels: a 6×16 register tile for packed panels (12 ymm
-// accumulators + one broadcast + two B loads = 15 of the 16 architectural
-// ymm registers) and a 4×16 tile for the short-m path, which reads B in
-// place, strided or through row pointers.
+// AVX2+FMA micro-kernel: a 4×16 register tile (8 ymm accumulators) that
+// reads A row-major and B in place, strided or through row pointers.
 // Compiled with per-function target attributes so this TU builds under the
 // project's baseline flags; only runtime dispatch (avx2_fma_supported) may
 // route execution here.
@@ -17,53 +15,15 @@ namespace eugene::tensor::detail {
 
 namespace {
 
-constexpr std::size_t kMr = 6;
+constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
-constexpr std::size_t kDirectMr = 4;
 
-__attribute__((target("avx2,fma"))) void kernel_6x16(std::size_t kc,
-                                                     const float* a_panel,
-                                                     const float* b_panel,
-                                                     float* c, std::size_t ldc,
-                                                     float beta) {
-  __m256 acc[kMr][2];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b_panel + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(b_panel + p * kNr + 8);
-    const float* a = a_panel + p * kMr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(a + r);
-      acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
-    }
-  }
-  if (beta == 0.0f) {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-      _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
-    }
-  } else {
-    for (std::size_t r = 0; r < kMr; ++r) {
-      _mm256_storeu_ps(c + r * ldc,
-                       _mm256_add_ps(_mm256_loadu_ps(c + r * ldc), acc[r][0]));
-      _mm256_storeu_ps(
-          c + r * ldc + 8,
-          _mm256_add_ps(_mm256_loadu_ps(c + r * ldc + 8), acc[r][1]));
-    }
-  }
-}
-
-// No-pack kernel over the first R rows of a 4×16 tile: the same FMA chain
-// per C entry as kernel_6x16 (broadcast A, two 8-wide B loads, fmadd in p
-// order), reading A row-major in place and B row p's 16 columns at b.row(p)
-// and b.row_hi(p). Four rows divide every served conv's out_channels (8,
-// 16, 32), so their GEMMs run on full tiles with 8 accumulators in
-// registers; R < 4 is the m-edge, still register-resident because R is a
-// compile-time constant.
+// The first R rows of a 4×16 tile: broadcast A, two 8-wide B loads, fmadd
+// in p order, reading A row-major in place and B row p's 16 columns at
+// b.row(p) and b.row_hi(p). Four rows divide every served conv's
+// out_channels (8, 16, 32), so their GEMMs run on full tiles with 8
+// accumulators in registers; R < 4 is the m-edge, still register-resident
+// because R is a compile-time constant.
 template <std::size_t R, class B>
 __attribute__((target("avx2,fma"))) void tile_rows(
     std::size_t kc, const float* a, std::size_t lda, B b, float* c,
@@ -121,7 +81,7 @@ __attribute__((target("avx2,fma"))) void tile_4x16(
     std::size_t rows, std::size_t kc, const float* a, std::size_t lda, B b,
     float* c, std::size_t ldc, float beta) {
   switch (rows) {
-    case kDirectMr: return tile_rows<kDirectMr>(kc, a, lda, b, c, ldc, beta);
+    case kMr: return tile_rows<kMr>(kc, a, lda, b, c, ldc, beta);
     case 3: return tile_rows<3>(kc, a, lda, b, c, ldc, beta);
     case 2: return tile_rows<2>(kc, a, lda, b, c, ldc, beta);
     default: return tile_rows<1>(kc, a, lda, b, c, ldc, beta);
@@ -135,8 +95,7 @@ bool avx2_fma_supported() {
 }
 
 KernelInfo avx2_kernel() {
-  return {kMr, kNr, kDirectMr, &kernel_6x16, &tile_4x16<StridedB>,
-          &tile_4x16<GatheredB>};
+  return {kMr, kNr, &tile_4x16<StridedB>, &tile_4x16<GatheredB>};
 }
 
 #else  // non-x86: AVX2 is never available; keep the table total.

@@ -1,20 +1,19 @@
 // Internal micro-kernel interface shared by the per-ISA translation units.
 //
-// A micro-kernel consumes one packed A panel (kc×mr, column-of-rows layout:
-// a[p*mr + r]) and one packed B panel (kc×nr: b[p*nr + j]) and computes the
-// full mr×nr tile acc[r][j] = Σ_p a[p*mr+r]·b[p*nr+j], then stores it to C
-// (row stride ldc): overwriting when beta == 0, accumulating when beta == 1.
-// Panels are zero-padded in the m/n direction only — never in k — so every
-// kept C entry is an exact ordered sum of real products.
+// A micro-kernel computes the first `rows` rows of one mr×nr tile of C,
+// acc[r][j] = Σ_p a[r·lda + p]·b[p][j], reading A row-major in place and B
+// through StridedB or GatheredB, then stores it to C (row stride ldc):
+// overwriting when beta == 0, accumulating when beta == 1. Nothing is
+// padded in k, so every C entry is an exact ordered sum of real products.
 #pragma once
 
 #include <cstddef>
 
 namespace eugene::tensor::detail {
 
-/// Row/column register-tile extents, bounded so the blocked driver can size
-/// packing panels and edge-tile buffers for any ISA.
-inline constexpr std::size_t kMaxMr = 8;
+/// Row/column register-tile extents, bounded so the driver can size its
+/// n-tail buffers for any ISA.
+inline constexpr std::size_t kMaxMr = 4;
 inline constexpr std::size_t kMaxNr = 16;
 
 /// B read in place as a row-major matrix: row p starts at b + p·ldb. row()
@@ -54,22 +53,17 @@ struct FoldedB {
   }
 };
 
-/// One ISA level's micro-kernels and their tile shapes.
+/// One ISA level's micro-kernel and its tile shape.
 ///
-/// `direct` and `gather` are the no-pack variants behind the short-m path:
-/// they read A row-major in place (leading dimension lda) and B through
-/// StridedB or GatheredB, with the SAME per-element accumulation
-/// chain as `kernel` — same op (FMA or mul+add), same p order — so a C entry
-/// is bitwise-identical whichever variant computed it. Both compute the
-/// first `rows` (≤ direct_mr) rows of a direct_mr×nr tile at full nr width.
-/// direct_mr divides 8, 16 and 32, the served conv channel counts, so those
+/// `direct` reads B through StridedB and `gather` through GatheredB; both
+/// run the same per-element accumulation chain (same op, FMA or mul+add,
+/// same p order), so a C entry is bitwise-identical whichever computed it.
+/// Both compute the first `rows` (≤ mr) rows of an mr×nr tile at full nr
+/// width. mr divides 8, 16 and 32, the served conv channel counts, so those
 /// GEMMs only ever run full tiles.
 struct KernelInfo {
-  std::size_t mr = 0;  ///< packed tile rows
-  std::size_t nr = 0;  ///< tile columns, every variant
-  std::size_t direct_mr = 0;
-  void (*kernel)(std::size_t kc, const float* a_panel, const float* b_panel,
-                 float* c, std::size_t ldc, float beta) = nullptr;
+  std::size_t mr = 0;  ///< tile rows
+  std::size_t nr = 0;  ///< tile columns
   void (*direct)(std::size_t rows, std::size_t kc, const float* a,
                  std::size_t lda, StridedB b, float* c, std::size_t ldc,
                  float beta) = nullptr;
@@ -84,7 +78,7 @@ KernelInfo scalar_kernel();
 /// True when the CPU supports AVX2 and FMA (always false off x86-64).
 bool avx2_fma_supported();
 
-/// AVX2+FMA kernels (6×16 packed, 4×16 direct and gather). Calling them on
+/// AVX2+FMA kernel (a 4×16 tile, direct and gather). Calling it on
 /// a CPU without AVX2/FMA is undefined; guard with avx2_fma_supported(). Off
 /// x86-64 this returns the scalar kernel so the dispatch table stays total.
 KernelInfo avx2_kernel();

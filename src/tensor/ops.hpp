@@ -18,10 +18,10 @@ namespace eugene::tensor {
 /// C = A(m×k) * B(k×n).
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// C = Aᵀ(k×m becomes m×k) * B(k×n): matmul with A transposed, no copy.
+/// C = Aᵀ(k×m becomes m×k) * B(k×n): matmul with A transposed.
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 
-/// C = A(m×k) * Bᵀ(n×k becomes k×n): matmul with B transposed, no copy.
+/// C = A(m×k) * Bᵀ(n×k becomes k×n): matmul with B transposed.
 Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
 
 /// Geometry of a 2-D convolution over a CHW image.

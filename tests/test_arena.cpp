@@ -25,7 +25,6 @@
 #include "nn/arena.hpp"
 #include "nn/residual.hpp"
 #include "nn/staged_model.hpp"
-#include "tensor/gemm.hpp"
 
 namespace {
 std::atomic<std::size_t> g_heap_allocs{0};
@@ -185,10 +184,11 @@ TEST(BatchedForward, Conv2dMatchesPerSample) {
       {4, 7, 9, 10, 1, 1, 0},
       // Stride 2: strided copies out of the frame.
       {3, 5, 11, 17, 3, 2, 1},
-      // m = 64 > 48: the packed GEMM with arena workspace.
+      // m = 64, more rows than any served conv, on both routes: a 9-wide
+      // plane takes the explicit route, an 8×8 plane the implicit one.
       {3, 64, 8, 9, 3, 1, 1},
+      {3, 64, 8, 8, 3, 1, 1},
   };
-  ASSERT_GT(64u, tensor::gemm_rows_max_m());
   for (const Case& c : cases) {
     tensor::Conv2dGeometry g;
     g.in_channels = c.in_c;

@@ -357,6 +357,15 @@ TEST(Io, BlobRoundTripAndValidation) {
   }
 }
 
+TEST(Io, BlobEncodesIntoOneAllocation) {
+  // The CRC footer must not reallocate: a blob whose buffer grew past its
+  // header and payload would copy every checkpoint byte twice.
+  const std::vector<std::uint8_t> payload(127212, 0x5A);
+  const std::vector<std::uint8_t> bytes = io::encode_blob(0xAABBCCDD, 1, payload);
+  EXPECT_EQ(bytes.size(), 16 + payload.size() + 4);
+  EXPECT_EQ(bytes.capacity(), bytes.size());
+}
+
 // ---------------------------------------------------------------------------
 // Lock-rank deadlock-order checker (common/lock_rank.hpp, DESIGN.md §10).
 // The checker is compiled out in Release builds, so everything that asserts

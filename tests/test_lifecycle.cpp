@@ -261,8 +261,10 @@ TEST(LifecycleEpoch, SwapStallErrorAbortsPublicationCleanly) {
 TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
   FailpointGuard guard;
   TempDir dir("drain");
-  const std::string journal = dir.path + "_journal.bin";
-  std::remove(journal.c_str());
+  fs::create_directories(dir.path);
+  // Inside the directory, so the TempDir's cleanup removes it too; the
+  // snapshot's epoch GC leaves a file with no numeric suffix alone.
+  const std::string journal = dir.path + "/usage.journal";
 
   core::EugeneService service;
   constexpr std::size_t kThreads = 4;

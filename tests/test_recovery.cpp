@@ -21,6 +21,7 @@
 #include "common/crc32.hpp"
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
+#include "common/metrics.hpp"
 #include "core/eugene_service.hpp"
 #include "nn/serialize.hpp"
 #include "serving/snapshot.hpp"
@@ -377,6 +378,46 @@ TEST(Recovery, UsageJournalReplayRebuildsLedger) {
   // Billing derived from the replayed ledger matches.
   serving::PricingPolicy pricing;
   EXPECT_DOUBLE_EQ(recovered.total_charge(pricing), meter.total_charge(pricing));
+}
+
+TEST(Recovery, UsageJournalBillsNoDrainedResponse) {
+  // A draining response was refused at the lifecycle gate before any stage
+  // ran. It is not a request admitted, an early exit or a charge, in the
+  // ledger, the journal or the usage.* metrics.
+  FailpointGuard guard;
+  TempDir dir("jdrain");
+  std::error_code ec;
+  fs::create_directory(dir.path, ec);
+  const std::string journal = dir.path + "/usage.journal";
+  telemetry::MetricsRegistry& metrics = telemetry::MetricsRegistry::global();
+  const std::uint64_t requests_before = metrics.counter("usage.requests").value();
+
+  serving::InferenceResponse drained;
+  drained.draining = true;
+  serving::UsageMeter meter(journal_costs(), {"interactive", "batch"});
+  meter.open_journal(journal);
+  meter.record({{tensor::Tensor::zeros({1}), 0}, {tensor::Tensor::zeros({1}), 1}},
+               {drained, drained}, kStages);
+  meter.close_journal();
+  EXPECT_EQ(metrics.counter("usage.requests").value(), requests_before);
+
+  serving::UsageMeter recovered(journal_costs(), {"interactive", "batch"});
+  const serving::JournalReplay replay = recovered.replay_journal(journal);
+  EXPECT_EQ(replay.frames, 0u);
+  EXPECT_FALSE(replay.truncated);
+  const serving::PricingPolicy pricing;
+  for (const serving::UsageMeter* m : {&meter, &recovered}) {
+    EXPECT_EQ(m->total_charge(pricing), 0.0);
+    for (const serving::ClassUsage& u : m->usage()) {
+      EXPECT_EQ(u.requests, 0u) << u.class_name;
+      EXPECT_EQ(u.stages_executed, 0u) << u.class_name;
+      EXPECT_EQ(u.compute_ms, 0.0) << u.class_name;
+      EXPECT_EQ(u.expired, 0u) << u.class_name;
+      EXPECT_EQ(u.early_exits, 0u) << u.class_name;
+      EXPECT_EQ(u.shed, 0u) << u.class_name;
+      EXPECT_EQ(u.retries, 0u) << u.class_name;
+    }
+  }
 }
 
 TEST(Recovery, UsageJournalTornTailKeepsCommittedFrames) {

@@ -285,9 +285,8 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
 
 void expect_gemm_matches_naive(GemmIsa isa) {
   // Shapes straddling the micro-tile boundaries of every kernel (scalar 4×8,
-  // AVX2 6×16 packed and 4×16 direct): 1, tile−1, tile, tile+1, and a round
-  // cache-friendly size. m also straddles the direct tile's multiples (12,
-  // 20) and the direct/packed switch at m = 48.
+  // AVX2 4×16): 1, tile−1, tile, tile+1, and a round cache-friendly size.
+  // m also straddles the tile's multiples (12, 20) and runs large (128).
   const std::size_t sizes[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 128};
   const std::size_t ms[] = {1,  3,  4,  5,  6,  7,  8,  9,  12, 15,
                             16, 17, 20, 47, 48, 49, 128};
@@ -401,15 +400,15 @@ TEST(Gemm, EnvIsaParsing) {
 
 TEST(Gemm, DirectPathMatchesPackedBitwise) {
   // The accumulation chain per C entry depends only on k and the KC block,
-  // never on the kernel family: a transposed A always takes the packed path,
+  // never on the operand layout: a transposed A is copied row-major first,
   // so it must reproduce the strided direct path bit for bit. Pinned across
-  // the direct tile's row edges (4 rows under both ISAs), the served conv
-  // channel counts, the direct/packed switch at m = 48, and the KC seam
-  // (k > 256), on every available ISA.
+  // the tile's row edges (4 rows under both ISAs), the served conv channel
+  // counts, larger m (47, 48, 64, 97), and the KC seam (k > 256), on every
+  // available ISA.
   Rng rng(17);
   for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2}) {
     if (!gemm_isa_available(isa)) continue;
-    for (std::size_t m : {1, 3, 4, 5, 8, 12, 16, 20, 32, 47, 48}) {
+    for (std::size_t m : {1, 3, 4, 5, 8, 12, 16, 20, 32, 47, 48, 64, 97}) {
       for (std::size_t n : {1, 15, 16, 17, 100}) {
         for (std::size_t k : {1, 72, 300}) {
           const Tensor a = Tensor::randn({m, k}, rng);
@@ -417,13 +416,13 @@ TEST(Gemm, DirectPathMatchesPackedBitwise) {
           Tensor at({k, m});
           for (std::size_t i = 0; i < m; ++i)
             for (std::size_t p = 0; p < k; ++p) at.at(p, i) = a.at(i, p);
-          Tensor direct({m, n}), packed({m, n});
+          Tensor direct({m, n}), transposed({m, n});
           gemm_with_isa(isa, m, n, k, a.raw(), k, false, b.raw(), n, false,
                         0.0f, direct.raw(), n);
           gemm_with_isa(isa, m, n, k, at.raw(), m, true, b.raw(), n, false,
-                        0.0f, packed.raw(), n);
+                        0.0f, transposed.raw(), n);
           for (std::size_t i = 0; i < m * n; ++i)
-            ASSERT_EQ(direct.data()[i], packed.data()[i])
+            ASSERT_EQ(direct.data()[i], transposed.data()[i])
                 << gemm_isa_name(isa) << " m=" << m << " n=" << n
                 << " k=" << k << " at " << i;
         }
@@ -441,8 +440,8 @@ TEST(GemmRows, MatchesGemmBitwiseOverOddShapes) {
   for (GemmIsa isa : {GemmIsa::kScalar, GemmIsa::kAvx2}) {
     if (!gemm_isa_available(isa)) continue;
     for (std::size_t m : {std::size_t{1}, std::size_t{5}, std::size_t{8},
-                          std::size_t{12}, std::size_t{32},
-                          gemm_rows_max_m()}) {
+                          std::size_t{12}, std::size_t{32}, std::size_t{48},
+                          std::size_t{64}}) {
       for (std::size_t n :
            {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
             std::size_t{100}}) {
@@ -497,7 +496,7 @@ TEST(GemmRows, OverlappingRowsMatchMaterializedB) {
   }
 }
 
-TEST(GemmRows, BetaOneAccumulatesAndRejectsBigM) {
+TEST(GemmRows, BetaOneAccumulatesAndRejectsNarrowFold) {
   Rng rng(19);
   const std::size_t m = 4, n = 9, k = 12;
   const Tensor a = Tensor::randn({m, k}, rng);
@@ -510,28 +509,10 @@ TEST(GemmRows, BetaOneAccumulatesAndRejectsBigM) {
   const Tensor prod = naive_matmul(a, b);
   for (std::size_t i = 0; i < m * n; ++i)
     EXPECT_NEAR(c.data()[i], base.data()[i] + prod.data()[i], 1e-4f) << i;
-  Tensor big({gemm_rows_max_m() + 1, n});
-  EXPECT_THROW(gemm_rows(gemm_rows_max_m() + 1, n, k, big.raw(), k,
-                         rows.data(), n, n, 0.0f, big.raw(), n),
-               eugene::Error);
   // A fold narrower than n must keep 8-column runs contiguous.
   EXPECT_THROW(gemm_rows(m, n, k, a.raw(), k, rows.data(), 4, 6, 0.0f,
                          c.raw(), n),
                eugene::Error);
-}
-
-TEST(Gemm, WorkspaceVariantMatchesThreadLocalPath) {
-  Rng rng(13);
-  const std::size_t m = 10, n = 24, k = 40;
-  const Tensor a = Tensor::randn({m, k}, rng);
-  const Tensor b = Tensor::randn({k, n}, rng);
-  Tensor c1({m, n}), c2({m, n});
-  std::vector<float> ws(gemm_workspace_floats(m, n, k));
-  gemm(m, n, k, a.raw(), k, false, b.raw(), n, false, 0.0f, c1.raw(), n);
-  gemm(m, n, k, a.raw(), k, false, b.raw(), n, false, 0.0f, c2.raw(), n,
-       ws.data());
-  for (std::size_t i = 0; i < m * n; ++i)
-    EXPECT_EQ(c1.data()[i], c2.data()[i]) << i;
 }
 
 }  // namespace
