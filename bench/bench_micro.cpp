@@ -73,22 +73,6 @@ BENCHMARK(BM_GemmKernel)
     ->Args({1, 256})
     ->ArgNames({"isa", "n"});
 
-void BM_Conv2dIm2col(benchmark::State& state) {
-  const std::size_t c = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  tensor::Conv2dGeometry g;
-  g.in_channels = c;
-  g.out_channels = c;
-  g.in_height = 16;
-  g.in_width = 16;
-  const tensor::Tensor img = tensor::Tensor::randn({c, 16, 16}, rng);
-  const tensor::Tensor w = tensor::Tensor::randn({c, c * 9}, rng, 0.1f);
-  const tensor::Tensor b = tensor::Tensor::randn({c}, rng, 0.1f);
-  for (auto _ : state) benchmark::DoNotOptimize(tensor::conv2d(img, w, b, g));
-  state.SetItemsProcessed(state.iterations() * static_cast<std::size_t>(g.flops()));
-}
-BENCHMARK(BM_Conv2dIm2col)->Arg(8)->Arg(16)->Arg(32);
-
 // The zero-alloc patch unroll feeding every conv GEMM: im2col into caller
 // storage. Pure memory traffic — the bytes/s counter is the number to watch.
 void BM_Im2colInto(benchmark::State& state) {
@@ -224,7 +208,7 @@ void BM_StagedLayer(benchmark::State& state, const LayerProbe& probe) {
   return true;
 }();
 
-gp::ConfidenceCurveModel make_curves() {
+calib::StagedEvaluation make_curve_eval() {
   calib::StagedEvaluation eval;
   eval.records.resize(3);
   Rng rng(5);
@@ -236,16 +220,20 @@ gp::ConfidenceCurveModel make_curves() {
       eval.records[s].push_back(r);
     }
   }
+  return eval;
+}
+
+gp::ConfidenceCurveModel make_curves() {
   gp::ConfidenceCurveModel curves;
-  curves.fit(eval);
+  curves.fit(make_curve_eval());
   return curves;
 }
 
 void BM_GpExactPredict(benchmark::State& state) {
-  const auto curves = make_curves();
+  const gp::GaussianProcess1D exact = gp::fit_pair_gp(make_curve_eval(), 0, 2);
   double x = 0.1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(curves.predict_gp(0, 2, x));
+    benchmark::DoNotOptimize(exact.predict(x));
     x = x < 0.9 ? x + 0.001 : 0.1;
   }
 }
@@ -358,9 +346,8 @@ void BM_TracedRequest(benchmark::State& state) {
   arch.num_classes = 4;
   arch.stage_channels = {3, 4};
   arch.head_hidden = 8;
-  serving::ModelRegistry registry;
-  const std::size_t handle = registry.add("bench", nn::build_staged_resnet(arch));
-  serving::ModelEntry& entry = registry.entry(handle);
+  auto entry =
+      std::make_shared<serving::ModelEntry>("bench", nn::build_staged_resnet(arch));
   calib::StagedEvaluation eval;
   eval.records.resize(2);
   Rng rng(10);
@@ -373,14 +360,17 @@ void BM_TracedRequest(benchmark::State& state) {
       eval.records[s].push_back(r);
     }
   }
-  entry.curves.fit(eval);
-  entry.stage_ms = {1.0, 1.0};
+  entry->curves.fit(eval);
+  entry->stage_ms = {1.0, 1.0};
+  serving::ModelRegistry registry;
+  const std::size_t handle = registry.add_entry(std::move(entry));
+  const serving::ModelRegistry::ViewPtr view = registry.pin();
 
   telemetry::TraceRecorder recorder(4096);
   serving::ServerConfig cfg;
   cfg.metrics = nullptr;
   cfg.trace = state.range(0) != 0 ? &recorder : nullptr;
-  serving::InferenceServer server(entry, cfg);
+  serving::InferenceServer server(view->entry(handle), cfg);
   std::vector<serving::InferenceRequest> requests;
   for (int i = 0; i < 8; ++i)
     requests.push_back({tensor::Tensor::randn({2, 8, 8}, rng), 0});
@@ -403,16 +393,17 @@ BENCHMARK(BM_TracedRequest)
 // calling thread plus workers - 1 helpers). items/s is requests per second;
 // workers=1 is the inline loop, so the ratio of rows is what the pool buys.
 void BM_InferBatchWorkers(benchmark::State& state) {
+  auto entry = std::make_shared<serving::ModelEntry>(
+      "bench", nn::build_staged_resnet(nn::StagedResNetConfig{}));
+  entry->curves = make_curves();
   serving::ModelRegistry registry;
-  const std::size_t handle =
-      registry.add("bench", nn::build_staged_resnet(nn::StagedResNetConfig{}));
-  serving::ModelEntry& entry = registry.entry(handle);
-  entry.curves = make_curves();
+  const std::size_t handle = registry.add_entry(std::move(entry));
+  const serving::ModelRegistry::ViewPtr view = registry.pin();
   serving::ServerConfig cfg;
   cfg.early_exit_confidence = 2.0;  // full depth
   cfg.metrics = nullptr;
   cfg.workers = static_cast<std::size_t>(state.range(0));
-  serving::InferenceServer server(entry, cfg);
+  serving::InferenceServer server(view->entry(handle), cfg);
   Rng rng(15);
   std::vector<serving::InferenceRequest> requests;
   for (int i = 0; i < 256; ++i)
@@ -478,8 +469,8 @@ nn::StagedModel bench_checkpoint_model() {
 // v2 checkpoint encode: body serialization + CRC, no disk. The delta
 // against BM_Crc32 at the same byte count is the pure framing cost.
 void BM_CheckpointSaveV2(benchmark::State& state) {
-  nn::StagedModel model = bench_checkpoint_model();
-  const auto params = model.params();
+  const nn::StagedModel model = bench_checkpoint_model();
+  const nn::ParamValues params = model.param_values();
   const std::size_t bytes = nn::serialized_size_bytes(params);
   for (auto _ : state) {
     std::ostringstream out(std::ios::binary);
@@ -497,7 +488,7 @@ void BM_CheckpointLoadV2(benchmark::State& state) {
   nn::StagedModel model = bench_checkpoint_model();
   const auto params = model.params();
   std::ostringstream out(std::ios::binary);
-  nn::save_params(params, out);
+  nn::save_params(model.param_values(), out);
   const std::string bytes = out.str();
   for (auto _ : state) {
     std::istringstream in(bytes, std::ios::binary);
@@ -511,8 +502,8 @@ BENCHMARK(BM_CheckpointLoadV2);
 // Full durable round trip through the atomic writer: temp file + fsync +
 // rename. The gap against BM_CheckpointSaveV2 is what crash safety costs.
 void BM_CheckpointSaveFileAtomic(benchmark::State& state) {
-  nn::StagedModel model = bench_checkpoint_model();
-  const auto params = model.params();
+  const nn::StagedModel model = bench_checkpoint_model();
+  const nn::ParamValues params = model.param_values();
   const std::string path =
       "/tmp/eugene_bench_ckpt_" + std::to_string(::getpid()) + ".params";
   for (auto _ : state) nn::save_params_file(params, path);
@@ -536,9 +527,11 @@ serving::ModelRegistry& bench_registry() {
 }
 
 // The per-request read the serving path performs: pin the current epoch
-// (one atomic shared_ptr acquire) and touch the entry. This is the hot
-// half of the zero-downtime design — writers publishing snapshots/swaps
-// never make this read wait.
+// (a shared_ptr copy under the registry's view mutex) and touch the entry.
+// This is the hot half of the zero-downtime design. Its win is independence,
+// not raw latency: a writer cloning and building the next epoch never makes
+// this read wait; only the publish's pointer swap can, and that is a
+// critical section as short as this one.
 void BM_RegistryEpochRead(benchmark::State& state) {
   serving::ModelRegistry& registry = bench_registry();
   for (auto _ : state) {
@@ -547,24 +540,6 @@ void BM_RegistryEpochRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegistryEpochRead);
-
-// What the pre-epoch design paid per read: a ranked-mutex round trip around
-// the same entry access. Uncontended the two are the same order of
-// magnitude (the pinned read pays a refcount bump; the mutex pays a
-// lock/unlock) — the refactor's win is independence, not raw latency: the
-// locked design serialized every reader behind a writer holding the mutex
-// through a deep clone and publish, which no single-threaded benchmark can
-// show.
-void BM_RegistryLockedRead(benchmark::State& state) {
-  serving::ModelRegistry& registry = bench_registry();
-  const serving::ModelRegistry::ViewPtr view = registry.pin();
-  static Mutex mutex(LockRank::kModelRegistry, "bench_locked_read");
-  for (auto _ : state) {
-    MutexLock lock(mutex);
-    benchmark::DoNotOptimize(view->entry(0).calibrated);
-  }
-}
-BENCHMARK(BM_RegistryLockedRead);
 
 }  // namespace
 

@@ -5,13 +5,15 @@
 // Three views are printed:
 //   1. the paper's published Nexus-5 numbers next to our fitted mobile cost
 //      model (DESIGN.md §2 substitution for the phone);
-//   2. real measured times of Eugene's own conv kernels at a CPU-budget
-//      scale (64×64 input, same channel configurations) — the qualitative
+//   2. real measured times of Eugene's own conv layer (nn::Conv2d, timed
+//      through nn::infer — the route the server runs) at a CPU-budget scale
+//      (64×64 input, same channel configurations) — the qualitative
 //      orderings must survive;
 //   3. the FastDeepIoT-style piecewise-linear regression fitted to a sweep
 //      of real measurements, with its R².
 #include <cstdio>
 
+#include "nn/layers.hpp"
 #include "profile/cost_model.hpp"
 #include "profile/linear_region.hpp"
 #include "profile/timing.hpp"
@@ -71,14 +73,16 @@ int main() {
                   : "NO");
 
   // --- view 2: real measurements of our kernels at CPU scale --------------
-  std::printf("[2] Eugene conv kernels measured on this machine, 64x64 input\n");
+  std::printf("[2] Eugene conv layers measured on this machine, 64x64 input\n");
   std::printf("%-6s %10s %12s %14s\n", "net", "channels", "FLOPs", "measured ms");
   profile::TimingConfig timing;
   timing.repeats = 5;
   std::vector<profile::ConvMeasurement> measured;
+  Rng rng(timing.seed);
   for (const Row& row : kTable1) {
     const auto g = geometry(row.cin, row.cout, 64);
-    const double ms = profile::measure_conv_ms(g, timing);
+    const nn::Conv2d conv(g, rng);
+    const double ms = profile::measure_layer_ms(conv, {row.cin, 64, 64}, timing);
     measured.push_back({g, ms});
     std::printf("%-6s %4zu->%-4zu %10.1fM %14.3f\n", row.name, row.cin, row.cout,
                 g.flops() / 1e6, ms);

@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
 
   // -- 4. profile -------------------------------------------------------------
   const std::vector<double> stage_ms = eugene.profile(model, {3, 16, 16});
-  const nn::StagedModel& staged = eugene.registry().entry(model).model;
+  const serving::ModelRegistry::ViewPtr view = eugene.registry().pin();
+  const nn::StagedModel& staged = view->entry(model).model;
   for (std::size_t s = 0; s < stage_ms.size(); ++s)
     std::printf("stage %zu: %.2f ms, %.1f MFLOPs\n", s + 1, stage_ms[s],
                 staged.stage_flops(s) / 1e6);

@@ -115,7 +115,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(state_dir);
   // Priced from the served entry's profiled stage times (restored from the
   // snapshot on a warm restart).
-  serving::UsageMeter meter(service.registry().entry(handle).stage_ms, {"default"});
+  serving::UsageMeter meter(service.registry().pin()->entry(handle).stage_ms,
+                            {"default"});
   meter.open_journal(state_dir + "/usage.journal");
 
   // -- 2. serve (clients + a live operator) -----------------------------------

@@ -84,11 +84,10 @@ eugene::nn::StagedModel tiny_model() {
 // serialize: EUG2 checkpoints for fuzz_serialize
 // ---------------------------------------------------------------------------
 void gen_serialize() {
-  eugene::nn::StagedModel model = tiny_model();
-  const auto params = model.params();
+  const eugene::nn::StagedModel model = tiny_model();
 
   std::ostringstream v2s(std::ios::binary);
-  eugene::nn::save_params(params, v2s);
+  eugene::nn::save_params(model.param_values(), v2s);
   const std::string v2str = v2s.str();
   const std::vector<std::uint8_t> v2(v2str.begin(), v2str.end());
   write_seed("serialize", "v2_valid", v2);

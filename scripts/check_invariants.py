@@ -5,8 +5,10 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
 
   raw-mutex           no std::mutex / std::lock_guard / std::unique_lock /
                       std::scoped_lock in src/ outside the annotated wrapper
-                      (common/thread_annotations.hpp) — otherwise Clang's
-                      -Wthread-safety and the lock-rank checker are blind.
+                      (common/thread_annotations.hpp), and no
+                      compare_exchange_* (the loop of a hand-rolled spin
+                      lock) — otherwise Clang's -Wthread-safety and the
+                      lock-rank checker are blind.
   unranked-mutex      every eugene::Mutex constructed in src/ names an
                       explicit LockRank (see common/lock_rank.hpp) so the
                       deadlock-order analysis covers the whole lock graph.
@@ -53,6 +55,13 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       write-free for threads to share one published model
                       (DESIGN.md §13). ActivationView::of, the one in-place
                       input view, is the allowlisted exception.
+  const-published-entry
+                      serving/registry.hpp declares no function returning a
+                      non-const ModelEntry& or ModelEntry*, and the view's
+                      entry table holds shared_ptr<const ModelEntry>: a
+                      published entry is const by type, and writers change
+                      one only by publishing a new epoch (update/replace;
+                      DESIGN.md §13).
   single-scheduler    only src/sched/engine.cpp calls a policy's pick( in
                       src/: the request state machine exists once
                       (sched::Engine), and the server's peer workers and
@@ -220,6 +229,9 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|shared_lock|condition_variable)\b")
 
 
+COMPARE_EXCHANGE_RE = re.compile(r"compare_exchange_(weak|strong)")
+
+
 def rule_raw_mutex(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -231,6 +243,14 @@ def rule_raw_mutex(files):
                     "raw-mutex", f.rel, ln,
                     f"std::{m.group(1)} bypasses eugene::Mutex "
                     "(common/thread_annotations.hpp) — thread-safety analysis "
+                    "and lock-rank checking cannot see it")
+            m = COMPARE_EXCHANGE_RE.search(line)
+            if m:
+                yield Violation(
+                    "raw-mutex", f.rel, ln,
+                    f"compare_exchange_{m.group(1)} — a hand-rolled "
+                    "compare-and-swap lock bypasses eugene::Mutex "
+                    "(common/thread_annotations.hpp); thread-safety analysis "
                     "and lock-rank checking cannot see it")
 
 
@@ -497,6 +517,42 @@ def rule_inference_const(files):
                     "published model would race on it")
 
 
+PUBLISHED_ENTRY_REL = "src/serving/registry.hpp"
+# A function declared to return ModelEntry& or ModelEntry*: the type, then a
+# name (or an operator) and its parameter list. `const ModelEntry&` returns
+# are filtered by the text before the match.
+ENTRY_RETURN_RE = re.compile(
+    r"(?<![\w:])ModelEntry\s*[&*]\s*(?:operator\s*\S+?|[A-Za-z_]\w*)\s*\(")
+ENTRY_TABLE_RE = re.compile(r"shared_ptr<([^<>]*)ModelEntry\s*>\s*>\s+entries_\b")
+
+
+def rule_const_published_entry(files):
+    for f in files:
+        if f.rel != PUBLISHED_ENTRY_REL:
+            continue
+        for m in ENTRY_RETURN_RE.finditer(f.masked):
+            if f.masked[:m.start()].rstrip().endswith("const"):
+                continue
+            yield Violation(
+                "const-published-entry", f.rel, f.masked.count("\n", 0, m.start()) + 1,
+                "returns a non-const ModelEntry reference or pointer — a "
+                "published entry is const by type; writers change it through "
+                "update()/replace() (DESIGN.md §13)")
+        tables = list(ENTRY_TABLE_RE.finditer(f.masked))
+        if not tables:
+            yield Violation(
+                "const-published-entry", f.rel, 1,
+                "no entries_ table of shared_ptr<const ModelEntry> found in "
+                "the view")
+        for m in tables:
+            if m.group(1).strip() != "const":
+                yield Violation(
+                    "const-published-entry", f.rel,
+                    f.masked.count("\n", 0, m.start()) + 1,
+                    "the view's entries_ table holds mutable entries — it "
+                    "must hold shared_ptr<const ModelEntry>")
+
+
 # A member call of pick( on an object or pointer (`policy.pick(`,
 # `policy_->pick(`); declarations and `Class::pick(` definitions do not match.
 POLICY_PICK_RE = re.compile(r"(?:\.|->)\s*pick\s*\(")
@@ -603,6 +659,7 @@ RULES = {
     "stdout": rule_stdout,
     "no-direct-exit": rule_direct_exit,
     "inference-const": rule_inference_const,
+    "const-published-entry": rule_const_published_entry,
     "single-scheduler": rule_single_scheduler,
     "fma-target": rule_fma_target,
     "one-container": rule_one_container,

@@ -10,6 +10,7 @@ namespace eugene {
 const char* lock_rank_name(LockRank rank) {
   switch (rank) {
     case LockRank::kModelRegistry: return "kModelRegistry";
+    case LockRank::kRegistryView: return "kRegistryView";
     case LockRank::kLifecycle: return "kLifecycle";
     case LockRank::kUsageMeter: return "kUsageMeter";
     case LockRank::kEngine: return "kEngine";

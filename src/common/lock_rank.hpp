@@ -16,6 +16,9 @@
 //   rank   domain              acquired while holding
 //   ----   ------------------  -------------------------------------------
 //    100   kModelRegistry      nothing (outermost serving-path lock)
+//    110   kRegistryView       nothing (pin() copies the published view
+//                              pointer); a publish swaps that pointer
+//                              under kModelRegistry
 //    150   kLifecycle          nothing (admission gate + drain wait; may be
 //                              taken before any serving-path lock, so it
 //                              sits between the registry writer lock and
@@ -61,7 +64,9 @@ namespace eugene {
 /// acyclic ⇒ no deadlock). New domains must be inserted here with a comment
 /// saying what they may be held under.
 enum class LockRank : std::uint16_t {
-  kModelRegistry = 100,     ///< serving/registry.hpp — entry table
+  kModelRegistry = 100,     ///< serving/registry.hpp — writer mutex
+  kRegistryView = 110,      ///< serving/registry.hpp — the published view
+                            ///< pointer; held for one shared_ptr copy/swap
   kLifecycle = 150,         ///< common/lifecycle.hpp — server state machine +
                             ///< in-flight count; nothing nests inside it
   kUsageMeter = 200,        ///< serving/usage.hpp — accumulators + journal fd

@@ -174,13 +174,10 @@ void EugeneService::swap_model(std::size_t handle, nn::StagedModel model,
     EUGENE_REQUIRE(model.num_stages() == old_entry.model.num_stages(),
                    "swap_model: stage count changed — pass keep_artifacts=false "
                    "and re-profile/re-calibrate the new architecture");
-  auto next = std::make_shared<serving::ModelEntry>(old_entry.name, std::move(model));
-  if (keep_artifacts) {
-    next->curves = old_entry.curves;
-    next->stage_ms = old_entry.stage_ms;
-    next->calibration_alpha = old_entry.calibration_alpha;
-    next->calibrated = old_entry.calibrated;
-  }
+  std::shared_ptr<serving::ModelEntry> next =
+      keep_artifacts
+          ? old_entry.with_model(std::move(model))
+          : std::make_shared<serving::ModelEntry>(old_entry.name, std::move(model));
   registry_.replace(handle, std::move(next));
   record_swap(trace_, registry_.epoch());
 }

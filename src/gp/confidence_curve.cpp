@@ -14,8 +14,37 @@ std::size_t ConfidenceCurveModel::pair_index(std::size_t from_stage,
   return idx + (to_stage - from_stage - 1);
 }
 
-void ConfidenceCurveModel::fit(const calib::StagedEvaluation& train_eval,
-                               const GpConfig& config, std::size_t grid_segments) {
+GaussianProcess1D fit_pair_gp(const calib::StagedEvaluation& eval,
+                              std::size_t from_stage, std::size_t to_stage) {
+  EUGENE_REQUIRE(from_stage < to_stage && to_stage < eval.num_stages(),
+                 "fit_pair_gp: invalid stage pair");
+  const std::vector<float> x_conf = eval.confidence(from_stage);
+  const std::vector<float> y_conf = eval.confidence(to_stage);
+  const std::vector<double> x(x_conf.begin(), x_conf.end());
+  const std::vector<double> y(y_conf.begin(), y_conf.end());
+  GaussianProcess1D gp;
+  gp.fit(x, y);
+  return gp;
+}
+
+CurveFitQuality evaluate_curve(const calib::StagedEvaluation& test_eval,
+                               std::size_t from_stage, std::size_t to_stage,
+                               const std::function<double(double)>& predict) {
+  EUGENE_REQUIRE(from_stage < to_stage && to_stage < test_eval.num_stages(),
+                 "evaluate_curve: invalid stage pair");
+  const std::vector<float> from_conf = test_eval.confidence(from_stage);
+  const std::vector<float> to_conf = test_eval.confidence(to_stage);
+  const std::vector<double> truth(to_conf.begin(), to_conf.end());
+  std::vector<double> pred(from_conf.size());
+  for (std::size_t i = 0; i < from_conf.size(); ++i)
+    pred[i] = clamp(predict(from_conf[i]), 0.0, 1.0);
+  CurveFitQuality q;
+  q.mae = mean_absolute_error(truth, pred);
+  q.r_squared = r_squared(truth, pred);
+  return q;
+}
+
+void ConfidenceCurveModel::fit(const calib::StagedEvaluation& train_eval) {
   EUGENE_REQUIRE(train_eval.num_stages() >= 2,
                  "ConfidenceCurveModel: need at least two stages");
   EUGENE_REQUIRE(train_eval.num_samples() >= 2,
@@ -23,7 +52,6 @@ void ConfidenceCurveModel::fit(const calib::StagedEvaluation& train_eval,
   num_stages_ = train_eval.num_stages();
 
   const std::size_t num_pairs = num_stages_ * (num_stages_ - 1) / 2;
-  gps_.assign(num_pairs, GaussianProcess1D{});
   approximations_.assign(num_pairs, PiecewiseLinear{});
   priors_.assign(num_stages_, 0.0);
 
@@ -35,16 +63,10 @@ void ConfidenceCurveModel::fit(const calib::StagedEvaluation& train_eval,
   }
 
   for (std::size_t from = 0; from < num_stages_; ++from) {
-    const auto x_conf = train_eval.confidence(from);
-    std::vector<double> x(x_conf.begin(), x_conf.end());
     for (std::size_t to = from + 1; to < num_stages_; ++to) {
-      const auto y_conf = train_eval.confidence(to);
-      std::vector<double> y(y_conf.begin(), y_conf.end());
-      const std::size_t idx = pair_index(from, to);
-      gps_[idx].fit(x, y, config);
-      const GaussianProcess1D& gp = gps_[idx];
-      approximations_[idx] = PiecewiseLinear::from_function(
-          [&gp](double c) { return gp.predict(c).mean; }, grid_segments, 0.0, 1.0);
+      const GaussianProcess1D gp = fit_pair_gp(train_eval, from, to);
+      approximations_[pair_index(from, to)] = PiecewiseLinear::from_function(
+          [&gp](double c) { return gp.predict(c).mean; }, kGridSegments, 0.0, 1.0);
     }
   }
 }
@@ -63,7 +85,6 @@ void ConfidenceCurveModel::restore(std::size_t num_stages,
   num_stages_ = num_stages;
   approximations_ = std::move(approximations);
   priors_ = std::move(priors);
-  gps_.clear();  // exact GPs are not persisted; has_exact_gp() goes false
 }
 
 const PiecewiseLinear& ConfidenceCurveModel::approximation(std::size_t from_stage,
@@ -79,39 +100,9 @@ double ConfidenceCurveModel::predict(std::size_t from_stage, std::size_t to_stag
   return clamp(raw, 0.0, 1.0);
 }
 
-GpPrediction ConfidenceCurveModel::predict_gp(std::size_t from_stage, std::size_t to_stage,
-                                              double confidence) const {
-  EUGENE_REQUIRE(fitted(), "ConfidenceCurveModel::predict_gp before fit");
-  EUGENE_REQUIRE(has_exact_gp(),
-                 "ConfidenceCurveModel::predict_gp: exact GPs were not restored from "
-                 "the snapshot; refit to use the slow path");
-  return gps_[pair_index(from_stage, to_stage)].predict(confidence);
-}
-
 double ConfidenceCurveModel::prior_confidence(std::size_t stage) const {
   EUGENE_REQUIRE(stage < num_stages_, "prior_confidence: stage out of range");
   return priors_[stage];
-}
-
-CurveFitQuality ConfidenceCurveModel::evaluate(const calib::StagedEvaluation& test_eval,
-                                               std::size_t from_stage,
-                                               std::size_t to_stage,
-                                               bool use_piecewise) const {
-  EUGENE_REQUIRE(test_eval.num_stages() == num_stages_,
-                 "ConfidenceCurveModel::evaluate: stage count mismatch");
-  const auto from_conf = test_eval.confidence(from_stage);
-  const auto to_conf = test_eval.confidence(to_stage);
-  std::vector<double> truth(to_conf.begin(), to_conf.end());
-  std::vector<double> pred(from_conf.size());
-  for (std::size_t i = 0; i < from_conf.size(); ++i) {
-    pred[i] = use_piecewise ? predict(from_stage, to_stage, from_conf[i])
-                            : clamp(predict_gp(from_stage, to_stage, from_conf[i]).mean,
-                                    0.0, 1.0);
-  }
-  CurveFitQuality q;
-  q.mae = mean_absolute_error(truth, pred);
-  q.r_squared = r_squared(truth, pred);
-  return q;
 }
 
 }  // namespace eugene::gp

@@ -83,7 +83,6 @@ void GaussianProcess1D::fit(std::span<const double> x, std::span<const double> y
   }
   EUGENE_CHECK(best_lml > -std::numeric_limits<double>::infinity())
       << "GP fit: no length scale produced a positive-definite kernel";
-  log_marginal_likelihood_ = best_lml;
 }
 
 GpPrediction GaussianProcess1D::predict(double x) const {

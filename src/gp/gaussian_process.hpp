@@ -45,7 +45,6 @@ class GaussianProcess1D {
 
   bool fitted() const { return !x_.empty(); }
   double length_scale() const { return length_scale_; }
-  double log_marginal_likelihood() const { return log_marginal_likelihood_; }
   std::size_t train_size() const { return x_.size(); }
 
  private:
@@ -60,7 +59,6 @@ class GaussianProcess1D {
   double length_scale_ = 0.2;
   double signal_variance_ = 1.0;
   double noise_variance_ = 0.01;
-  double log_marginal_likelihood_ = 0.0;
 };
 
 }  // namespace eugene::gp

@@ -31,6 +31,10 @@ struct ParamRef {
   tensor::Tensor* grad = nullptr;
 };
 
+/// The parameter values of a const model, in params() order: what
+/// serializers and size reports read from a published (const) model.
+using ParamValues = std::vector<const tensor::Tensor*>;
+
 /// Base class for all layers.
 class Layer {
  public:
@@ -56,6 +60,9 @@ class Layer {
 
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }
+
+  /// The values params() walks, in the same order, read through const.
+  virtual ParamValues param_values() const { return {}; }
 
   /// Multiply-add FLOPs of one forward pass (0 for negligible layers);
   /// consumed by the execution profiler.
@@ -126,6 +133,15 @@ class Sequential final : public Layer {
     std::vector<ParamRef> out;
     for (auto& layer : layers_) {
       auto p = layer->params();
+      out.insert(out.end(), p.begin(), p.end());
+    }
+    return out;
+  }
+
+  ParamValues param_values() const override {
+    ParamValues out;
+    for (const auto& layer : layers_) {
+      const ParamValues p = layer->param_values();
       out.insert(out.end(), p.begin(), p.end());
     }
     return out;

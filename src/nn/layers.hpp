@@ -18,6 +18,7 @@ class Conv2d final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
+  ParamValues param_values() const override { return {&weights_, &bias_}; }
   double flops() const override { return geometry_.flops(); }
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;
@@ -44,6 +45,7 @@ class Dense final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
+  ParamValues param_values() const override { return {&weights_, &bias_}; }
   double flops() const override {
     return 2.0 * static_cast<double>(in_features_) * static_cast<double>(out_features_);
   }
@@ -91,6 +93,7 @@ class ChannelNorm final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
+  ParamValues param_values() const override { return {&gain_, &bias_}; }
   std::string name() const override { return "channel_norm(" + std::to_string(channels_) + ")"; }
   std::unique_ptr<Layer> clone() const override;
 

@@ -36,25 +36,4 @@ LossResult cross_entropy_with_entropy_reg(const Tensor& logits, std::size_t labe
   return result;
 }
 
-LossResult cross_entropy(const Tensor& logits, std::size_t label) {
-  return cross_entropy_with_entropy_reg(logits, label, 0.0);
-}
-
-LossResult mean_squared_error(const Tensor& output, const Tensor& target) {
-  EUGENE_REQUIRE(output.same_shape(target), "mse: shape mismatch");
-  EUGENE_REQUIRE(output.numel() > 0, "mse: empty tensors");
-  LossResult result;
-  result.grad_logits = Tensor(output.shape());
-  const float* o = output.raw();
-  const float* t = target.raw();
-  float* g = result.grad_logits.raw();
-  const double inv_n = 1.0 / static_cast<double>(output.numel());
-  for (std::size_t i = 0; i < output.numel(); ++i) {
-    const double d = static_cast<double>(o[i]) - static_cast<double>(t[i]);
-    result.value += d * d * inv_n;
-    g[i] = static_cast<float>(2.0 * d * inv_n);
-  }
-  return result;
-}
-
 }  // namespace eugene::nn

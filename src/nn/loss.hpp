@@ -29,13 +29,6 @@ struct LossResult {
 LossResult cross_entropy_with_entropy_reg(const tensor::Tensor& logits,
                                           std::size_t label, double alpha = 0.0);
 
-/// Plain softmax cross-entropy (alpha = 0 case, kept for readability).
-LossResult cross_entropy(const tensor::Tensor& logits, std::size_t label);
-
-/// Mean squared error against a target vector. No trainer or example calls
-/// it; Loss.MseGradient pins its gradient.
-LossResult mean_squared_error(const tensor::Tensor& output, const tensor::Tensor& target);
-
 /// Softmax probabilities of a logit tensor (rank-1).
 std::vector<float> softmax_probs(const tensor::Tensor& logits);
 

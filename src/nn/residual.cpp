@@ -77,6 +77,18 @@ std::vector<ParamRef> ResidualBlock::params() {
   return out;
 }
 
+ParamValues ResidualBlock::param_values() const {
+  ParamValues out;
+  for (const Layer* layer : {static_cast<const Layer*>(conv1_.get()),
+                             static_cast<const Layer*>(norm1_.get()),
+                             static_cast<const Layer*>(conv2_.get()),
+                             static_cast<const Layer*>(norm2_.get())}) {
+    const ParamValues p = layer->param_values();
+    out.insert(out.end(), p.begin(), p.end());
+  }
+  return out;
+}
+
 double ResidualBlock::flops() const { return conv1_->flops() + conv2_->flops(); }
 
 std::string ResidualBlock::name() const {

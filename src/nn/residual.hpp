@@ -19,6 +19,7 @@ class ResidualBlock final : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
+  ParamValues param_values() const override;
   double flops() const override;
   std::string name() const override;
   std::unique_ptr<Layer> clone() const override;

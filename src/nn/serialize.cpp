@@ -16,14 +16,14 @@ constexpr std::uint32_t kFormatVersion = 2;
 
 /// Serializes the checkpoint body: tensor count, then per tensor rank +
 /// shape + raw floats.
-std::vector<std::uint8_t> encode_body(const std::vector<ParamRef>& params) {
+std::vector<std::uint8_t> encode_body(const ParamValues& params) {
   io::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(params.size()));
-  for (const auto& p : params) {
-    const auto& shape = p.value->shape();
+  for (const tensor::Tensor* p : params) {
+    const auto& shape = p->shape();
     w.u32(static_cast<std::uint32_t>(shape.size()));
     for (std::size_t d : shape) w.u32(static_cast<std::uint32_t>(d));
-    w.raw(p.value->raw(), p.value->numel() * sizeof(float));
+    w.raw(p->raw(), p->numel() * sizeof(float));
   }
   return w.take();
 }
@@ -47,7 +47,7 @@ void decode_body(const std::vector<ParamRef>& params,
 
 }  // namespace
 
-void save_params(const std::vector<ParamRef>& params, std::ostream& out) {
+void save_params(const ParamValues& params, std::ostream& out) {
   const std::vector<std::uint8_t> blob =
       io::encode_blob(kMagicV2, kFormatVersion, encode_body(params));
   out.write(reinterpret_cast<const char*>(blob.data()),
@@ -64,7 +64,7 @@ void load_params(const std::vector<ParamRef>& params, std::istream& in) {
               io::decode_blob(bytes, kMagicV2, kFormatVersion, "load_params").payload);
 }
 
-void save_params_file(const std::vector<ParamRef>& params, const std::string& path) {
+void save_params_file(const ParamValues& params, const std::string& path) {
   io::write_blob_file(path, kMagicV2, kFormatVersion, encode_body(params));
 }
 
@@ -73,12 +73,12 @@ void load_params_file(const std::vector<ParamRef>& params, const std::string& pa
                                          "load_params_file").payload);
 }
 
-std::size_t serialized_size_bytes(const std::vector<ParamRef>& params) {
+std::size_t serialized_size_bytes(const ParamValues& params) {
   // Blob envelope (magic + version + body length + CRC footer) plus the
   // body's tensor count, then per tensor rank + shape + raw floats.
   std::size_t bytes = 4 + 4 + 8 + 4 + 4;
-  for (const auto& p : params)
-    bytes += 4 + 4 * p.value->rank() + p.value->numel() * sizeof(float);
+  for (const tensor::Tensor* p : params)
+    bytes += 4 + 4 * p->rank() + p->numel() * sizeof(float);
   return bytes;
 }
 

@@ -26,7 +26,7 @@
 namespace eugene::nn {
 
 /// Writes all parameters to a stream in checkpoint format v2.
-void save_params(const std::vector<ParamRef>& params, std::ostream& out);
+void save_params(const ParamValues& params, std::ostream& out);
 
 /// Reads parameters saved by save_params (v2) into an architecture with
 /// exactly matching shapes. Consumes the whole stream, which must hold
@@ -40,11 +40,11 @@ void load_params(const std::vector<ParamRef>& params, std::istream& in);
 /// rename via common/io), so a crash mid-save never destroys a previous
 /// checkpoint at the same path. load_params_file throws eugene::IoError when
 /// the file cannot be opened or read, and otherwise fails as load_params.
-void save_params_file(const std::vector<ParamRef>& params, const std::string& path);
+void save_params_file(const ParamValues& params, const std::string& path);
 void load_params_file(const std::vector<ParamRef>& params, const std::string& path);
 
 /// Total serialized (v2) size in bytes (used by the caching policy to reason
 /// about download cost).
-[[nodiscard]] std::size_t serialized_size_bytes(const std::vector<ParamRef>& params);
+[[nodiscard]] std::size_t serialized_size_bytes(const ParamValues& params);
 
 }  // namespace eugene::nn

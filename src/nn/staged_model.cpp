@@ -124,16 +124,27 @@ std::vector<ParamRef> StagedModel::params() {
   return out;
 }
 
+ParamValues StagedModel::param_values() const {
+  ParamValues out;
+  for (const auto& stage : stages_) {
+    const ParamValues t = stage.trunk->param_values();
+    out.insert(out.end(), t.begin(), t.end());
+    const ParamValues h = stage.head->param_values();
+    out.insert(out.end(), h.begin(), h.end());
+  }
+  return out;
+}
+
 double StagedModel::stage_flops(std::size_t s) const {
   EUGENE_REQUIRE(s < stages_.size(), "stage_flops: stage index out of range");
   return stages_[s].trunk->flops() + stages_[s].head->flops();
 }
 
-std::size_t StagedModel::stage_param_bytes(std::size_t s) {
+std::size_t StagedModel::stage_param_bytes(std::size_t s) const {
   EUGENE_REQUIRE(s < stages_.size(), "stage_param_bytes: stage index out of range");
   std::size_t count = 0;
-  for (const auto& p : stages_[s].trunk->params()) count += p.value->numel();
-  for (const auto& p : stages_[s].head->params()) count += p.value->numel();
+  for (const tensor::Tensor* p : stages_[s].trunk->param_values()) count += p->numel();
+  for (const tensor::Tensor* p : stages_[s].head->param_values()) count += p->numel();
   return count * sizeof(float);
 }
 

@@ -78,13 +78,17 @@ class StagedModel {
   /// All learnable parameters, trunk-then-head per stage, in stage order.
   std::vector<ParamRef> params();
 
+  /// The values params() walks, in the same order, read through const: what
+  /// a snapshot of a published model writes.
+  ParamValues param_values() const;
+
   /// Forward FLOPs of stage `s` (trunk + head), for the profiler and the
   /// scheduler's stage cost model.
   double stage_flops(std::size_t s) const;
 
   /// Serialized parameter bytes of stage `s` (trunk + head) — what caching
   /// a stage on a device costs in download/storage (paper §II-B, §IV-A).
-  std::size_t stage_param_bytes(std::size_t s);
+  std::size_t stage_param_bytes(std::size_t s) const;
 
   /// Deep copy of configuration + learned parameters, never training
   /// scratch (see Layer::clone). The copy-on-write model registry clones

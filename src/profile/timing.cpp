@@ -21,32 +21,6 @@ double median(std::vector<double> xs) {
 
 }  // namespace
 
-double measure_conv_ms(const tensor::Conv2dGeometry& geometry, const TimingConfig& config) {
-  EUGENE_REQUIRE(config.repeats >= 1, "measure_conv_ms: need at least one repeat");
-  Rng rng(config.seed);
-  const Tensor input = Tensor::randn({geometry.in_channels, geometry.in_height,
-                                      geometry.in_width}, rng);
-  const Tensor weights = Tensor::randn(
-      {geometry.out_channels, geometry.in_channels * geometry.kernel * geometry.kernel},
-      rng, 0.1f);
-  const Tensor bias = Tensor::randn({geometry.out_channels}, rng, 0.1f);
-
-  volatile float sink = 0.0f;  // keep the optimizer from eliding the work
-  for (std::size_t i = 0; i < config.warmup; ++i)
-    sink = sink + tensor::conv2d(input, weights, bias, geometry).data()[0];
-
-  std::vector<double> times;
-  times.reserve(config.repeats);
-  for (std::size_t i = 0; i < config.repeats; ++i) {
-    Stopwatch watch;
-    const Tensor out = tensor::conv2d(input, weights, bias, geometry);
-    times.push_back(watch.elapsed_ms());
-    sink = sink + out.data()[0];
-  }
-  (void)sink;
-  return median(std::move(times));
-}
-
 double measure_layer_ms(const nn::Layer& layer, const tensor::Shape& input_shape,
                         const TimingConfig& config) {
   EUGENE_REQUIRE(config.repeats >= 1, "measure_layer_ms: need at least one repeat");

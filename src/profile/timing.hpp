@@ -1,12 +1,11 @@
 // Execution timing harness (paper §II-C "Execution Profiling").
 //
-// Measures real wall-clock forward times of Eugene's kernels and layers so
-// the profiler's predictive models can be fitted to *this* machine, the way
-// FastDeepIoT profiled the Nexus 5.
+// Measures real wall-clock inference times of Eugene's layers — the route
+// the server runs — so the profiler's predictive models can be fitted to
+// *this* machine, the way FastDeepIoT profiled the Nexus 5.
 #pragma once
 
 #include "nn/layer.hpp"
-#include "tensor/ops.hpp"
 
 namespace eugene::profile {
 
@@ -16,10 +15,6 @@ struct TimingConfig {
   std::size_t repeats = 5;
   std::uint64_t seed = 21;
 };
-
-/// Median forward time of a conv2d with the given geometry on random data.
-double measure_conv_ms(const tensor::Conv2dGeometry& geometry,
-                       const TimingConfig& config = {});
 
 /// Median inference time (nn::infer) of an arbitrary layer on a random input
 /// of the given shape.

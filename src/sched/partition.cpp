@@ -4,7 +4,8 @@ namespace eugene::sched {
 
 using tensor::Tensor;
 
-std::vector<StageInfo> stage_infos(nn::StagedModel& model, const Tensor& example_input) {
+std::vector<StageInfo> stage_infos(const nn::StagedModel& model,
+                                   const Tensor& example_input) {
   std::vector<StageInfo> infos(model.num_stages());
   const Tensor* current = &example_input;
   nn::StageOutput out;

@@ -67,7 +67,7 @@ struct PartitionPlan {
 
 /// Extracts planner stage descriptions from a staged model by running one
 /// forward pass of `example_input` to measure feature sizes.
-std::vector<StageInfo> stage_infos(nn::StagedModel& model,
+std::vector<StageInfo> stage_infos(const nn::StagedModel& model,
                                    const tensor::Tensor& example_input);
 
 /// Survival curve from an evaluation table: survival[s] is the fraction of

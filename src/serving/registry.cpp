@@ -5,18 +5,13 @@
 
 namespace eugene::serving {
 
-std::shared_ptr<ModelEntry> ModelEntry::clone() const {
-  auto copy = std::make_shared<ModelEntry>(name, model.clone());
+std::shared_ptr<ModelEntry> ModelEntry::with_model(nn::StagedModel next) const {
+  auto copy = std::make_shared<ModelEntry>(name, std::move(next));
   copy->curves = curves;
   copy->stage_ms = stage_ms;
   copy->calibration_alpha = calibration_alpha;
   copy->calibrated = calibrated;
   return copy;
-}
-
-ModelRegistry::ModelRegistry() {
-  // Epoch 0: the empty set. pin() is never null.
-  view_.store(std::make_shared<View>());
 }
 
 std::size_t ModelRegistry::add(std::string name, nn::StagedModel model) {
@@ -86,7 +81,13 @@ void ModelRegistry::publish_locked(std::shared_ptr<View> next) {
   EUGENE_FAILPOINT("registry.swap.stall");
   next->epoch_ = ++epoch_version_;
   const std::uint64_t epoch = next->epoch_;
-  view_.store(std::move(next));
+  ViewPtr displaced = std::move(next);
+  {
+    MutexLock lock(view_mutex_);
+    view_.swap(displaced);
+  }
+  // `displaced` holds the old epoch: its refcount drop (and possible
+  // destruction) happens outside the view mutex.
   if (metrics_ != nullptr) {
     metrics_->gauge("serving.registry.epoch").set(static_cast<double>(epoch));
     metrics_->counter("serving.registry.publishes").inc();

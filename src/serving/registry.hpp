@@ -3,25 +3,24 @@
 // times, chosen calibration α) — published by *epoch* (DESIGN.md §13).
 //
 // Readers never take the writer mutex. The full model set lives in an
-// immutable View swapped atomically: pin() is one spin-bit-protected
-// shared_ptr copy (see ViewSlot below for why not std::atomic<shared_ptr>),
-// and everything
-// reached through the returned view — entry table, names, curves, costs —
-// stays valid and unchanging for as long as the caller holds it, no matter
-// how many snapshots, restores, reloads, or swaps writers publish meanwhile.
+// immutable View; pin() copies the shared_ptr to the current one under a
+// ranked view mutex held only for that copy, and everything reached through
+// the returned view — entry table, names, curves, costs — stays valid and
+// unchanging for as long as the caller holds it, no matter how many
+// snapshots, restores, reloads, or swaps writers publish meanwhile.
 // Writers serialize on one mutex, build the next epoch off to the side
 // (copy-on-write: untouched entries are shared between epochs, mutated
-// entries are deep-cloned first), and publish with a single atomic store.
+// entries are deep-cloned first), and publish with one pointer swap.
 //
-// The concurrency contract: everything reached through a view — weights,
-// curves, costs, α — is immutable once published; mutating it is a bug, and
-// update()/replace() exist so writers never need to. Inference is const
+// The concurrency contract: a published entry is const by type — a view
+// holds shared_ptr<const ModelEntry> and hands out const references — so
+// weights, curves, costs and α cannot change once published; update() and
+// replace() are how writers change them. Inference is const
 // (StagedModel::run_stage writes nothing but the calling thread's scratch
 // arena), so any number of threads may serve one published entry at once,
 // and writers may clone an entry while it serves.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -54,7 +53,12 @@ struct ModelEntry {
   /// inference writes neither, so the original may be serving meanwhile)
   /// and copies the serving artifacts. The basis of every copy-on-write
   /// mutation.
-  std::shared_ptr<ModelEntry> clone() const;
+  std::shared_ptr<ModelEntry> clone() const { return with_model(model.clone()); }
+
+  /// A new entry with this entry's name and serving artifacts (curves,
+  /// stage times, α, calibrated flag) around `next` — clone() and a hot
+  /// swap that keeps the artifacts.
+  std::shared_ptr<ModelEntry> with_model(nn::StagedModel next) const;
 };
 
 /// Epoch-published registry; handles are stable dense indices that survive
@@ -66,10 +70,8 @@ class ModelRegistry {
    public:
     std::size_t size() const { return entries_.size(); }
 
-    /// Entry lookup. The entry is frozen (see the header comment); the
-    /// reference is non-const only because save_snapshot reads the weights
-    /// through StagedModel::params(), which returns mutable pointers.
-    ModelEntry& entry(std::size_t handle) const {
+    /// Entry lookup; the entry is frozen (see the header comment).
+    const ModelEntry& entry(std::size_t handle) const {
       EUGENE_REQUIRE(handle < entries_.size(), "ModelRegistry: bad handle");
       return *entries_[handle];
     }
@@ -85,18 +87,19 @@ class ModelRegistry {
 
    private:
     friend class ModelRegistry;
-    std::vector<std::shared_ptr<ModelEntry>> entries_;
+    std::vector<std::shared_ptr<const ModelEntry>> entries_;
     std::uint64_t epoch_ = 0;
   };
   using ViewPtr = std::shared_ptr<const View>;
 
-  ModelRegistry();
-
-  /// Atomically pins the current epoch: one spin-bit acquire plus a refcount
-  /// bump, never the writer mutex. Hold the returned view for the duration
-  /// of a request (or a snapshot) and every read through it is coherent — a
-  /// full model set from a single instant.
-  ViewPtr pin() const { return view_.load(); }
+  /// Pins the current epoch: a refcount bump under the view mutex, never
+  /// the writer mutex. Hold the returned view for the duration of a request
+  /// (or a snapshot) and every read through it is coherent — a full model
+  /// set from a single instant.
+  ViewPtr pin() const EUGENE_EXCLUDES(view_mutex_) {
+    MutexLock lock(view_mutex_);
+    return view_;
+  }
 
   /// Registers a model under a unique name; returns its handle.
   std::size_t add(std::string name, nn::StagedModel model) EUGENE_EXCLUDES(mutex_);
@@ -127,67 +130,27 @@ class ModelRegistry {
   /// Publication-epoch gauge/counter sink (optional; set once at wiring).
   void set_metrics(telemetry::MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  // -- compatibility accessors (one pin each) ----------------------------
+  // -- value reads of the current epoch (one pin each) --------------------
   std::size_t size() const { return pin()->size(); }
-  /// Entry of the *current* epoch. Valid until this handle is next replaced;
-  /// prefer pin() when reading more than one thing coherently.
-  ModelEntry& entry(std::size_t handle) { return pin()->entry(handle); }
-  const ModelEntry& entry(std::size_t handle) const { return pin()->entry(handle); }
   std::optional<std::size_t> find(const std::string& name) const {
     return pin()->find(name);
   }
   std::uint64_t epoch() const { return pin()->epoch(); }
 
  private:
-  /// The published-view slot: a shared_ptr behind a single-word spin bit
-  /// with acquire on lock and release on unlock — on BOTH the reader and
-  /// writer paths. libstdc++ 12's std::atomic<shared_ptr> releases the
-  /// reader-side bit with a *relaxed* RMW (bits/shared_ptr_atomic.h:
-  /// load() ends in unlock(memory_order_relaxed)), which leaves no
-  /// happens-before edge from a reader's pointer read to the next writer's
-  /// pointer swap — formally a data race, and ThreadSanitizer reports it as
-  /// one under the lifecycle chaos suite. This slot is the same protocol
-  /// with the ordering fixed; the critical section is one shared_ptr copy
-  /// or swap (a refcount RMW), a few nanoseconds either way
-  /// (BM_RegistryEpochRead).
-  class ViewSlot {
-   public:
-    ViewPtr load() const {
-      lock();
-      ViewPtr copy = ptr_;
-      unlock();
-      return copy;
-    }
-    void store(ViewPtr next) {
-      lock();
-      ptr_.swap(next);
-      unlock();
-      // `next` now holds the displaced view: the old epoch's refcount drop
-      // (and possible destruction) happens outside the spin bit.
-    }
-
-   private:
-    void lock() const {
-      std::uint32_t expected = 0;
-      while (!locked_.compare_exchange_weak(expected, 1,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed))
-        expected = 0;
-    }
-    void unlock() const { locked_.store(0, std::memory_order_release); }
-
-    mutable std::atomic<std::uint32_t> locked_{0};
-    ViewPtr ptr_;  // guarded by locked_
-  };
-
-  /// Stamps the next epoch number and atomically publishes `next`. The
+  /// Stamps the next epoch number and publishes `next` by swapping it into
+  /// view_ (the displaced view is released after the view mutex). The
   /// `registry.swap.stall` seam fires first: an error kind aborts the
   /// publication with the old epoch fully intact (the half-built view is
   /// simply dropped), a delay kind widens the build-to-publish window.
   void publish_locked(std::shared_ptr<View> next) EUGENE_REQUIRES(mutex_);
 
   mutable Mutex mutex_{LockRank::kModelRegistry, "ModelRegistry::mutex_"};
-  ViewSlot view_;
+  /// Guards only the view_ pointer: readers copy it, a publish swaps it
+  /// (under mutex_), so a reader waits behind a pointer swap, never behind
+  /// a writer's clone or build.
+  mutable Mutex view_mutex_{LockRank::kRegistryView, "ModelRegistry::view_mutex_"};
+  ViewPtr view_ EUGENE_GUARDED_BY(view_mutex_) = std::make_shared<View>();  // epoch 0
   std::uint64_t epoch_version_ EUGENE_GUARDED_BY(mutex_) = 0;
   telemetry::MetricsRegistry* metrics_ = nullptr;
 };

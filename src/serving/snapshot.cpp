@@ -253,14 +253,14 @@ std::uint64_t save_snapshot(const ModelRegistry& registry, const std::string& di
   manifest.epoch = epoch;
   const std::size_t count = view->size();
   for (std::size_t i = 0; i < count; ++i) {
-    ModelEntry& entry = view->entry(i);
+    const ModelEntry& entry = view->entry(i);
     ManifestEntry me;
     me.name = entry.name;
     me.params_file = "model-" + std::to_string(i) + ".params." + std::to_string(epoch);
     me.artifacts_file =
         "model-" + std::to_string(i) + ".artifacts." + std::to_string(epoch);
 
-    nn::save_params_file(entry.model.params(), dir + "/" + me.params_file);
+    nn::save_params_file(entry.model.param_values(), dir + "/" + me.params_file);
     io::write_blob_file(dir + "/" + me.artifacts_file, kArtifactsMagic,
                         kArtifactsVersion, encode_artifacts(entry));
     manifest.models.push_back(std::move(me));

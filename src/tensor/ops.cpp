@@ -190,25 +190,6 @@ Tensor col2im(const Tensor& cols, const Conv2dGeometry& g) {
   return image;
 }
 
-Tensor conv2d(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
-              const Conv2dGeometry& g) {
-  const std::size_t patch = g.in_channels * g.kernel * g.kernel;
-  EUGENE_REQUIRE(weights.rank() == 2 && weights.dim(0) == g.out_channels &&
-                     weights.dim(1) == patch,
-                 "conv2d: weights shape mismatch");
-  EUGENE_REQUIRE(bias.rank() == 1 && bias.dim(0) == g.out_channels,
-                 "conv2d: bias shape mismatch");
-  const Tensor cols = im2col(image_chw, g);
-  Tensor out = matmul(weights, cols);
-  const std::size_t oh = g.out_height(), ow = g.out_width();
-  float* op = out.raw();
-  for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
-    const float b = bias.at(oc);
-    for (std::size_t i = 0; i < oh * ow; ++i) op[oc * oh * ow + i] += b;
-  }
-  return out.reshaped({g.out_channels, oh, ow});
-}
-
 Tensor conv2d_direct(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
                      const Conv2dGeometry& g) {
   const std::size_t patch = g.in_channels * g.kernel * g.kernel;

@@ -76,12 +76,8 @@ void im2col_into(const float* image_chw, const Conv2dGeometry& g, float* frame,
 /// overlapping patches.
 Tensor col2im(const Tensor& cols, const Conv2dGeometry& g);
 
-/// conv2d forward for one CHW image using im2col + matmul.
-/// `weights` is [C_out, C_in·k·k], `bias` is [C_out].
-Tensor conv2d(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
-              const Conv2dGeometry& g);
-
-/// Direct (no-im2col) conv2d: the tests' correctness oracle for conv2d.
+/// Direct (no-im2col) conv2d for one CHW image: the tests' correctness
+/// oracle for nn::Conv2d. `weights` is [C_out, C_in·k·k], `bias` is [C_out].
 Tensor conv2d_direct(const Tensor& image_chw, const Tensor& weights, const Tensor& bias,
                      const Conv2dGeometry& g);
 

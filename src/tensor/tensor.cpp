@@ -38,12 +38,6 @@ Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
   return t;
 }
 
-Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi) {
-  Tensor t(std::move(shape));
-  for (float& v : t.data_) v = static_cast<float>(rng.uniform(lo, hi));
-  return t;
-}
-
 std::size_t Tensor::flat_index(std::span<const std::size_t> idx) const {
   EUGENE_REQUIRE(idx.size() == shape_.size(),
                  "index rank mismatch for shape " + shape_to_string(shape_));

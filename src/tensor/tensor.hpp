@@ -44,14 +44,8 @@ class Tensor {
   /// Factory: all zeros.
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
 
-  /// Factory: all ones.
-  static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
-
   /// Factory: i.i.d. Gaussian entries.
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f);
-
-  /// Factory: i.i.d. uniform entries in [lo, hi).
-  static Tensor rand_uniform(Shape shape, Rng& rng, float lo = 0.0f, float hi = 1.0f);
 
   const Shape& shape() const { return shape_; }
   std::size_t rank() const { return shape_.size(); }

@@ -21,71 +21,12 @@
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
 #include "serving/usage.hpp"
+#include "serving_fixtures.hpp"
 
 namespace eugene {
 namespace {
 
-/// Disarms every failpoint on entry and exit of a test body.
-struct FailpointGuard {
-  FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-  ~FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-};
-
 void poke(const char* name) { EUGENE_FAILPOINT(name); }
-
-nn::StagedResNetConfig tiny_model_config() {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  return cfg;
-}
-
-constexpr std::size_t kStages = 2;  // tiny_model_config has two stages
-
-/// Fabricated per-stage confidences: enough structure for curve fitting
-/// without training a model.
-calib::StagedEvaluation fake_eval() {
-  calib::StagedEvaluation eval;
-  eval.records.resize(kStages);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double base = rng.uniform(0.1, 0.9);
-    for (std::size_t s = 0; s < kStages; ++s) {
-      calib::StageRecord r;
-      r.confidence = static_cast<float>(
-          std::min(1.0, base + 0.2 * (static_cast<double>(s) + rng.uniform(0.0, 0.1))));
-      eval.records[s].push_back(r);
-    }
-  }
-  return eval;
-}
-
-std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
-  Rng rng(seed);
-  std::vector<tensor::Tensor> inputs;
-  inputs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
-  return inputs;
-}
-
-/// A registered + curve-fitted model entry for server tests.
-struct ServerHarness {
-  serving::ModelRegistry registry;
-  std::size_t handle;
-
-  ServerHarness() : handle(registry.add("tiny", nn::build_staged_resnet(tiny_model_config()))) {
-    serving::ModelEntry& e = registry.entry(handle);
-    e.curves.fit(fake_eval());
-    e.stage_ms = {1.0, 1.0};
-  }
-
-  serving::ModelEntry& entry() { return registry.entry(handle); }
-};
 
 /// The chaos suite's core invariant: a response is well-formed iff it is
 /// complete, expired, or degraded — and internally consistent.
@@ -342,10 +283,9 @@ TEST(Fault, LiveRejectsInvalidInputsUpFront) {
   no_workers.workers = 0;
   EXPECT_THROW(serving::InferenceServer(harness.entry(), no_workers), InvalidArgument);
 
-  serving::ModelRegistry registry;
-  const std::size_t stageless = registry.add("stageless", nn::StagedModel(4));
-  registry.entry(stageless).curves.fit(fake_eval());
-  EXPECT_THROW(serving::InferenceServer(registry.entry(stageless), cfg), InvalidArgument);
+  serving::ModelEntry stageless("stageless", nn::StagedModel(4));
+  stageless.curves.fit(fake_eval());
+  EXPECT_THROW(serving::InferenceServer(stageless, cfg), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,10 +415,9 @@ TEST(Fault, ServerRejectsInvalidInputsUpFront) {
 
   // A model with no stages is refused before any engine exists, even with
   // fitted curves.
-  serving::ModelRegistry registry;
-  const std::size_t stageless = registry.add("stageless", nn::StagedModel(4));
-  registry.entry(stageless).curves.fit(fake_eval());
-  EXPECT_THROW(serving::InferenceServer(registry.entry(stageless), serving::ServerConfig{}),
+  serving::ModelEntry stageless("stageless", nn::StagedModel(4));
+  stageless.curves.fit(fake_eval());
+  EXPECT_THROW(serving::InferenceServer(stageless, serving::ServerConfig{}),
                InvalidArgument);
 }
 

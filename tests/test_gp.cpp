@@ -152,9 +152,10 @@ TEST(ConfidenceCurve, PiecewiseApproximationTracksExactGp) {
   Rng rng(5);
   const auto train = synthetic_eval(300, rng);
   ConfidenceCurveModel curves;
-  curves.fit(train, {}, 10);
+  curves.fit(train);
+  const GaussianProcess1D gp = fit_pair_gp(train, 0, 2);
   for (double c = 0.1; c < 1.0; c += 0.1) {
-    const double exact = curves.predict_gp(0, 2, c).mean;
+    const double exact = gp.predict(c).mean;
     const double approx = curves.predict(0, 2, c);
     EXPECT_NEAR(approx, std::clamp(exact, 0.0, 1.0), 0.02) << "at c=" << c;
   }
@@ -166,10 +167,12 @@ TEST(ConfidenceCurve, EvaluationQualityImprovesWithCloserStages) {
   const auto train = synthetic_eval(400, rng);
   Rng rng2(7);
   const auto test = synthetic_eval(300, rng2);
-  ConfidenceCurveModel curves;
-  curves.fit(train);
-  const auto q_13 = curves.evaluate(test, 0, 2);
-  const auto q_23 = curves.evaluate(test, 1, 2);
+  const GaussianProcess1D gp_13 = fit_pair_gp(train, 0, 2);
+  const GaussianProcess1D gp_23 = fit_pair_gp(train, 1, 2);
+  const auto q_13 =
+      evaluate_curve(test, 0, 2, [&](double c) { return gp_13.predict(c).mean; });
+  const auto q_23 =
+      evaluate_curve(test, 1, 2, [&](double c) { return gp_23.predict(c).mean; });
   EXPECT_LT(q_23.mae, q_13.mae + 0.02);
   EXPECT_GT(q_23.r_squared, 0.5);
 }

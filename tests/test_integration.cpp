@@ -52,7 +52,7 @@ class Pipeline : public ::testing::Test {
     service_->calibrate(handle_, *calib_, ccfg);
 
     test_eval_ = new calib::StagedEvaluation(
-        calib::evaluate_staged(service_->registry().entry(handle_).model, *test_));
+        calib::evaluate_staged(service_->registry().pin()->entry(handle_).model, *test_));
   }
 
   static void TearDownTestSuite() {
@@ -89,7 +89,8 @@ TEST_F(Pipeline, ModelLearnsAndAccuracyGrowsWithDepth) {
 }
 
 TEST_F(Pipeline, CalibratedConfidenceTracksAccuracy) {
-  const serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const serving::ModelEntry& entry = view->entry(handle_);
   ASSERT_TRUE(entry.calibrated);
   for (std::size_t s = 0; s < 3; ++s) {
     const double acc = calib::stage_accuracy(*test_eval_, s);
@@ -99,7 +100,8 @@ TEST_F(Pipeline, CalibratedConfidenceTracksAccuracy) {
 }
 
 TEST_F(Pipeline, ConfidenceCurvesDriveTheFullSchedulerStack) {
-  serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const serving::ModelEntry& entry = view->entry(handle_);
   ASSERT_TRUE(entry.curves.fitted());
 
   // Workload replaying real model outputs.
@@ -155,7 +157,8 @@ TEST_F(Pipeline, ServingEarlyExitConsistentWithEvaluationTable) {
 }
 
 TEST_F(Pipeline, PartitionPlannerConsumesRealArtifacts) {
-  serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const serving::ModelEntry& entry = view->entry(handle_);
   const auto infos = sched::stage_infos(entry.model, test_->samples[0]);
   const auto survival = sched::survival_curve(*test_eval_, 0.9);
   sched::PartitionConfig cfg;
@@ -191,9 +194,10 @@ TEST_F(Pipeline, UsageMeterConsistentWithResponses) {
 TEST_F(Pipeline, SerializationRoundTripSurvivesServing) {
   // Export the trained+calibrated model, import into a fresh architecture,
   // and check the serving outputs agree.
-  serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const serving::ModelEntry& entry = view->entry(handle_);
   std::stringstream blob;
-  nn::save_params(entry.model.params(), blob);
+  nn::save_params(entry.model.param_values(), blob);
 
   nn::StagedResNetConfig arch;
   arch.in_channels = 2;

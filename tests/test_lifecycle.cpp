@@ -22,96 +22,12 @@
 #include "core/eugene_service.hpp"
 #include "serving/snapshot.hpp"
 #include "serving/usage.hpp"
+#include "serving_fixtures.hpp"
 
 namespace eugene {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Disarms every failpoint on entry and exit of a test body. Chaos tests
-/// that want the environment seams armed simply don't use it.
-struct FailpointGuard {
-  FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-  ~FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-};
-
-struct TempDir {
-  std::string path;
-  explicit TempDir(const std::string& tag)
-      : path("/tmp/eugene_lifecycle_" + tag + "_" + std::to_string(::getpid())) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
-nn::StagedResNetConfig tiny_model_config(std::uint64_t seed = 1) {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  cfg.seed = seed;
-  return cfg;
-}
-
-constexpr std::size_t kStages = 2;  // tiny_model_config has two stages
-
-calib::StagedEvaluation fake_eval(std::uint64_t seed = 5) {
-  calib::StagedEvaluation eval;
-  eval.records.resize(kStages);
-  Rng rng(seed);
-  for (int i = 0; i < 200; ++i) {
-    const double base = rng.uniform(0.1, 0.9);
-    for (std::size_t s = 0; s < kStages; ++s) {
-      calib::StageRecord r;
-      r.confidence = static_cast<float>(std::min(
-          1.0, base + 0.2 * (static_cast<double>(s) + rng.uniform(0.0, 0.1))));
-      eval.records[s].push_back(r);
-    }
-  }
-  return eval;
-}
-
-/// A fully serve-ready entry built off to the side (no published state is
-/// ever mutated — the epoch contract forbids it).
-std::shared_ptr<serving::ModelEntry> make_calibrated_entry(
-    const std::string& name, std::uint64_t seed = 1) {
-  auto entry = std::make_shared<serving::ModelEntry>(
-      name, nn::build_staged_resnet(tiny_model_config(seed)));
-  entry->curves.fit(fake_eval(seed + 4));
-  entry->stage_ms = {1.0 + static_cast<double>(seed), 2.0};
-  entry->calibration_alpha = {0.4, 0.6};
-  entry->calibrated = true;
-  return entry;
-}
-
-std::size_t add_calibrated_model(core::EugeneService& service,
-                                 const std::string& name,
-                                 std::uint64_t seed = 1) {
-  return service.registry().add_entry(make_calibrated_entry(name, seed));
-}
-
-serving::ModelFactory tiny_factory(std::uint64_t seed = 99) {
-  return [seed](const std::string&) {
-    return nn::build_staged_resnet(tiny_model_config(seed));
-  };
-}
-
-std::vector<serving::InferenceRequest> make_requests(std::size_t n,
-                                                     std::uint64_t seed = 3) {
-  Rng rng(seed);
-  std::vector<serving::InferenceRequest> requests;
-  requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    requests.push_back({tensor::Tensor::randn({2, 8, 8}, rng), 0});
-  return requests;
-}
 
 core::DrainOptions drain_options(double timeout_ms) {
   core::DrainOptions options;
@@ -250,17 +166,17 @@ TEST(LifecycleEpoch, SwapStallErrorAbortsPublicationCleanly) {
   // The failed publication left no trace: same epoch, same entry, and the
   // next publication commits the epoch number the failed one never used.
   EXPECT_EQ(registry.epoch(), epoch);
-  EXPECT_EQ(registry.entry(handle).stage_ms[0], 2.0);  // seed-1 entry
+  EXPECT_EQ(registry.pin()->entry(handle).stage_ms[0], 2.0);  // seed-1 entry
   registry.replace(handle, make_calibrated_entry("m", 9));
   EXPECT_EQ(registry.epoch(), epoch + 1);
-  EXPECT_EQ(registry.entry(handle).stage_ms[0], 10.0);  // seed-9 entry
+  EXPECT_EQ(registry.pin()->entry(handle).stage_ms[0], 10.0);  // seed-9 entry
 }
 
 // ---- service-level drain / swap / reload ----------------------------------
 
 TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
   FailpointGuard guard;
-  TempDir dir("drain");
+  TempDir dir("lifecycle_drain");
   fs::create_directories(dir.path);
   // Inside the directory, so the TempDir's cleanup removes it too; the
   // snapshot's epoch GC leaves a file with no numeric suffix alone.
@@ -269,7 +185,7 @@ TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
   core::EugeneService service;
   constexpr std::size_t kThreads = 4;
   for (std::size_t t = 0; t < kThreads; ++t)
-    add_calibrated_model(service, "m" + std::to_string(t), t + 1);
+    add_calibrated_model(service.registry(), "m" + std::to_string(t), t + 1);
 
   serving::UsageMeter meter({1.0, 2.0}, {"default"});
   meter.open_journal(journal);
@@ -345,7 +261,7 @@ TEST(LifecycleService, DrainUnderLoadDropsNothingAndFlushesJournal) {
 TEST(LifecycleService, OpenBreakersDoNotBlockDrain) {
   FailpointGuard guard;
   core::EugeneService service;
-  const std::size_t handle = add_calibrated_model(service, "m", 1);
+  const std::size_t handle = add_calibrated_model(service.registry(), "m", 1);
 
   // What an open breaker stood for — a worker that fails every stage — is
   // a stage crash that always fires, here on every worker of a pool. Each
@@ -405,7 +321,7 @@ TEST(LifecycleService, StateGaugeFollowsPromotionToServing) {
     EXPECT_EQ(telemetry::parse_metrics_text(service.metrics_text())
                   .gauges.at("serving.lifecycle.state"),
               0.0);  // Starting
-    const std::size_t handle = add_calibrated_model(service, "m", 1);
+    const std::size_t handle = add_calibrated_model(service.registry(), "m", 1);
     service.infer_batch(handle, make_requests(2), serving::ServerConfig{});
     EXPECT_NE(service.metrics_text().find(serving_line), std::string::npos);
   }
@@ -419,13 +335,14 @@ TEST(LifecycleService, StateGaugeFollowsPromotionToServing) {
 TEST(LifecycleService, HotSwapKeepsArtifactsAndBumpsEpoch) {
   FailpointGuard guard;
   core::EugeneService service;
-  const std::size_t handle = add_calibrated_model(service, "m", 1);
+  const std::size_t handle = add_calibrated_model(service.registry(), "m", 1);
   const std::uint64_t epoch = service.registry().epoch();
   const auto requests = make_requests(4);
 
   service.swap_model(handle, nn::build_staged_resnet(tiny_model_config(21)));
   EXPECT_EQ(service.registry().epoch(), epoch + 1);
-  const serving::ModelEntry& swapped = service.registry().entry(handle);
+  const serving::ModelRegistry::ViewPtr view = service.registry().pin();
+  const serving::ModelEntry& swapped = view->entry(handle);
   EXPECT_EQ(swapped.name, "m");
   EXPECT_TRUE(swapped.calibrated);  // artifacts carried over
   EXPECT_EQ(swapped.calibration_alpha, (std::vector<double>{0.4, 0.6}));
@@ -443,14 +360,14 @@ TEST(LifecycleService, HotSwapKeepsArtifactsAndBumpsEpoch) {
       InvalidArgument);
   service.swap_model(handle, nn::build_staged_resnet(other),
                      /*keep_artifacts=*/false);
-  EXPECT_FALSE(service.registry().entry(handle).calibrated);
+  EXPECT_FALSE(service.registry().pin()->entry(handle).calibrated);
 }
 
 TEST(LifecycleService, KillMidSwapRestartsOnPreviousGoodEpoch) {
   FailpointGuard guard;
-  TempDir dir("midswap");
+  TempDir dir("lifecycle_midswap");
   core::EugeneService service;
-  const std::size_t handle = add_calibrated_model(service, "m", 1);
+  const std::size_t handle = add_calibrated_model(service.registry(), "m", 1);
   ASSERT_EQ(service.snapshot(dir.path), 1u);
   const auto requests = make_requests(6);
   const auto expected =
@@ -488,11 +405,11 @@ TEST(LifecycleService, KillMidSwapRestartsOnPreviousGoodEpoch) {
 TEST(LifecycleChaos, ServeWhileSnapshotSwapAndReload) {
   // Environment failpoints stay armed on purpose: CI's lifecycle-chaos job
   // injects drain hangs, swap stalls, and snapshot races here.
-  TempDir dir("chaos");
+  TempDir dir("lifecycle_chaos");
   core::EugeneService service;
   constexpr std::size_t kThreads = 3;
   for (std::size_t t = 0; t < kThreads; ++t)
-    add_calibrated_model(service, "m" + std::to_string(t), t + 1);
+    add_calibrated_model(service.registry(), "m" + std::to_string(t), t + 1);
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> served{0};
@@ -555,11 +472,11 @@ TEST(LifecycleChaos, DrainRacesServingThreads) {
   // SIGTERM-under-load shape: traffic on every handle, drain fired from a
   // separate thread mid-flight. No request may be dropped: each one either
   // completes normally or comes back drain-typed with zero stages run.
-  TempDir dir("drainrace");
+  TempDir dir("lifecycle_drainrace");
   core::EugeneService service;
   constexpr std::size_t kThreads = 3;
   for (std::size_t t = 0; t < kThreads; ++t)
-    add_calibrated_model(service, "m" + std::to_string(t), t + 1);
+    add_calibrated_model(service.registry(), "m" + std::to_string(t), t + 1);
 
   std::atomic<std::size_t> completed{0}, drained{0};
   std::vector<std::thread> servers;

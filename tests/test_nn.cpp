@@ -99,6 +99,54 @@ TEST(GradCheck, Conv2d) {
   check_gradients(layer, {2, 5, 4}, rng);
 }
 
+// nn::Conv2d against the direct-convolution oracle, through infer and the
+// training forward.
+tensor::Conv2dGeometry small_geometry() {
+  tensor::Conv2dGeometry g;
+  g.in_channels = 3;
+  g.out_channels = 4;
+  g.in_height = 6;
+  g.in_width = 5;
+  g.kernel = 3;
+  g.stride = 1;
+  g.padding = 1;
+  return g;
+}
+
+void expect_conv_matches_direct(const tensor::Conv2dGeometry& g, const Tensor& img,
+                                const Tensor& w, const Tensor& b) {
+  Rng rng(0);
+  Conv2d conv(g, rng);
+  conv.weights() = w;
+  conv.bias() = b;
+  const Tensor slow = tensor::conv2d_direct(img, w, b, g);
+  for (const Tensor& fast : {infer(conv, img), conv.forward(img)}) {
+    ASSERT_TRUE(fast.same_shape(slow));
+    for (std::size_t i = 0; i < fast.numel(); ++i)
+      EXPECT_NEAR(fast.data()[i], slow.data()[i], 1e-4);
+  }
+}
+
+TEST(Conv2d, Im2colMatchesDirectConvolution) {
+  Rng rng(11);
+  const tensor::Conv2dGeometry g = small_geometry();
+  const Tensor img = Tensor::randn({3, 6, 5}, rng);
+  const Tensor w = Tensor::randn({4, 27}, rng);
+  const Tensor b = Tensor::randn({4}, rng);
+  expect_conv_matches_direct(g, img, w, b);
+}
+
+TEST(Conv2d, StridedConvolutionMatchesDirect) {
+  Rng rng(13);
+  tensor::Conv2dGeometry g = small_geometry();
+  g.stride = 2;
+  g.padding = 0;
+  const Tensor img = Tensor::randn({3, 6, 5}, rng);
+  const Tensor w = Tensor::randn({4, 27}, rng);
+  const Tensor b = Tensor::randn({4}, rng);
+  expect_conv_matches_direct(g, img, w, b);
+}
+
 TEST(GradCheck, ReLU) {
   Rng rng(3);
   ReLU layer;
@@ -148,7 +196,7 @@ TEST(GradCheck, CrossEntropyLoss) {
   Rng rng(10);
   const Tensor logits = Tensor::randn({5}, rng);
   const std::size_t label = 2;
-  const LossResult res = cross_entropy(logits, label);
+  const LossResult res = cross_entropy_with_entropy_reg(logits, label);
 
   const float eps = 1e-3f;
   for (std::size_t i = 0; i < 5; ++i) {
@@ -156,7 +204,8 @@ TEST(GradCheck, CrossEntropyLoss) {
     plus.data()[i] += eps;
     minus.data()[i] -= eps;
     const double numeric =
-        (cross_entropy(plus, label).value - cross_entropy(minus, label).value) /
+        (cross_entropy_with_entropy_reg(plus, label).value -
+         cross_entropy_with_entropy_reg(minus, label).value) /
         (2.0 * eps);
     EXPECT_NEAR(res.grad_logits.at(i), numeric, 1e-3);
   }
@@ -194,20 +243,11 @@ TEST(Loss, EntropyRegularizationShiftsConfidence) {
   // pushes the top logit up harder (sharper distribution, higher
   // confidence); negative α does the opposite.
   Tensor logits({4}, std::vector<float>{3.0f, 0.1f, 0.0f, -0.2f});
-  const auto plain = cross_entropy(logits, 0);
+  const auto plain = cross_entropy_with_entropy_reg(logits, 0);
   const auto sharpen = cross_entropy_with_entropy_reg(logits, 0, 0.5);
   const auto soften = cross_entropy_with_entropy_reg(logits, 0, -0.5);
   EXPECT_LT(sharpen.grad_logits.at(0), plain.grad_logits.at(0));
   EXPECT_GT(soften.grad_logits.at(0), plain.grad_logits.at(0));
-}
-
-TEST(Loss, MseGradient) {
-  Tensor out({3}, std::vector<float>{1, 2, 3});
-  Tensor target({3}, std::vector<float>{0, 2, 5});
-  const LossResult res = mean_squared_error(out, target);
-  EXPECT_NEAR(res.value, (1.0 + 0.0 + 4.0) / 3.0, 1e-6);
-  EXPECT_NEAR(res.grad_logits.at(0), 2.0 / 3.0, 1e-6);
-  EXPECT_NEAR(res.grad_logits.at(2), -4.0 / 3.0, 1e-6);
 }
 
 TEST(Dropout, InferenceIsIdentity) {
@@ -398,7 +438,7 @@ TEST(Serialize, RoundTripRestoresOutputs) {
   const auto before = a.forward_all(input);
 
   std::stringstream buffer;
-  save_params(a.params(), buffer);
+  save_params(a.param_values(), buffer);
   load_params(b.params(), buffer);
   const auto after = b.forward_all(input);
   for (std::size_t s = 0; s < 3; ++s) {
@@ -413,15 +453,15 @@ TEST(Serialize, ArchitectureMismatchThrows) {
   other.stage_channels = {4, 6};
   StagedModel b = build_staged_resnet(other);
   std::stringstream buffer;
-  save_params(a.params(), buffer);
+  save_params(a.param_values(), buffer);
   EXPECT_THROW(load_params(b.params(), buffer), InvalidArgument);
 }
 
 TEST(Serialize, SizeAccountsForAllTensors) {
   StagedModel a = build_staged_resnet(tiny_config());
   std::stringstream buffer;
-  save_params(a.params(), buffer);
-  EXPECT_EQ(buffer.str().size(), serialized_size_bytes(a.params()));
+  save_params(a.param_values(), buffer);
+  EXPECT_EQ(buffer.str().size(), serialized_size_bytes(a.param_values()));
 }
 
 // Adversarial checkpoint loads (DESIGN.md §9): whatever bytes arrive —
@@ -430,7 +470,7 @@ TEST(Serialize, SizeAccountsForAllTensors) {
 TEST(Serialize, TruncatedAtEveryLengthThrowsTyped) {
   StagedModel a = build_staged_resnet(tiny_config());
   std::stringstream buffer;
-  save_params(a.params(), buffer);
+  save_params(a.param_values(), buffer);
   const std::string full = buffer.str();
 
   StagedModel b = build_staged_resnet(tiny_config());
@@ -445,7 +485,7 @@ TEST(Serialize, TruncatedAtEveryLengthThrowsTyped) {
 TEST(Serialize, BitFlipsAreDetectedByCrc) {
   StagedModel a = build_staged_resnet(tiny_config());
   std::stringstream buffer;
-  save_params(a.params(), buffer);
+  save_params(a.param_values(), buffer);
   const std::string full = buffer.str();
 
   StagedModel b = build_staged_resnet(tiny_config());
@@ -502,13 +542,13 @@ TEST(Serialize, SaveFileIsAtomicUnderTornWriteFailpoint) {
   const std::string path =
       "/tmp/eugene_test_ckpt_" + std::to_string(::getpid()) + ".bin";
   StagedModel a = build_staged_resnet(tiny_config());
-  save_params_file(a.params(), path);
+  save_params_file(a.param_values(), path);
 
   // Arm a simulated crash halfway through the rewrite: the original file
   // must survive byte-for-byte.
   FailpointSpec spec;
   FailpointRegistry::instance().arm("io.atomic.torn", spec);
-  EXPECT_THROW(save_params_file(a.params(), path), FailpointError);
+  EXPECT_THROW(save_params_file(a.param_values(), path), FailpointError);
   FailpointRegistry::instance().disarm_all();
 
   StagedModel b = build_staged_resnet([] {
@@ -525,7 +565,7 @@ TEST(Serialize, FileWithTrailingBytesThrowsTyped) {
   const std::string path =
       "/tmp/eugene_test_ckpt_trail_" + std::to_string(::getpid()) + ".bin";
   StagedModel a = build_staged_resnet(tiny_config());
-  save_params_file(a.params(), path);
+  save_params_file(a.param_values(), path);
   {
     // A byte appended past the CRC footer cannot corrupt weights, but a
     // file is exactly one checkpoint: loading it must still fail typed.
@@ -543,8 +583,7 @@ TEST(Serialize, FileWithTrailingBytesThrowsTyped) {
 TEST(Serialize, CheckpointBytesArePinned) {
   Tensor w({2, 3}, {0.5f, -1.0f, 2.0f, 0.0f, -0.25f, 8.0f});
   Tensor b({3}, {1.0f, -2.0f, 0.125f});
-  Tensor w_grad({2, 3}), b_grad({3});
-  const std::vector<ParamRef> params = {{&w, &w_grad}, {&b, &b_grad}};
+  const ParamValues params = {&w, &b};
 
   std::ostringstream out(std::ios::binary);
   save_params(params, out);
@@ -576,7 +615,7 @@ TEST(Serialize, StreamWithTrailingBytesThrowsTyped) {
   // typed, exactly as they do in a file.
   StagedModel a = build_staged_resnet(tiny_config());
   std::stringstream buffer;
-  save_params(a.params(), buffer);
+  save_params(a.param_values(), buffer);
   buffer.put('\xff');
   EXPECT_THROW(load_params(a.params(), buffer), CorruptionError);
 }

@@ -25,8 +25,11 @@ tensor::Conv2dGeometry geometry(std::size_t cin, std::size_t cout, std::size_t h
 TEST(Timing, ConvMeasurementIsPositiveAndScalesWithWork) {
   TimingConfig cfg;
   cfg.repeats = 3;
-  const double small = measure_conv_ms(geometry(4, 4, 8), cfg);
-  const double large = measure_conv_ms(geometry(16, 16, 32), cfg);
+  Rng rng(1);
+  const nn::Conv2d small_conv(geometry(4, 4, 8), rng);
+  const nn::Conv2d large_conv(geometry(16, 16, 32), rng);
+  const double small = measure_layer_ms(small_conv, {4, 8, 8}, cfg);
+  const double large = measure_layer_ms(large_conv, {16, 32, 32}, cfg);
   EXPECT_GT(small, 0.0);
   EXPECT_GT(large, small);
 }

@@ -53,11 +53,16 @@ TEST_P(ConvGeometrySweep, Im2colMatchesDirect) {
   const tensor::Tensor w =
       tensor::Tensor::randn({c.cout, c.cin * c.kernel * c.kernel}, rng);
   const tensor::Tensor b = tensor::Tensor::randn({c.cout}, rng);
-  const tensor::Tensor fast = tensor::conv2d(img, w, b, g);
+  nn::Conv2d conv(g, rng);
+  conv.weights() = w;
+  conv.bias() = b;
   const tensor::Tensor slow = tensor::conv2d_direct(img, w, b, g);
-  ASSERT_TRUE(fast.same_shape(slow));
-  for (std::size_t i = 0; i < fast.numel(); ++i)
-    ASSERT_NEAR(fast.data()[i], slow.data()[i], 1e-3) << "element " << i;
+  // Both routes of the served layer: infer and the training forward.
+  for (const tensor::Tensor& fast : {nn::infer(conv, img), conv.forward(img)}) {
+    ASSERT_TRUE(fast.same_shape(slow));
+    for (std::size_t i = 0; i < fast.numel(); ++i)
+      ASSERT_NEAR(fast.data()[i], slow.data()[i], 1e-3) << "element " << i;
+  }
 }
 
 TEST_P(ConvGeometrySweep, Im2colMatchesNaiveUnroll) {

@@ -17,20 +17,10 @@
 #include "gp/confidence_curve.hpp"
 #include "serving/registry.hpp"
 #include "serving/usage.hpp"
+#include "serving_fixtures.hpp"
 
 namespace eugene {
 namespace {
-
-nn::StagedResNetConfig tiny_model_config() {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  return cfg;
-}
 
 TEST(Race, RegistryConcurrentLookupAndRegister) {
   serving::ModelRegistry registry;
@@ -45,7 +35,7 @@ TEST(Race, RegistryConcurrentLookupAndRegister) {
           // Handles are stable: once found, the entry stays valid even while
           // other threads keep registering.
           ASSERT_LT(*h, registry.size());
-          ASSERT_EQ(registry.entry(*h).name, "t0-m0");
+          ASSERT_EQ(registry.pin()->entry(*h).name, "t0-m0");
         }
       }
     });
@@ -58,7 +48,7 @@ TEST(Race, RegistryConcurrentLookupAndRegister) {
             "t" + std::to_string(t) + "-m" + std::to_string(m);
         const std::size_t h =
             registry.add(name, nn::build_staged_resnet(tiny_model_config()));
-        ASSERT_EQ(registry.entry(h).name, name);
+        ASSERT_EQ(registry.pin()->entry(h).name, name);
       }
     });
   }

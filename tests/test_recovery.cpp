@@ -26,97 +26,14 @@
 #include "nn/serialize.hpp"
 #include "serving/snapshot.hpp"
 #include "serving/usage.hpp"
+#include "serving_fixtures.hpp"
 
 namespace eugene {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Disarms every failpoint on entry and exit of a test body.
-struct FailpointGuard {
-  FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-  ~FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-};
-
-/// A throwaway snapshot directory, deleted on destruction.
-struct TempDir {
-  std::string path;
-  explicit TempDir(const std::string& tag)
-      : path("/tmp/eugene_recovery_" + tag + "_" + std::to_string(::getpid())) {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
-nn::StagedResNetConfig tiny_model_config(std::uint64_t seed = 1) {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  cfg.seed = seed;
-  return cfg;
-}
-
-constexpr std::size_t kStages = 2;  // tiny_model_config has two stages
-
-/// Fabricated per-stage confidences: enough structure for curve fitting
-/// without training a model.
-calib::StagedEvaluation fake_eval(std::uint64_t seed = 5) {
-  calib::StagedEvaluation eval;
-  eval.records.resize(kStages);
-  Rng rng(seed);
-  for (int i = 0; i < 200; ++i) {
-    const double base = rng.uniform(0.1, 0.9);
-    for (std::size_t s = 0; s < kStages; ++s) {
-      calib::StageRecord r;
-      r.confidence = static_cast<float>(
-          std::min(1.0, base + 0.2 * (static_cast<double>(s) + rng.uniform(0.0, 0.1))));
-      eval.records[s].push_back(r);
-    }
-  }
-  return eval;
-}
-
-/// Registers a curve-fitted, cost-profiled, α-calibrated model — everything
-/// the serving path depends on — without the expense of real training.
-std::size_t add_calibrated_model(serving::ModelRegistry& registry,
-                                 const std::string& name, std::uint64_t seed = 1) {
-  const std::size_t handle =
-      registry.add(name, nn::build_staged_resnet(tiny_model_config(seed)));
-  serving::ModelEntry& e = registry.entry(handle);
-  e.curves.fit(fake_eval(seed + 4));
-  e.stage_ms = {1.0 + static_cast<double>(seed), 2.0};
-  e.calibration_alpha = {0.4, 0.6};
-  e.calibrated = true;
-  return handle;
-}
-
-serving::ModelFactory tiny_factory(std::uint64_t seed = 99) {
-  // A fresh (differently seeded) architecture: all weights must come from
-  // the snapshot, not the initializer.
-  return [seed](const std::string&) {
-    return nn::build_staged_resnet(tiny_model_config(seed));
-  };
-}
-
-std::vector<serving::InferenceRequest> make_requests(std::size_t n,
-                                                     std::uint64_t seed = 3) {
-  Rng rng(seed);
-  std::vector<serving::InferenceRequest> requests;
-  requests.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    requests.push_back({tensor::Tensor::randn({2, 8, 8}, rng), 0});
-  return requests;
-}
-
-std::vector<serving::InferenceResponse> serve(serving::ModelEntry& entry,
+std::vector<serving::InferenceResponse> serve(const serving::ModelEntry& entry,
                                               const std::vector<serving::InferenceRequest>& requests) {
   serving::ServerConfig cfg;
   cfg.early_exit_confidence = 0.8;
@@ -128,14 +45,14 @@ std::vector<serving::InferenceResponse> serve(serving::ModelEntry& entry,
 
 TEST(Recovery, WarmRestartServesIdenticalResults) {
   FailpointGuard guard;
-  TempDir dir("warm");
+  TempDir dir("recovery_warm");
 
   // "Old process": registered + calibrated models, snapshotted to disk.
   serving::ModelRegistry before;
   add_calibrated_model(before, "doorbell", 1);
   add_calibrated_model(before, "camera", 2);
   const auto requests = make_requests(12);
-  const auto expected = serve(before.entry(0), requests);
+  const auto expected = serve(before.pin()->entry(0), requests);
   const std::uint64_t epoch = serving::save_snapshot(before, dir.path);
   EXPECT_EQ(epoch, 1u);
 
@@ -150,12 +67,12 @@ TEST(Recovery, WarmRestartServesIdenticalResults) {
 
   // The restored entry is serve-ready — calibrated, costed, curve-fitted —
   // and answers with identical (label, confidence) pairs.
-  serving::ModelEntry& e = after.entry(0);
+  const serving::ModelRegistry::ViewPtr view = after.pin();
+  const serving::ModelEntry& e = view->entry(0);
   EXPECT_TRUE(e.calibrated);
   EXPECT_EQ(e.stage_ms, (std::vector<double>{2.0, 2.0}));
   EXPECT_EQ(e.calibration_alpha, (std::vector<double>{0.4, 0.6}));
   EXPECT_TRUE(e.curves.fitted());
-  EXPECT_FALSE(e.curves.has_exact_gp());  // only the serving-path profiles persist
 
   const auto actual = serve(e, requests);
   ASSERT_EQ(actual.size(), expected.size());
@@ -168,14 +85,14 @@ TEST(Recovery, WarmRestartServesIdenticalResults) {
 
 TEST(Recovery, KillMidCheckpointFallsBackToPreviousGoodSnapshot) {
   FailpointGuard guard;
-  TempDir dir("fallback");
+  TempDir dir("recovery_fallback");
 
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
   ASSERT_EQ(serving::save_snapshot(registry, dir.path), 1u);
 
   // Mutate state, then die right before the manifest commit.
-  registry.entry(0).calibration_alpha = {9.9, 9.9};
+  registry.update(0, [](serving::ModelEntry& e) { e.calibration_alpha = {9.9, 9.9}; });
   FailpointRegistry::instance().arm("snapshot.manifest.crash", FailpointSpec{});
   EXPECT_THROW((void)serving::save_snapshot(registry, dir.path), FailpointError);
   FailpointRegistry::instance().disarm_all();
@@ -186,7 +103,7 @@ TEST(Recovery, KillMidCheckpointFallsBackToPreviousGoodSnapshot) {
   const auto result = serving::restore_snapshot(restored, dir.path, tiny_factory());
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->epoch, 1u);
-  EXPECT_EQ(restored.entry(0).calibration_alpha, (std::vector<double>{0.4, 0.6}));
+  EXPECT_EQ(restored.pin()->entry(0).calibration_alpha, (std::vector<double>{0.4, 0.6}));
 
   // The next snapshot reuses the torn epoch number — its debris is
   // atomically overwritten — and commits cleanly.
@@ -195,18 +112,18 @@ TEST(Recovery, KillMidCheckpointFallsBackToPreviousGoodSnapshot) {
   serving::ModelRegistry restored2;
   const auto r2 = serving::restore_snapshot(restored2, dir.path, tiny_factory());
   ASSERT_TRUE(r2.has_value());
-  EXPECT_EQ(restored2.entry(0).calibration_alpha, (std::vector<double>{9.9, 9.9}));
+  EXPECT_EQ(restored2.pin()->entry(0).calibration_alpha, (std::vector<double>{9.9, 9.9}));
 }
 
 TEST(Recovery, TornWriteDuringArtifactSaveKeepsPreviousSnapshot) {
   FailpointGuard guard;
-  TempDir dir("torn");
+  TempDir dir("recovery_torn");
 
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
   ASSERT_EQ(serving::save_snapshot(registry, dir.path), 1u);
 
-  registry.entry(0).calibration_alpha = {7.7, 7.7};
+  registry.update(0, [](serving::ModelEntry& e) { e.calibration_alpha = {7.7, 7.7}; });
   FailpointSpec one_shot;
   one_shot.max_fires = 1;
   FailpointRegistry::instance().arm("io.atomic.torn", one_shot);
@@ -217,13 +134,13 @@ TEST(Recovery, TornWriteDuringArtifactSaveKeepsPreviousSnapshot) {
   const auto result = serving::restore_snapshot(restored, dir.path, tiny_factory());
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->epoch, 1u);
-  EXPECT_EQ(restored.entry(0).calibration_alpha, (std::vector<double>{0.4, 0.6}));
+  EXPECT_EQ(restored.pin()->entry(0).calibration_alpha, (std::vector<double>{0.4, 0.6}));
 }
 
 TEST(Recovery, ShortAndBitFlippedCheckpointsThrowTypedErrors) {
   for (const char* fp : {"io.atomic.short", "io.atomic.corrupt"}) {
     FailpointGuard guard;
-    TempDir dir(fp + 10);  // strip the "io.atomic." prefix for the dir tag
+    TempDir dir(std::string("recovery_") + (fp + 10));  // strip "io.atomic."
 
     serving::ModelRegistry registry;
     add_calibrated_model(registry, "model", 1);
@@ -247,7 +164,7 @@ TEST(Recovery, MissingCheckpointFileThrowsIoError) {
   // type a missing artifacts file raises, not a caller's broken
   // precondition.
   FailpointGuard guard;
-  TempDir dir("missing_params");
+  TempDir dir("recovery_missing_params");
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
   const std::uint64_t epoch = serving::save_snapshot(registry, dir.path);
@@ -265,7 +182,7 @@ TEST(Recovery, MissingCheckpointFileThrowsIoError) {
 
 TEST(Recovery, RestoreFromEmptyOrMissingDirIsCleanColdStart) {
   FailpointGuard guard;
-  TempDir dir("cold");
+  TempDir dir("recovery_cold");
   serving::ModelRegistry registry;
   EXPECT_FALSE(
       serving::restore_snapshot(registry, dir.path, tiny_factory()).has_value());
@@ -276,7 +193,7 @@ TEST(Recovery, RestoreIntoOccupiedRegistryRejectsDuplicateName) {
   // Regression for ModelRegistry::add's unique-name contract, exercised
   // through the restore path.
   FailpointGuard guard;
-  TempDir dir("dup");
+  TempDir dir("recovery_dup");
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
   (void)serving::save_snapshot(registry, dir.path);
@@ -290,7 +207,7 @@ TEST(Recovery, RestoreIntoOccupiedRegistryRejectsDuplicateName) {
 
 TEST(Recovery, EugeneServiceFacadeRoundTrips) {
   FailpointGuard guard;
-  TempDir dir("facade");
+  TempDir dir("recovery_facade");
 
   core::EugeneService old_service;
   add_calibrated_model(old_service.registry(), "svc-model", 3);
@@ -299,32 +216,40 @@ TEST(Recovery, EugeneServiceFacadeRoundTrips) {
   core::EugeneService new_service;
   EXPECT_EQ(new_service.restore(dir.path, tiny_factory()), 1u);
   const auto requests = make_requests(4);
-  const auto old_responses = serve(old_service.registry().entry(0), requests);
-  const auto new_responses = serve(new_service.registry().entry(0), requests);
+  const auto old_responses = serve(old_service.registry().pin()->entry(0), requests);
+  const auto new_responses = serve(new_service.registry().pin()->entry(0), requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(new_responses[i].label, old_responses[i].label);
     EXPECT_NEAR(new_responses[i].confidence, old_responses[i].confidence, 1e-12);
   }
 }
 
-TEST(Recovery, RestoredCurvesServeButRefuseExactGpQueries) {
+TEST(Recovery, RestoredCurvesEqualPublishedOnes) {
   FailpointGuard guard;
-  TempDir dir("gp");
+  TempDir dir("recovery_gp");
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
   (void)serving::save_snapshot(registry, dir.path);
 
   serving::ModelRegistry restored;
   ASSERT_TRUE(serving::restore_snapshot(restored, dir.path, tiny_factory()).has_value());
-  const gp::ConfidenceCurveModel& curves = restored.entry(0).curves;
-  // The fast path (what the scheduler queries) matches the original...
+  const serving::ModelRegistry::ViewPtr published = registry.pin();
+  const serving::ModelRegistry::ViewPtr restored_view = restored.pin();
+  const gp::ConfidenceCurveModel& original = published->entry(0).curves;
+  const gp::ConfidenceCurveModel& curves = restored_view->entry(0).curves;
+  // The curves the scheduler queries match the original...
   for (double c = 0.0; c <= 1.0; c += 0.125)
-    EXPECT_NEAR(curves.predict(0, 1, c), registry.entry(0).curves.predict(0, 1, c),
-                1e-12);
-  EXPECT_NEAR(curves.prior_confidence(0), registry.entry(0).curves.prior_confidence(0),
-              1e-12);
-  // ...and the slow path fails typed instead of dereferencing absent GPs.
-  EXPECT_THROW(curves.predict_gp(0, 1, 0.5), InvalidArgument);
+    EXPECT_NEAR(curves.predict(0, 1, c), original.predict(0, 1, c), 1e-12);
+  EXPECT_NEAR(curves.prior_confidence(0), original.prior_confidence(0), 1e-12);
+  // ...because the model is nothing but its profiles and priors, and those
+  // round-trip bit for bit.
+  ASSERT_EQ(curves.num_stages(), original.num_stages());
+  EXPECT_EQ(curves.priors(), original.priors());
+  const gp::PiecewiseLinear& knots = curves.approximation(0, 1);
+  const gp::PiecewiseLinear& original_knots = original.approximation(0, 1);
+  EXPECT_EQ(knots.knot_values(), original_knots.knot_values());
+  EXPECT_EQ(knots.lo(), original_knots.lo());
+  EXPECT_EQ(knots.hi(), original_knots.hi());
 }
 
 // ---- usage-journal recovery -----------------------------------------------
@@ -343,7 +268,7 @@ serving::InferenceResponse fake_response(std::size_t stages, bool expired,
 
 TEST(Recovery, UsageJournalReplayRebuildsLedger) {
   FailpointGuard guard;
-  TempDir dir("journal");
+  TempDir dir("recovery_journal");
   const std::string path = dir.path;
   std::error_code ec;
   fs::create_directory(path, ec);
@@ -385,7 +310,7 @@ TEST(Recovery, UsageJournalBillsNoDrainedResponse) {
   // ran. It is not a request admitted, an early exit or a charge, in the
   // ledger, the journal or the usage.* metrics.
   FailpointGuard guard;
-  TempDir dir("jdrain");
+  TempDir dir("recovery_jdrain");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -422,7 +347,7 @@ TEST(Recovery, UsageJournalBillsNoDrainedResponse) {
 
 TEST(Recovery, UsageJournalTornTailKeepsCommittedFrames) {
   FailpointGuard guard;
-  TempDir dir("jtorn");
+  TempDir dir("recovery_jtorn");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -452,7 +377,7 @@ TEST(Recovery, UsageJournalReopenAfterCrashTruncatesTornTail) {
   // to append fresh frames *after* the torn tail, so every later replay hit
   // a CRC mismatch mid-file and threw — permanently losing the ledger.
   FailpointGuard guard;
-  TempDir dir("jreopen");
+  TempDir dir("recovery_jreopen");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -488,7 +413,7 @@ TEST(Recovery, UsageJournalReopenAfterPartialHeaderStartsFresh) {
   // (or shorter-than-header) file; reopening must rewrite the header, not
   // append after the stump and poison every later replay.
   FailpointGuard guard;
-  TempDir dir("jstub");
+  TempDir dir("recovery_jstub");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   for (const std::vector<std::uint8_t>& stump :
@@ -511,7 +436,7 @@ TEST(Recovery, UsageJournalReopenAfterPartialHeaderStartsFresh) {
 
 TEST(Recovery, UsageJournalRejectsForeignFile) {
   FailpointGuard guard;
-  TempDir dir("jbad");
+  TempDir dir("recovery_jbad");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -572,7 +497,7 @@ TEST(Recovery, UsageJournalAppendToV1FileStaysV1) {
   // open_journal on an existing v1 file appends v1 frames after it, so the
   // file keeps one encoding and replays whole.
   FailpointGuard guard;
-  TempDir dir("jv1");
+  TempDir dir("recovery_jv1");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -598,7 +523,7 @@ TEST(Recovery, UsageJournalWritesVersionOneRows) {
   // holds seven-column class rows: the touched-class count, then per class
   // its id and seven 8-byte columns, and nothing after them.
   FailpointGuard guard;
-  TempDir dir("jwrite");
+  TempDir dir("recovery_jwrite");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -659,7 +584,7 @@ TEST(Recovery, UsageJournalV2ImageReplaysAndRefusesAppend) {
   // column and the counter block are read and discarded. Appending to it is
   // refused typed, with the file left exactly as it was.
   FailpointGuard guard;
-  TempDir dir("jv2");
+  TempDir dir("recovery_jv2");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -693,7 +618,7 @@ TEST(Recovery, UsageJournalFailedAppendKeepsLedgerReplayable) {
   // batch in memory. Otherwise the next append lands after the stray bytes,
   // every replay throws CRC mismatch mid-file, and the whole ledger is lost.
   FailpointGuard guard;
-  TempDir dir("jfsize");
+  TempDir dir("recovery_jfsize");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   const std::string journal = dir.path + "/usage.journal";
@@ -746,7 +671,7 @@ TEST(Recovery, ManifestWithImplausibleModelCountThrowsTyped) {
   // A CRC-valid (tampered or colliding) manifest claiming 2^40 models must
   // surface as CorruptionError, not std::length_error/bad_alloc from resize.
   FailpointGuard guard;
-  TempDir dir("mcount");
+  TempDir dir("recovery_mcount");
   std::error_code ec;
   fs::create_directory(dir.path, ec);
   io::ByteWriter w;
@@ -791,7 +716,7 @@ TEST(Recovery, ArtifactsWriteZeroInJitterSlot) {
   // The writer keeps the layout, so older builds restore these snapshots:
   // the artifacts file holds exactly the hand-built payload, jitter slot 0.
   FailpointGuard guard;
-  TempDir dir("artlayout");
+  TempDir dir("recovery_artlayout");
   serving::ModelRegistry registry;
   const std::size_t handle =
       registry.add("model", nn::build_staged_resnet(tiny_model_config()));
@@ -817,13 +742,14 @@ TEST(Recovery, MixedSnapshotArtifactVectorsThrowTyped) {
   // later at serving time with an error far from the cause.
   for (const bool bad_alpha : {false, true}) {
     FailpointGuard guard;
-    TempDir dir(bad_alpha ? "mixalpha" : "mixcost");
-    serving::ModelRegistry registry;
-    add_calibrated_model(registry, "model", 1);
+    TempDir dir(bad_alpha ? "recovery_mixalpha" : "recovery_mixcost");
+    auto entry = make_calibrated_entry("model", 1);
     if (bad_alpha)
-      registry.entry(0).calibration_alpha = {0.1, 0.2, 0.3};  // 3-stage α
+      entry->calibration_alpha = {0.1, 0.2, 0.3};  // 3-stage α
     else
-      registry.entry(0).stage_ms = {1.0, 2.0, 3.0};  // 3-stage costs
+      entry->stage_ms = {1.0, 2.0, 3.0};  // 3-stage costs
+    serving::ModelRegistry registry;
+    registry.add_entry(std::move(entry));
     (void)serving::save_snapshot(registry, dir.path);
 
     serving::ModelRegistry restored;
@@ -841,7 +767,7 @@ TEST(Recovery, MixedSnapshotArtifactVectorsThrowTyped) {
 // restore yields the state of the *last committed* snapshot, bit for bit.
 // With nothing armed it degenerates to a plain snapshot/restore stress loop.
 TEST(RecoveryEnv, RestoreAlwaysSeesLastCommittedSnapshot) {
-  TempDir dir("env");
+  TempDir dir("recovery_env");
   serving::ModelRegistry registry;
   add_calibrated_model(registry, "model", 1);
 
@@ -849,7 +775,7 @@ TEST(RecoveryEnv, RestoreAlwaysSeesLastCommittedSnapshot) {
   bool any_commit = false;
   for (int round = 0; round < 12; ++round) {
     const std::vector<double> next_alpha = {0.1 * round, 0.2 * round};
-    registry.entry(0).calibration_alpha = next_alpha;
+    registry.update(0, [&](serving::ModelEntry& e) { e.calibration_alpha = next_alpha; });
     try {
       (void)serving::save_snapshot(registry, dir.path);
       committed_alpha = next_alpha;
@@ -863,7 +789,7 @@ TEST(RecoveryEnv, RestoreAlwaysSeesLastCommittedSnapshot) {
       const auto result = serving::restore_snapshot(restored, dir.path, tiny_factory());
       if (any_commit) {
         ASSERT_TRUE(result.has_value()) << "round " << round;
-        EXPECT_EQ(restored.entry(0).calibration_alpha, committed_alpha)
+        EXPECT_EQ(restored.pin()->entry(0).calibration_alpha, committed_alpha)
             << "round " << round;
       }
     } catch (const FailpointError&) {

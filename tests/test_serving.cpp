@@ -6,6 +6,8 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "common/trace.hpp"
 #include "core/eugene_service.hpp"
@@ -36,6 +38,15 @@ nn::StagedResNetConfig model_config() {
   return cfg;
 }
 
+// A published entry is const by type: a view hands out only const
+// references, and the registry has no accessor that returns one unpinned.
+static_assert(std::is_same_v<decltype(std::declval<const serving::ModelRegistry::View&>()
+                                          .entry(0)),
+                             const serving::ModelEntry&>);
+template <typename Registry>
+concept HasUnpinnedEntry = requires(Registry& r) { r.entry(std::size_t{0}); };
+static_assert(!HasUnpinnedEntry<serving::ModelRegistry>);
+
 TEST(ModelRegistry, AddFindAndDuplicateRejection) {
   serving::ModelRegistry registry;
   const std::size_t h1 = registry.add("alpha", nn::build_staged_resnet(model_config()));
@@ -46,20 +57,21 @@ TEST(ModelRegistry, AddFindAndDuplicateRejection) {
   EXPECT_FALSE(registry.find("gamma").has_value());
   EXPECT_THROW(registry.add("alpha", nn::build_staged_resnet(model_config())),
                InvalidArgument);
-  EXPECT_THROW(registry.entry(5), InvalidArgument);
+  EXPECT_THROW((void)registry.pin()->entry(5), InvalidArgument);
 }
 
 TEST(InferenceServer, RefusesUncalibratedModels) {
   serving::ModelRegistry registry;
   registry.add("raw", nn::build_staged_resnet(model_config()));
-  EXPECT_THROW(serving::InferenceServer(registry.entry(0), serving::ServerConfig{}),
+  EXPECT_THROW(serving::InferenceServer(registry.pin()->entry(0),
+                                        serving::ServerConfig{}),
                InvalidArgument);
 }
 
 // The live scheduler: the server's peer workers (ServerConfig::workers)
 // picking stages from one engine, here two of them.
 
-/// Trains a model_config() model on `train` and registers it with curves
+/// Trains a model_config() model on `train` and publishes it with curves
 /// fitted on the same set.
 std::size_t add_trained_model(serving::ModelRegistry& registry, const data::Dataset& train,
                               std::size_t epochs) {
@@ -70,10 +82,9 @@ std::size_t add_trained_model(serving::ModelRegistry& registry, const data::Data
     nn::StagedTrainer trainer(model, tcfg);
     trainer.fit(train.samples, train.labels);
   }
-  const std::size_t handle = registry.add("live", std::move(model));
-  serving::ModelEntry& entry = registry.entry(handle);
-  entry.curves.fit(calib::evaluate_staged(entry.model, train));
-  return handle;
+  auto entry = std::make_shared<serving::ModelEntry>("live", std::move(model));
+  entry->curves.fit(calib::evaluate_staged(entry->model, train));
+  return registry.add_entry(std::move(entry));
 }
 
 TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
@@ -81,7 +92,9 @@ TEST(LiveScheduler, MatchesDirectInferenceWithoutDeadlines) {
   const data::Dataset train = data::generate_images(data_config(), 200, rng);
   const data::Dataset batch = data::generate_images(data_config(), 12, rng);
   serving::ModelRegistry registry;
-  const serving::ModelEntry& entry = registry.entry(add_trained_model(registry, train, 3));
+  const std::size_t handle = add_trained_model(registry, train, 3);
+  const serving::ModelRegistry::ViewPtr view = registry.pin();
+  const serving::ModelEntry& entry = view->entry(handle);
 
   serving::ServerConfig cfg;        // the default class has no deadline
   cfg.early_exit_confidence = 2.0;  // no early exit
@@ -109,7 +122,9 @@ TEST(LiveScheduler, EarlyExitReducesExecutedStages) {
   const data::Dataset train = data::generate_images(data_cfg, 250, rng);
   const data::Dataset batch = data::generate_images(data_cfg, 10, rng);
   serving::ModelRegistry registry;
-  const serving::ModelEntry& entry = registry.entry(add_trained_model(registry, train, 6));
+  const std::size_t handle = add_trained_model(registry, train, 6);
+  const serving::ModelRegistry::ViewPtr view = registry.pin();
+  const serving::ModelEntry& entry = view->entry(handle);
 
   serving::ServerConfig cfg;
   cfg.early_exit_confidence = 0.4;  // 4 classes: chance level is 0.25
@@ -171,7 +186,7 @@ core::CalibrationReport ServiceIntegration::report_;
 TEST_F(ServiceIntegration, CalibrationProducesLowEce) {
   ASSERT_EQ(report_.stage_ece.size(), 3u);
   for (double ece : report_.stage_ece) EXPECT_LT(ece, 0.2);
-  EXPECT_TRUE(service_->registry().entry(handle_).calibrated);
+  EXPECT_TRUE(service_->registry().pin()->entry(handle_).calibrated);
 }
 
 TEST_F(ServiceIntegration, ProfileMeasuresIncreasingStageCosts) {
@@ -179,19 +194,19 @@ TEST_F(ServiceIntegration, ProfileMeasuresIncreasingStageCosts) {
   ASSERT_EQ(stage_ms.size(), 3u);
   for (double ms : stage_ms) EXPECT_GT(ms, 0.0);
   // The profile is installed as the entry's stage times.
-  EXPECT_EQ(service_->registry().entry(handle_).stage_ms, stage_ms);
+  EXPECT_EQ(service_->registry().pin()->entry(handle_).stage_ms, stage_ms);
 }
 
 TEST_F(ServiceIntegration, ProfileRejectsZeroRepeatsAndPublishesNothing) {
   // No timed run means no median to take: the call must fail before the
   // registry update, leaving the epoch and the installed costs untouched.
   const std::uint64_t epoch = service_->registry().epoch();
-  const std::vector<double> costs = service_->registry().entry(handle_).stage_ms;
+  const std::vector<double> costs = service_->registry().pin()->entry(handle_).stage_ms;
   profile::TimingConfig timing;
   timing.repeats = 0;
   EXPECT_THROW(service_->profile(handle_, {2, 8, 8}, timing), InvalidArgument);
   EXPECT_EQ(service_->registry().epoch(), epoch);
-  EXPECT_EQ(service_->registry().entry(handle_).stage_ms, costs);
+  EXPECT_EQ(service_->registry().pin()->entry(handle_).stage_ms, costs);
 }
 
 TEST_F(ServiceIntegration, SingleInferenceReturnsSaneResult) {
@@ -250,7 +265,8 @@ TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
                  {"camera", std::numeric_limits<double>::infinity(), 1.0}};
   cfg.early_exit_confidence = kExit;
 
-  nn::StagedModel& model = service_->registry().entry(handle_).model;
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const nn::StagedModel& model = view->entry(handle_).model;
   for (const std::size_t workers : {1u, 4u}) {
     SCOPED_TRACE(workers);
     cfg.workers = workers;
@@ -304,7 +320,8 @@ TEST_F(ServiceIntegration, PickSequenceMatchesRebuiltRunnableSet) {
     request_of_span[responses[i].span_id] = i;
     stages_run += responses[i].stages_run;
   }
-  const serving::ModelEntry& entry = service_->registry().entry(handle_);
+  const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
+  const serving::ModelEntry& entry = view->entry(handle_);
   const std::size_t num_stages = entry.model.num_stages();
   sched::GpUtilityEstimator estimator(entry.curves);
   sched::GreedyUtilityPolicy policy(estimator, 1);

@@ -20,6 +20,7 @@
 #include "nn/staged_model.hpp"
 #include "serving/registry.hpp"
 #include "serving/server.hpp"
+#include "serving_fixtures.hpp"
 
 namespace eugene {
 namespace {
@@ -28,64 +29,6 @@ using telemetry::LatencyHistogram;
 using telemetry::TraceEvent;
 using telemetry::TraceEventKind;
 using telemetry::TraceRecorder;
-
-/// Disarms every failpoint on entry and exit of a test body.
-struct FailpointGuard {
-  FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-  ~FailpointGuard() { FailpointRegistry::instance().disarm_all(); }
-};
-
-nn::StagedResNetConfig tiny_model_config() {
-  nn::StagedResNetConfig cfg;
-  cfg.in_channels = 2;
-  cfg.height = 8;
-  cfg.width = 8;
-  cfg.num_classes = 4;
-  cfg.stage_channels = {3, 4};
-  cfg.head_hidden = 8;
-  return cfg;
-}
-
-constexpr std::size_t kStages = 2;  // tiny_model_config has two stages
-
-calib::StagedEvaluation fake_eval() {
-  calib::StagedEvaluation eval;
-  eval.records.resize(kStages);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    const double base = rng.uniform(0.1, 0.9);
-    for (std::size_t s = 0; s < kStages; ++s) {
-      calib::StageRecord r;
-      r.confidence = static_cast<float>(std::min(
-          1.0, base + 0.2 * (static_cast<double>(s) + rng.uniform(0.0, 0.1))));
-      eval.records[s].push_back(r);
-    }
-  }
-  return eval;
-}
-
-std::vector<tensor::Tensor> make_inputs(std::size_t n, std::uint64_t seed = 3) {
-  Rng rng(seed);
-  std::vector<tensor::Tensor> inputs;
-  inputs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    inputs.push_back(tensor::Tensor::randn({2, 8, 8}, rng));
-  return inputs;
-}
-
-struct ServerHarness {
-  serving::ModelRegistry registry;
-  std::size_t handle;
-
-  ServerHarness()
-      : handle(registry.add("tiny", nn::build_staged_resnet(tiny_model_config()))) {
-    serving::ModelEntry& e = registry.entry(handle);
-    e.curves.fit(fake_eval());
-    e.stage_ms = {1.0, 1.0};
-  }
-
-  serving::ModelEntry& entry() { return registry.entry(handle); }
-};
 
 /// Count of events of `kind` in a span's event list.
 std::size_t count_kind(const std::vector<TraceEvent>& events, TraceEventKind kind) {

@@ -139,33 +139,6 @@ TEST(Conv2d, FlopsMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(g.flops(), 2.0 * 4 * 6 * 5 * 3 * 9);
 }
 
-TEST(Conv2d, Im2colMatchesDirectConvolution) {
-  Rng rng(11);
-  const Conv2dGeometry g = small_geometry();
-  const Tensor img = Tensor::randn({3, 6, 5}, rng);
-  const Tensor w = Tensor::randn({4, 27}, rng);
-  const Tensor b = Tensor::randn({4}, rng);
-  const Tensor fast = conv2d(img, w, b, g);
-  const Tensor slow = conv2d_direct(img, w, b, g);
-  ASSERT_TRUE(fast.same_shape(slow));
-  for (std::size_t i = 0; i < fast.numel(); ++i)
-    EXPECT_NEAR(fast.data()[i], slow.data()[i], 1e-4);
-}
-
-TEST(Conv2d, StridedConvolutionMatchesDirect) {
-  Rng rng(13);
-  Conv2dGeometry g = small_geometry();
-  g.stride = 2;
-  g.padding = 0;
-  const Tensor img = Tensor::randn({3, 6, 5}, rng);
-  const Tensor w = Tensor::randn({4, 27}, rng);
-  const Tensor b = Tensor::randn({4}, rng);
-  const Tensor fast = conv2d(img, w, b, g);
-  const Tensor slow = conv2d_direct(img, w, b, g);
-  for (std::size_t i = 0; i < fast.numel(); ++i)
-    EXPECT_NEAR(fast.data()[i], slow.data()[i], 1e-4);
-}
-
 TEST(Conv2d, Col2imIsAdjointOfIm2col) {
   // <im2col(x), y> == <x, col2im(y)> for all x, y — the defining property
   // the conv backward pass relies on.
