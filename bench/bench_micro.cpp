@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for Eugene's hot paths: tensor kernels,
-// staged-model inference and each of its layers, GP vs piecewise-linear
-// confidence queries, scheduler pick overhead, process_batch on a pool of
-// peer workers, and checkpoint durability (CRC32 throughput, v2 save/load,
-// the atomic-write tax).
+// staged-model inference and each of its layers, one training sample, GP vs
+// piecewise-linear confidence queries, scheduler pick overhead,
+// process_batch on a pool of peer workers, and checkpoint durability (CRC32
+// throughput, v2 save/load, the atomic-write tax).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -22,6 +22,7 @@
 #include "common/thread_annotations.hpp"
 #include "common/trace.hpp"
 #include "gp/confidence_curve.hpp"
+#include "nn/loss.hpp"
 #include "nn/residual.hpp"
 #include "nn/serialize.hpp"
 #include "nn/staged_model.hpp"
@@ -112,6 +113,39 @@ void BM_StagedFirstStageOnly(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(model.run_stage(0, input));
 }
 BENCHMARK(BM_StagedFirstStageOnly);
+
+// One training sample of the default StagedResNetConfig, shaped like
+// StagedTrainer's: every stage's trunk and head forward with its head's
+// loss, then backward from the last stage to the first, joining each
+// trunk's gradient into the stage before it. servebench's setup.train_s
+// pays this 6,400 times per setup (800 samples × 8 epochs); here gradients
+// accumulate and no optimizer steps.
+void BM_TrainSample(benchmark::State& state) {
+  nn::StagedModel model = nn::build_staged_resnet(nn::StagedResNetConfig{});
+  Rng rng(9);
+  const tensor::Tensor image = tensor::Tensor::randn({3, 16, 16}, rng);
+  const std::size_t label = 3;
+  const std::size_t stages = model.num_stages();
+  std::vector<tensor::Tensor> features(stages), grad_logits(stages);
+  for (auto _ : state) {
+    const tensor::Tensor* current = &image;
+    for (std::size_t s = 0; s < stages; ++s) {
+      features[s] = model.trunk(s).forward(*current);
+      grad_logits[s] = nn::cross_entropy_with_entropy_reg(
+                           model.head(s).forward(features[s]), label)
+                           .grad_logits;
+      current = &features[s];
+    }
+    tensor::Tensor grad_from_next;
+    for (std::size_t s = stages; s-- > 0;) {
+      tensor::Tensor grad_features = model.head(s).backward(grad_logits[s]);
+      if (grad_from_next.numel() > 0) grad_features += grad_from_next;
+      grad_from_next = model.trunk(s).backward(grad_features);
+    }
+    benchmark::DoNotOptimize(grad_from_next.raw());
+  }
+}
+BENCHMARK(BM_TrainSample);
 
 // Layer-by-layer rows of the served model (DESIGN.md §14): the staged
 // ResNet servebench serves (StagedResNetConfig defaults, head_hidden 24),

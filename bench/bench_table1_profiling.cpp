@@ -73,7 +73,7 @@ int main() {
                   : "NO");
 
   // --- view 2: real measurements of our kernels at CPU scale --------------
-  std::printf("[2] Eugene conv layers measured on this machine, 64x64 input\n");
+  std::printf("[2] the served nn::Conv2d (nn::infer) measured on this CPU, 64x64 input\n");
   std::printf("%-6s %10s %12s %14s\n", "net", "channels", "FLOPs", "measured ms");
   profile::TimingConfig timing;
   timing.repeats = 5;
@@ -88,8 +88,10 @@ int main() {
                 g.flops() / 1e6, ms);
   }
   const double ratio21 = measured[1].time_ms / measured[0].time_ms;
-  std::printf("equal-FLOPs ratio CNN2/CNN1 on this CPU: %.2f (>1 reproduces the "
-              "Table I non-linearity)\n\n", ratio21);
+  std::printf("equal-FLOPs ratio CNN2/CNN1 of the served conv on this CPU: %.2f\n"
+              "(this CPU's own cost, not a check of Table I: view [1]'s cost model\n"
+              " carries Table I's mobile shape)\n\n",
+              ratio21);
 
   // --- view 3: FastDeepIoT piecewise-linear execution-time model ----------
   // Fitted on the *mobile* cost surface (Nexus-5 model over a channel

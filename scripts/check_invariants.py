@@ -88,6 +88,14 @@ Enforces the repo-wide contracts that grep one-liners used to approximate:
                       so there is one GEMM path and one tile per ISA, whose
                       accumulation chain keeps inference bitwise equal to
                       the training forward (DESIGN.md §14).
+  one-forward         in src/nn/, every definition of a forward( override
+                      returns nn::infer(*this, ...) and nothing else, unless
+                      it belongs to Dropout (samples a mask), ChannelNorm
+                      (keeps x-hat and 1/sigma from its one channel_norm
+                      pass), Sequential or ResidualBlock (chain their
+                      children): a layer has one forward body, its const
+                      infer(), so training computes exactly what serving
+                      does (DESIGN.md §14).
 
 Justified exceptions live in scripts/invariant_allowlist.json, keyed by rule
 and file with a required human reason; entries that no longer suppress
@@ -634,6 +642,65 @@ def rule_one_gemm_driver(files):
                     "(DESIGN.md §14)")
 
 
+# Layers whose training forward is code of its own (see the docstring).
+OWN_FORWARD_LAYERS = {"Dropout", "ChannelNorm", "Sequential", "ResidualBlock"}
+CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)[^;{()]*\{")
+FORWARD_NAME_RE = re.compile(r"(?:\b([A-Za-z_]\w*)\s*::\s*)?\bforward\s*\(")
+FORWARD_QUALIFIERS_RE = re.compile(r"\s*(?:(?:const|override|final|noexcept)\b\s*)*")
+RETURN_RE = re.compile(r"\breturn\b")
+RETURN_INFER_RE = re.compile(r"\breturn\s+nn::infer\s*\(\s*\*\s*this\s*,")
+
+
+def matching_close(text: str, open_at: int) -> int:
+    """Index of the bracket closing the one at `open_at` (or len(text))."""
+    pairs = {"(": ")", "{": "}"}
+    opener, closer = text[open_at], pairs[text[open_at]]
+    depth = 0
+    for i in range(open_at, len(text)):
+        if text[i] == opener:
+            depth += 1
+        elif text[i] == closer:
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
+def rule_one_forward(files):
+    for f in files:
+        if not f.rel.startswith("src/nn/"):
+            continue
+        text = f.masked
+        class_spans = []
+        for m in CLASS_HEAD_RE.finditer(text):
+            brace = m.end() - 1
+            class_spans.append((brace, matching_close(text, brace), m.group(1)))
+        for m in FORWARD_NAME_RE.finditer(text):
+            paren = m.end() - 1
+            after = FORWARD_QUALIFIERS_RE.match(text, matching_close(text, paren) + 1)
+            if not text.startswith("{", after.end()):
+                continue  # a call or a declaration, not a definition
+            owner = m.group(1)
+            if owner is None:
+                enclosing = [span for span in class_spans
+                             if span[0] < m.start() < span[1]]
+                if not enclosing:
+                    continue  # a free function named forward, not a layer's
+                owner = max(enclosing, key=lambda span: span[0])[2]
+            if owner in OWN_FORWARD_LAYERS:
+                continue
+            body = text[after.end():matching_close(text, after.end()) + 1]
+            returns = RETURN_RE.findall(body)
+            if returns and len(RETURN_INFER_RE.findall(body)) == len(returns):
+                continue
+            yield Violation(
+                "one-forward", f.rel, text.count("\n", 0, m.start()) + 1,
+                f"{owner}::forward does not just return nn::infer(*this, ...) "
+                "— a layer has one forward body, its infer(); keep what "
+                "backward() needs and return nn::infer(*this, input) "
+                "(DESIGN.md §14)")
+
+
 def rule_stdout(files):
     for f in files:
         if not f.rel.startswith("src/"):
@@ -664,6 +731,7 @@ RULES = {
     "fma-target": rule_fma_target,
     "one-container": rule_one_container,
     "one-gemm-driver": rule_one_gemm_driver,
+    "one-forward": rule_one_forward,
 }
 
 

@@ -1,5 +1,6 @@
 #include "common/failpoint.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -35,6 +36,21 @@ double parse_double(const std::string& s, const std::string& clause) {
   }
 }
 
+/// A decimal integer in range for T (a '-' only when T is signed): no
+/// fraction, exponent, '+' or trailing junk, and never cast through a double.
+template <typename T>
+T parse_integer(const std::string& s, const std::string& clause) {
+  T v{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  EUGENE_REQUIRE(ec == std::errc() && end == s.data() + s.size(),
+                 "failpoint spec: bad integer in '" + clause + "'");
+  return v;
+}
+
+/// sleep_for casts a delay to integer nanoseconds; a longer one overflows.
+constexpr double kMaxDelayMs =
+    static_cast<double>(std::chrono::nanoseconds::max().count()) / 1e6;
+
 }  // namespace
 
 FailpointRegistry& FailpointRegistry::instance() {
@@ -62,7 +78,8 @@ void FailpointRegistry::arm(const std::string& name, FailpointSpec spec) {
   EUGENE_REQUIRE(!name.empty(), "failpoint: empty name");
   EUGENE_REQUIRE(spec.probability >= 0.0 && spec.probability <= 1.0,
                  "failpoint '" + name + "': probability outside [0,1]");
-  EUGENE_REQUIRE(spec.delay_ms >= 0.0, "failpoint '" + name + "': negative delay");
+  EUGENE_REQUIRE(spec.delay_ms >= 0.0 && spec.delay_ms < kMaxDelayMs,
+                 "failpoint '" + name + "': delay not in [0, nanoseconds::max())");
   MutexLock lock(mutex_);
   for (Armed& a : armed_) {
     if (a.name == name) {
@@ -139,11 +156,11 @@ std::size_t FailpointRegistry::arm_from_string(const std::string& spec) {
       if (key == "p") {
         s.probability = parse_double(value, clause);
       } else if (key == "count") {
-        s.max_fires = static_cast<std::int64_t>(parse_double(value, clause));
+        s.max_fires = parse_integer<std::int64_t>(value, clause);
       } else if (key == "ms") {
         s.delay_ms = parse_double(value, clause);
       } else if (key == "seed") {
-        s.seed = static_cast<std::uint64_t>(parse_double(value, clause));
+        s.seed = parse_integer<std::uint64_t>(value, clause);
       } else {
         throw InvalidArgument("failpoint spec: unknown key '" + key + "' in '" +
                               clause + "'");

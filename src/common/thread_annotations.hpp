@@ -171,7 +171,6 @@ class CondVar {
                         pred);
   }
 
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

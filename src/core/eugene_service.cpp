@@ -45,10 +45,6 @@ std::size_t EugeneService::train(const std::string& name, const data::Dataset& t
   return registry_.add(name, std::move(model));
 }
 
-std::size_t EugeneService::register_model(const std::string& name, nn::StagedModel model) {
-  return registry_.add(name, std::move(model));
-}
-
 data::Dataset EugeneService::label(const data::Dataset& labeled_seed,
                                    const data::Dataset& unlabeled,
                                    const labeling::SelfTrainingLabeler::ModelFactory& factory,

@@ -8,8 +8,7 @@
 //   calibrate()    §II-D  confidence calibration + confidence-curve fitting
 //   infer()/batch  §II-E + §III  utility-scheduled run-time inference
 //
-// Models live in a registry; handles are returned by train() (or
-// register_model() for externally trained models).
+// Models live in a registry; handles are returned by train().
 #pragma once
 
 #include "calib/calibrators.hpp"
@@ -58,9 +57,6 @@ class EugeneService {
   std::size_t train(const std::string& name, const data::Dataset& train_set,
                     const nn::StagedResNetConfig& architecture,
                     const nn::StagedTrainConfig& training);
-
-  /// Registers an externally trained model.
-  std::size_t register_model(const std::string& name, nn::StagedModel model);
 
   // ---- §II-A: labeling ----------------------------------------------------
   /// Labels an unlabeled pool using a small labeled seed set (self-training

@@ -1,12 +1,12 @@
 // Layer abstraction for the Eugene neural-network stack.
 //
-// Each layer has two routes. Training runs forward()/backward() one sample at
-// a time; minibatch SGD accumulates parameter gradients across samples before
-// each optimizer step, and forward() caches what backward() needs. Inference
-// runs the const infer() over one sample's ActivationView with arena-backed
-// scratch; it writes nothing but its arena, so any number of threads may run
-// it on one layer at once. nn::infer wraps it for callers that hold a Tensor
-// (DESIGN.md §14).
+// Each layer has one forward body, the const infer() over one sample's
+// ActivationView with arena-backed scratch: it writes nothing but its arena,
+// so any number of threads may run it on one layer at once, and nn::infer
+// wraps it for callers that hold a Tensor (DESIGN.md §14). Training runs
+// forward()/backward() one sample at a time, and minibatch SGD accumulates
+// parameter gradients across samples before each optimizer step. forward()
+// returns infer()'s output, so training computes exactly what serving does.
 #pragma once
 
 #include <experimental/propagate_const>
@@ -40,21 +40,19 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Training forward for one sample: computes the output and caches what
-  /// backward() needs (dropout samples a fresh mask here).
-  virtual tensor::Tensor forward(const tensor::Tensor& input) = 0;
+  /// Training forward for one sample: keeps the input, from which backward()
+  /// derives what it needs, and returns nn::infer of it. Only Dropout,
+  /// ChannelNorm and the composites compute their own (DESIGN.md §14).
+  virtual tensor::Tensor forward(const tensor::Tensor& input);
 
   /// Propagates the loss gradient from output to input, accumulating
   /// parameter gradients. Must follow a forward() on the same sample.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_output) = 0;
 
-  /// Inference forward for one sample. Output storage comes from `arena`,
-  /// or is the input's own storage for a layer that only reshapes or passes
-  /// it through; layers never write through their input view. Numerics
-  /// contract: the output is bitwise equal to forward() of the same sample —
-  /// except Dropout, whose inference is the identity (the GEMM core's
-  /// accumulation order depends only on k, which makes this achievable —
-  /// DESIGN.md §14).
+  /// Inference forward for one sample, and the layer's one forward body.
+  /// Output storage comes from `arena`, or is the input's own storage for a
+  /// layer that only reshapes or passes it through; layers never write
+  /// through their input view.
   virtual ActivationView infer(const ActivationView& input,
                                ScratchArena& arena) const = 0;
 
@@ -72,10 +70,17 @@ class Layer {
   virtual std::string name() const = 0;
 
   /// Deep copy of the layer's *persistent* state: configuration and learned
-  /// parameters, never the training scratch (cached activations, masks,
-  /// gradient accumulators). A clone is independent: training it never
-  /// touches the original.
+  /// parameters, never the training scratch (kept inputs, masks, gradient
+  /// accumulators). A clone is independent: training it never touches the
+  /// original.
   virtual std::unique_ptr<Layer> clone() const = 0;
+
+ protected:
+  /// The last default forward()'s input (empty before the first).
+  const tensor::Tensor& kept_input() const { return kept_input_; }
+
+ private:
+  tensor::Tensor kept_input_;
 };
 
 /// Layer::infer for a Tensor in and out, on this thread's arena. The input
@@ -88,6 +93,11 @@ inline tensor::Tensor infer(const Layer& layer, const tensor::Tensor& input) {
   const ActivationView out = layer.infer(in, arena);
   return tensor::Tensor(tensor::Shape(out.dims, out.dims + out.rank),
                         std::vector<float>(out.data, out.data + out.numel()));
+}
+
+inline tensor::Tensor Layer::forward(const tensor::Tensor& input) {
+  kept_input_ = input;
+  return nn::infer(*this, input);
 }
 
 /// Downcasting clone helper for callers that hold a concrete layer type

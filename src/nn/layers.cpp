@@ -34,25 +34,6 @@ Conv2d::Conv2d(tensor::Conv2dGeometry geometry, Rng& rng)
   weights_ = Tensor::randn(weights_.shape(), rng, stddev);
 }
 
-Tensor Conv2d::forward(const Tensor& input) {
-  const std::size_t ohw = geometry_.out_height() * geometry_.out_width();
-  const std::size_t patch =
-      geometry_.in_channels * geometry_.kernel * geometry_.kernel;
-  // Backward needs the unrolled columns, so they are the persistent cache.
-  cached_cols_ = tensor::im2col(input, geometry_);
-  Tensor out({geometry_.out_channels, geometry_.out_height(), geometry_.out_width()});
-  tensor::gemm(geometry_.out_channels, ohw, patch, weights_.raw(), patch,
-               /*trans_a=*/false, cached_cols_.raw(), ohw, /*trans_b=*/false,
-               /*beta=*/0.0f, out.raw(), ohw);
-  float* op = out.raw();
-  const float* bb = bias_.raw();
-  for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
-    const float b = bb[oc];
-    for (std::size_t i = 0; i < ohw; ++i) op[oc * ohw + i] += b;
-  }
-  return out;
-}
-
 ActivationView Conv2d::infer(const ActivationView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3 && input.dims[0] == geometry_.in_channels &&
                      input.dims[1] == geometry_.in_height &&
@@ -110,7 +91,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   EUGENE_REQUIRE(grad_output.numel() == geometry_.out_channels * ohw,
                  "Conv2d::backward: gradient shape mismatch");
   const Tensor grad_mat = grad_output.reshaped({geometry_.out_channels, ohw});
-  grad_weights_ += tensor::matmul_transpose_b(grad_mat, cached_cols_);
+  grad_weights_ +=
+      tensor::matmul_transpose_b(grad_mat, tensor::im2col(kept_input(), geometry_));
   for (std::size_t oc = 0; oc < geometry_.out_channels; ++oc) {
     float acc = 0.0f;
     for (std::size_t i = 0; i < ohw; ++i) acc += grad_mat.at(oc, i);
@@ -144,22 +126,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
   weights_ = Tensor::randn(weights_.shape(), rng, stddev);
 }
 
-Tensor Dense::forward(const Tensor& input) {
-  EUGENE_REQUIRE(input.numel() == in_features_, "Dense::forward: input size mismatch");
-  cached_input_ = input.reshaped({in_features_});
-  Tensor out({out_features_});
-  // Routed through the GEMM core (n = 1) with the bias added after the sum,
-  // so the training forward is bitwise-identical to infer() (see
-  // Layer::infer's numerics contract).
-  tensor::gemm(out_features_, 1, in_features_, weights_.raw(), in_features_,
-               /*trans_a=*/false, input.raw(), 1, /*trans_b=*/false,
-               /*beta=*/0.0f, out.raw(), 1);
-  float* o = out.raw();
-  const float* bb = bias_.raw();
-  for (std::size_t i = 0; i < out_features_; ++i) o[i] += bb[i];
-  return out;
-}
-
 ActivationView Dense::infer(const ActivationView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 1 && input.dims[0] == in_features_,
                  "Dense::infer: input size mismatch");
@@ -175,7 +141,7 @@ ActivationView Dense::infer(const ActivationView& input, ScratchArena& arena) co
 Tensor Dense::backward(const Tensor& grad_output) {
   EUGENE_REQUIRE(grad_output.numel() == out_features_, "Dense::backward: grad size mismatch");
   const float* g = grad_output.raw();
-  const float* x = cached_input_.raw();
+  const float* x = kept_input().raw();
   float* gw = grad_weights_.raw();
   for (std::size_t o = 0; o < out_features_; ++o) {
     grad_bias_.at(o) += g[o];
@@ -202,20 +168,6 @@ std::string Dense::name() const {
 
 // ------------------------------------------------------------------ ReLU
 
-Tensor ReLU::forward(const Tensor& input) {
-  Tensor out(input.shape());
-  mask_ = Tensor(input.shape());
-  const float* x = input.raw();
-  float* o = out.raw();
-  float* m = mask_.raw();
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    const bool positive = x[i] > 0.0f;
-    m[i] = positive ? 1.0f : 0.0f;
-    o[i] = positive ? x[i] : 0.0f;
-  }
-  return out;
-}
-
 ActivationView ReLU::infer(const ActivationView& input, ScratchArena& arena) const {
   ActivationView out = same_dims_view(input, arena);
   const float* x = input.data;
@@ -226,12 +178,17 @@ ActivationView ReLU::infer(const ActivationView& input, ScratchArena& arena) con
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  EUGENE_REQUIRE(grad_output.numel() == mask_.numel(), "ReLU::backward: shape mismatch");
-  Tensor grad_in(mask_.shape());
+  const Tensor& input = kept_input();
+  EUGENE_REQUIRE(grad_output.numel() == input.numel(), "ReLU::backward: shape mismatch");
+  Tensor grad_in(input.shape());
+  const float* x = input.raw();
   const float* g = grad_output.raw();
-  const float* m = mask_.raw();
   float* gi = grad_in.raw();
-  for (std::size_t i = 0; i < mask_.numel(); ++i) gi[i] = g[i] * m[i];
+  const std::size_t n = input.numel();
+  // g times the 1/0 mask of x > 0, so a NaN or inf g at a dead unit stays NaN.
+  // Mask, then multiply: two loops vectorize, one of g·(x > 0 ? 1 : 0) branches.
+  for (std::size_t i = 0; i < n; ++i) gi[i] = x[i] > 0.0f ? 1.0f : 0.0f;
+  for (std::size_t i = 0; i < n; ++i) gi[i] *= g[i];
   return grad_in;
 }
 
@@ -353,7 +310,7 @@ std::string Dropout::name() const {
 
 Tensor Flatten::forward(const Tensor& input) {
   cached_shape_ = input.shape();
-  return input.reshaped({input.numel()});
+  return nn::infer(*this, input);
 }
 
 ActivationView Flatten::infer(const ActivationView& input,
@@ -373,13 +330,8 @@ Tensor Flatten::backward(const Tensor& grad_output) {
 // --------------------------------------------------------- GlobalAvgPool
 
 Tensor GlobalAvgPool::forward(const Tensor& input) {
-  EUGENE_REQUIRE(input.rank() == 3 && input.dim(1) * input.dim(2) > 0,
-                 "GlobalAvgPool::forward: expected a non-empty CHW image");
   cached_shape_ = input.shape();
-  Tensor out({input.dim(0)});
-  tensor::plane_kernels().global_avg_pool(input.raw(), input.dim(0),
-                                          input.dim(1) * input.dim(2), out.raw());
-  return out;
+  return nn::infer(*this, input);
 }
 
 ActivationView GlobalAvgPool::infer(const ActivationView& input,
@@ -409,33 +361,6 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
 
 // -------------------------------------------------------------- MaxPool2
 
-Tensor MaxPool2::forward(const Tensor& input) {
-  EUGENE_REQUIRE(input.rank() == 3, "MaxPool2: expected CHW image");
-  const std::size_t c = input.dim(0);
-  const std::size_t oh = input.dim(1) / 2, ow = input.dim(2) / 2;
-  EUGENE_REQUIRE(oh > 0 && ow > 0, "MaxPool2: image too small");
-  Tensor out({c, oh, ow});
-  cached_in_shape_ = input.shape();
-  argmax_.assign(c * oh * ow, 0);
-  const std::size_t ih = input.dim(1), iw = input.dim(2);
-  const float* x = input.raw();
-  for (std::size_t ch = 0; ch < c; ++ch) {
-    for (std::size_t y = 0; y < oh; ++y) {
-      for (std::size_t xo = 0; xo < ow; ++xo) {
-        std::size_t best = ch * ih * iw + (2 * y) * iw + 2 * xo;
-        for (std::size_t dy = 0; dy < 2; ++dy)
-          for (std::size_t dx = 0; dx < 2; ++dx) {
-            const std::size_t idx = ch * ih * iw + (2 * y + dy) * iw + (2 * xo + dx);
-            if (x[idx] > x[best]) best = idx;
-          }
-        out.at(ch, y, xo) = x[best];
-        argmax_[(ch * oh + y) * ow + xo] = best;
-      }
-    }
-  }
-  return out;
-}
-
 ActivationView MaxPool2::infer(const ActivationView& input, ScratchArena& arena) const {
   EUGENE_REQUIRE(input.rank == 3, "MaxPool2::infer: expected CHW image");
   const std::size_t c = input.dims[0];
@@ -448,20 +373,36 @@ ActivationView MaxPool2::infer(const ActivationView& input, ScratchArena& arena)
 }
 
 Tensor MaxPool2::backward(const Tensor& grad_output) {
-  EUGENE_REQUIRE(grad_output.numel() == argmax_.size(), "MaxPool2::backward: shape mismatch");
-  Tensor grad_in(cached_in_shape_);
-  float* gi = grad_in.raw();
+  const Tensor& input = kept_input();
+  EUGENE_REQUIRE(input.rank() == 3, "MaxPool2::backward before forward");
+  const std::size_t c = input.dim(0), ih = input.dim(1), iw = input.dim(2);
+  const std::size_t oh = ih / 2, ow = iw / 2;
+  EUGENE_REQUIRE(grad_output.numel() == c * oh * ow, "MaxPool2::backward: shape mismatch");
+  Tensor grad_in(input.shape());
+  const float* x = input.raw();
   const float* g = grad_output.raw();
-  for (std::size_t i = 0; i < argmax_.size(); ++i) gi[argmax_[i]] += g[i];
+  float* gi = grad_in.raw();
+  // Each window's gradient goes to the element infer() kept: the first,
+  // unless a later one (row-major) compares >.
+  const std::size_t offsets[4] = {0, 1, iw, iw + 1};
+  for (std::size_t ch = 0; ch < c; ++ch)
+    for (std::size_t y = 0; y < oh; ++y)
+      for (std::size_t xo = 0; xo < ow; ++xo) {
+        const std::size_t corner = (ch * ih + 2 * y) * iw + 2 * xo;
+        std::size_t best = corner;
+        for (const std::size_t off : offsets)
+          if (x[corner + off] > x[best]) best = corner + off;
+        gi[best] += g[(ch * oh + y) * ow + xo];
+      }
   return grad_in;
 }
 
 // ----------------------------------------------------------------- clone
 //
 // Each clone() copies configuration + learned parameters only. Training
-// scratch (cached activations, masks, argmax tables, gradient accumulators)
-// stays at its freshly-constructed state: it is meaningless outside a
-// forward/backward pair.
+// scratch (kept inputs, masks, gradient accumulators) stays at its
+// freshly-constructed state: it is meaningless outside a forward/backward
+// pair.
 
 std::unique_ptr<Layer> Conv2d::clone() const {
   Rng init_rng(0);  // initializer weights are replaced by the copy below

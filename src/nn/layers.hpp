@@ -14,7 +14,6 @@ class Conv2d final : public Layer {
  public:
   Conv2d(tensor::Conv2dGeometry geometry, Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
@@ -33,7 +32,6 @@ class Conv2d final : public Layer {
   tensor::Tensor bias_;     ///< [C_out]
   tensor::Tensor grad_weights_;
   tensor::Tensor grad_bias_;
-  tensor::Tensor cached_cols_;  ///< im2col of the last forward input
 };
 
 /// Fully connected layer on rank-1 inputs: y = W·x + b.
@@ -41,7 +39,6 @@ class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::vector<ParamRef> params() override;
@@ -64,20 +61,15 @@ class Dense final : public Layer {
   tensor::Tensor bias_;     ///< [out]
   tensor::Tensor grad_weights_;
   tensor::Tensor grad_bias_;
-  tensor::Tensor cached_input_;
 };
 
-/// Rectified linear unit, any rank.
+/// Rectified linear unit, any rank up to 4.
 class ReLU final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "relu"; }
   std::unique_ptr<Layer> clone() const override;
-
- private:
-  tensor::Tensor mask_;  ///< 1 where input > 0
 };
 
 /// Per-channel instance normalization with learnable gain/bias.
@@ -140,7 +132,7 @@ class Dropout final : public Layer {
   tensor::Tensor mask_;
 };
 
-/// CHW → flat vector.
+/// Any rank up to 4 → flat vector. Its forward keeps only the input's shape.
 class Flatten final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
@@ -153,7 +145,7 @@ class Flatten final : public Layer {
   tensor::Shape cached_shape_;
 };
 
-/// CHW → [C] by spatial averaging.
+/// CHW → [C] by spatial averaging. Its forward keeps only the input's shape.
 class GlobalAvgPool final : public Layer {
  public:
   tensor::Tensor forward(const tensor::Tensor& input) override;
@@ -169,15 +161,10 @@ class GlobalAvgPool final : public Layer {
 /// 2×2 max pooling, stride 2.
 class MaxPool2 final : public Layer {
  public:
-  tensor::Tensor forward(const tensor::Tensor& input) override;
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   ActivationView infer(const ActivationView& input, ScratchArena& arena) const override;
   std::string name() const override { return "max_pool2"; }
   std::unique_ptr<Layer> clone() const override;
-
- private:
-  tensor::Shape cached_in_shape_;
-  std::vector<std::size_t> argmax_;  ///< flat input index chosen per output cell
 };
 
 }  // namespace eugene::nn

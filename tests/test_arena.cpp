@@ -1,7 +1,10 @@
 // Scratch-arena and inference tests (DESIGN.md §14): bump-allocator
-// mechanics, bitwise equivalence of every layer's infer() with its training
-// forward and of run_stage_batch with run_stage, and the zero-heap-allocation
-// steady state of run_stage_batch.
+// mechanics, bitwise equivalence of every layer's infer() with a reference
+// written apart from it (the explicit conv product, a scalar loop, or a
+// training forward that is still separate code) and of run_stage_batch with
+// run_stage, and the zero-heap-allocation steady state of run_stage_batch.
+// A leaf layer's training forward returns its infer(), so the two agree by
+// construction and are not compared here.
 //
 // This binary overrides global operator new/delete with counting versions,
 // which is why it lives in its own test executable: the counters must see
@@ -17,6 +20,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <span>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "nn/arena.hpp"
 #include "nn/residual.hpp"
 #include "nn/staged_model.hpp"
+#include "tensor/gemm.hpp"
 
 namespace {
 std::atomic<std::size_t> g_heap_allocs{0};
@@ -138,12 +143,15 @@ TEST(Arena, PackBatchRejectsMismatchedShapes) {
 
 // ------------------------------------------------- inference equivalence
 
-/// Asserts infer(layer, sample) is bitwise-equal to the layer's training
-/// forward of the same sample (the Layer::infer contract), for each sample.
-void expect_infer_matches_forward(Layer& layer, const std::vector<Tensor>& samples) {
+using Reference = std::function<Tensor(const Tensor&)>;
+
+/// Asserts infer(layer, sample) is bitwise-equal to reference(sample), for
+/// each sample.
+void expect_infer_matches(const Layer& layer, const std::vector<Tensor>& samples,
+                          const Reference& reference) {
   for (std::size_t b = 0; b < samples.size(); ++b) {
     const Tensor got = infer(layer, samples[b]);
-    const Tensor want = layer.forward(samples[b]);
+    const Tensor want = reference(samples[b]);
     ASSERT_TRUE(got.same_shape(want)) << layer.name();
     for (std::size_t i = 0; i < want.numel(); ++i)
       EXPECT_EQ(got.data()[i], want.data()[i])
@@ -151,7 +159,20 @@ void expect_infer_matches_forward(Layer& layer, const std::vector<Tensor>& sampl
   }
 }
 
+/// The layer's training forward, for layers whose forward is separate code.
+Reference forward_of(Layer& layer) {
+  return [&layer](const Tensor& x) { return layer.forward(x); };
+}
+
+/// `out` plus a per-row bias: row r of `rows` rows of `cols` gains bias[r].
+void add_row_bias(Tensor& out, const Tensor& bias, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t i = 0; i < cols; ++i) out.raw()[r * cols + i] += bias.raw()[r];
+}
+
 TEST(BatchedForward, Conv2dMatchesPerSample) {
+  // Both conv routes of infer() against the explicit product: im2col, one
+  // gemm over the columns, then the bias.
   Rng rng(11);
   struct Case {
     std::size_t in_c, out_c, h, w, kernel, stride, pad;
@@ -199,41 +220,71 @@ TEST(BatchedForward, Conv2dMatchesPerSample) {
     g.stride = c.stride;
     g.padding = c.pad;
     Conv2d conv(g, rng);
-    expect_infer_matches_forward(conv, random_batch({c.in_c, c.h, c.w}, 3, rng));
+    const std::size_t ohw = g.out_height() * g.out_width();
+    const std::size_t patch = c.in_c * c.kernel * c.kernel;
+    const Reference explicit_product = [&](const Tensor& x) {
+      const Tensor cols = tensor::im2col(x, g);
+      Tensor out({c.out_c, g.out_height(), g.out_width()});
+      tensor::gemm(c.out_c, ohw, patch, conv.weights().raw(), patch, false, cols.raw(),
+                   ohw, false, 0.0f, out.raw(), ohw);
+      add_row_bias(out, conv.bias(), c.out_c, ohw);
+      return out;
+    };
+    expect_infer_matches(conv, random_batch({c.in_c, c.h, c.w}, 3, rng), explicit_product);
   }
 }
 
 TEST(BatchedForward, DenseMatchesPerSample) {
+  // infer() against the GEMM core at n = 1, then the bias.
   Rng rng(12);
   Dense dense(13, 6, rng);
-  expect_infer_matches_forward(dense, random_batch({13}, 5, rng));
+  expect_infer_matches(dense, random_batch({13}, 5, rng), [&](const Tensor& x) {
+    Tensor out({6});
+    tensor::gemm(6, 1, 13, dense.weights().raw(), 13, false, x.raw(), 1, false, 0.0f,
+                 out.raw(), 1);
+    add_row_bias(out, dense.bias(), 6, 1);
+    return out;
+  });
 }
 
 TEST(BatchedForward, ActivationAndNormLayersMatchPerSample) {
   Rng rng(13);
-  ReLU relu;
-  expect_infer_matches_forward(relu, random_batch({2, 4, 4}, 3, rng));
+  expect_infer_matches(ReLU(), random_batch({2, 4, 4}, 3, rng), [](const Tensor& x) {
+    Tensor out(x.shape());
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      out.raw()[i] = x.raw()[i] > 0.0f ? x.raw()[i] : 0.0f;
+    return out;
+  });
+  // ChannelNorm's training forward asks the channel_norm body for x̂ and
+  // 1/σ too, so it is code of its own.
   ChannelNorm norm(4);
-  expect_infer_matches_forward(norm, random_batch({4, 5, 3}, 3, rng));
-  MaxPool2 pool;
-  expect_infer_matches_forward(pool, random_batch({2, 6, 8}, 3, rng));
-  GlobalAvgPool gap;
-  expect_infer_matches_forward(gap, random_batch({3, 4, 4}, 3, rng));
-  Flatten flatten;
-  expect_infer_matches_forward(flatten, random_batch({2, 3, 4}, 3, rng));
+  expect_infer_matches(norm, random_batch({4, 5, 3}, 3, rng), forward_of(norm));
+  // The pools' dispatched bodies against their scalar arm; test_properties'
+  // MaxPool2Sweep and GlobalAvgPoolSweep check every arm against scalar
+  // keep-first and serial-sum references over many more shapes.
+  const tensor::PlaneKernels scalar = tensor::plane_kernels_with_isa(tensor::GemmIsa::kScalar);
+  expect_infer_matches(MaxPool2(), random_batch({2, 6, 8}, 3, rng), [&](const Tensor& x) {
+    Tensor out({2, 3, 4});
+    scalar.max_pool_2x2(x.raw(), 2, 6, 8, out.raw());
+    return out;
+  });
+  expect_infer_matches(GlobalAvgPool(), random_batch({3, 4, 4}, 3, rng),
+                       [&](const Tensor& x) {
+                         Tensor out({3});
+                         scalar.global_avg_pool(x.raw(), 3, 16, out.raw());
+                         return out;
+                       });
+  expect_infer_matches(Flatten(), random_batch({2, 3, 4}, 3, rng),
+                       [](const Tensor& x) { return x.reshaped({x.numel()}); });
   // Dropout's training forward drops units; its inference is the identity.
-  const Dropout dropout(0.5f, 99);
-  for (const Tensor& sample : random_batch({2, 3, 3}, 3, rng)) {
-    const Tensor got = infer(dropout, sample);
-    for (std::size_t i = 0; i < sample.numel(); ++i)
-      EXPECT_EQ(got.data()[i], sample.data()[i]) << "element " << i;
-  }
+  expect_infer_matches(Dropout(0.5f, 99), random_batch({2, 3, 3}, 3, rng),
+                       [](const Tensor& x) { return x; });
 }
 
 TEST(BatchedForward, ResidualBlockMatchesPerSample) {
   Rng rng(14);
   ResidualBlock block(4, 6, 6, rng);
-  expect_infer_matches_forward(block, random_batch({4, 6, 6}, 3, rng));
+  expect_infer_matches(block, random_batch({4, 6, 6}, 3, rng), forward_of(block));
 }
 
 TEST(BatchedForward, RunStageBatchMatchesRunStageResnet) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "calib/evaluation.hpp"
 #include "common/clock.hpp"
@@ -116,6 +117,26 @@ TEST(Fault, FailpointSpecStringParses) {
   EXPECT_THROW(reg.arm_from_string("x=banana"), InvalidArgument);
   EXPECT_THROW(reg.arm_from_string("x=error:q=1"), InvalidArgument);
   EXPECT_THROW(reg.arm_from_string("x=error:p=oops"), InvalidArgument);
+  // count and seed are decimal integers; a negative count means no budget.
+  EXPECT_EQ(reg.arm_from_string("three=error:count=3,free=error:count=-5,"
+                                "s=error:seed=18446744073709551615"),
+            3u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(reg.should_fire("three"), i < 3) << i;
+    EXPECT_TRUE(reg.should_fire("free")) << i;
+  }
+  for (const char* bad :
+       {"x=error:count=2.7", "x=error:count=1e30", "x=error:count=9223372036854775808",
+        "x=error:count=+3", "x=error:count=", "x=error:seed=-5", "x=error:seed=1e300",
+        "x=error:seed=18446744073709551616", "x=error:seed=9.0",
+        // sleep_for casts the delay to integer nanoseconds.
+        "x=delay:ms=inf", "x=delay:ms=1e300", "x=delay:ms=nan", "x=delay:ms=-1"})
+    EXPECT_THROW(reg.arm_from_string(bad), InvalidArgument) << bad;
+  FailpointSpec forever;
+  forever.kind = FailpointKind::kDelay;
+  forever.delay_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(reg.arm("test.delay.forever", forever), InvalidArgument);
+  EXPECT_EQ(reg.armed(), 5u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -46,7 +49,7 @@ void check_gradients(Layer& layer, const tensor::Shape& input_shape, Rng& rng,
   const Tensor coeffs = Tensor::randn(probe_out.shape(), rng);
 
   zero_grads(layer.params());
-  // backward() reads the activation caches of the preceding training forward.
+  // backward() reads what the preceding training forward kept.
   layer.forward(input);
   const Tensor grad_in = layer.backward(coeffs);
 
@@ -236,6 +239,35 @@ TEST(Pooling, MaxPool2PicksMaxima) {
   ASSERT_EQ(out.shape(), (tensor::Shape{1, 1, 2}));
   EXPECT_EQ(out.at(0, 0, 0), 5.0f);
   EXPECT_EQ(out.at(0, 0, 1), 8.0f);
+}
+
+// backward() finds each window's kept element again, so pin it to the one
+// infer() returned on the windows random draws never make: a tie, -0 beside
+// +0, and a NaN first or later.
+TEST(Pooling, MaxPool2GradientGoesToTheKeptElement) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Four 2×2 windows side by side: window w covers columns 2w and 2w + 1.
+  //                              tie    -0, +0       NaN first  NaN later
+  const Tensor img({1, 2, 8}, std::vector<float>{1, 3, -1, -0.0f, nan, 5, 2, nan,  //
+                                                 2, 3, 0.0f, -2, 7, 1, 4, 3});
+  const std::size_t kept[4] = {1, 1, 0, 2};  // row-major position in the window
+  MaxPool2 pool;
+  pool.forward(img);
+  const Tensor out = infer(pool, img);
+  const Tensor grad_in = pool.backward(Tensor({1, 1, 4}, std::vector<float>{1, 2, 3, 4}));
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (std::size_t pos = 0; pos < 4; ++pos) {
+      const std::size_t i = (pos / 2) * 8 + 2 * w + pos % 2;
+      if (pos != kept[w]) {
+        EXPECT_EQ(grad_in.data()[i], 0.0f) << "window " << w << " position " << pos;
+        continue;
+      }
+      EXPECT_EQ(grad_in.data()[i], static_cast<float>(w + 1)) << "window " << w;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(img.data()[i]),
+                std::bit_cast<std::uint32_t>(out.data()[w]))
+          << "window " << w << ": the gradient's element is not the one infer() kept";
+    }
+  }
 }
 
 TEST(Loss, EntropyRegularizationShiftsConfidence) {
