@@ -4,6 +4,10 @@
 #include <exception>
 #include <thread>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/check.hpp"
 #include "common/clock.hpp"
 #include "common/failpoint.hpp"
@@ -20,6 +24,11 @@ namespace {
 /// RTDeepIoT's planning horizon k. The served planner looks one stage ahead;
 /// Fig. 4's k sweep builds its own policy (bench_fig4_scheduling).
 constexpr std::size_t kLookahead = 1;
+
+/// Bytes of features (each request's last trunk output) a batch must end
+/// with for process_batch to hand the heap's free pages back to the OS:
+/// glibc's default M_TRIM_THRESHOLD. A call of a few requests stays below it.
+constexpr std::size_t kReleaseFeatureBytes = 128 * 1024;
 
 }  // namespace
 
@@ -172,6 +181,17 @@ std::vector<InferenceResponse> InferenceServer::process_batch(
   if (escaped) std::rethrow_exception(escaped);
   EUGENE_CHECK_EQ(engine.unfinished(), 0u)
       << "process_batch: requests left unfinished with nothing runnable";
+
+  // The feature buffers are dead once every worker has joined (1024 requests
+  // hold 8 MB). glibc returns freed heap only from its top, past a threshold
+  // it raises as the process frees large blocks, so without the trim they
+  // stay resident after the call or not by what the heap held before it.
+  std::size_t feature_bytes = 0;
+  for (const Tensor& f : features) feature_bytes += f.numel() * sizeof(float);
+  features = std::vector<Tensor>();
+#if defined(__GLIBC__)
+  if (feature_bytes >= kReleaseFeatureBytes) malloc_trim(0);
+#endif
 
   std::vector<InferenceResponse> responses = engine.take_results();
 

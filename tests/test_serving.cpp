@@ -255,11 +255,10 @@ TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
   // per-sample run_stage chain answers at the same depth: bitwise
   // confidences and identical labels, exiting at the first stage that
   // clears the early-exit bar. The same holds on a pool of peer workers:
-  // which worker runs a stage changes nothing it computes.
+  // which worker runs a stage changes nothing it computes. A 1024-request
+  // batch ends with at least 128 KiB of features (128 B a request at the
+  // last stage), so after it process_batch also hands the freed heap back.
   constexpr double kExit = 0.7;
-  std::vector<serving::InferenceRequest> requests;
-  for (std::size_t i = 0; i < 64; ++i)
-    requests.push_back({test_->samples[i % test_->size()], i % 2});
   serving::ServerConfig cfg;
   cfg.classes = {{"interactive", std::numeric_limits<double>::infinity(), 4.0},
                  {"camera", std::numeric_limits<double>::infinity(), 1.0}};
@@ -267,8 +266,12 @@ TEST_F(ServiceIntegration, BatchAnswersMatchPerSampleChain) {
 
   const serving::ModelRegistry::ViewPtr view = service_->registry().pin();
   const nn::StagedModel& model = view->entry(handle_).model;
-  for (const std::size_t workers : {1u, 4u}) {
-    SCOPED_TRACE(workers);
+  for (const auto& [batch, workers] :
+       {std::pair<std::size_t, std::size_t>{64, 1}, {64, 4}, {1024, 1}, {1024, 4}}) {
+    SCOPED_TRACE(testing::Message() << batch << " requests, " << workers << " workers");
+    std::vector<serving::InferenceRequest> requests;
+    for (std::size_t i = 0; i < batch; ++i)
+      requests.push_back({test_->samples[i % test_->size()], i % 2});
     cfg.workers = workers;
     const auto responses = service_->infer_batch(handle_, requests, cfg);
     ASSERT_EQ(responses.size(), requests.size());
